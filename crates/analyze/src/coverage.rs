@@ -18,9 +18,8 @@
 //!   whole benign corpus (JIT applets excepted, by design) executes only
 //!   image-backed code.
 
-use crate::cfg::ModuleCfg;
+use crate::model::ImageModel;
 use faros_emu::mmu::KERNEL_BASE;
-use faros_kernel::module::FdlImage;
 use faros_kernel::Pid;
 use faros_replay::ProcessBlocks;
 use std::collections::BTreeMap;
@@ -106,37 +105,13 @@ pub(crate) fn basename(path: &str) -> &str {
     path.rsplit(['/', '\\']).next().unwrap_or(path)
 }
 
-/// Builds the module-image map [`diff`] consumes, keyed by basename.
-/// Feed it every image a scenario can load: its program images plus any
-/// seed files that parse as FDL (dropped DLLs).
-pub fn image_map<S: AsRef<str>>(
-    entries: impl IntoIterator<Item = (S, FdlImage)>,
-) -> BTreeMap<String, FdlImage> {
-    entries
-        .into_iter()
-        .map(|(path, image)| (basename(path.as_ref()).to_string(), image))
-        .collect()
-}
-
 /// Diffs replay-observed block starts against the static models of each
 /// process's loaded modules.
-pub fn diff(observed: &[ProcessBlocks], images: &BTreeMap<String, FdlImage>) -> CoverageReport {
-    // Static models are per image, shared across processes.
-    let mut cfgs: BTreeMap<&str, ModuleCfg> = BTreeMap::new();
-    for (name, image) in images {
-        cfgs.insert(name.as_str(), ModuleCfg::recover(name, image));
-    }
-
+pub fn diff(observed: &[ProcessBlocks], models: &BTreeMap<String, ImageModel>) -> CoverageReport {
     let mut processes = Vec::new();
     for proc in observed {
-        let loaded: Vec<(&FdlImage, &ModuleCfg)> = proc
-            .modules
-            .iter()
-            .filter_map(|m| {
-                let key = basename(&m.name);
-                Some((images.get(key)?, cfgs.get(key)?))
-            })
-            .collect();
+        let loaded: Vec<&ImageModel> =
+            proc.modules.iter().filter_map(|m| models.get(basename(&m.name))).collect();
         let mut cov = ProcessCoverage {
             pid: proc.pid,
             process: proc.name.clone(),
@@ -149,10 +124,8 @@ pub fn diff(observed: &[ProcessBlocks], images: &BTreeMap<String, FdlImage>) -> 
         for &va in &proc.block_starts {
             if va >= KERNEL_BASE {
                 cov.kernel += 1;
-            } else if let Some((_, cfg)) =
-                loaded.iter().find(|(image, _)| image.is_code_va(va))
-            {
-                if cfg.accounts_for(va) {
+            } else if let Some(model) = loaded.iter().find(|m| m.image.is_code_va(va)) {
+                if model.dataflow.cfg.accounts_for(va) {
                     cov.accounted += 1;
                 } else {
                     cov.uncharted.push(va);
@@ -171,7 +144,7 @@ mod tests {
     use super::*;
     use faros_emu::asm::Asm;
     use faros_emu::mmu::Perms;
-    use faros_kernel::module::{ModuleInfo, Section};
+    use faros_kernel::module::{FdlImage, ModuleInfo, Section};
     use faros_kernel::Pid;
     use std::collections::BTreeSet;
 
@@ -211,8 +184,8 @@ mod tests {
 
     #[test]
     fn image_backed_blocks_are_accounted() {
-        let images = image_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE])], &images);
+        let models = crate::model_map([("C:/app.exe", simple_image())]);
+        let report = diff(&[observed("app.exe", &[BASE])], &models);
         assert!(!report.injection_suspected());
         let p = report.process("app.exe").unwrap();
         assert_eq!(p.accounted, 1);
@@ -221,8 +194,8 @@ mod tests {
 
     #[test]
     fn anonymous_code_is_unaccounted() {
-        let images = image_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE, 0x0100_0000])], &images);
+        let models = crate::model_map([("C:/app.exe", simple_image())]);
+        let report = diff(&[observed("app.exe", &[BASE, 0x0100_0000])], &models);
         assert!(report.injection_suspected());
         let p = report.process("app.exe").unwrap();
         assert_eq!(p.unaccounted, vec![0x0100_0000]);
@@ -231,8 +204,8 @@ mod tests {
 
     #[test]
     fn kernel_space_blocks_are_trusted() {
-        let images = image_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[0x8000_0010])], &images);
+        let models = crate::model_map([("C:/app.exe", simple_image())]);
+        let report = diff(&[observed("app.exe", &[0x8000_0010])], &models);
         assert!(!report.injection_suspected());
         assert_eq!(report.processes[0].kernel, 1);
     }
@@ -244,16 +217,16 @@ mod tests {
         let mut image = simple_image();
         let len = image.sections[0].data.len() as u32;
         image.sections[0].data.resize(len as usize + 16, 0);
-        let images = image_map([("C:/app.exe", image)]);
-        let report = diff(&[observed("app.exe", &[BASE + len + 2])], &images);
+        let models = crate::model_map([("C:/app.exe", image)]);
+        let report = diff(&[observed("app.exe", &[BASE + len + 2])], &models);
         assert_eq!(report.processes[0].accounted, 1); // nop padding is charted
         assert!(!report.injection_suspected());
     }
 
     #[test]
     fn table_lists_every_process() {
-        let images = image_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE])], &images);
+        let models = crate::model_map([("C:/app.exe", simple_image())]);
+        let report = diff(&[observed("app.exe", &[BASE])], &models);
         let t = report.render_table();
         assert!(t.contains("app.exe"));
         assert!(t.contains("unaccounted"));

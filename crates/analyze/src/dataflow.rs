@@ -32,6 +32,8 @@
 //! produce tainted data at its address.
 
 use crate::cfg::ModuleCfg;
+use crate::coverage::basename;
+use crate::model::ImageModel;
 use crate::vsa::{self, AVal, FunctionVsa, State};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_emu::mmu::{Perms, KERNEL_BASE};
@@ -413,23 +415,20 @@ pub struct ImageDataflow {
     pub stats: DataflowStats,
 }
 
-/// Function entry points: the image entry, code exports, and every direct
-/// or resolved-indirect call target inside the image.
-fn function_entries(cfg: &ModuleCfg, image: &FdlImage) -> BTreeSet<u32> {
-    let mut entries = BTreeSet::new();
-    if cfg.blocks.contains_key(&image.entry) {
-        entries.insert(image.entry);
-    }
-    for e in &image.exports {
-        if cfg.blocks.contains_key(&e.va) {
-            entries.insert(e.va);
-        }
-    }
-    for &(_site, callee) in &cfg.call_edges {
-        if cfg.blocks.contains_key(&callee) {
-            entries.insert(callee);
-        }
-    }
+/// Externally reachable function entries: the image entry and code exports.
+fn roots(cfg: &ModuleCfg, image: &FdlImage) -> BTreeSet<u32> {
+    std::iter::once(image.entry)
+        .chain(image.exports.iter().map(|e| e.va))
+        .filter(|va| cfg.blocks.contains_key(va))
+        .collect()
+}
+
+/// Function entry points: the roots plus every direct or resolved-indirect
+/// call target inside the image.
+pub(crate) fn function_entries(cfg: &ModuleCfg, image: &FdlImage) -> BTreeSet<u32> {
+    let mut entries = roots(cfg, image);
+    entries.extend(cfg.call_edges.iter().map(|&(_, callee)| callee));
+    entries.retain(|va| cfg.blocks.contains_key(va));
     entries
 }
 
@@ -507,16 +506,7 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
     }
     let call_graph: BTreeMap<u32, BTreeSet<u32>> =
         vsas.iter().map(|(&e, f)| (e, callees_of(&cfg, f, &resolved))).collect();
-    let mut roots = BTreeSet::new();
-    if cfg.blocks.contains_key(&image.entry) {
-        roots.insert(image.entry);
-    }
-    for e in &image.exports {
-        if cfg.blocks.contains_key(&e.va) {
-            roots.insert(e.va);
-        }
-    }
-
+    let roots = roots(&cfg, image);
     let flows = taint_phases(name, image, &cfg, &vsas, &call_graph, &resolved, &mut stats);
     ImageDataflow { cfg, flows, syscall_sites, call_graph, roots, stats }
 }
@@ -1118,19 +1108,15 @@ impl FromJson for TaintCrossCheck {
     }
 }
 
-pub(crate) fn basename(path: &str) -> &str {
-    path.rsplit(['/', '\\']).next().unwrap_or(path)
-}
-
 /// Classifies dynamic taint alerts against the static flow model of every
 /// loaded module, and reports statically feasible flows no replay
-/// exercised. `images` is keyed by basename, as for [`crate::coverage::diff`].
+/// exercised. `models` is keyed by basename, as for [`crate::coverage::diff`].
 pub fn taint_cross_check(
     alerts: &[DynamicAlert],
     observed: &[ProcessBlocks],
-    images: &BTreeMap<String, FdlImage>,
+    models: &BTreeMap<String, ImageModel>,
 ) -> TaintCrossCheck {
-    taint_cross_check_with_stats(alerts, observed, images).0
+    taint_cross_check_with_stats(alerts, observed, models).0
 }
 
 /// [`taint_cross_check`], also returning the merged [`DataflowStats`] of
@@ -1138,15 +1124,11 @@ pub fn taint_cross_check(
 pub fn taint_cross_check_with_stats(
     alerts: &[DynamicAlert],
     observed: &[ProcessBlocks],
-    images: &BTreeMap<String, FdlImage>,
+    models: &BTreeMap<String, ImageModel>,
 ) -> (TaintCrossCheck, DataflowStats) {
-    let analyses: BTreeMap<&str, ImageDataflow> = images
-        .iter()
-        .map(|(name, image)| (name.as_str(), analyze_image(name, image)))
-        .collect();
     let mut stats = DataflowStats::default();
-    for a in analyses.values() {
-        stats.merge(&a.stats);
+    for m in models.values() {
+        stats.merge(&m.dataflow.stats);
     }
 
     let mut rows: BTreeMap<&str, ProcessTaintCheck> = BTreeMap::new();
@@ -1161,16 +1143,15 @@ pub fn taint_cross_check_with_stats(
             continue;
         }
         let proc = observed.iter().find(|p| p.name == alert.process);
-        let module = proc.and_then(|p| {
+        let model = proc.and_then(|p| {
             p.modules.iter().find_map(|m| {
-                let key = basename(&m.name);
-                let image = images.get(key)?;
-                image.section_containing(alert.va).map(|_| key)
+                let model = models.get(basename(&m.name))?;
+                model.image.section_containing(alert.va).map(|_| model)
             })
         });
-        match module {
+        match model {
             // In a module, at an instruction the modeled flows reach.
-            Some(key) if analyses[key].flows.taint_reachable.contains(&alert.va) => {
+            Some(m) if m.dataflow.flows.taint_reachable.contains(&alert.va) => {
                 row.explainable.push(alert.va)
             }
             // In a module but no modeled flow reaches it, or in no loaded
@@ -1182,7 +1163,8 @@ pub fn taint_cross_check_with_stats(
     // Residual surface: a flow is exercised if any process that loaded the
     // module executed the block containing its sink.
     let mut residual = Vec::new();
-    for (key, analysis) in &analyses {
+    for (key, model) in models {
+        let analysis = &model.dataflow;
         let loaders: Vec<&ProcessBlocks> = observed
             .iter()
             .filter(|p| p.modules.iter().any(|m| basename(&m.name) == *key))
@@ -1357,7 +1339,7 @@ mod tests {
         sys(&mut asm, Sysno::NtSocketRecv as u32);
         asm.hlt();
         let image = image_of(asm);
-        let images = BTreeMap::from([("prog.exe".to_string(), image)]);
+        let models = crate::model_map([("prog.exe", image)]);
         let observed = vec![ProcessBlocks {
             pid: faros_kernel::Pid(1),
             name: "prog.exe".into(),
@@ -1374,7 +1356,7 @@ mod tests {
         let alerts = vec![
             DynamicAlert { process: "prog.exe".into(), va: 0x0100_2000 }, // payload memory
         ];
-        let check = taint_cross_check(&alerts, &observed, &images);
+        let check = taint_cross_check(&alerts, &observed, &models);
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert_eq!(check.explainable_total(), 0);
@@ -1388,7 +1370,7 @@ mod tests {
         sys(&mut asm, Sysno::NtSocketSend as u32);
         asm.hlt();
         let image = image_of(asm);
-        let images = BTreeMap::from([("prog.exe".to_string(), image)]);
+        let models = crate::model_map([("prog.exe", image)]);
         // The process loaded the module but never executed anything.
         let observed = vec![ProcessBlocks {
             pid: faros_kernel::Pid(1),
@@ -1403,7 +1385,7 @@ mod tests {
             block_starts: BTreeSet::new(),
             indirect_targets: BTreeMap::new(),
         }];
-        let check = taint_cross_check(&[], &observed, &images);
+        let check = taint_cross_check(&[], &observed, &models);
         assert!(!check.injection_suspected());
         assert!(
             check.residual.iter().any(|r| r.flow.sink == SinkKind::Net),

@@ -30,6 +30,10 @@
 //!   entries) and the dynamic cross-check ([`cfi::check`]) that holds
 //!   every replay-observed `ret`/`call reg`/`jmp reg` transfer to it —
 //!   the code-reuse (ROP/JOP) detection signal;
+//! * [`model`] — [`ImageModel`], the per-job static model of one image
+//!   (dataflow over the resolved CFG, CFI claims, capability report,
+//!   profiler function table), built once per job and shared by every
+//!   cross-check below and by profile symbolization;
 //! * [`report`] — the one-call bundle behind `faros-cli analyze <image>`:
 //!   CFG + dataflow + lints over a single image rendered to a stable JSON
 //!   wire format;
@@ -48,14 +52,14 @@ pub mod coverage;
 pub mod dataflow;
 pub mod gadgets;
 pub mod lint;
+pub mod model;
 pub mod report;
-pub mod symbols;
 pub mod syscap;
 pub mod vsa;
 
 pub use cfg::{BasicBlock, ModuleCfg};
 pub use cfi::{CfiCheckReport, CfiModel, CfiStats, CfiViolation};
-pub use coverage::{diff, image_map, CoverageReport, ProcessCoverage};
+pub use coverage::{diff, CoverageReport, ProcessCoverage};
 pub use gadgets::{GadgetReport, GadgetStats, SectionGadgets};
 pub use dataflow::{
     analyze_image, taint_cross_check, taint_cross_check_with_stats, DataflowStats, DynamicAlert,
@@ -63,10 +67,10 @@ pub use dataflow::{
     StaticFlow, TaintCrossCheck,
 };
 pub use lint::{lint_image, render_findings, Finding, FindingKind, Severity};
+pub use model::{layouts_for, model_map, ImageModel};
 pub use report::StaticReport;
-pub use symbols::{layout_map, layouts_for, module_layout, module_layout_from_cfg};
 pub use syscap::{
-    ambient_caps, analyze_image_caps, capability_cross_check, capability_cross_check_with_stats,
+    ambient_caps, capability_cross_check, capability_cross_check_with_stats,
     caps_of_syscall, render_capability_check, CapWitness, CapabilityCrossCheck, CapabilityReport,
     ProcessCapCheck, Recipe, RecipeHit, ResidualRecipe, SyscapStats, RECIPES,
 };

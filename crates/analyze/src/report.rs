@@ -9,9 +9,10 @@
 //! same bytes for the same image (the golden-fixture test relies on it).
 
 use crate::cfi::CfiModel;
-use crate::dataflow::{self, DataflowStats, ImageFlowMap};
+use crate::dataflow::{DataflowStats, ImageFlowMap};
 use crate::gadgets::{self, GadgetReport};
 use crate::lint::{lint_with_cfg, Finding, FindingKind, Severity};
+use crate::model::ImageModel;
 use crate::syscap::{self, CapabilityReport};
 use faros_kernel::module::FdlImage;
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
@@ -105,7 +106,8 @@ pub struct StaticReport {
 impl StaticReport {
     /// Runs the whole static pipeline over one image.
     pub fn build(name: &str, image: &FdlImage) -> StaticReport {
-        let analysis = dataflow::analyze_image(name, image);
+        let ImageModel { dataflow: analysis, cfi, caps: capabilities, .. } =
+            ImageModel::build(name, image.clone());
         let mut findings = lint_with_cfg(name, image, &analysis.cfg);
         findings.extend(syscap::unresolved_syscall_findings(name, &analysis));
         findings.sort_by(|a, b| {
@@ -113,7 +115,6 @@ impl StaticReport {
                 .cmp(&(b.severity, b.kind, b.va, &b.module, &b.detail))
         });
         findings.dedup();
-        let capabilities = syscap::capability_report(&analysis);
         let resolved_sites = analysis
             .cfg
             .resolved_targets
@@ -121,7 +122,6 @@ impl StaticReport {
             .map(|(&va, targets)| (va, targets.clone()))
             .collect();
         let gadgets = gadgets::scan_image(name, image, &analysis.cfg);
-        let cfi = CfiModel::from_cfg(name, image, &analysis.cfg);
         StaticReport {
             module: name.to_string(),
             findings,

@@ -46,11 +46,12 @@
 //! *residual capability surface*.
 
 use crate::cfg::ModuleCfg;
-use crate::dataflow::{basename, ImageDataflow};
+use crate::coverage::basename;
+use crate::dataflow::ImageDataflow;
+use crate::model::ImageModel;
 use crate::lint::{Finding, FindingKind, Severity};
 use crate::vsa::AVal;
 use faros_emu::isa::Instr;
-use faros_kernel::module::FdlImage;
 use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
 use faros_kernel::Machine;
 use faros_obs::metrics::MetricsRegistry;
@@ -584,12 +585,6 @@ pub fn capability_report(df: &ImageDataflow) -> CapabilityReport {
     report
 }
 
-/// [`capability_report`] straight from an image (runs the dataflow
-/// analysis internally).
-pub fn analyze_image_caps(name: &str, image: &FdlImage) -> CapabilityReport {
-    capability_report(&crate::dataflow::analyze_image(name, image))
-}
-
 /// The `syscall-number-unresolved` advisory findings of one analyzed
 /// image: reachable `int` sites whose service number is not a VSA
 /// constant — sites every syscall-indexed static view (taint sources,
@@ -843,26 +838,24 @@ impl FromJson for SyscapStats {
 
 /// Classifies the capabilities each process concretely exercised against
 /// the static capability model of every loaded module, and reports
-/// statically present recipes no replay exercised. `images` is keyed by
+/// statically present recipes no replay exercised. `models` is keyed by
 /// basename, as for [`crate::dataflow::taint_cross_check`].
 pub fn capability_cross_check(
     observed: &[ProcessCapabilities],
-    images: &BTreeMap<String, FdlImage>,
+    models: &BTreeMap<String, ImageModel>,
 ) -> CapabilityCrossCheck {
-    capability_cross_check_with_stats(observed, images).0
+    capability_cross_check_with_stats(observed, models).0
 }
 
 /// [`capability_cross_check`], also returning the merged [`SyscapStats`]
 /// (for `syscap.*` metrics emission).
 pub fn capability_cross_check_with_stats(
     observed: &[ProcessCapabilities],
-    images: &BTreeMap<String, FdlImage>,
+    models: &BTreeMap<String, ImageModel>,
 ) -> (CapabilityCrossCheck, SyscapStats) {
     let mut stats = SyscapStats::default();
-    let reports: BTreeMap<&str, CapabilityReport> = images
-        .iter()
-        .map(|(name, image)| (name.as_str(), analyze_image_caps(name, image)))
-        .collect();
+    let reports: BTreeMap<&str, &CapabilityReport> =
+        models.iter().map(|(name, m)| (name.as_str(), &m.caps)).collect();
     for r in reports.values() {
         stats.images_analyzed += 1;
         stats.sites_lifted += r.witnesses.len() as u64;
@@ -941,7 +934,7 @@ pub fn capability_cross_check_with_stats(
     stats.recipes_residual += residual.len() as u64;
 
     let reports: Vec<CapabilityReport> =
-        reports.into_values().filter(|r| !r.is_empty()).collect();
+        reports.into_values().filter(|r| !r.is_empty()).cloned().collect();
     (CapabilityCrossCheck { reports, processes, residual }, stats)
 }
 
@@ -979,7 +972,7 @@ mod tests {
     use faros_emu::asm::Asm;
     use faros_emu::isa::{Mem as M, Reg};
     use faros_emu::mmu::Perms;
-    use faros_kernel::module::Section;
+    use faros_kernel::module::{FdlImage, Section};
     use faros_kernel::Pid;
     use faros_replay::syscap::concrete_capability;
 
@@ -1044,7 +1037,7 @@ mod tests {
 
     #[test]
     fn injector_image_reports_the_remote_recipe_with_witnesses() {
-        let r = analyze_image_caps("inj.exe", &injector_image());
+        let r = ImageModel::build("inj.exe", injector_image()).caps;
         assert!(r.caps.contains(Capability::AllocExecRemote), "{r:?}");
         assert!(r.caps.contains(Capability::WriteRemote));
         assert!(r.caps.contains(Capability::CreateRemoteThread));
@@ -1083,7 +1076,7 @@ mod tests {
         asm.mov_ri(Reg::Edx, 0b111);
         sys(&mut asm, Sysno::NtAllocateVirtualMemory);
         asm.ret();
-        let r = analyze_image_caps("t", &image_of(asm));
+        let r = ImageModel::build("t", image_of(asm)).caps;
         let w = r
             .witnesses
             .iter()
@@ -1103,7 +1096,7 @@ mod tests {
         asm.mov_ri(Reg::Ebx, CURRENT_PROCESS);
         sys(&mut asm, Sysno::NtWriteVirtualMemory);
         asm.hlt();
-        let r = analyze_image_caps("t", &image_of(asm));
+        let r = ImageModel::build("t", image_of(asm)).caps;
         assert!(r.caps.is_empty(), "{:?}", r.caps);
         assert!(r.recipes.is_empty());
     }
@@ -1180,13 +1173,13 @@ mod tests {
         sys(&mut asm, Sysno::NtDisplayString);
         asm.hlt();
         let victim = image_of(asm);
-        let images = BTreeMap::from([("victim.exe".to_string(), victim)]);
+        let models = crate::model_map([("victim.exe", victim)]);
         let p = observed(
             "victim.exe",
             "victim.exe",
             &[(Sysno::NtSocketSend, [1, 0x50_0000, 32, 0, 0])],
         );
-        let (check, stats) = capability_cross_check_with_stats(&[p], &images);
+        let (check, stats) = capability_cross_check_with_stats(&[p], &models);
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert!(check.processes[0].impossible.contains(Capability::SendNet));
@@ -1195,7 +1188,7 @@ mod tests {
 
     #[test]
     fn modeled_capabilities_and_exercised_recipes_classify_cleanly() {
-        let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
+        let models = crate::model_map([("inj.exe", injector_image())]);
         let p = observed(
             "inj.exe",
             "inj.exe",
@@ -1205,7 +1198,7 @@ mod tests {
                 (Sysno::NtCreateThreadEx, [7, 0x0100_0000, 0, 0, 0]),
             ],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check(&[p], &models);
         // Everything exercised is modeled…
         assert_eq!(check.impossible_total(), 0);
         // …but the completed recipe is still the injection signal.
@@ -1221,10 +1214,10 @@ mod tests {
 
     #[test]
     fn unexercised_static_recipes_are_residual_surface() {
-        let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
+        let models = crate::model_map([("inj.exe", injector_image())]);
         // The process loaded the injector image but never ran the recipe.
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check(&[p], &models);
         assert!(!check.injection_suspected());
         assert!(
             check
@@ -1242,26 +1235,26 @@ mod tests {
         asm.mov_ri(Reg::Ebx, 7);
         sys(&mut asm, Sysno::NtReadVirtualMemory);
         asm.hlt();
-        let images = BTreeMap::from([("dbg.exe".to_string(), image_of(asm))]);
+        let models = crate::model_map([("dbg.exe", image_of(asm))]);
         let p = observed(
             "dbg.exe",
             "dbg.exe",
             &[(Sysno::NtReadVirtualMemory, [7, 0x1000, 0x50_0000, 16, 0])],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check(&[p], &models);
         assert!(!check.injection_suspected(), "{check:?}");
         assert_eq!(check.processes[0].exercised, CapSet::of(Capability::ReadRemote));
     }
 
     #[test]
     fn cross_check_json_round_trips() {
-        let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
+        let models = crate::model_map([("inj.exe", injector_image())]);
         let p = observed(
             "inj.exe",
             "inj.exe",
             &[(Sysno::NtWriteVirtualMemory, [7, 0, 0, 0, 0])],
         );
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check(&[p], &models);
         let back = CapabilityCrossCheck::from_json_value(&check.to_json_value()).unwrap();
         assert_eq!(back, check);
         let empty = CapabilityCrossCheck::default();
@@ -1301,9 +1294,9 @@ mod tests {
 
     #[test]
     fn render_shows_processes_and_residual(){
-        let images = BTreeMap::from([("inj.exe".to_string(), injector_image())]);
+        let models = crate::model_map([("inj.exe", injector_image())]);
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &images);
+        let check = capability_cross_check(&[p], &models);
         let table = render_capability_check(&check);
         assert!(table.contains("residual: remote-thread-injection"), "{table}");
     }

@@ -123,8 +123,8 @@ pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, Comparison
             on_disk.push((path, image));
         }
     }
-    let images = faros_analyze::image_map(on_disk);
-    let coverage = faros_analyze::diff(&blocks.into_processes(), &images);
+    let models = faros_analyze::model_map(on_disk);
+    let coverage = faros_analyze::diff(&blocks.into_processes(), &models);
 
     // 5. The CFI cross-check: observe every indirect transfer and return,
     //    then validate each against the static control-flow model of the
@@ -136,7 +136,7 @@ pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, Comparison
     replay(&sample.scenario, &recording, budget, &mut monitor)
         .map_err(|e| ComparisonError(e.to_string()))?;
     let cfi =
-        faros_analyze::cfi::check(&monitor.into_processes(), &images, faros.tainted_transfers());
+        faros_analyze::cfi::check(&monitor.into_processes(), &models, faros.tainted_transfers());
 
     Ok(ComparisonRow {
         sample: sample.scenario.name().to_string(),

@@ -2,10 +2,13 @@
 //! CLI (`faros-cli analyze`/`replay`) and the detonation service
 //! (`faros-service` workers).
 //!
-//! A *job* is one recording analyzed end to end: replay under FAROS
-//! (optionally with the flight recorder attached), replay again under the
-//! block-coverage plugin, then attach the static-vs-dynamic coverage diff,
-//! the taint cross-check, and the merged metrics to the [`FarosReport`].
+//! A *job* is one recording analyzed end to end: one replay under FAROS
+//! with the block-coverage, CFI-transfer and capability observers stacked
+//! beside it (and the flight recorder when tracing), then one static
+//! [`faros_analyze::ImageModel`] per program image, shared by the coverage
+//! diff, the taint, CFI and capability cross-checks and profile
+//! symbolization, whose results and merged metrics attach to the
+//! [`FarosReport`].
 //! Keeping the assembly in one place is what makes the service's parallel
 //! reports *byte-identical* to sequential CLI runs: both sides call
 //! [`analyze_recording`], so there is no second pipeline to drift.
@@ -53,7 +56,7 @@ pub struct AnalysisConfig {
     /// default — with it off, report bytes are identical to pre-profiler
     /// builds.
     pub profile: bool,
-    /// How both replay passes execute guest code. Defaults to
+    /// How the replay executes guest code. Defaults to
     /// [`ExecMode::Cached`]; the differential gate sets
     /// [`ExecMode::Interpret`] and requires byte-identical reports.
     pub exec: ExecMode,
@@ -78,11 +81,11 @@ impl Default for AnalysisConfig {
 /// never enters report bytes, merged service metrics, or golden fixtures).
 #[derive(Debug, Clone, Default)]
 pub struct JobCost {
-    /// Per-phase wall-clock totals: `replay` (both replay passes) and
-    /// `analyze` (static cross-checks and report assembly); the service
+    /// Per-phase wall-clock totals: `replay` (the one replay pass) and
+    /// `analyze` (static models, cross-checks and report assembly); the service
     /// adds `queue_wait` and `report` around them.
     pub phases: PhaseProfile,
-    /// Per-plugin dispatch counts across both replay passes; `wall_ns` is
+    /// Per-plugin dispatch counts of the replay pass; `wall_ns` is
     /// populated when [`AnalysisConfig::profile`] is on.
     pub plugins: Vec<PluginCost>,
 }
@@ -144,15 +147,16 @@ pub struct AnalyzedJob {
 
 /// Analyzes one recording end to end and assembles the job report.
 ///
-/// Pipeline: replay under FAROS (inside a [`PluginManager`], with the
-/// trace recorder registered when capture is on), replay under
-/// [`BlockCoverage`], compute the static coverage diff and taint
-/// cross-check against the scenario's program images, and attach both plus
-/// the merged FAROS + cross-check metrics.
+/// Pipeline: one replay with FAROS, [`BlockCoverage`], [`CfiMonitor`] and
+/// [`CapabilityMonitor`] (plus [`Profiler`] when profiling and the trace
+/// recorder when capture is on) in one [`PluginManager`]; one static model
+/// per program image; then the coverage diff and the taint, CFI and
+/// capability cross-checks against those models, attached with the merged
+/// FAROS + cross-check metrics.
 ///
 /// # Errors
 ///
-/// Propagates [`ReplayError`] from either replay pass.
+/// Propagates [`ReplayError`] from the replay.
 pub fn analyze_recording<S: Scenario + ?Sized>(
     scenario: &S,
     recording: &Recording,
@@ -169,9 +173,13 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
 
     let mut cost = JobCost::default();
 
-    // Replay #1: FAROS (plus the trace recorder when capture is on). The
-    // manager wrapping is unconditional so the dispatch path is identical
-    // with and without tracing.
+    // One replay: FAROS plus the observers the static-vs-dynamic
+    // cross-checks read (block coverage, CFI transfers, capabilities, and
+    // the retired-instruction profiler when profiling is on), plus the
+    // trace recorder when capture is on. The manager wrapping is
+    // unconditional so the dispatch path is identical with and without
+    // tracing. The observers keep the default `flow_block_begin() ==
+    // true`, so clean-block flow elision is FAROS's call alone.
     let mut plugins = PluginManager::new();
     if cfg.profile {
         plugins.enable_dispatch_profiling();
@@ -180,6 +188,12 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         plugins.register(Box::new(TraceRecorder::new(ring.clone())));
     }
     plugins.register(Box::new(faros));
+    if cfg.profile {
+        plugins.register(Box::new(Profiler::new()));
+    }
+    plugins.register(Box::new(BlockCoverage::new()));
+    plugins.register(Box::new(CfiMonitor::new()));
+    plugins.register(Box::new(CapabilityMonitor::new()));
     let replay_start = Instant::now();
     let outcome = replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)?;
     cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
@@ -197,57 +211,42 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
             recorder_metrics: tracer.metrics_snapshot(),
         }
     });
-    cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
-
-    // Replay #2: block coverage + the CFI transfer monitor for the
-    // static-vs-dynamic cross-checks (plus the retired-instruction
-    // profiler when profiling is on).
-    let mut observers = PluginManager::new();
-    if cfg.profile {
-        observers.enable_dispatch_profiling();
-        observers.register(Box::new(Profiler::new()));
-    }
-    observers.register(Box::new(BlockCoverage::new()));
-    observers.register(Box::new(CfiMonitor::new()));
-    observers.register(Box::new(CapabilityMonitor::new()));
-    let replay_start = Instant::now();
-    replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut observers)?;
-    cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
-    let blocks = *observers
+    let blocks = *plugins
         .take_as::<BlockCoverage>("block-coverage")
         .expect("the coverage plugin was registered above");
-    let monitor = *observers
+    let monitor = *plugins
         .take_as::<CfiMonitor>("cfi-monitor")
         .expect("the cfi monitor was registered above");
-    let capmon = *observers
+    let capmon = *plugins
         .take_as::<CapabilityMonitor>("capability-monitor")
         .expect("the capability monitor was registered above");
     let profiler = if cfg.profile {
-        Some(*observers.take_as::<Profiler>("profiler").expect("registered above"))
+        Some(*plugins.take_as::<Profiler>("profiler").expect("registered above"))
     } else {
         None
     };
-    cost.plugins.extend(observers.dispatch_costs().iter().cloned());
+    cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
 
+    // One static model per image, shared by every cross-check below.
     let analyze_start = Instant::now();
     let mut report = faros.report();
-    let images = faros_analyze::image_map(
+    let models = faros_analyze::model_map(
         scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
     );
     let observed = blocks.into_processes();
-    report.attach_coverage(&faros_analyze::diff(&observed, &images));
+    report.attach_coverage(&faros_analyze::diff(&observed, &models));
     let alerts: Vec<DynamicAlert> = report
         .detections
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
-    let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &observed, &images);
+    let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &observed, &models);
     report.attach_taint(taint);
     let transfers = monitor.into_processes();
-    let cfi = faros_analyze::cfi::check(&transfers, &images, faros.tainted_transfers());
+    let cfi = faros_analyze::cfi::check(&transfers, &models, faros.tainted_transfers());
     let caps_observed = capmon.into_processes();
     let (caps, cap_stats) =
-        faros_analyze::capability_cross_check_with_stats(&caps_observed, &images);
+        faros_analyze::capability_cross_check_with_stats(&caps_observed, &models);
     let mut reg = MetricsRegistry::new();
     stats.record_into(&mut reg);
     cfi.stats.record_into(&mut reg);
@@ -258,7 +257,6 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         // Symbolize the raw per-block samples through the images' static
         // function tables — a pure function of recording + images, so the
         // attached profile is byte-identical across replays.
-        let layouts = faros_analyze::layout_map(&images);
         let samples: Vec<ProcessSamples> = profiler
             .into_processes()
             .into_iter()
@@ -266,7 +264,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
                 pid: p.pid.0,
                 process: p.name,
                 blocks: p.block_retired,
-                modules: faros_analyze::layouts_for(&p.modules, &layouts),
+                modules: faros_analyze::layouts_for(&p.modules, &models),
             })
             .collect();
         report.attach_profile(ProfileReport::build(samples));

@@ -35,11 +35,11 @@ fn benign_corpus_raises_zero_cfi_violations() {
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
         let mut monitor = CfiMonitor::new();
         replay(&sample.scenario, &recording, BUDGET, &mut monitor).unwrap();
-        let images = analyze::image_map(
+        let models = analyze::model_map(
             sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
         );
         let report =
-            analyze::cfi::check(&monitor.into_processes(), &images, &BTreeSet::new());
+            analyze::cfi::check(&monitor.into_processes(), &models, &BTreeSet::new());
         assert!(
             !report.violation_found(),
             "{}: benign sample tripped the CFI check: {:?}",

@@ -16,7 +16,6 @@
 use faros_repro::analyze;
 use faros_repro::corpus::sample_registry;
 use faros_repro::replay::{record, replay, BlockCoverage, Scenario as _};
-use std::collections::BTreeMap;
 
 const BUDGET: u64 = 20_000_000;
 
@@ -28,22 +27,18 @@ fn observed_indirect_targets_are_contained_in_resolved_sets() {
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
         let mut blocks = BlockCoverage::new();
         replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-        let images = analyze::image_map(
+        let models = analyze::model_map(
             sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
         );
-        let analyses: BTreeMap<&String, analyze::ImageDataflow> =
-            images.iter().map(|(n, i)| (n, analyze::analyze_image(n, i))).collect();
         for proc in blocks.into_processes() {
             for (site, observed) in &proc.indirect_targets {
                 // The site must be inside a statically modeled image
                 // (injected code has no model) ...
-                let Some((_, analysis)) =
-                    analyses.iter().find(|(n, _)| images[**n].is_code_va(*site))
-                else {
+                let Some(model) = models.values().find(|m| m.image.is_code_va(*site)) else {
                     continue;
                 };
                 // ... and the engine must have claimed a target set.
-                let Some(resolved) = analysis.cfg.resolved_targets.get(site) else {
+                let Some(resolved) = model.dataflow.cfg.resolved_targets.get(site) else {
                     continue;
                 };
                 sites_checked += 1;

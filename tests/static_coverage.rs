@@ -24,14 +24,14 @@ fn coverage_for(sample: &Sample) -> analyze::CoverageReport {
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
     let mut blocks = BlockCoverage::new();
     replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let images = analyze::image_map(
+    let models = analyze::model_map(
         sample
             .scenario
             .programs()
             .iter()
             .map(|(path, image)| (path.as_str(), image.clone())),
     );
-    analyze::diff(&blocks.into_processes(), &images)
+    analyze::diff(&blocks.into_processes(), &models)
 }
 
 /// Pins the corpus-wide `unresolved-indirect` residue to an exact,
@@ -194,14 +194,14 @@ fn coverage_attaches_to_the_faros_report() {
 
     let mut blocks = BlockCoverage::new();
     replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let images = analyze::image_map(
+    let models = analyze::model_map(
         sample
             .scenario
             .programs()
             .iter()
             .map(|(path, image)| (path.as_str(), image.clone())),
     );
-    let coverage = analyze::diff(&blocks.into_processes(), &images);
+    let coverage = analyze::diff(&blocks.into_processes(), &models);
     report.attach_coverage(&coverage);
 
     assert!(report.attack_flagged());

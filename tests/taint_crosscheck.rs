@@ -21,7 +21,7 @@ fn cross_check(sample: &Sample) -> TaintCrossCheck {
     replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
     let mut blocks = BlockCoverage::new();
     replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let images = analyze::image_map(
+    let models = analyze::model_map(
         sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
     );
     let alerts: Vec<DynamicAlert> = faros
@@ -30,7 +30,7 @@ fn cross_check(sample: &Sample) -> TaintCrossCheck {
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
-    analyze::taint_cross_check(&alerts, &blocks.into_processes(), &images)
+    analyze::taint_cross_check(&alerts, &blocks.into_processes(), &models)
 }
 
 #[test]
@@ -77,7 +77,7 @@ fn cross_check_attaches_to_the_faros_report() {
 
     let mut blocks = BlockCoverage::new();
     replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let images = analyze::image_map(
+    let models = analyze::model_map(
         sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
     );
     let alerts: Vec<DynamicAlert> = report
@@ -86,7 +86,7 @@ fn cross_check_attaches_to_the_faros_report() {
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
     let (taint, stats) =
-        analyze::taint_cross_check_with_stats(&alerts, &blocks.into_processes(), &images);
+        analyze::taint_cross_check_with_stats(&alerts, &blocks.into_processes(), &models);
     report.attach_taint(taint);
 
     // The analyze.* metrics ride the same report.

@@ -26,14 +26,12 @@
 //! check raises zero violations, while each ROP/JOP sample trips it.
 
 use crate::cfg::ModuleCfg;
-use crate::coverage::basename;
 use crate::dataflow;
-use crate::model::ImageModel;
+use crate::model::{loaded_models, ImageModel};
 use faros_emu::isa::Instr;
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::module::FdlImage;
 use faros_obs::metrics::MetricsRegistry;
-use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
 use faros_replay::{ProcessTransfers, TransferKind};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
@@ -197,17 +195,6 @@ pub struct CfiStats {
 }
 
 impl CfiStats {
-    /// Accumulates another check's counters into `self`.
-    pub fn merge(&mut self, other: &CfiStats) {
-        self.models_built += other.models_built;
-        self.sites_observed += other.sites_observed;
-        self.edges_checked += other.edges_checked;
-        self.edges_foreign += other.edges_foreign;
-        self.edges_escaping += other.edges_escaping;
-        self.violations += other.violations;
-        self.tainted_violations += other.tainted_violations;
-    }
-
     /// Emits the counters as `cfi.*` metrics.
     pub fn record_into(&self, reg: &mut MetricsRegistry) {
         for (name, value) in self.rows() {
@@ -227,17 +214,6 @@ impl CfiStats {
             ("cfi.violations", self.violations),
             ("cfi.violations.tainted", self.tainted_violations),
         ]
-    }
-
-    /// Emits the counters as one `analysis`-category instant event into a
-    /// trace recorder.
-    pub fn trace_into(&self, rec: &RecorderHandle, ts: u64, label: &str) {
-        let mut ev =
-            TraceEvent::instant(ts, 0, 0, TraceCategory::Analysis, format!("cfi {label}"));
-        for (name, value) in self.rows() {
-            ev = ev.arg(name, value.to_string());
-        }
-        rec.record(ev);
     }
 }
 
@@ -326,12 +302,8 @@ pub fn check(
 
     let mut violations: Vec<CfiViolation> = Vec::new();
     for proc in observed {
-        let loaded: Vec<(&FdlImage, &CfiModel)> = proc
-            .modules
-            .iter()
-            .filter_map(|m| models.get(basename(&m.name)))
-            .map(|m| (&m.image, &m.cfi))
-            .collect();
+        let loaded: Vec<(&FdlImage, &CfiModel)> =
+            loaded_models(&proc.modules, models).map(|m| (&m.image, &m.cfi)).collect();
         // A cross-module call may return into the caller's image: returns
         // and weak indirect claims are checked against the union over
         // every loaded module.
@@ -342,7 +314,7 @@ pub fn check(
         let in_modeled_code =
             |va: u32| va < KERNEL_BASE && loaded.iter().any(|(img, _)| img.is_code_va(va));
 
-        for (&site, ts) in &proc.sites {
+        for (&site, ts) in &proc.seen {
             stats.sites_observed += 1;
             let owner = (site < KERNEL_BASE)
                 .then(|| loaded.iter().find(|(img, _)| img.is_code_va(site)))
@@ -486,7 +458,7 @@ mod tests {
                 export_table_va: 0,
                 exports: vec![],
             }],
-            sites: sites.into_iter().collect(),
+            seen: sites.into_iter().collect(),
         }
     }
 

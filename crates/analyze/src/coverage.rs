@@ -18,7 +18,7 @@
 //!   whole benign corpus (JIT applets excepted, by design) executes only
 //!   image-backed code.
 
-use crate::model::ImageModel;
+use crate::model::{loaded_models, ImageModel};
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::Pid;
 use faros_replay::ProcessBlocks;
@@ -99,29 +99,22 @@ impl fmt::Display for CoverageReport {
     }
 }
 
-/// The final path component, so `C:/notepad.exe` and `notepad.exe` key the
-/// same image.
-pub(crate) fn basename(path: &str) -> &str {
-    path.rsplit(['/', '\\']).next().unwrap_or(path)
-}
-
 /// Diffs replay-observed block starts against the static models of each
 /// process's loaded modules.
 pub fn diff(observed: &[ProcessBlocks], models: &BTreeMap<String, ImageModel>) -> CoverageReport {
     let mut processes = Vec::new();
     for proc in observed {
-        let loaded: Vec<&ImageModel> =
-            proc.modules.iter().filter_map(|m| models.get(basename(&m.name))).collect();
+        let loaded: Vec<&ImageModel> = loaded_models(&proc.modules, models).collect();
         let mut cov = ProcessCoverage {
             pid: proc.pid,
             process: proc.name.clone(),
-            executed: proc.block_starts.len(),
+            executed: proc.seen.len(),
             kernel: 0,
             accounted: 0,
             uncharted: Vec::new(),
             unaccounted: Vec::new(),
         };
-        for &va in &proc.block_starts {
+        for &va in proc.seen.keys() {
             if va >= KERNEL_BASE {
                 cov.kernel += 1;
             } else if let Some(model) = loaded.iter().find(|m| m.image.is_code_va(va)) {
@@ -146,7 +139,6 @@ mod tests {
     use faros_emu::mmu::Perms;
     use faros_kernel::module::{FdlImage, ModuleInfo, Section};
     use faros_kernel::Pid;
-    use std::collections::BTreeSet;
 
     const BASE: u32 = 0x40_0000;
 
@@ -177,8 +169,7 @@ mod tests {
                 export_table_va: 0,
                 exports: vec![],
             }],
-            block_starts: blocks.iter().copied().collect::<BTreeSet<u32>>(),
-            indirect_targets: BTreeMap::new(),
+            seen: blocks.iter().map(|&va| (va, 1)).collect(),
         }
     }
 

@@ -16,7 +16,7 @@
 //!    [`ImageFlowMap`]: the source→sink flows the image can exhibit *per
 //!    the model*, plus the set of instructions tainted data can reach.
 //!
-//! [`taint_cross_check`] is the dynamic half, mirroring the coverage
+//! [`taint_cross_check_with_stats`] is the dynamic half, mirroring the coverage
 //! cross-check: each dynamic taint alert is classified *statically
 //! explainable* (the static model predicts tainted data at that
 //! instruction) or *statically impossible-per-model* (it does not — which
@@ -32,8 +32,7 @@
 //! produce tainted data at its address.
 
 use crate::cfg::ModuleCfg;
-use crate::coverage::basename;
-use crate::model::ImageModel;
+use crate::model::{loaded_models, ImageModel};
 use crate::vsa::{self, AVal, FunctionVsa, State};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_emu::mmu::{Perms, KERNEL_BASE};
@@ -1111,16 +1110,8 @@ impl FromJson for TaintCrossCheck {
 /// Classifies dynamic taint alerts against the static flow model of every
 /// loaded module, and reports statically feasible flows no replay
 /// exercised. `models` is keyed by basename, as for [`crate::coverage::diff`].
-pub fn taint_cross_check(
-    alerts: &[DynamicAlert],
-    observed: &[ProcessBlocks],
-    models: &BTreeMap<String, ImageModel>,
-) -> TaintCrossCheck {
-    taint_cross_check_with_stats(alerts, observed, models).0
-}
-
-/// [`taint_cross_check`], also returning the merged [`DataflowStats`] of
-/// every per-image analysis (for `analyze.*` metrics emission).
+/// Also returns the merged [`DataflowStats`] of every per-image analysis
+/// (for `analyze.*` metrics emission).
 pub fn taint_cross_check_with_stats(
     alerts: &[DynamicAlert],
     observed: &[ProcessBlocks],
@@ -1144,10 +1135,8 @@ pub fn taint_cross_check_with_stats(
         }
         let proc = observed.iter().find(|p| p.name == alert.process);
         let model = proc.and_then(|p| {
-            p.modules.iter().find_map(|m| {
-                let model = models.get(basename(&m.name))?;
-                model.image.section_containing(alert.va).map(|_| model)
-            })
+            loaded_models(&p.modules, models)
+                .find(|m| m.image.section_containing(alert.va).is_some())
         });
         match model {
             // In a module, at an instruction the modeled flows reach.
@@ -1167,7 +1156,7 @@ pub fn taint_cross_check_with_stats(
         let analysis = &model.dataflow;
         let loaders: Vec<&ProcessBlocks> = observed
             .iter()
-            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == *key))
+            .filter(|p| loaded_models(&p.modules, models).any(|m| std::ptr::eq(m, model)))
             .collect();
         if loaders.is_empty() {
             continue;
@@ -1181,7 +1170,7 @@ pub fn taint_cross_check_with_stats(
                 .filter(|(_, b)| flow.sink_va < b.end)
                 .map(|(&s, _)| s);
             let exercised = block_start.is_some_and(|bs| {
-                loaders.iter().any(|p| p.block_starts.contains(&bs))
+                loaders.iter().any(|p| p.seen.contains_key(&bs))
             });
             if !exercised {
                 residual.push(ResidualFlow { module: key.to_string(), flow: *flow });
@@ -1350,13 +1339,12 @@ mod tests {
                 export_table_va: 0,
                 exports: vec![],
             }],
-            block_starts: BTreeSet::from([BASE]),
-            indirect_targets: BTreeMap::new(),
+            seen: BTreeMap::from([(BASE, 1)]),
         }];
         let alerts = vec![
             DynamicAlert { process: "prog.exe".into(), va: 0x0100_2000 }, // payload memory
         ];
-        let check = taint_cross_check(&alerts, &observed, &models);
+        let check = taint_cross_check_with_stats(&alerts, &observed, &models).0;
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert_eq!(check.explainable_total(), 0);
@@ -1382,10 +1370,9 @@ mod tests {
                 export_table_va: 0,
                 exports: vec![],
             }],
-            block_starts: BTreeSet::new(),
-            indirect_targets: BTreeMap::new(),
+            seen: BTreeMap::new(),
         }];
-        let check = taint_cross_check(&[], &observed, &models);
+        let check = taint_cross_check_with_stats(&[], &observed, &models).0;
         assert!(!check.injection_suspected());
         assert!(
             check.residual.iter().any(|r| r.flow.sink == SinkKind::Net),

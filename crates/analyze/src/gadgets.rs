@@ -61,7 +61,7 @@ impl SectionGadgets {
     }
 }
 
-/// Scan counters, mergeable across images — the `gadgets.*` metrics.
+/// Scan counters — the `gadgets.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GadgetStats {
     /// Executable sections scanned.
@@ -77,15 +77,6 @@ pub struct GadgetStats {
 }
 
 impl GadgetStats {
-    /// Accumulates another scan's counters into `self`.
-    pub fn merge(&mut self, other: &GadgetStats) {
-        self.sections_scanned += other.sections_scanned;
-        self.bytes_scanned += other.bytes_scanned;
-        self.endpoints += other.endpoints;
-        self.unintended += other.unintended;
-        self.gadgets += other.gadgets;
-    }
-
     /// Emits the counters as `gadgets.*` metrics.
     pub fn record_into(&self, reg: &mut MetricsRegistry) {
         for (name, value) in self.rows() {

@@ -33,7 +33,9 @@
 //! * [`model`] — [`ImageModel`], the per-job static model of one image
 //!   (dataflow over the resolved CFG, CFI claims, capability report,
 //!   profiler function table), built once per job and shared by every
-//!   cross-check below and by profile symbolization;
+//!   cross-check below and by profile symbolization, and
+//!   [`loaded_models`], the one basename lookup from a process's loaded
+//!   modules to their models;
 //! * [`report`] — the one-call bundle behind `faros-cli analyze <image>`:
 //!   CFG + dataflow + lints over a single image rendered to a stable JSON
 //!   wire format;
@@ -62,15 +64,15 @@ pub use cfi::{CfiCheckReport, CfiModel, CfiStats, CfiViolation};
 pub use coverage::{diff, CoverageReport, ProcessCoverage};
 pub use gadgets::{GadgetReport, GadgetStats, SectionGadgets};
 pub use dataflow::{
-    analyze_image, taint_cross_check, taint_cross_check_with_stats, DataflowStats, DynamicAlert,
+    analyze_image, taint_cross_check_with_stats, DataflowStats, DynamicAlert,
     ImageDataflow, ImageFlowMap, ProcessTaintCheck, ResidualFlow, SinkKind, SourceKind,
     StaticFlow, TaintCrossCheck,
 };
 pub use lint::{lint_image, render_findings, Finding, FindingKind, Severity};
-pub use model::{layouts_for, model_map, ImageModel};
+pub use model::{layouts_for, loaded_models, model_map, ImageModel};
 pub use report::StaticReport;
 pub use syscap::{
-    ambient_caps, capability_cross_check, capability_cross_check_with_stats,
+    ambient_caps, capability_cross_check_with_stats,
     caps_of_syscall, render_capability_check, CapWitness, CapabilityCrossCheck, CapabilityReport,
     ProcessCapCheck, Recipe, RecipeHit, ResidualRecipe, SyscapStats, RECIPES,
 };

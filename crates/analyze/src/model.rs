@@ -18,7 +18,6 @@
 //! profiler's replay-identical output.
 
 use crate::cfi::CfiModel;
-use crate::coverage::basename;
 use crate::dataflow::{analyze_image, ImageDataflow};
 use crate::syscap::{capability_report, CapabilityReport};
 use faros_kernel::module::{FdlImage, ModuleInfo};
@@ -81,14 +80,31 @@ pub fn model_map<S: AsRef<str>>(
         .collect()
 }
 
-/// Selects the layouts of a process's loaded modules, matched by basename
-/// exactly as the coverage diff matches modules to images. Modules with no
-/// archived image are skipped — their blocks symbolize to `[anon]`.
+/// The final path component, so `C:/notepad.exe` and `notepad.exe` key the
+/// same image.
+pub(crate) fn basename(path: &str) -> &str {
+    path.rsplit(['/', '\\']).next().unwrap_or(path)
+}
+
+/// The models of a process's loaded modules, in load order, matched by
+/// basename (`C:/notepad.exe` loads the `notepad.exe` model). Modules with
+/// no archived image are skipped. Every cross-check resolves modules to
+/// models through here.
+pub fn loaded_models<'a>(
+    modules: &'a [ModuleInfo],
+    models: &'a BTreeMap<String, ImageModel>,
+) -> impl Iterator<Item = &'a ImageModel> + 'a {
+    modules.iter().filter_map(|m| models.get(basename(&m.name)))
+}
+
+/// Selects the layouts of a process's loaded modules (see
+/// [`loaded_models`]). Modules with no archived image are skipped — their
+/// blocks symbolize to `[anon]`.
 pub fn layouts_for(
     modules: &[ModuleInfo],
     models: &BTreeMap<String, ImageModel>,
 ) -> Vec<ModuleLayout> {
-    modules.iter().filter_map(|m| Some(models.get(basename(&m.name))?.layout.clone())).collect()
+    loaded_models(modules, models).map(|m| m.layout.clone()).collect()
 }
 
 #[cfg(test)]

@@ -46,16 +46,14 @@
 //! *residual capability surface*.
 
 use crate::cfg::ModuleCfg;
-use crate::coverage::basename;
 use crate::dataflow::ImageDataflow;
-use crate::model::ImageModel;
+use crate::model::{loaded_models, ImageModel};
 use crate::lint::{Finding, FindingKind, Severity};
 use crate::vsa::AVal;
 use faros_emu::isa::Instr;
 use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
 use faros_kernel::Machine;
 use faros_obs::metrics::MetricsRegistry;
-use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
 use faros_replay::syscap::{CapSet, Capability, ProcessCapabilities};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -736,8 +734,8 @@ impl FromJson for CapabilityCrossCheck {
     }
 }
 
-/// Cost and outcome counters for one (or several, via
-/// [`SyscapStats::merge`]) capability analysis runs.
+/// Cost and outcome counters of one capability cross-check — the
+/// `syscap.*` metrics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SyscapStats {
     /// Images analyzed for capabilities.
@@ -760,18 +758,6 @@ pub struct SyscapStats {
 }
 
 impl SyscapStats {
-    /// Accumulates another run's counters into `self`.
-    pub fn merge(&mut self, other: &SyscapStats) {
-        self.images_analyzed += other.images_analyzed;
-        self.sites_lifted += other.sites_lifted;
-        self.sites_unresolved += other.sites_unresolved;
-        self.caps_static += other.caps_static;
-        self.recipes_static += other.recipes_static;
-        self.caps_impossible += other.caps_impossible;
-        self.recipes_exercised += other.recipes_exercised;
-        self.recipes_residual += other.recipes_residual;
-    }
-
     /// The counters as `(metric name, value)` rows, in emission order.
     pub fn rows(&self) -> [(&'static str, u64); 8] {
         [
@@ -793,70 +779,19 @@ impl SyscapStats {
             reg.add(id, value);
         }
     }
-
-    /// Emits the counters as one `analysis`-category instant event into a
-    /// trace recorder.
-    pub fn trace_into(&self, rec: &RecorderHandle, ts: u64, label: &str) {
-        let mut ev =
-            TraceEvent::instant(ts, 0, 0, TraceCategory::Analysis, format!("syscap {label}"));
-        for (name, value) in self.rows() {
-            ev = ev.arg(name, value.to_string());
-        }
-        rec.record(ev);
-    }
-}
-
-impl ToJson for SyscapStats {
-    fn to_json_value(&self) -> JsonValue {
-        JsonValue::object(vec![
-            ("images_analyzed", self.images_analyzed.to_json_value()),
-            ("sites_lifted", self.sites_lifted.to_json_value()),
-            ("sites_unresolved", self.sites_unresolved.to_json_value()),
-            ("caps_static", self.caps_static.to_json_value()),
-            ("recipes_static", self.recipes_static.to_json_value()),
-            ("caps_impossible", self.caps_impossible.to_json_value()),
-            ("recipes_exercised", self.recipes_exercised.to_json_value()),
-            ("recipes_residual", self.recipes_residual.to_json_value()),
-        ])
-    }
-}
-
-impl FromJson for SyscapStats {
-    fn from_json_value(v: &JsonValue) -> Result<SyscapStats, JsonError> {
-        Ok(SyscapStats {
-            images_analyzed: json::field(v, "images_analyzed")?,
-            sites_lifted: json::field(v, "sites_lifted")?,
-            sites_unresolved: json::field(v, "sites_unresolved")?,
-            caps_static: json::field(v, "caps_static")?,
-            recipes_static: json::field(v, "recipes_static")?,
-            caps_impossible: json::field(v, "caps_impossible")?,
-            recipes_exercised: json::field(v, "recipes_exercised")?,
-            recipes_residual: json::field(v, "recipes_residual")?,
-        })
-    }
 }
 
 /// Classifies the capabilities each process concretely exercised against
 /// the static capability model of every loaded module, and reports
 /// statically present recipes no replay exercised. `models` is keyed by
-/// basename, as for [`crate::dataflow::taint_cross_check`].
-pub fn capability_cross_check(
-    observed: &[ProcessCapabilities],
-    models: &BTreeMap<String, ImageModel>,
-) -> CapabilityCrossCheck {
-    capability_cross_check_with_stats(observed, models).0
-}
-
-/// [`capability_cross_check`], also returning the merged [`SyscapStats`]
-/// (for `syscap.*` metrics emission).
+/// basename, as for [`crate::coverage::diff`]. Also returns the
+/// [`SyscapStats`] (for `syscap.*` metrics emission).
 pub fn capability_cross_check_with_stats(
     observed: &[ProcessCapabilities],
     models: &BTreeMap<String, ImageModel>,
 ) -> (CapabilityCrossCheck, SyscapStats) {
     let mut stats = SyscapStats::default();
-    let reports: BTreeMap<&str, &CapabilityReport> =
-        models.iter().map(|(name, m)| (name.as_str(), &m.caps)).collect();
-    for r in reports.values() {
+    for r in models.values().map(|m| &m.caps) {
         stats.images_analyzed += 1;
         stats.sites_lifted += r.witnesses.len() as u64;
         stats.sites_unresolved += r.unresolved_sites.len() as u64;
@@ -868,23 +803,16 @@ pub fn capability_cross_check_with_stats(
     let mut processes = Vec::new();
     for p in observed {
         let exercised = p.exercised();
+        let loaded: Vec<&CapabilityReport> =
+            loaded_models(&p.modules, models).map(|m| &m.caps).collect();
+        // A process with no modeled module at all, or with a module no
+        // model covers, cannot be fully judged: grant the escape hatch
+        // rather than alert on everything it does.
+        let mut escape = loaded.is_empty() || loaded.len() < p.modules.len();
         let mut modeled = CapSet::EMPTY;
-        // A process with no modeled module at all cannot be judged: grant
-        // the escape hatch rather than alert on everything it does.
-        let mut escape = p.modules.is_empty();
-        let mut any_model = false;
-        for m in &p.modules {
-            match reports.get(basename(&m.name)) {
-                Some(r) => {
-                    any_model = true;
-                    modeled = modeled.union(r.caps);
-                    escape |= r.calls_unknown_code || !r.unresolved_sites.is_empty();
-                }
-                None => escape = true,
-            }
-        }
-        if !any_model {
-            escape = true;
+        for r in &loaded {
+            modeled = modeled.union(r.caps);
+            escape |= r.calls_unknown_code || !r.unresolved_sites.is_empty();
         }
         if escape {
             modeled = modeled.union(ambient);
@@ -912,15 +840,15 @@ pub fn capability_cross_check_with_stats(
     // Residual surface: a static recipe is exercised if any process that
     // loaded the module completed it dynamically.
     let mut residual = Vec::new();
-    for (key, report) in &reports {
+    for (key, model) in models {
         let loaders: Vec<&ProcessCapabilities> = observed
             .iter()
-            .filter(|p| p.modules.iter().any(|m| basename(&m.name) == *key))
+            .filter(|p| loaded_models(&p.modules, models).any(|m| std::ptr::eq(m, model)))
             .collect();
         if loaders.is_empty() {
             continue;
         }
-        for hit in &report.recipes {
+        for hit in &model.caps.recipes {
             let Some(recipe) = recipe_by_name(&hit.recipe) else { continue };
             let exercised = loaders.iter().any(|p| p.exercised_in_order(recipe.steps));
             if !exercised {
@@ -934,7 +862,7 @@ pub fn capability_cross_check_with_stats(
     stats.recipes_residual += residual.len() as u64;
 
     let reports: Vec<CapabilityReport> =
-        reports.into_values().filter(|r| !r.is_empty()).cloned().collect();
+        models.values().map(|m| &m.caps).filter(|r| !r.is_empty()).cloned().collect();
     (CapabilityCrossCheck { reports, processes, residual }, stats)
 }
 
@@ -973,8 +901,9 @@ mod tests {
     use faros_emu::isa::{Mem as M, Reg};
     use faros_emu::mmu::Perms;
     use faros_kernel::module::{FdlImage, Section};
-    use faros_kernel::Pid;
+    use faros_kernel::{Pid, Tid};
     use faros_replay::syscap::concrete_capability;
+    use faros_replay::CapabilityMonitor;
 
     const BASE: u32 = 0x40_0000;
 
@@ -1140,28 +1069,28 @@ mod tests {
         assert!(!a.contains(Capability::MapExec), "no MapViewOfSection stub");
     }
 
+    /// Feeds one process's events through the replay-side monitor.
     fn observed(name: &str, module: &str, seq: &[(Sysno, [u32; 5])]) -> ProcessCapabilities {
-        let mut p = ProcessCapabilities {
+        use faros_kernel::event::KernelEvents;
+        let mut mon = CapabilityMonitor::new();
+        mon.process_created(&faros_kernel::process::ProcessInfo {
             pid: Pid(1),
+            cr3: 0,
             name: name.into(),
-            modules: vec![faros_kernel::module::ModuleInfo {
-                name: module.into(),
-                base: BASE,
-                entry: BASE,
-                export_table_va: 0,
-                exports: vec![],
-            }],
-            ..ProcessCapabilities::default()
+            parent: None,
+        });
+        let m = faros_kernel::module::ModuleInfo {
+            name: module.into(),
+            base: BASE,
+            entry: BASE,
+            export_table_va: 0,
+            exports: vec![],
         };
+        mon.module_loaded(Some(Pid(1)), &m, &[]);
         for (s, args) in seq {
-            if let Some(c) = concrete_capability(*s, args) {
-                *p.counts.entry(c).or_insert(0) += 1;
-                if p.sequence.last() != Some(&c) {
-                    p.sequence.push(c);
-                }
-            }
+            mon.syscall_enter(Pid(1), Tid(1), *s, args);
         }
-        p
+        mon.into_processes().remove(0)
     }
 
     #[test]
@@ -1198,7 +1127,7 @@ mod tests {
                 (Sysno::NtCreateThreadEx, [7, 0x0100_0000, 0, 0, 0]),
             ],
         );
-        let check = capability_cross_check(&[p], &models);
+        let check = capability_cross_check_with_stats(&[p], &models).0;
         // Everything exercised is modeled…
         assert_eq!(check.impossible_total(), 0);
         // …but the completed recipe is still the injection signal.
@@ -1217,7 +1146,7 @@ mod tests {
         let models = crate::model_map([("inj.exe", injector_image())]);
         // The process loaded the injector image but never ran the recipe.
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &models);
+        let check = capability_cross_check_with_stats(&[p], &models).0;
         assert!(!check.injection_suspected());
         assert!(
             check
@@ -1241,7 +1170,7 @@ mod tests {
             "dbg.exe",
             &[(Sysno::NtReadVirtualMemory, [7, 0x1000, 0x50_0000, 16, 0])],
         );
-        let check = capability_cross_check(&[p], &models);
+        let check = capability_cross_check_with_stats(&[p], &models).0;
         assert!(!check.injection_suspected(), "{check:?}");
         assert_eq!(check.processes[0].exercised, CapSet::of(Capability::ReadRemote));
     }
@@ -1254,7 +1183,7 @@ mod tests {
             "inj.exe",
             &[(Sysno::NtWriteVirtualMemory, [7, 0, 0, 0, 0])],
         );
-        let check = capability_cross_check(&[p], &models);
+        let check = capability_cross_check_with_stats(&[p], &models).0;
         let back = CapabilityCrossCheck::from_json_value(&check.to_json_value()).unwrap();
         assert_eq!(back, check);
         let empty = CapabilityCrossCheck::default();
@@ -1264,7 +1193,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_record_as_syscap_metrics_and_trace_events() {
+    fn stats_record_as_syscap_metrics() {
         let stats = SyscapStats {
             images_analyzed: 2,
             sites_lifted: 5,
@@ -1281,22 +1210,13 @@ mod tests {
         assert_eq!(snap.counter("syscap.images"), Some(2));
         assert_eq!(snap.counter("syscap.caps.impossible"), Some(1));
         assert_eq!(snap.counter("syscap.recipes.exercised"), Some(1));
-        let back = SyscapStats::from_json_value(&stats.to_json_value()).unwrap();
-        assert_eq!(back, stats);
-        let mut merged = SyscapStats::default();
-        merged.merge(&stats);
-        assert_eq!(merged, stats);
-        let rec = RecorderHandle::new(16);
-        stats.trace_into(&rec, 42, "corpus");
-        let chrome = rec.export_chrome();
-        assert!(chrome.contains("syscap.caps.static"), "{chrome}");
     }
 
     #[test]
     fn render_shows_processes_and_residual(){
         let models = crate::model_map([("inj.exe", injector_image())]);
         let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check(&[p], &models);
+        let check = capability_cross_check_with_stats(&[p], &models).0;
         let table = render_capability_check(&check);
         assert!(table.contains("residual: remote-thread-injection"), "{table}");
     }

@@ -1,16 +1,17 @@
 //! The CuckooBox / malfind / FAROS comparison harness (paper §VI-B).
 //!
-//! Runs a sample once under the Cuckoo-style sandbox (event view), scans
-//! the final machine state with the malfind-style scanner (snapshot view),
-//! replays the recording under FAROS (flow view), and cross-checks the
-//! dynamically executed basic blocks against the static CFGs of the
-//! sample's own module images (structure view), reporting who detected
-//! what and who could provide provenance.
+//! Records a sample once and replays it once with the Cuckoo-style sandbox
+//! (event view), FAROS (flow view) and the block-coverage and CFI
+//! observers (structure view) stacked in one plugin manager, scans that
+//! replay's final machine state with the malfind-style scanner (snapshot
+//! view), and cross-checks the executed blocks and indirect transfers
+//! against the static models of the sample's module images, reporting who
+//! detected what and who could provide provenance.
 
 use crate::cuckoo::CuckooSandbox;
 use crate::malfind;
 use faros_corpus::Sample;
-use faros_replay::{record, replay};
+use faros_replay::{record, replay, BlockCoverage, CfiMonitor, PluginManager};
 use std::fmt;
 
 /// Comparison outcome for one sample.
@@ -73,41 +74,43 @@ impl fmt::Display for ComparisonError {
 
 impl std::error::Error for ComparisonError {}
 
-/// Runs the three analyzers over one sample.
+/// Runs every analyzer over one sample: one recording, one replay.
 ///
 /// # Errors
 ///
-/// Returns [`ComparisonError`] if the scenario fails to build or a replay
-/// diverges.
+/// Returns [`ComparisonError`] if the scenario fails to build or the
+/// replay diverges.
 pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, ComparisonError> {
     use faros_replay::Scenario as _;
-    // 1. Record once with the Cuckoo sandbox watching (Cuckoo runs live on
-    //    the victim VM).
+    // 1. Record once, then replay once with every dynamic view attached:
+    //    the Cuckoo sandbox (it runs live on the victim VM), FAROS, and
+    //    the executed-block and indirect-transfer observers the static
+    //    cross-checks below read.
     let (recording, _live) =
         record(&sample.scenario, budget).map_err(|e| ComparisonError(e.to_string()))?;
-    let mut cuckoo = CuckooSandbox::new();
-    let outcome = replay(&sample.scenario, &recording, budget, &mut cuckoo)
+    let mut plugins = PluginManager::new();
+    plugins.register(Box::new(CuckooSandbox::new()));
+    plugins.register(Box::new(faros::Faros::new(faros::Policy::paper())));
+    plugins.register(Box::new(BlockCoverage::new()));
+    plugins.register(Box::new(CfiMonitor::new()));
+    let outcome = replay(&sample.scenario, &recording, budget, &mut plugins)
         .map_err(|e| ComparisonError(e.to_string()))?;
-    let cuckoo_detected = cuckoo.report().detects_injection();
+    let taken = "registered above";
+    let cuckoo = plugins.take_as::<CuckooSandbox>("cuckoo").expect(taken);
+    let faros = plugins.take_as::<faros::Faros>("faros").expect(taken);
+    let blocks = plugins.take_as::<BlockCoverage>("block-coverage").expect(taken);
+    let monitor = plugins.take_as::<CfiMonitor>("cfi-monitor").expect(taken);
+    let faros_report = faros.report();
 
     // 2. malfind scans the final memory state (the "memory dump").
     let malfind_report = malfind::scan(&outcome.machine);
 
-    // 3. FAROS replays the same recording.
-    let mut faros = faros::Faros::new(faros::Policy::paper());
-    replay(&sample.scenario, &recording, budget, &mut faros)
-        .map_err(|e| ComparisonError(e.to_string()))?;
-    let faros_report = faros.report();
-
-    // 4. The static-vs-dynamic cross-check: record executed basic-block
-    //    starts and diff them against the static CFGs of the sample's own
-    //    module images. Injected code executes outside every image.
-    let mut blocks = faros_replay::BlockCoverage::new();
-    replay(&sample.scenario, &recording, budget, &mut blocks)
-        .map_err(|e| ComparisonError(e.to_string()))?;
-    // The analyzer sees everything on disk: the sample's program images
-    // plus any file the run dropped that parses as FDL (a dropped DLL is a
-    // disk artifact static analysis *can* chart — unlike reflective code).
+    // 3. The static-vs-dynamic cross-check: diff the executed basic-block
+    //    starts against the static CFGs of the sample's own module images.
+    //    Injected code executes outside every image. The analyzer sees
+    //    everything on disk: the sample's program images plus any file the
+    //    run dropped that parses as FDL (a dropped DLL is a disk artifact
+    //    static analysis *can* chart — unlike reflective code).
     let mut on_disk: Vec<(String, faros_kernel::module::FdlImage)> = sample
         .scenario
         .programs()
@@ -126,22 +129,19 @@ pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, Comparison
     let models = faros_analyze::model_map(on_disk);
     let coverage = faros_analyze::diff(&blocks.into_processes(), &models);
 
-    // 5. The CFI cross-check: observe every indirect transfer and return,
-    //    then validate each against the static control-flow model of the
-    //    same image set (fused with FAROS's taint view of the transfer
+    // 4. The CFI cross-check: validate every observed indirect transfer
+    //    and return against the static control-flow model of the same
+    //    image set (fused with FAROS's taint view of the transfer
     //    targets). Code reuse is invisible to every view above — no
     //    foreign bytes to dump, no unaccounted blocks — but not to this
     //    one.
-    let mut monitor = faros_replay::CfiMonitor::new();
-    replay(&sample.scenario, &recording, budget, &mut monitor)
-        .map_err(|e| ComparisonError(e.to_string()))?;
     let cfi =
         faros_analyze::cfi::check(&monitor.into_processes(), &models, faros.tainted_transfers());
 
     Ok(ComparisonRow {
         sample: sample.scenario.name().to_string(),
         is_attack: sample.category.is_attack(),
-        cuckoo: cuckoo_detected,
+        cuckoo: cuckoo.report().detects_injection(),
         malfind: malfind_report.detects_injection(),
         faros: faros_report.attack_flagged(),
         faros_provenance: faros_report

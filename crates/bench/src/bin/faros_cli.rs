@@ -60,7 +60,8 @@ use faros::{AnalysisConfig, Faros, FarosReport, Policy};
 use faros_analyze::StaticReport;
 use faros_baselines::comparison;
 use faros_corpus::{families, find_sample, sample_registry, Sample};
-use faros_replay::{record, replay, Recording, Scenario as _, TracePlugin};
+use faros_obs::trace::RecorderHandle;
+use faros_replay::{record, replay, Recording, Scenario as _, TraceRecorder};
 use faros_taint::engine::PropagationMode;
 use std::path::PathBuf;
 use std::process::exit;
@@ -322,8 +323,7 @@ fn bench_gate(file: &str) {
 /// every sample, record once, run the shared job pipeline under both
 /// execution modes (profiler on, so the deterministic profile section is
 /// covered too), and require byte-identical report JSON. Afterwards the
-/// aggregated `tc.*` translation-cache counters are published through the
-/// observability plane and printed.
+/// aggregated `tc.*` translation-cache counters are printed.
 fn differential_gate() {
     use faros_kernel::machine::ExecMode;
     let mut bad = 0usize;
@@ -367,21 +367,14 @@ fn differential_gate() {
             bad += 1;
         }
     }
-    let mut reg = faros_obs::metrics::MetricsRegistry::new();
-    let counters = faros_obs::metrics::CacheCounters::register(&mut reg, "tc");
-    counters.publish(
-        &mut reg,
-        totals.hits,
-        totals.misses,
-        totals.invalidations,
-        totals.blocks_built,
-        totals.elided_blocks,
-    );
-    let snap = reg.snapshot();
-    for name in
-        ["tc.hits", "tc.misses", "tc.invalidations", "tc.blocks_built", "tc.elided_blocks"]
-    {
-        println!("differential: {name} = {}", snap.counter(name).unwrap_or(0));
+    for (name, value) in [
+        ("tc.hits", totals.hits),
+        ("tc.misses", totals.misses),
+        ("tc.invalidations", totals.invalidations),
+        ("tc.blocks_built", totals.blocks_built),
+        ("tc.elided_blocks", totals.elided_blocks),
+    ] {
+        println!("differential: {name} = {value}");
     }
     if bad > 0 {
         fail(&format!("differential: {bad}/{n} samples diverged"));
@@ -886,8 +879,8 @@ fn fmt_ns(ns: u64) -> String {
     }
 }
 
-/// The deterministic replay profiler: record the sample, replay it with
-/// the `Profiler` plugin attached, and print retired-instruction
+/// The deterministic replay profiler: record the sample, run the job
+/// pipeline with the profile section on, and print retired-instruction
 /// attribution per function. The profile rides the report (virtual
 /// clock), so `--json` output is byte-identical across runs; the
 /// wall-clock phase/plugin costs printed in table mode are not.
@@ -1005,13 +998,7 @@ fn top_cmd(opts: &Opts) {
     }
     println!("trace tail ({} event(s), {dropped} dropped):", events.len());
     for ev in &events {
-        println!(
-            "  [{:>10}] {:<8} {:<2} {}",
-            ev.ts,
-            ev.cat.as_str(),
-            ev.phase.chrome_ph(),
-            ev.name
-        );
+        println!("  {ev}");
     }
     if dropped > 0 {
         eprintln!("warning: the service flight recorder dropped {dropped} event(s)");
@@ -1165,10 +1152,15 @@ fn main() {
                 .unwrap_or_else(|| fail(&format!("unknown sample `{name}` (try `list`)")));
             let (recording, _) =
                 record(&sample.scenario, BUDGET).unwrap_or_else(|e| fail(&e.to_string()));
-            let mut trace = TracePlugin::new();
-            replay(&sample.scenario, &recording, BUDGET, &mut trace)
+            let ring = RecorderHandle::default();
+            replay(&sample.scenario, &recording, BUDGET, &mut TraceRecorder::new(ring.clone()))
                 .unwrap_or_else(|e| fail(&e.to_string()));
-            print!("{}", trace.render());
+            ring.with(|rec| {
+                println!("trace ({} event(s), {} dropped):", rec.len(), rec.dropped());
+                for ev in rec.events() {
+                    println!("  {ev}");
+                }
+            });
         }
         "json-check" => {
             if args.len() < 2 {

@@ -8,7 +8,9 @@
 //! [`faros_analyze::ImageModel`] per program image, shared by the coverage
 //! diff, the taint, CFI and capability cross-checks and profile
 //! symbolization, whose results and merged metrics attach to the
-//! [`FarosReport`].
+//! [`FarosReport`]. Each replay signal has exactly one observer: the
+//! executed blocks [`BlockCoverage`] records, with their retired
+//! instructions, feed both the coverage diff and the profile.
 //! Keeping the assembly in one place is what makes the service's parallel
 //! reports *byte-identical* to sequential CLI runs: both sides call
 //! [`analyze_recording`], so there is no second pipeline to drift.
@@ -29,7 +31,7 @@ use faros_obs::trace::RecorderHandle;
 use faros_kernel::machine::ExecMode;
 use faros_replay::{
     replay_with_exec, BlockCoverage, CapabilityMonitor, CfiMonitor, PluginCost, PluginManager,
-    Profiler, Recording, ReplayError, Scenario, TraceRecorder,
+    Recording, ReplayError, Scenario, TraceRecorder,
 };
 use faros_taint::engine::PropagationMode;
 use std::time::Instant;
@@ -48,13 +50,13 @@ pub struct AnalysisConfig {
     pub capture_trace: bool,
     /// Ring capacity of the per-job flight recorder (events kept).
     pub trace_capacity: usize,
-    /// Run the deterministic replay profiler: attributes retired
-    /// instructions to basic blocks (virtual clock), symbolizes them via
-    /// the static function tables, and attaches the resulting
-    /// `ProfileReport` as the report's `profile` section. Also turns on
-    /// per-plugin wall-clock dispatch profiling for [`JobCost`]. Off by
-    /// default — with it off, report bytes are identical to pre-profiler
-    /// builds.
+    /// Attach the deterministic replay profile: the retired instructions
+    /// (virtual clock) [`BlockCoverage`] charged to each executed block,
+    /// symbolized via the static function tables, as the report's
+    /// `profile` section. Also turns on per-plugin wall-clock dispatch
+    /// profiling for [`JobCost`]. Off by default — with it off, report
+    /// bytes are identical to pre-profiler builds. The replay itself is
+    /// the same either way.
     pub profile: bool,
     /// How the replay executes guest code. Defaults to
     /// [`ExecMode::Cached`]; the differential gate sets
@@ -148,11 +150,12 @@ pub struct AnalyzedJob {
 /// Analyzes one recording end to end and assembles the job report.
 ///
 /// Pipeline: one replay with FAROS, [`BlockCoverage`], [`CfiMonitor`] and
-/// [`CapabilityMonitor`] (plus [`Profiler`] when profiling and the trace
-/// recorder when capture is on) in one [`PluginManager`]; one static model
-/// per program image; then the coverage diff and the taint, CFI and
-/// capability cross-checks against those models, attached with the merged
-/// FAROS + cross-check metrics.
+/// [`CapabilityMonitor`] (plus the trace recorder when capture is on) in
+/// one [`PluginManager`]; one static model per program image; then the
+/// coverage diff and the taint, CFI and capability cross-checks against
+/// those models, attached with the merged FAROS + cross-check metrics, and
+/// the profile symbolized from the same block counts when
+/// [`AnalysisConfig::profile`] is on.
 ///
 /// # Errors
 ///
@@ -174,12 +177,12 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     let mut cost = JobCost::default();
 
     // One replay: FAROS plus the observers the static-vs-dynamic
-    // cross-checks read (block coverage, CFI transfers, capabilities, and
-    // the retired-instruction profiler when profiling is on), plus the
-    // trace recorder when capture is on. The manager wrapping is
-    // unconditional so the dispatch path is identical with and without
-    // tracing. The observers keep the default `flow_block_begin() ==
-    // true`, so clean-block flow elision is FAROS's call alone.
+    // cross-checks and the profile read (block coverage with retired
+    // instructions, CFI transfers, capabilities), plus the trace recorder
+    // when capture is on. The manager wrapping is unconditional so the
+    // dispatch path is identical with and without tracing. The observers
+    // keep the default `flow_block_begin() == true`, so clean-block flow
+    // elision is FAROS's call alone.
     let mut plugins = PluginManager::new();
     if cfg.profile {
         plugins.enable_dispatch_profiling();
@@ -188,9 +191,6 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         plugins.register(Box::new(TraceRecorder::new(ring.clone())));
     }
     plugins.register(Box::new(faros));
-    if cfg.profile {
-        plugins.register(Box::new(Profiler::new()));
-    }
     plugins.register(Box::new(BlockCoverage::new()));
     plugins.register(Box::new(CfiMonitor::new()));
     plugins.register(Box::new(CapabilityMonitor::new()));
@@ -220,11 +220,6 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     let capmon = *plugins
         .take_as::<CapabilityMonitor>("capability-monitor")
         .expect("the capability monitor was registered above");
-    let profiler = if cfg.profile {
-        Some(*plugins.take_as::<Profiler>("profiler").expect("registered above"))
-    } else {
-        None
-    };
     cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
 
     // One static model per image, shared by every cross-check below.
@@ -253,18 +248,18 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     cap_stats.record_into(&mut reg);
     report.attach_cfi(cfi);
     report.attach_capabilities(caps);
-    if let Some(profiler) = profiler {
-        // Symbolize the raw per-block samples through the images' static
-        // function tables — a pure function of recording + images, so the
-        // attached profile is byte-identical across replays.
-        let samples: Vec<ProcessSamples> = profiler
-            .into_processes()
+    if cfg.profile {
+        // Symbolize the per-block retired-instruction counts through the
+        // images' static function tables — a pure function of recording +
+        // images, so the attached profile is byte-identical across
+        // replays.
+        let samples: Vec<ProcessSamples> = observed
             .into_iter()
             .map(|p| ProcessSamples {
                 pid: p.pid.0,
                 process: p.name,
-                blocks: p.block_retired,
                 modules: faros_analyze::layouts_for(&p.modules, &models),
+                blocks: p.seen,
             })
             .collect();
         report.attach_profile(ProfileReport::build(samples));

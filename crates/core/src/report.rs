@@ -111,7 +111,7 @@ pub struct FarosReport {
     /// Deterministic replay profile: retired instructions (the virtual
     /// clock) attributed to basic blocks and symbolized to functions —
     /// byte-identical across replays of one recording (empty when the
-    /// replay ran without the profiler).
+    /// job ran without `AnalysisConfig::profile`).
     pub profile: ProfileReport,
 }
 
@@ -196,8 +196,8 @@ impl FarosReport {
         self.metrics = metrics;
     }
 
-    /// Attaches the deterministic replay profile produced by the
-    /// `replay::Profiler` plugin after symbolization.
+    /// Attaches the deterministic replay profile: the per-block retired
+    /// instructions `replay::BlockCoverage` recorded, after symbolization.
     pub fn attach_profile(&mut self, profile: ProfileReport) {
         self.profile = profile;
     }

@@ -227,66 +227,6 @@ impl FastPath {
     }
 }
 
-/// Registered counters for a decoded-block translation cache (`tc.*`):
-/// lookup hits and misses, whole-cache invalidations, blocks decoded, and
-/// block runs whose flow dispatch was elided. The executor keeps its own
-/// raw totals (it lives below the observability layer); callers publish
-/// them here with [`CacheCounters::publish`] after a run.
-///
-/// # Examples
-///
-/// ```
-/// use faros_obs::metrics::{CacheCounters, MetricsRegistry};
-///
-/// let mut m = MetricsRegistry::new();
-/// let tc = CacheCounters::register(&mut m, "tc");
-/// tc.publish(&mut m, 90, 10, 1, 10, 42);
-/// let snap = m.snapshot();
-/// assert_eq!(snap.counter("tc.hits"), Some(90));
-/// assert_eq!(snap.counter("tc.invalidations"), Some(1));
-/// assert_eq!(snap.counter("tc.elided_blocks"), Some(42));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct CacheCounters {
-    hits: CounterId,
-    misses: CounterId,
-    invalidations: CounterId,
-    blocks_built: CounterId,
-    elided_blocks: CounterId,
-}
-
-impl CacheCounters {
-    /// Registers `<prefix>.hits`, `.misses`, `.invalidations`,
-    /// `.blocks_built` and `.elided_blocks` in `m`.
-    pub fn register(m: &mut MetricsRegistry, prefix: &str) -> CacheCounters {
-        CacheCounters {
-            hits: m.counter(&format!("{prefix}.hits")),
-            misses: m.counter(&format!("{prefix}.misses")),
-            invalidations: m.counter(&format!("{prefix}.invalidations")),
-            blocks_built: m.counter(&format!("{prefix}.blocks_built")),
-            elided_blocks: m.counter(&format!("{prefix}.elided_blocks")),
-        }
-    }
-
-    /// Publishes a cache's cumulative totals (gauge semantics: the last
-    /// publish wins, so republishing a growing total is safe).
-    pub fn publish(
-        &self,
-        m: &mut MetricsRegistry,
-        hits: u64,
-        misses: u64,
-        invalidations: u64,
-        blocks_built: u64,
-        elided_blocks: u64,
-    ) {
-        m.set(self.hits, hits);
-        m.set(self.misses, misses);
-        m.set(self.invalidations, invalidations);
-        m.set(self.blocks_built, blocks_built);
-        m.set(self.elided_blocks, elided_blocks);
-    }
-}
-
 /// Registered depth gauges for a bounded queue: `<prefix>.depth` is the
 /// current depth (gauge semantics — overwritten on every observation) and
 /// `<prefix>.high_water` the deepest the queue has ever been.

@@ -11,6 +11,7 @@ use crate::chrome;
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::cell::RefCell;
 use std::collections::VecDeque;
+use std::fmt;
 use std::rc::Rc;
 
 /// How an event renders on a track (the Chrome `ph` field).
@@ -181,6 +182,20 @@ impl TraceEvent {
     pub fn arg(mut self, key: impl Into<String>, value: impl Into<String>) -> TraceEvent {
         self.args.push((key.into(), value.into()));
         self
+    }
+}
+
+/// One line per event: `[ts] category phase name key=value...` — the
+/// format of every text view of a trace (the CLI's `trace` view and
+/// `top`'s trace tail).
+impl fmt::Display for TraceEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (cat, ph) = (self.cat.as_str(), self.phase.chrome_ph());
+        write!(f, "[{:>10}] {cat:<8} {ph:<2} {}", self.ts, self.name)?;
+        for (key, value) in &self.args {
+            write!(f, " {key}={value}")?;
+        }
+        Ok(())
     }
 }
 
@@ -386,6 +401,16 @@ mod tests {
         assert_eq!(rec.dropped(), 7);
         let ts: Vec<u64> = rec.events().map(|e| e.ts).collect();
         assert_eq!(ts, vec![7, 8, 9]);
+    }
+
+    #[test]
+    fn events_display_as_one_line_with_their_args() {
+        let ev = TraceEvent::instant(42, 2, 0, TraceCategory::Net, "net_rx")
+            .arg("flow", "a -> b")
+            .arg("bytes", "252");
+        assert_eq!(ev.to_string(), "[        42] net      i  net_rx flow=a -> b bytes=252");
+        let bare = TraceEvent::begin(7, 1, 1, TraceCategory::Syscall, "NtClose");
+        assert_eq!(bare.to_string(), "[         7] syscall  B  NtClose");
     }
 
     #[test]

@@ -11,13 +11,14 @@
 //! an indirect branch escaping its resolved target set, is a code-reuse
 //! signal no injected-byte detector can raise.
 //!
-//! Unlike [`BlockCoverage`](crate::BlockCoverage), which infers indirect
-//! targets from the next retired instruction, the monitor reads the target
-//! straight from the emulator's `on_control` hook — the hook fires with
-//! the *resolved* destination for every `CallReg`/`JmpReg`/`Ret`, so the
-//! recording is exact even across context switches.
+//! The monitor reads each target straight from the emulator's
+//! `on_control` hook, which fires with the *resolved* destination for
+//! every `CallReg`/`JmpReg`/`Ret`, so the recording is exact even across
+//! context switches. It is the one record of observed indirect edges: the
+//! static value-set analysis is checked against it as well.
 
 use crate::plugin::Plugin;
+use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::Instr;
 use faros_kernel::event::{ByteRange, KernelEvents};
@@ -76,31 +77,15 @@ pub struct TransferSite {
     pub targets: BTreeSet<u32>,
 }
 
-/// Everything [`CfiMonitor`] observed about one process.
-#[derive(Debug, Clone, Default)]
-pub struct ProcessTransfers {
-    /// The process id.
-    pub pid: Pid,
-    /// Image name (e.g. `notepad.exe`).
-    pub name: String,
-    /// Modules the kernel loaded into the process, in load order.
-    pub modules: Vec<ModuleInfo>,
-    /// Site VA → observed transfer kind and target set.
-    pub sites: BTreeMap<u32, TransferSite>,
-}
-
-impl ProcessTransfers {
-    /// Total observed (site, target) pairs.
-    pub fn observed_edges(&self) -> u64 {
-        self.sites.values().map(|s| s.targets.len() as u64).sum()
-    }
-}
+/// Everything [`CfiMonitor`] observed about one process: site VA →
+/// observed transfer kind and target set.
+pub type ProcessTransfers = ProcessRecord<BTreeMap<u32, TransferSite>>;
 
 /// The indirect-control-transfer recording plugin.
 #[derive(Debug, Default)]
 pub struct CfiMonitor {
     current: Option<(Pid, Tid)>,
-    procs: BTreeMap<Pid, ProcessTransfers>,
+    procs: PerProcess<BTreeMap<u32, TransferSite>>,
 }
 
 impl CfiMonitor {
@@ -109,26 +94,10 @@ impl CfiMonitor {
         CfiMonitor::default()
     }
 
-    /// Per-process observations, ordered by pid.
-    pub fn processes(&self) -> Vec<&ProcessTransfers> {
-        self.procs.values().collect()
-    }
-
-    /// Consumes the plugin, returning the per-process observations.
+    /// Consumes the plugin, returning the per-process observations ordered
+    /// by pid.
     pub fn into_processes(self) -> Vec<ProcessTransfers> {
-        self.procs.into_values().collect()
-    }
-
-    /// The observations for one process, if it ever ran.
-    pub fn process(&self, pid: Pid) -> Option<&ProcessTransfers> {
-        self.procs.get(&pid)
-    }
-
-    fn entry(&mut self, pid: Pid) -> &mut ProcessTransfers {
-        self.procs.entry(pid).or_insert_with(|| ProcessTransfers {
-            pid,
-            ..ProcessTransfers::default()
-        })
+        self.procs.into_records()
     }
 }
 
@@ -143,10 +112,9 @@ impl CpuHooks for CfiMonitor {
             _ => return,
         };
         let Some((pid, _tid)) = self.current else { return };
-        let site = ctx.vaddr;
-        self.entry(pid)
-            .sites
-            .entry(site)
+        self.procs
+            .entry(pid)
+            .entry(ctx.vaddr)
             .or_insert_with(|| TransferSite { kind, targets: BTreeSet::new() })
             .targets
             .insert(target);
@@ -159,16 +127,11 @@ impl KernelEvents for CfiMonitor {
     }
 
     fn process_created(&mut self, info: &ProcessInfo) {
-        let name = info.name.clone();
-        self.entry(info.pid).name = name;
+        self.procs.process_created(info);
     }
 
     fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        // Kernel/boot modules (pid None) are not per-process images; the
-        // analysis layer treats kernel-space transfers separately.
-        if let Some(pid) = pid {
-            self.entry(pid).modules.push(module.clone());
-        }
+        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -205,16 +168,16 @@ mod tests {
         // Direct transfers are not recorded.
         mon.on_control(&ctx(0x4000, Instr::Jmp { rel: 4 }), 0x4006, None);
         mon.on_control(&ctx(0x4100, Instr::Call { rel: -8 }), 0x40fe, None);
-        let p = mon.process(Pid(1)).unwrap();
-        assert_eq!(p.sites.len(), 3);
-        assert_eq!(p.sites[&0x1000].kind, TransferKind::IndirectCall);
+        let procs = mon.into_processes();
+        let sites = &procs[0].seen;
+        assert_eq!(sites.len(), 3);
+        assert_eq!(sites[&0x1000].kind, TransferKind::IndirectCall);
         assert_eq!(
-            p.sites[&0x1000].targets.iter().copied().collect::<Vec<_>>(),
+            sites[&0x1000].targets.iter().copied().collect::<Vec<_>>(),
             vec![0x5000, 0x6000]
         );
-        assert_eq!(p.sites[&0x2000].kind, TransferKind::Return);
-        assert_eq!(p.sites[&0x3000].kind, TransferKind::IndirectJmp);
-        assert_eq!(p.observed_edges(), 4);
+        assert_eq!(sites[&0x2000].kind, TransferKind::Return);
+        assert_eq!(sites[&0x3000].kind, TransferKind::IndirectJmp);
     }
 
     #[test]
@@ -224,23 +187,8 @@ mod tests {
         mon.on_control(&ctx(0x1000, Instr::Ret), 0x2000, None);
         mon.context_switch(Some((Pid(1), Tid(1))), (Pid(2), Tid(2)));
         mon.on_control(&ctx(0x1000, Instr::Ret), 0x3000, None);
-        assert_eq!(mon.process(Pid(1)).unwrap().sites[&0x1000].targets.len(), 1);
-        assert_eq!(mon.process(Pid(2)).unwrap().sites[&0x1000].targets.len(), 1);
-    }
-
-    #[test]
-    fn kernel_modules_are_not_attributed_to_processes() {
-        let mut mon = CfiMonitor::new();
-        let m = ModuleInfo {
-            name: "ntdll.fdl".into(),
-            base: 0x8000_0000,
-            entry: 0,
-            export_table_va: 0x8001_0000,
-            exports: vec![],
-        };
-        mon.module_loaded(None, &m, &[]);
-        assert!(mon.processes().is_empty());
-        mon.module_loaded(Some(Pid(3)), &m, &[]);
-        assert_eq!(mon.process(Pid(3)).unwrap().modules.len(), 1);
+        let procs = mon.into_processes();
+        assert_eq!(procs.iter().map(|p| p.pid).collect::<Vec<_>>(), [Pid(1), Pid(2)]);
+        assert!(procs.iter().all(|p| p.seen[&0x1000].targets.len() == 1));
     }
 }

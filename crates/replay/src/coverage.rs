@@ -1,50 +1,56 @@
 //! Executed basic-block recording — the dynamic half of the
-//! static-vs-dynamic coverage cross-check.
+//! static-vs-dynamic coverage cross-check and the raw samples of the
+//! deterministic replay profiler.
 //!
 //! [`BlockCoverage`] watches every retired instruction and records, per
-//! process, the set of virtual addresses at which basic blocks *started*
+//! process, the virtual addresses at which basic blocks *started*
 //! executing (the first instruction after a block-ending one, plus each
-//! thread's first instruction). It also keeps each process's loaded-module
-//! list, so an analysis layer (`faros-analyze`) can ask afterwards: did any
-//! process execute code that no loaded module statically accounts for?
-//! That question is ROPocop's hybrid check, and injected payloads answer it
-//! loudly — their blocks live in anonymous allocations, not in any image.
+//! thread's first instruction), each with the instructions retired inside
+//! that block. The keys answer the coverage question an analysis layer
+//! (`faros-analyze`) asks afterwards: did any process execute code that no
+//! loaded module statically accounts for? That question is ROPocop's
+//! hybrid check, and injected payloads answer it loudly — their blocks
+//! live in anonymous allocations, not in any image. The counts are the
+//! profiler's virtual clock: because they are *instructions retired*
+//! rather than wall time, two replays of one recording produce identical
+//! samples, which `faros-core` symbolizes into a `ProfileReport`.
+//!
+//! Counting is per block run, not per instruction: the running thread's
+//! open block lives in a field, and its count reaches the per-process map
+//! only when the block ends, the thread is switched out, or the results
+//! are taken.
 
 use crate::plugin::Plugin;
+use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::{CpuHooks, InsnCtx};
-use faros_emu::isa::Instr;
 use faros_kernel::event::{ByteRange, KernelEvents};
 use faros_kernel::module::ModuleInfo;
 use faros_kernel::process::ProcessInfo;
 use faros_kernel::{Pid, Tid};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-/// Everything [`BlockCoverage`] observed about one process.
-#[derive(Debug, Clone, Default)]
-pub struct ProcessBlocks {
-    /// The process id.
-    pub pid: Pid,
-    /// Image name (e.g. `notepad.exe`).
-    pub name: String,
-    /// Modules the kernel loaded into the process, in load order.
-    pub modules: Vec<ModuleInfo>,
-    /// Virtual addresses where executed basic blocks started.
-    pub block_starts: BTreeSet<u32>,
-    /// Observed indirect-branch targets: for every executed `call reg` /
-    /// `jmp reg` site, the set of VAs control actually transferred to —
-    /// the dynamic ground truth the static value-set analysis is checked
-    /// against (every observed target must lie inside the statically
-    /// resolved set).
-    pub indirect_targets: BTreeMap<u32, BTreeSet<u32>>,
+/// Everything [`BlockCoverage`] observed about one process: executed block
+/// start VA → instructions retired inside that block.
+pub type ProcessBlocks = ProcessRecord<BTreeMap<u32, u64>>;
+
+/// A thread's open block: its start VA and the instructions it retired
+/// since its count was last charged.
+#[derive(Debug, Clone, Copy)]
+struct Cursor {
+    block: u32,
+    retired: u64,
 }
 
 /// The block-coverage recording plugin.
 #[derive(Debug, Default)]
 pub struct BlockCoverage {
     current: Option<(Pid, Tid)>,
-    at_block_start: BTreeMap<(Pid, Tid), bool>,
-    pending_indirect: BTreeMap<(Pid, Tid), u32>,
-    procs: BTreeMap<Pid, ProcessBlocks>,
+    /// The running thread's open block; `None` when its next instruction
+    /// starts a block.
+    cursor: Option<Cursor>,
+    /// Start VAs of the blocks that switched-out threads are inside.
+    parked: BTreeMap<(Pid, Tid), u32>,
+    procs: PerProcess<BTreeMap<u32, u64>>,
 }
 
 impl BlockCoverage {
@@ -53,65 +59,48 @@ impl BlockCoverage {
         BlockCoverage::default()
     }
 
-    /// Per-process observations, ordered by pid.
-    pub fn processes(&self) -> Vec<&ProcessBlocks> {
-        self.procs.values().collect()
+    /// Consumes the plugin, returning the per-process observations ordered
+    /// by pid (the running thread's open block included).
+    pub fn into_processes(mut self) -> Vec<ProcessBlocks> {
+        self.charge_running();
+        self.procs.into_records()
     }
 
-    /// Consumes the plugin, returning the per-process observations.
-    pub fn into_processes(self) -> Vec<ProcessBlocks> {
-        self.procs.into_values().collect()
-    }
-
-    /// The observations for one process, if it ever ran.
-    pub fn process(&self, pid: Pid) -> Option<&ProcessBlocks> {
-        self.procs.get(&pid)
-    }
-
-    fn entry(&mut self, pid: Pid) -> &mut ProcessBlocks {
-        self.procs.entry(pid).or_insert_with(|| ProcessBlocks {
-            pid,
-            ..ProcessBlocks::default()
-        })
+    fn charge_running(&mut self) {
+        if let (Some((pid, _)), Some(c)) = (self.current, self.cursor.take()) {
+            *self.procs.entry(pid).entry(c.block).or_insert(0) += c.retired;
+        }
     }
 }
 
 impl CpuHooks for BlockCoverage {
     fn on_insn(&mut self, ctx: &InsnCtx) {
-        let Some(key) = self.current else { return };
-        // A thread's first instruction starts a block; after that, exactly
-        // the instruction following a block-ender does.
-        let starting = self.at_block_start.get(&key).copied().unwrap_or(true);
-        if starting {
-            self.entry(key.0).block_starts.insert(ctx.vaddr);
+        if self.current.is_none() {
+            return;
         }
-        // The instruction after an indirect branch is its observed target.
-        if let Some(site) = self.pending_indirect.remove(&key) {
-            self.entry(key.0).indirect_targets.entry(site).or_default().insert(ctx.vaddr);
+        self.cursor.get_or_insert(Cursor { block: ctx.vaddr, retired: 0 }).retired += 1;
+        if ctx.instr.ends_block() {
+            self.charge_running();
         }
-        if matches!(ctx.instr, Instr::CallReg { .. } | Instr::JmpReg { .. }) {
-            self.pending_indirect.insert(key, ctx.vaddr);
-        }
-        self.at_block_start.insert(key, ctx.instr.ends_block());
     }
 }
 
 impl KernelEvents for BlockCoverage {
     fn context_switch(&mut self, _from: Option<(Pid, Tid)>, to: (Pid, Tid)) {
+        if let (Some(key), Some(c)) = (self.current, self.cursor) {
+            self.charge_running();
+            self.parked.insert(key, c.block);
+        }
+        self.cursor = self.parked.remove(&to).map(|block| Cursor { block, retired: 0 });
         self.current = Some(to);
     }
 
     fn process_created(&mut self, info: &ProcessInfo) {
-        let name = info.name.clone();
-        self.entry(info.pid).name = name;
+        self.procs.process_created(info);
     }
 
     fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        // Kernel/boot modules (pid None) are not per-process images; the
-        // analysis layer treats kernel-space blocks separately.
-        if let Some(pid) = pid {
-            self.entry(pid).modules.push(module.clone());
-        }
+        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -124,6 +113,7 @@ impl Plugin for BlockCoverage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use faros_emu::isa::Instr;
 
     fn ctx(vaddr: u32, instr: Instr) -> InsnCtx {
         InsnCtx {
@@ -136,74 +126,54 @@ mod tests {
         }
     }
 
-    #[test]
-    fn records_block_starts_per_process() {
-        let mut cov = BlockCoverage::new();
-        cov.context_switch(None, (Pid(1), Tid(1)));
-        cov.on_insn(&ctx(0x1000, Instr::Nop)); // thread start = block start
-        cov.on_insn(&ctx(0x1001, Instr::Jmp { rel: 10 })); // mid-block
-        cov.on_insn(&ctx(0x1010, Instr::Nop)); // after jmp = block start
-        cov.on_insn(&ctx(0x1011, Instr::Hlt)); // mid-block
-        let p = cov.process(Pid(1)).unwrap();
-        assert_eq!(
-            p.block_starts.iter().copied().collect::<Vec<_>>(),
-            vec![0x1000, 0x1010]
-        );
+    fn blocks(cov: BlockCoverage, pid: Pid) -> Vec<(u32, u64)> {
+        let procs = cov.into_processes();
+        let p = procs.iter().find(|p| p.pid == pid).expect("process observed");
+        p.seen.iter().map(|(&va, &n)| (va, n)).collect()
     }
 
     #[test]
-    fn interleaved_threads_keep_separate_cursors() {
+    fn instructions_are_charged_to_their_block_start() {
+        let mut cov = BlockCoverage::new();
+        cov.context_switch(None, (Pid(1), Tid(1)));
+        cov.on_insn(&ctx(0x1000, Instr::Nop)); // thread start = block start
+        cov.on_insn(&ctx(0x1001, Instr::Nop));
+        cov.on_insn(&ctx(0x1002, Instr::Jmp { rel: 10 })); // ends the block
+        cov.on_insn(&ctx(0x1010, Instr::Nop)); // after jmp = block start
+        cov.on_insn(&ctx(0x1011, Instr::Hlt)); // ends the block
+        assert_eq!(blocks(cov, Pid(1)), [(0x1000, 3), (0x1010, 2)]);
+    }
+
+    #[test]
+    fn a_context_switch_mid_block_keeps_separate_cursors() {
         let mut cov = BlockCoverage::new();
         cov.context_switch(None, (Pid(1), Tid(1)));
         cov.on_insn(&ctx(0x1000, Instr::Nop)); // p1 block start, not a block end
         cov.context_switch(Some((Pid(1), Tid(1))), (Pid(2), Tid(2)));
-        cov.on_insn(&ctx(0x2000, Instr::Nop)); // p2 block start
+        cov.on_insn(&ctx(0x2000, Instr::Ret)); // p2 block start and end
         cov.context_switch(Some((Pid(2), Tid(2))), (Pid(1), Tid(1)));
-        cov.on_insn(&ctx(0x1001, Instr::Nop)); // p1 resumes mid-block: no start
-        assert_eq!(cov.process(Pid(1)).unwrap().block_starts.len(), 1);
-        assert_eq!(cov.process(Pid(2)).unwrap().block_starts.len(), 1);
+        // p1 resumes mid-block: no new start, still charged to 0x1000.
+        cov.on_insn(&ctx(0x1001, Instr::Ret));
+        let procs = cov.into_processes();
+        let seen: Vec<Vec<(u32, u64)>> =
+            procs.iter().map(|p| p.seen.iter().map(|(&va, &n)| (va, n)).collect()).collect();
+        assert_eq!(seen, [vec![(0x1000, 2)], vec![(0x2000, 1)]]);
     }
 
     #[test]
-    fn indirect_branch_targets_are_recorded_per_site() {
-        use faros_emu::isa::Reg;
+    fn a_replay_ending_inside_a_block_still_charges_it() {
         let mut cov = BlockCoverage::new();
         cov.context_switch(None, (Pid(1), Tid(1)));
-        cov.on_insn(&ctx(0x1000, Instr::CallReg { target: Reg::Ebp }));
-        cov.on_insn(&ctx(0x5000, Instr::Nop)); // the observed target
-        cov.on_insn(&ctx(0x5001, Instr::Ret));
-        cov.on_insn(&ctx(0x1001, Instr::JmpReg { target: Reg::Edi }));
-        // The jmp's target lands in another thread's interleaved slice:
-        // the per-(pid,tid) cursor must not mix the two up.
-        cov.context_switch(Some((Pid(1), Tid(1))), (Pid(2), Tid(2)));
-        cov.on_insn(&ctx(0x9000, Instr::Nop));
-        cov.context_switch(Some((Pid(2), Tid(2))), (Pid(1), Tid(1)));
-        cov.on_insn(&ctx(0x6000, Instr::Hlt));
-        let p = cov.process(Pid(1)).unwrap();
-        assert_eq!(
-            p.indirect_targets[&0x1000].iter().copied().collect::<Vec<_>>(),
-            vec![0x5000]
-        );
-        assert_eq!(
-            p.indirect_targets[&0x1001].iter().copied().collect::<Vec<_>>(),
-            vec![0x6000]
-        );
-        assert!(cov.process(Pid(2)).unwrap().indirect_targets.is_empty());
+        cov.on_insn(&ctx(0x1000, Instr::Ret));
+        cov.on_insn(&ctx(0x3000, Instr::Nop)); // open when the replay stops
+        cov.on_insn(&ctx(0x3001, Instr::Nop));
+        assert_eq!(blocks(cov, Pid(1)), [(0x1000, 1), (0x3000, 2)]);
     }
 
     #[test]
-    fn kernel_modules_are_not_attributed_to_processes() {
+    fn instructions_before_the_first_switch_are_not_attributed() {
         let mut cov = BlockCoverage::new();
-        let m = ModuleInfo {
-            name: "ntdll.fdl".into(),
-            base: 0x8000_0000,
-            entry: 0,
-            export_table_va: 0x8001_0000,
-            exports: vec![],
-        };
-        cov.module_loaded(None, &m, &[]);
-        assert!(cov.processes().is_empty());
-        cov.module_loaded(Some(Pid(3)), &m, &[]);
-        assert_eq!(cov.process(Pid(3)).unwrap().modules.len(), 1);
+        cov.on_insn(&ctx(0x1000, Instr::Nop));
+        assert!(cov.into_processes().is_empty());
     }
 }

@@ -10,10 +10,15 @@
 //!   serializable [`driver::Recording`]; [`driver::replay`] re-executes it
 //!   bit-identically under an arbitrary plugin stack;
 //! * [`recorder`] — the [`recorder::TraceRecorder`] plugin, emitting the
-//!   structured flight-recorder trace and metrics of `faros-obs`;
-//! * [`profiler`] — the [`profiler::Profiler`] plugin, attributing retired
-//!   instructions (the virtual clock) to basic blocks per process for the
-//!   deterministic replay profiler.
+//!   structured flight-recorder trace and metrics of `faros-obs` (the
+//!   one event timeline: the CLI's `trace` view reads it too);
+//! * the observers the static-vs-dynamic cross-checks read, one per replay
+//!   signal: [`coverage::BlockCoverage`] (executed blocks, each with its
+//!   retired instructions — the coverage diff and the replay profiler
+//!   both read it), [`cfi::CfiMonitor`] (indirect control transfers) and
+//!   [`syscap::CapabilityMonitor`] (exercised syscall capabilities);
+//! * [`process`] — the per-process bookkeeping (pid, image name, loaded
+//!   modules) those observers share.
 //!
 //! Table V's measurement is `replay` wall-clock with an empty plugin stack
 //! vs. with FAROS registered.
@@ -26,10 +31,9 @@ pub mod coverage;
 pub mod syscap;
 pub mod driver;
 pub mod plugin;
-pub mod profiler;
+pub mod process;
 pub mod recorder;
 pub mod scenario;
-pub mod trace;
 
 pub use cfi::{CfiMonitor, ProcessTransfers, TransferKind, TransferSite};
 pub use coverage::{BlockCoverage, ProcessBlocks};
@@ -38,8 +42,7 @@ pub use driver::{
     DEFAULT_BUDGET,
 };
 pub use plugin::{Plugin, PluginCost, PluginManager};
-pub use profiler::{ProcessRetired, Profiler};
+pub use process::{PerProcess, ProcessRecord};
 pub use recorder::TraceRecorder;
-pub use syscap::{CapSet, Capability, CapabilityMonitor, ProcessCapabilities};
-pub use trace::{TraceEvent, TracePlugin};
+pub use syscap::{CapSet, Capability, CapabilityMonitor, CapabilityUse, ProcessCapabilities};
 pub use scenario::{Scenario, DEFAULT_GUEST_IP};

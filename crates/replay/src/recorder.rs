@@ -6,10 +6,8 @@
 //! replays of the same recording export byte-identical traces. Alongside the
 //! trace it keeps a metrics registry: instructions, context switches,
 //! syscalls (total and per service, registered lazily), module loads, and
-//! the other kernel-event counts.
-//!
-//! Per-instruction instants are gated behind [`TraceRecorder::set_insn_sample`]
-//! (default off): at one event per instruction even short scenarios would
+//! the other kernel-event counts. Instructions are counted, never traced
+//! one by one: at one event per instruction even short scenarios would
 //! flush everything else out of the ring and slow the hot path.
 
 use crate::plugin::Plugin;
@@ -36,15 +34,11 @@ pub struct TraceRecorder {
     /// Virtual clock: max of the last `InsnCtx::retired` and the last
     /// `tick` from the machine (which includes idle boosts).
     now: u64,
-    /// The running thread, for attributing CPU-side events.
-    cur: (u32, u32),
     /// Threads with an open syscall span. Parked syscalls exit with
     /// `Pending` (closing the span) and fire a *second* exit on completion
     /// with no matching enter; without this map that second exit would emit
     /// an unbalanced `E` event.
     open_syscall: HashMap<(u32, u32), Sysno>,
-    /// Emit one `Insn` instant every N instructions; 0 disables (default).
-    insn_sample: u64,
     ctr_instructions: CounterId,
     ctr_context_switches: CounterId,
     ctr_syscalls: CounterId,
@@ -68,9 +62,7 @@ impl TraceRecorder {
         let mut metrics = MetricsRegistry::new();
         TraceRecorder {
             now: 0,
-            cur: (0, 0),
             open_syscall: HashMap::new(),
-            insn_sample: 0,
             ctr_instructions: metrics.counter("cpu.instructions"),
             ctr_context_switches: metrics.counter("sched.context_switches"),
             ctr_syscalls: metrics.counter("syscalls.total"),
@@ -86,11 +78,6 @@ impl TraceRecorder {
             metrics,
             recorder,
         }
-    }
-
-    /// Emit an `Insn` instant every `n` instructions (0 = off, the default).
-    pub fn set_insn_sample(&mut self, n: u64) {
-        self.insn_sample = n;
     }
 
     /// The shared ring this recorder appends into.
@@ -127,13 +114,6 @@ impl CpuHooks for TraceRecorder {
         // with ticks the machine already reported.
         self.now = self.now.max(ctx.retired);
         self.metrics.inc(self.ctr_instructions);
-        if self.insn_sample > 0 && ctx.retired.is_multiple_of(self.insn_sample) {
-            let (pid, tid) = self.cur;
-            self.recorder.record(
-                TraceEvent::instant(self.now, pid, tid, TraceCategory::Insn, "insn")
-                    .arg("vaddr", format!("{:#010x}", ctx.vaddr)),
-            );
-        }
     }
 }
 
@@ -145,7 +125,6 @@ impl KernelEvents for TraceRecorder {
     fn context_switch(&mut self, from: Option<(Pid, Tid)>, to: (Pid, Tid)) {
         self.metrics.inc(self.ctr_context_switches);
         let (pid, tid) = (to.0 .0, to.1 .0);
-        self.cur = (pid, tid);
         let mut ev =
             TraceEvent::instant(self.now, pid, tid, TraceCategory::Sched, "context_switch");
         if let Some((fp, ft)) = from {
@@ -361,7 +340,7 @@ mod tests {
     }
 
     #[test]
-    fn insn_sampling_is_off_by_default() {
+    fn instructions_are_counted_not_traced() {
         let mut r = recorder();
         let ctx = InsnCtx {
             vaddr: 0,
@@ -372,11 +351,7 @@ mod tests {
             retired: 0,
         };
         r.on_insn(&ctx);
-        assert!(r.recorder().is_empty(), "no per-insn events unless sampling is on");
+        assert!(r.recorder().is_empty(), "no per-insn events");
         assert_eq!(r.metrics_snapshot().counter("cpu.instructions"), Some(1));
-
-        r.set_insn_sample(1);
-        r.on_insn(&ctx);
-        assert_eq!(r.recorder().len(), 1);
     }
 }

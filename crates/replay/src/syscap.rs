@@ -18,6 +18,7 @@
 //! syscalls are rare next to retired instructions.
 
 use crate::plugin::Plugin;
+use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::CpuHooks;
 use faros_kernel::event::{ByteRange, KernelEvents};
 use faros_kernel::module::ModuleInfo;
@@ -263,15 +264,9 @@ pub fn concrete_capability(sysno: Sysno, args: &[u32; 5]) -> Option<Capability> 
     }
 }
 
-/// Everything [`CapabilityMonitor`] observed about one process.
+/// The capabilities one process concretely exercised.
 #[derive(Debug, Clone, Default)]
-pub struct ProcessCapabilities {
-    /// The process id.
-    pub pid: Pid,
-    /// Image name (e.g. `notepad.exe`).
-    pub name: String,
-    /// Modules the kernel loaded into the process, in load order.
-    pub modules: Vec<ModuleInfo>,
+pub struct CapabilityUse {
     /// Exercised capability → number of exercising syscalls.
     pub counts: BTreeMap<Capability, u64>,
     /// Exercised capabilities in program order, with runs of the same
@@ -281,22 +276,20 @@ pub struct ProcessCapabilities {
     pub sequence: Vec<Capability>,
 }
 
+/// Everything [`CapabilityMonitor`] observed about one process.
+pub type ProcessCapabilities = ProcessRecord<CapabilityUse>;
+
 impl ProcessCapabilities {
     /// The set of capabilities the process exercised at least once.
     pub fn exercised(&self) -> CapSet {
-        self.counts.keys().copied().collect()
-    }
-
-    /// Total capability-exercising syscalls observed.
-    pub fn total_events(&self) -> u64 {
-        self.counts.values().sum()
+        self.seen.counts.keys().copied().collect()
     }
 
     /// `true` when the steps of `recipe` were exercised in order (as a
     /// subsequence of the observed capability sequence).
     pub fn exercised_in_order(&self, recipe: &[Capability]) -> bool {
         let mut next = 0;
-        for &c in &self.sequence {
+        for &c in &self.seen.sequence {
             if next < recipe.len() && c == recipe[next] {
                 next += 1;
             }
@@ -308,7 +301,7 @@ impl ProcessCapabilities {
 /// The exercised-capability recording plugin.
 #[derive(Debug, Default)]
 pub struct CapabilityMonitor {
-    procs: BTreeMap<Pid, ProcessCapabilities>,
+    procs: PerProcess<CapabilityUse>,
 }
 
 impl CapabilityMonitor {
@@ -317,27 +310,10 @@ impl CapabilityMonitor {
         CapabilityMonitor::default()
     }
 
-    /// Per-process observations, ordered by pid.
-    pub fn processes(&self) -> Vec<&ProcessCapabilities> {
-        self.procs.values().collect()
-    }
-
-    /// Consumes the plugin, returning the per-process observations.
+    /// Consumes the plugin, returning the per-process observations ordered
+    /// by pid.
     pub fn into_processes(self) -> Vec<ProcessCapabilities> {
-        self.procs.into_values().collect()
-    }
-
-    /// The observations for one process, if it ever made a syscall (or
-    /// was created / had a module loaded) under the monitor.
-    pub fn process(&self, pid: Pid) -> Option<&ProcessCapabilities> {
-        self.procs.get(&pid)
-    }
-
-    fn entry(&mut self, pid: Pid) -> &mut ProcessCapabilities {
-        self.procs.entry(pid).or_insert_with(|| ProcessCapabilities {
-            pid,
-            ..ProcessCapabilities::default()
-        })
+        self.procs.into_records()
     }
 }
 
@@ -348,7 +324,7 @@ impl CpuHooks for CapabilityMonitor {}
 impl KernelEvents for CapabilityMonitor {
     fn syscall_enter(&mut self, pid: Pid, _tid: Tid, sysno: Sysno, args: &[u32; 5]) {
         let Some(cap) = concrete_capability(sysno, args) else { return };
-        let p = self.entry(pid);
+        let p = self.procs.entry(pid);
         *p.counts.entry(cap).or_insert(0) += 1;
         if p.sequence.last() != Some(&cap) {
             p.sequence.push(cap);
@@ -356,15 +332,11 @@ impl KernelEvents for CapabilityMonitor {
     }
 
     fn process_created(&mut self, info: &ProcessInfo) {
-        let name = info.name.clone();
-        self.entry(info.pid).name = name;
+        self.procs.process_created(info);
     }
 
     fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        // Kernel/boot modules (pid None) are not per-process images.
-        if let Some(pid) = pid {
-            self.entry(pid).modules.push(module.clone());
-        }
+        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -438,10 +410,11 @@ mod tests {
         mon.syscall_enter(Pid(1), t, Sysno::NtWriteVirtualMemory, &[7, 0x1010, 0x2000, 16, 0]);
         mon.syscall_enter(Pid(1), t, Sysno::NtCreateThreadEx, &[7, 0x1000, 0, 0, 0]);
         mon.syscall_enter(Pid(2), t, Sysno::NtSocketRecv, &[1, 0x3000, 64, 0, 0]);
-        let p1 = mon.process(Pid(1)).unwrap();
-        assert_eq!(p1.counts[&Capability::WriteRemote], 2);
+        let procs = mon.into_processes();
+        let (p1, p2) = (&procs[0], &procs[1]);
+        assert_eq!(p1.seen.counts[&Capability::WriteRemote], 2);
         assert_eq!(
-            p1.sequence,
+            p1.seen.sequence,
             vec![
                 Capability::AllocExecRemote,
                 Capability::WriteRemote,
@@ -458,9 +431,8 @@ mod tests {
             Capability::WriteRemote,
             Capability::AllocExecRemote
         ]));
-        let p2 = mon.process(Pid(2)).unwrap();
         assert_eq!(p2.exercised(), CapSet::of(Capability::RecvNet));
-        assert_eq!(p2.total_events(), 1);
+        assert_eq!(p2.seen.counts[&Capability::RecvNet], 1);
     }
 
     #[test]
@@ -472,24 +444,8 @@ mod tests {
         mon.syscall_enter(Pid(1), t, Sysno::NtWriteVirtualMemory, &[7, 0, 0, 0, 0]);
         mon.syscall_enter(Pid(1), t, Sysno::NtAllocateVirtualMemory, &[7, 64, 0b111, 0, 0]);
         mon.syscall_enter(Pid(1), t, Sysno::NtWriteVirtualMemory, &[7, 0, 0, 0, 0]);
-        let p = mon.process(Pid(1)).unwrap();
+        let p = &mon.into_processes()[0];
         assert!(p.exercised_in_order(&[Capability::AllocExecRemote, Capability::WriteRemote]));
-    }
-
-    #[test]
-    fn kernel_modules_are_not_attributed_to_processes() {
-        let mut mon = CapabilityMonitor::new();
-        let m = ModuleInfo {
-            name: "ntdll.fdl".into(),
-            base: 0x8000_0000,
-            entry: 0,
-            export_table_va: 0x8001_0000,
-            exports: vec![],
-        };
-        mon.module_loaded(None, &m, &[]);
-        assert!(mon.processes().is_empty());
-        mon.module_loaded(Some(Pid(3)), &m, &[]);
-        assert_eq!(mon.process(Pid(3)).unwrap().modules.len(), 1);
     }
 
     #[test]

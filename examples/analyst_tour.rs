@@ -10,20 +10,25 @@
 use faros_repro::baselines;
 use faros_repro::corpus::attacks;
 use faros_repro::faros::{Faros, Policy};
-use faros_repro::replay::{record, replay, TracePlugin};
+use faros_repro::obs::trace::RecorderHandle;
+use faros_repro::replay::{record, replay, TraceRecorder};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let sample = attacks::thread_hijack();
     println!("=== recording {} ===", sample.name());
     let (recording, _) = record(&sample.scenario, 20_000_000)?;
 
-    // Lens 1: the raw event timeline (syscalls2/OSI view).
-    let mut trace = TracePlugin::new();
-    let outcome = replay(&sample.scenario, &recording, 20_000_000, &mut trace)?;
-    println!("\n--- event timeline ({} events, first 14) ---", trace.events().len());
-    for line in trace.render().lines().take(14) {
-        println!("{line}");
-    }
+    // Lens 1: the raw event timeline (syscalls2/OSI view), from the
+    // flight recorder.
+    let ring = RecorderHandle::default();
+    let outcome =
+        replay(&sample.scenario, &recording, 20_000_000, &mut TraceRecorder::new(ring.clone()))?;
+    println!("\n--- event timeline ({} events, first 14) ---", ring.len());
+    ring.with(|rec| {
+        for ev in rec.events().take(14) {
+            println!("  {ev}");
+        }
+    });
 
     // Lens 2: OSI — the pslist / dlllist an introspection tool shows.
     println!("\n--- pslist ---");

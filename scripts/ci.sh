@@ -105,6 +105,18 @@ cargo run --release --offline -p faros-bench --bin faros-cli -- json-check \
 grep -q '"\[anon\]"' target/profile_run1.json \
     || { echo "error: hollowing profile lost its injected-code [anon] rows" >&2; exit 1; }
 
+echo "==> trace view smoke (faros-cli trace reads the flight-recorder ring)"
+# The event timeline has one source, the TraceRecorder ring. The injection
+# must show its story: process creation, the network-delivered payload and
+# the cross-process copy. (process_hollowing takes no network input, so
+# reflective_dll_inject is the sample that exercises all three.)
+cargo run --release --offline -p faros-bench --bin faros-cli -- \
+    trace reflective_dll_inject > target/trace_view.txt
+for event in process_created net_rx guest_copy; do
+    grep -q " $event " target/trace_view.txt \
+        || { echo "error: faros-cli trace printed no $event line" >&2; exit 1; }
+done
+
 echo "==> service socket smoke (serve / submit / stop over target/faros.sock)"
 SOCK="target/faros.sock"
 # A previous aborted run can leave a stale socket file behind; the

@@ -3,7 +3,8 @@
 //! The static dataflow engine claims, for every indirect call/jump site it
 //! resolves, a *complete* target set ("soundly coarse": the enumeration
 //! over-approximates). The replay side records the target every indirect
-//! branch actually took ([`BlockCoverage::indirect_targets`]), so the
+//! branch actually took ([`CfiMonitor`]'s `call reg` / `jmp reg` sites in
+//! [`ProcessTransfers`](faros_repro::replay::ProcessTransfers)), so the
 //! claim is testable: across the whole corpus, no dynamically observed
 //! target at a resolved site may fall outside the statically resolved
 //! set. FDL images are position-dependent, so static VAs and runtime VAs
@@ -15,7 +16,7 @@
 
 use faros_repro::analyze;
 use faros_repro::corpus::sample_registry;
-use faros_repro::replay::{record, replay, BlockCoverage, Scenario as _};
+use faros_repro::replay::{record, replay, CfiMonitor, Scenario as _, TransferKind};
 
 const BUDGET: u64 = 20_000_000;
 
@@ -25,13 +26,16 @@ fn observed_indirect_targets_are_contained_in_resolved_sets() {
     let mut targets_checked = 0usize;
     for sample in sample_registry() {
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-        let mut blocks = BlockCoverage::new();
-        replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
+        let mut monitor = CfiMonitor::new();
+        replay(&sample.scenario, &recording, BUDGET, &mut monitor).unwrap();
         let models = analyze::model_map(
             sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
         );
-        for proc in blocks.into_processes() {
-            for (site, observed) in &proc.indirect_targets {
+        for proc in monitor.into_processes() {
+            for (site, observed) in &proc.seen {
+                if observed.kind == TransferKind::Return {
+                    continue;
+                }
                 // The site must be inside a statically modeled image
                 // (injected code has no model) ...
                 let Some(model) = models.values().find(|m| m.image.is_code_va(*site)) else {
@@ -42,7 +46,7 @@ fn observed_indirect_targets_are_contained_in_resolved_sets() {
                     continue;
                 };
                 sites_checked += 1;
-                for t in observed {
+                for t in &observed.targets {
                     targets_checked += 1;
                     assert!(
                         resolved.contains(t),

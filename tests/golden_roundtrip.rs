@@ -196,3 +196,22 @@ fn recording_fixture_replays_to_the_same_verdict() {
     faros_repro::replay::replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
     assert!(faros.report().attack_flagged());
 }
+
+#[test]
+fn profile_sections_are_byte_stable() {
+    use faros_repro::support::json::ToJson;
+
+    // The replay profiler's output is part of the report under
+    // `AnalysisConfig::profile`: pin the section for an injection (whose
+    // payload bills `[anon]` rows) and for the function-pointer farm
+    // (whose indirectly reached functions bill under their own entries).
+    let cfg = faros::AnalysisConfig { profile: true, ..faros::AnalysisConfig::default() };
+    for name in ["process_hollowing", "fn_pointer_farm"] {
+        let sample = faros_repro::corpus::find_sample(name).expect("registry sample");
+        let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+        let job = faros::analyze_recording(&sample.scenario, &recording, &cfg).unwrap();
+        assert!(!job.report.profile.is_empty(), "{name}: profile requested");
+        let json = job.report.profile.to_json_value().to_pretty() + "\n";
+        check_golden(&format!("profile_{name}.json"), &json);
+    }
+}

@@ -3,7 +3,8 @@
 
 use faros_repro::corpus::attacks;
 use faros_repro::kernel::net::NetEvent;
-use faros_repro::replay::{record, replay, PluginManager, ReplayError, TraceEvent, TracePlugin};
+use faros_repro::obs::trace::{RecorderHandle, TraceEvent};
+use faros_repro::replay::{record, replay, PluginManager, ReplayError, TraceRecorder};
 
 const BUDGET: u64 = 20_000_000;
 
@@ -54,43 +55,37 @@ fn truncated_recording_diverges_or_changes_behavior() {
 fn trace_plugin_captures_the_attack_timeline() {
     let sample = attacks::reflective_dll_inject();
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+    let ring = RecorderHandle::default();
     let mut manager = PluginManager::new();
-    manager.register(Box::new(TracePlugin::new()));
+    manager.register(Box::new(TraceRecorder::new(ring.clone())));
     replay(&sample.scenario, &recording, BUDGET, &mut manager).unwrap();
-    let plugin = manager.take("trace").unwrap();
-    // Downcasting through Plugin isn't exposed; re-run standalone instead.
-    drop(plugin);
-    let mut trace = TracePlugin::new();
-    replay(&sample.scenario, &recording, BUDGET, &mut trace).unwrap();
-    let events = trace.into_events();
+    assert!(manager.take_as::<TraceRecorder>(TraceRecorder::NAME).is_some());
+    assert_eq!(ring.dropped(), 0);
+    let events: Vec<TraceEvent> = ring.with(|rec| rec.events().cloned().collect());
 
     // The timeline tells the §II attack story in order: loader created →
     // payload downloaded → victim created → cross-process copy → victim exit.
+    let arg = |e: &TraceEvent, key: &str| {
+        e.args.iter().find(|(k, _)| k == key).map(|(_, v)| v.clone()).unwrap_or_default()
+    };
     let idx = |pred: &dyn Fn(&TraceEvent) -> bool| {
         events
             .iter()
             .position(pred)
             .unwrap_or_else(|| panic!("event missing from timeline"))
     };
-    let loader_created = idx(&|e| {
-        matches!(e, TraceEvent::ProcessCreated { name, .. } if name == "inject_client.exe")
-    });
-    let rx = idx(&|e| matches!(e, TraceEvent::NetRx { .. }));
-    let victim_created = idx(&|e| {
-        matches!(e, TraceEvent::ProcessCreated { name, .. } if name == "notepad.exe")
-    });
-    let injection = idx(&|e| matches!(e, TraceEvent::CrossProcessCopy { .. }));
-    let victim_exit = idx(&|e| {
-        matches!(e, TraceEvent::ProcessExited { name, .. } if name == "notepad.exe")
-    });
+    let loader_created =
+        idx(&|e| e.name == "process_created" && arg(e, "name") == "inject_client.exe");
+    let rx = idx(&|e| e.name == "net_rx");
+    let victim_created = idx(&|e| e.name == "process_created" && arg(e, "name") == "notepad.exe");
+    let injection =
+        idx(&|e| e.name == "guest_copy" && arg(e, "src_pid") != e.pid.to_string());
+    let victim_exit = idx(&|e| e.name == "process_exited" && arg(e, "name") == "notepad.exe");
     assert!(loader_created < rx);
     assert!(rx < victim_created);
     assert!(victim_created < injection);
     assert!(injection < victim_exit);
 
     // The loader's self-deletion shows in the syscall trace.
-    assert!(events.iter().any(|e| matches!(
-        e,
-        TraceEvent::Syscall { sysno: faros_repro::kernel::Sysno::NtDeleteFile, .. }
-    )));
+    assert!(events.iter().any(|e| e.name == "NtDeleteFile"));
 }

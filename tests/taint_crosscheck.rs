@@ -30,7 +30,7 @@ fn cross_check(sample: &Sample) -> TaintCrossCheck {
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
         .collect();
-    analyze::taint_cross_check(&alerts, &blocks.into_processes(), &models)
+    analyze::taint_cross_check_with_stats(&alerts, &blocks.into_processes(), &models).0
 }
 
 #[test]

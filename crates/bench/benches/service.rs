@@ -8,6 +8,12 @@
 //! beat the 1-worker batch, and the gate only demands real speedup when
 //! the machine can physically provide it.
 //!
+//! Workers resolve jobs against the corpus registry, which
+//! `faros_corpus::find_sample` builds once per process, on first use. In
+//! a fresh service process the first batch pays that one-time build. Here
+//! the setup lookup of the shared recording below comes first and pays
+//! it, so every measured batch sees the built registry.
+//!
 //! ## The workers_4 > workers_1 "inversion"
 //!
 //! On a 1-core runner the checked-in numbers show the 4-worker batch

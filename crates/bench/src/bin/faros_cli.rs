@@ -603,7 +603,7 @@ fn corpus_gate() {
     for name in ["jit_pulleysystem", "jit_gmail_com"] {
         let sample =
             find_sample(name).unwrap_or_else(|| fail(&format!("unknown jit sample `{name}`")));
-        let report = pipeline_report(&sample);
+        let report = pipeline_report(sample);
         println!(
             "corpus-gate: {:<28} recipes-exercised={} (known JIT FP, informational)",
             name,
@@ -1095,7 +1095,7 @@ fn main() {
                 .unwrap_or_else(|| fail(&format!("unknown sample `{name}` (try `list`)")));
             let (recording, _) =
                 record(&sample.scenario, BUDGET).unwrap_or_else(|e| fail(&e.to_string()));
-            let job = analyze_job(&sample, &recording, &opts);
+            let job = analyze_job(sample, &recording, &opts);
             print_report(&job.faros, &job.report, &opts);
         }
         "replay" => {
@@ -1106,7 +1106,7 @@ fn main() {
                 .unwrap_or_else(|| fail(&format!("unknown sample `{name}` (try `list`)")));
             let recording =
                 Recording::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
-            let job = analyze_job(&sample, &recording, &opts);
+            let job = analyze_job(sample, &recording, &opts);
             print_report(&job.faros, &job.report, &opts);
         }
         "run-asm" => {
@@ -1216,7 +1216,7 @@ fn main() {
             let name = args.get(1).unwrap_or_else(|| usage());
             let sample = find_sample(name)
                 .unwrap_or_else(|| fail(&format!("unknown sample `{name}` (try `list`)")));
-            let row = comparison::compare(&sample, BUDGET)
+            let row = comparison::compare(sample, BUDGET)
                 .unwrap_or_else(|e| fail(&e.to_string()));
             println!("{}", comparison::render_table(std::slice::from_ref(&row)));
         }

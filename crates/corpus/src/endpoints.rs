@@ -25,7 +25,7 @@ pub struct EndpointFactory {
     /// Endpoint port.
     pub port: u16,
     /// Constructor.
-    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint>>,
+    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint> + Send + Sync>,
 }
 
 impl std::fmt::Debug for EndpointFactory {
@@ -42,7 +42,7 @@ impl EndpointFactory {
     /// Creates a factory from a closure.
     pub fn new<F, E>(ip: [u8; 4], port: u16, make: F) -> EndpointFactory
     where
-        F: Fn() -> E + 'static,
+        F: Fn() -> E + Send + Sync + 'static,
         E: RemoteEndpoint + 'static,
     {
         EndpointFactory { ip, port, make: Box::new(move || Box::new(make())) }
@@ -59,7 +59,7 @@ pub struct InboundFactory {
     /// Virtual tick of the dial.
     pub at_tick: u64,
     /// Endpoint constructor.
-    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint>>,
+    pub make: Box<dyn Fn() -> Box<dyn RemoteEndpoint> + Send + Sync>,
 }
 
 impl std::fmt::Debug for InboundFactory {
@@ -81,7 +81,7 @@ impl InboundFactory {
         make: F,
     ) -> InboundFactory
     where
-        F: Fn() -> E + 'static,
+        F: Fn() -> E + Send + Sync + 'static,
         E: RemoteEndpoint + 'static,
     {
         InboundFactory { remote, guest_port, at_tick, make: Box::new(move || Box::new(make())) }

@@ -40,6 +40,8 @@ pub mod smc;
 
 pub use scenario::{Behavior, Category, InjectionKind, Sample, SampleScenario};
 
+use std::sync::OnceLock;
+
 /// Every named sample in the corpus: the seven injecting samples, the
 /// evasion samples, the Fig. 1/2 demos, the 20 JIT workloads, and the full
 /// 104-entry false-positive dataset.
@@ -68,7 +70,14 @@ pub fn sample_registry() -> Vec<Sample> {
     out
 }
 
-/// Looks a sample up by name (see [`sample_registry`]).
-pub fn find_sample(name: &str) -> Option<Sample> {
-    sample_registry().into_iter().find(|s| s.name() == name)
+/// Looks a sample up by name in the process-wide registry.
+///
+/// The registry is [`sample_registry`] built once per process, on the first
+/// lookup, and never changed after. A sample holds endpoint *factories*,
+/// not endpoints: every [`faros_replay::Scenario::build`] of it makes fresh
+/// endpoints, so sharing one sample across jobs and threads shares no
+/// guest-visible state.
+pub fn find_sample(name: &str) -> Option<&'static Sample> {
+    static REGISTRY: OnceLock<Vec<Sample>> = OnceLock::new();
+    REGISTRY.get_or_init(sample_registry).iter().find(|s| s.name() == name)
 }

@@ -2,7 +2,7 @@
 //! coherent ground-truth label — the contract the CLI and bench harness
 //! rely on.
 
-use faros_corpus::{find_sample, sample_registry, Category};
+use faros_corpus::{find_sample, sample_registry, Category, Sample};
 use faros_kernel::event::NullObserver;
 use faros_kernel::net::NetworkFabric;
 use faros_replay::Scenario as _;
@@ -20,6 +20,18 @@ fn names_are_unique_and_lookup_works() {
     assert!(find_sample("jit_pulleysystem").is_some());
     assert!(find_sample("taint_bomb").is_some());
     assert!(find_sample("no_such_sample").is_none());
+}
+
+/// The registry behind `find_sample` is shared by service worker threads,
+/// so `Sample` must stay `Send + Sync` (this fails to compile otherwise).
+fn assert_sync<T: Send + Sync>() {}
+const _: fn() = assert_sync::<Sample>;
+
+#[test]
+fn lookup_returns_the_one_registry_entry() {
+    let first = find_sample("process_hollowing").expect("registry sample");
+    let second = find_sample("process_hollowing").expect("registry sample");
+    assert!(std::ptr::eq(first, second), "find_sample rebuilt the registry");
 }
 
 #[test]

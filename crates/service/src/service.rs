@@ -784,7 +784,7 @@ fn execute_job(
 fn resolve(
     inner: &Inner,
     spec: &JobSpec,
-) -> Result<(faros_corpus::Sample, Recording), JobFailure> {
+) -> Result<(&'static faros_corpus::Sample, Recording), JobFailure> {
     match spec {
         JobSpec::Scenario { name } => {
             let sample = faros_corpus::find_sample(name).ok_or_else(|| {

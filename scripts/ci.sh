@@ -34,7 +34,7 @@ cargo test -q --offline --workspace
 echo "==> benchmark package tests (jobbench: every workload timed and traced, BENCHMARK.json parity)"
 # jobbench is a package of its own outside the workspace, so the workspace
 # test run above does not reach it.
-cargo test --release --offline --manifest-path jobbench/Cargo.toml
+cargo test --release --offline --locked --manifest-path jobbench/Cargo.toml
 
 echo "==> golden fixture staleness check (regen must be a no-op)"
 # Re-emitting every golden fixture must leave the working tree untouched;

@@ -275,9 +275,9 @@ fn print_report(faros: &Faros, report: &FarosReport, opts: &Opts) {
 }
 
 /// Maximum allowed ratio of the FAROS replay median over the plain replay
-/// median. With the translation cache's fused taint plans eliding clean
-/// flow batches, the FAROS replay runs near parity with the base replay;
-/// the gate catches hot-path regressions before they merge.
+/// median. With the translation cache and the taint engine's clean-shadow
+/// fast path, the FAROS replay runs near parity with the base replay; the
+/// gate catches hot-path regressions before they merge.
 const BENCH_GATE_MAX_RATIO: f64 = 1.5;
 
 fn bench_median(doc: &faros_support::json::JsonValue, name: &str) -> u64 {
@@ -322,8 +322,10 @@ fn bench_gate(file: &str) {
 /// Interpreter-vs-cache differential over the full sample registry: for
 /// every sample, record once, run the shared job pipeline under both
 /// execution modes (profiler on, so the deterministic profile section is
-/// covered too), and require byte-identical report JSON. Afterwards the
-/// aggregated `tc.*` translation-cache counters are printed.
+/// covered too), and require byte-identical report JSON and equal per-plugin
+/// dispatch counts. Dispatch parity catches a dropped or extra hook call
+/// that leaves the report unchanged. Afterwards the aggregated `tc.*`
+/// translation-cache counters are printed.
 fn differential_gate() {
     use faros_kernel::machine::ExecMode;
     let mut bad = 0usize;
@@ -333,14 +335,22 @@ fn differential_gate() {
         n += 1;
         let (recording, _) =
             record(&sample.scenario, BUDGET).unwrap_or_else(|e| fail(&e.to_string()));
-        let mut jsons = Vec::new();
+        let mut runs = Vec::new();
         for exec in [ExecMode::Cached, ExecMode::Interpret] {
             let cfg = AnalysisConfig { profile: true, exec, ..AnalysisConfig::default() };
             let job = faros::analyze_recording(&sample.scenario, &recording, &cfg)
                 .unwrap_or_else(|e| fail(&e.to_string()));
-            jsons.push((job.instructions, job.report.to_json().expect("report serializes")));
+            let dispatches: Vec<(String, u64)> =
+                job.cost.plugins.iter().map(|p| (p.name.clone(), p.dispatches)).collect();
+            let report = (job.instructions, job.report.to_json().expect("report serializes"));
+            runs.push((report, dispatches));
         }
-        let ok = jsons[0] == jsons[1];
+        let (same_report, same_dispatches) = (runs[0].0 == runs[1].0, runs[0].1 == runs[1].1);
+        let verdict = match (same_report, same_dispatches) {
+            (true, true) => "ok",
+            (false, _) => "FAIL (cached vs interpreter reports diverged)",
+            (true, false) => "FAIL (cached vs interpreter plugin dispatch counts differ)",
+        };
         let outcome = faros_replay::replay_with_exec(
             &sample.scenario,
             &recording,
@@ -354,16 +364,20 @@ fn differential_gate() {
         totals.misses += tc.misses;
         totals.invalidations += tc.invalidations;
         totals.blocks_built += tc.blocks_built;
-        totals.elided_blocks += tc.elided_blocks;
         println!(
-            "differential: {:<28} {} (tc: {} hits, {} blocks, {} invalidations)",
+            "differential: {:<28} {verdict} (tc: {} hits, {} blocks, {} invalidations)",
             sample.name(),
-            if ok { "ok" } else { "FAIL (cached vs interpreter reports diverged)" },
             tc.hits,
             tc.blocks_built,
             tc.invalidations,
         );
-        if !ok {
+        if !same_dispatches {
+            println!(
+                "differential:   dispatches cached {:?} vs interpreted {:?}",
+                runs[0].1, runs[1].1
+            );
+        }
+        if !(same_report && same_dispatches) {
             bad += 1;
         }
     }
@@ -372,14 +386,15 @@ fn differential_gate() {
         ("tc.misses", totals.misses),
         ("tc.invalidations", totals.invalidations),
         ("tc.blocks_built", totals.blocks_built),
-        ("tc.elided_blocks", totals.elided_blocks),
     ] {
         println!("differential: {name} = {value}");
     }
     if bad > 0 {
         fail(&format!("differential: {bad}/{n} samples diverged"));
     }
-    println!("differential: ok ({n} samples, both modes byte-identical)");
+    println!(
+        "differential: ok ({n} samples, both modes byte-identical with equal plugin dispatches)"
+    );
 }
 
 /// Static-only analysis of one FDL image file: CFG recovery, the dataflow

@@ -3,7 +3,7 @@
 
 use crate::policy::Policy;
 use crate::report::{Detection, FarosReport};
-use faros_emu::cpu::{CpuHooks, FlowSummary, InsnCtx, ShadowLoc};
+use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::{Reg, Width};
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents};
 use faros_kernel::module::{ModuleInfo, EXPORT_ENTRY_SIZE, EXPORT_PTR_OFFSET};
@@ -412,27 +412,6 @@ impl CpuHooks for Faros {
         // tainted comparison pick up its provenance until the flags are
         // re-derived from clean data.
         self.engine.enter_branch_scope();
-    }
-
-    fn flow_block_begin(&mut self) -> bool {
-        // Grant elision only while a block's propagation calls are provable
-        // no-ops. Non-flow hooks (and flow_flags) still arrive per
-        // instruction, so faros.* counters and detectors are unaffected.
-        self.engine.block_flows_elidable()
-    }
-
-    fn flow_block_end(&mut self, flows: &FlowSummary) {
-        // Replay the elided calls' counter effects in O(1). The parameters
-        // are mode-independent; the engine applies the address-dependency
-        // mode split itself, so cached and interpreted runs report
-        // identical taint metrics in every propagation mode.
-        self.engine.apply_clean_flows(
-            flows.copy_bytes as u64,
-            flows.union_ops as u64,
-            flows.delete_bytes as u64,
-            flows.addr_dep_ops() as u64,
-            flows.fastpath_probes() as u64,
-        );
     }
 
     fn on_load(&mut self, ctx: &InsnCtx, _vaddr: u32, phys: &[u32], _width: Width, _dst: Reg) {

@@ -180,9 +180,7 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     // cross-checks and the profile read (block coverage with retired
     // instructions, CFI transfers, capabilities), plus the trace recorder
     // when capture is on. The manager wrapping is unconditional so the
-    // dispatch path is identical with and without tracing. The observers
-    // keep the default `flow_block_begin() == true`, so clean-block flow
-    // elision is FAROS's call alone.
+    // dispatch path is identical with and without tracing.
     let mut plugins = PluginManager::new();
     if cfg.profile {
         plugins.enable_dispatch_profiling();

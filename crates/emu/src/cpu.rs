@@ -127,132 +127,6 @@ impl InsnCtx {
     }
 }
 
-/// A static summary of the data-flow hook calls an instruction makes — the
-/// translation cache's *taint plan* entry, computed once at decode time.
-///
-/// Every counter is exact for the instruction's non-faulting path: the CPU
-/// fires flow hooks only after all of the instruction's translations have
-/// succeeded, so an instruction either contributes its whole summary or (on
-/// a fault) nothing. When the shadow state is provably clean, a block
-/// executor can skip the per-op flow dispatch entirely and replay the summed
-/// plan against the taint engine's counters in one call (see
-/// [`CpuHooks::flow_block_end`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct FlowSummary {
-    /// Number of copy-flavored flow calls (`flow_copy`, `flow_load`,
-    /// `flow_store`), each one fast-path probe on the clean path.
-    pub copy_ops: u32,
-    /// Total bytes covered by those copies.
-    pub copy_bytes: u32,
-    /// Number of `flow_union` calls.
-    pub union_ops: u32,
-    /// Number of delete-flavored flow calls (`flow_delete`,
-    /// `flow_delete_mem`, and the zero-extension delete of narrow loads).
-    pub delete_ops: u32,
-    /// Total bytes covered by those deletes.
-    pub delete_bytes: u32,
-    /// Number of `flow_addr_dep` calls (register destination).
-    pub addr_dep_reg_ops: u32,
-    /// Number of `flow_addr_dep_bytes` calls (memory destination).
-    pub addr_dep_mem_ops: u32,
-}
-
-impl FlowSummary {
-    /// The flow calls `instr` makes when it retires without faulting.
-    pub fn of_instr(instr: &Instr) -> FlowSummary {
-        let mut s = FlowSummary::default();
-        match instr {
-            Instr::Nop
-            | Instr::Hlt
-            | Instr::Cmp { .. }
-            | Instr::Test { .. }
-            | Instr::Jmp { .. }
-            | Instr::Jcc { .. }
-            | Instr::JmpReg { .. }
-            | Instr::Ret
-            | Instr::Int { .. } => {}
-            Instr::MovRR { .. } => {
-                s.copy_ops = 1;
-                s.copy_bytes = 4;
-            }
-            Instr::MovRI { .. } => {
-                s.delete_ops = 1;
-                s.delete_bytes = 4;
-            }
-            Instr::Load { mem, width, .. } => {
-                let w = width.bytes() as u32;
-                s.copy_ops = 1;
-                s.copy_bytes = w;
-                if w < 4 {
-                    // flow_load zero-extends narrow loads with a delete.
-                    s.delete_ops = 1;
-                    s.delete_bytes = 4 - w;
-                }
-                if mem.regs_used().next().is_some() {
-                    s.addr_dep_reg_ops = 1;
-                }
-            }
-            Instr::Store { mem, width, .. } => {
-                s.copy_ops = 1;
-                s.copy_bytes = width.bytes() as u32;
-                if mem.regs_used().next().is_some() {
-                    s.addr_dep_mem_ops = 1;
-                }
-            }
-            Instr::Lea { .. } => {
-                // flow_union fires even with zero address sources.
-                s.union_ops = 1;
-            }
-            Instr::Alu { op, dst, src } => match src {
-                Operand::Reg(r) if r == dst && matches!(op, AluOp::Xor | AluOp::Sub) => {
-                    s.delete_ops = 1;
-                    s.delete_bytes = 4;
-                }
-                Operand::Reg(_) => s.union_ops = 1,
-                Operand::Imm(_) => {}
-            },
-            Instr::Call { .. } | Instr::CallReg { .. } | Instr::PushImm { .. } => {
-                // The return-address / immediate slot is a constant store.
-                s.delete_ops = 1;
-                s.delete_bytes = 4;
-            }
-            Instr::Push { .. } | Instr::Pop { .. } => {
-                s.copy_ops = 1;
-                s.copy_bytes = 4;
-            }
-        }
-        s
-    }
-
-    /// Accumulates another instruction's flows into this block summary.
-    pub fn add(&mut self, other: &FlowSummary) {
-        self.copy_ops += other.copy_ops;
-        self.copy_bytes += other.copy_bytes;
-        self.union_ops += other.union_ops;
-        self.delete_ops += other.delete_ops;
-        self.delete_bytes += other.delete_bytes;
-        self.addr_dep_reg_ops += other.addr_dep_reg_ops;
-        self.addr_dep_mem_ops += other.addr_dep_mem_ops;
-    }
-
-    /// `true` when the instruction (or block) makes no flow calls at all.
-    pub fn is_empty(&self) -> bool {
-        *self == FlowSummary::default()
-    }
-
-    /// Address-dependency flow calls of either flavor.
-    pub fn addr_dep_ops(&self) -> u32 {
-        self.addr_dep_reg_ops + self.addr_dep_mem_ops
-    }
-
-    /// How many clean-shadow fast-path probes the flows perform (one per
-    /// copy, union, or delete call; address deps probe only in
-    /// address-dependency mode, which the taint engine accounts for itself).
-    pub fn fastpath_probes(&self) -> u32 {
-        self.copy_ops + self.union_ops + self.delete_ops
-    }
-}
-
 /// Receiver for execution and data-flow events.
 ///
 /// All methods default to no-ops; implementors override what they need. The
@@ -346,29 +220,6 @@ pub trait CpuHooks {
     /// `srcs`. Conservative (RIFLE-style) policies use this to taint
     /// branch-scoped writes; FAROS ignores it.
     fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {}
-
-    /// A cached-block executor is about to run a block and asks whether the
-    /// per-instruction `flow_*` calls may be *elided* for it. Returning
-    /// `true` grants permission — it is not a commitment: the executor may
-    /// still dispatch every flow individually (e.g. when it falls back to
-    /// the interpreter), and when it does elide it calls
-    /// [`CpuHooks::flow_block_end`] exactly once with the block's summed
-    /// [`FlowSummary`] instead. Implementors must be correct under both
-    /// outcomes. Only return `true` when replaying the summary is
-    /// observably identical to the per-op calls — for a taint engine, when
-    /// the shadow state is clean and no control context is open.
-    ///
-    /// Non-flow hooks (`on_insn`, `on_load`, `on_store`, `on_control`,
-    /// `on_branch`, `flow_flags`) still fire per instruction regardless.
-    fn flow_block_begin(&mut self) -> bool {
-        true
-    }
-
-    /// The elided flow calls of one cached block, summed. Fired at most once
-    /// per block run, only when [`CpuHooks::flow_block_begin`] returned
-    /// `true` and the executor actually elided, and never with an empty
-    /// summary.
-    fn flow_block_end(&mut self, flows: &FlowSummary) {}
 }
 
 /// A [`CpuHooks`] implementation that does nothing — the plain-QEMU-speed
@@ -422,12 +273,6 @@ impl<H: CpuHooks + ?Sized> CpuHooks for &mut H {
     }
     fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
         (**self).flow_flags(srcs);
-    }
-    fn flow_block_begin(&mut self) -> bool {
-        (**self).flow_block_begin()
-    }
-    fn flow_block_end(&mut self, flows: &FlowSummary) {
-        (**self).flow_block_end(flows);
     }
 }
 
@@ -1369,89 +1214,6 @@ mod tests {
             StepEvent::Fault(Fault::NotMapped { vaddr: 0x2000 })
         );
         assert_eq!(cpu.context().eip, start, "fault is precise");
-    }
-
-    #[test]
-    fn flow_summary_matches_live_flow_dispatch() {
-        // FlowSummary::of_instr is the decode-time taint plan; it must agree
-        // with the flow calls the interpreter actually makes. Run a program
-        // covering every flow-relevant instruction shape and compare the
-        // hook-counted totals against the sum of the static summaries.
-        #[derive(Default)]
-        struct FlowCount {
-            live: FlowSummary,
-            planned: FlowSummary,
-        }
-        impl CpuHooks for FlowCount {
-            fn on_insn(&mut self, ctx: &InsnCtx) {
-                self.planned.add(&FlowSummary::of_instr(&ctx.instr));
-            }
-            fn flow_copy(&mut self, _dst: ShadowLoc, _src: ShadowLoc, len: u8) {
-                self.live.copy_ops += 1;
-                self.live.copy_bytes += len as u32;
-            }
-            fn flow_union(
-                &mut self,
-                _dst: ShadowLoc,
-                _dst_len: u8,
-                _srcs: &[(ShadowLoc, u8)],
-                _keep: bool,
-            ) {
-                self.live.union_ops += 1;
-            }
-            fn flow_delete(&mut self, _dst: ShadowLoc, len: u8) {
-                self.live.delete_ops += 1;
-                self.live.delete_bytes += len as u32;
-            }
-            fn flow_addr_dep(&mut self, _d: ShadowLoc, _l: u8, _s: &[(ShadowLoc, u8)]) {
-                self.live.addr_dep_reg_ops += 1;
-            }
-            fn flow_addr_dep_bytes(&mut self, _phys: &[u32], _s: &[(ShadowLoc, u8)]) {
-                self.live.addr_dep_mem_ops += 1;
-            }
-            // Batched flows count like the taint engine consumes them: one
-            // copy op covering the access, plus the zero-extension delete.
-            fn flow_load(&mut self, _dst: Reg, phys: &[u32]) {
-                self.live.copy_ops += 1;
-                self.live.copy_bytes += phys.len() as u32;
-                if phys.len() < 4 {
-                    self.live.delete_ops += 1;
-                    self.live.delete_bytes += (4 - phys.len()) as u32;
-                }
-            }
-            fn flow_store(&mut self, phys: &[u32], _src: Reg) {
-                self.live.copy_ops += 1;
-                self.live.copy_bytes += phys.len() as u32;
-            }
-            fn flow_delete_mem(&mut self, phys: &[u32]) {
-                self.live.delete_ops += 1;
-                self.live.delete_bytes += phys.len() as u32;
-            }
-        }
-        let mut a = Asm::new(0x1000);
-        a.mov_ri(Reg::Eax, 0x2010); // delete
-        a.mov_rr(Reg::Ebx, Reg::Eax); // copy
-        a.st4(Mem::reg(Reg::Eax), Reg::Ebx); // store + mem addr dep
-        a.ld4(Reg::Ecx, Mem::reg(Reg::Eax)); // load + reg addr dep
-        a.ld1(Reg::Edx, Mem::abs(0x2010)); // narrow load, no addr dep
-        a.add_ri(Reg::Ebx, 1); // imm alu: no flow
-        a.sub_rr(Reg::Ebx, Reg::Ecx); // union
-        a.xor_rr(Reg::Edx, Reg::Edx); // delete idiom
-        a.cmp_ri(Reg::Ebx, 0); // flags only
-        a.jnz("skip");
-        a.label("skip");
-        a.push(Reg::Ebx); // store
-        a.push_imm(7); // delete_mem
-        a.pop(Reg::Ecx); // load
-        a.call("fn");
-        a.hlt();
-        a.label("fn");
-        a.ret();
-        let (mut cpu, mut mem, aspace) = machine(&a);
-        let mut counts = FlowCount::default();
-        while !matches!(cpu.step(&mut mem, &aspace, &mut counts), StepEvent::Halt) {}
-        assert!(!counts.planned.is_empty());
-        assert_eq!(counts.live, counts.planned);
     }
 
     #[test]

@@ -17,8 +17,7 @@
 //! * [`mmu`] — page tables, permissions, translation faults;
 //! * [`cpu`] — the interpreter and its DIFT-oriented hook surface;
 //! * [`tcache`] — the decode-once translation cache: predecoded blocks,
-//!   block-to-block chaining, and per-block taint plans that let a clean
-//!   shadow state skip whole blocks of flow dispatch.
+//!   block-to-block chaining, and self-modifying-code invalidation.
 //!
 //! ## Quick start
 //!
@@ -62,7 +61,7 @@ pub mod mmu;
 pub mod tcache;
 pub mod text;
 
-pub use cpu::{Cpu, CpuContext, CpuHooks, FlowSummary, InsnCtx, NoHooks, ShadowLoc, StepEvent};
+pub use cpu::{Cpu, CpuContext, CpuHooks, InsnCtx, NoHooks, ShadowLoc, StepEvent};
 pub use tcache::{TcStats, TransCache};
 pub use isa::{Instr, Mem as MemOperand, Reg};
 pub use mem::PhysMem;

@@ -5,11 +5,8 @@
 //! (and SpiderPig's pre-instrumented code regions) do: guest code is decoded
 //! once into per-address-space *cached blocks* — straight-line instruction
 //! runs ending at a control transfer — and re-executed from the decoded form.
-//! Each cached instruction carries its decode-time [`FlowSummary`] ("taint
-//! plan"), so when the hook stack reports a provably clean shadow state
-//! ([`CpuHooks::flow_block_begin`]) the executor elides every per-op flow
-//! dispatch in the block and replays the summed plan in a single
-//! [`CpuHooks::flow_block_end`] call.
+//! The cache saves decoding only: every hook still fires per instruction,
+//! exactly as the interpreter fires it.
 //!
 //! # Key scheme and invalidation
 //!
@@ -32,7 +29,7 @@
 //! through [`Cpu::step`]. The corpus-wide differential gate in CI holds the
 //! two executors to byte-identical analysis reports.
 
-use crate::cpu::{Cpu, CpuHooks, FlowSummary, InsnCtx, ShadowLoc, StepEvent};
+use crate::cpu::{Cpu, CpuHooks, InsnCtx, ShadowLoc, StepEvent};
 use crate::encode::MAX_INSTR_LEN;
 use crate::isa::{Instr, Reg, Width};
 use crate::mem::{page_number, PhysMem};
@@ -52,7 +49,6 @@ struct CachedInsn {
     len: u8,
     instr: Instr,
     code_phys: [u32; MAX_INSTR_LEN],
-    flows: FlowSummary,
 }
 
 /// A straight-line run of predecoded instructions.
@@ -78,7 +74,8 @@ pub struct TcStats {
     pub invalidations: u64,
     /// Blocks decoded (misses that produced at least one instruction).
     pub blocks_built: u64,
-    /// Block runs whose flow dispatch was elided via the block taint plan.
+    /// Always 0. Kept only because the job benchmark still reads it as
+    /// `emu.tc_elided_blocks`; goes away with that metric.
     pub elided_blocks: u64,
 }
 
@@ -251,7 +248,6 @@ impl TransCache {
                 len: len as u8,
                 instr,
                 code_phys,
-                flows: FlowSummary::of_instr(&instr),
             });
             if instr.ends_block() || insns.len() >= MAX_BLOCK_INSNS {
                 break;
@@ -267,14 +263,11 @@ impl TransCache {
 }
 
 /// The executor's per-block hook shim: watches stores for self-modifying
-/// code and, when the block's flows are elided, swallows the per-op flow
-/// calls (the executor replays the block plan through
-/// [`CpuHooks::flow_block_end`] instead). Non-flow events and `flow_flags`
-/// always pass through, so observers see the exact interpreter event stream.
+/// code and forwards every hook unchanged, so observers see the exact
+/// interpreter event stream.
 struct BlockHooks<'a, H: CpuHooks> {
     inner: &'a mut H,
     watch: &'a CodeWatch,
-    elide: bool,
 }
 
 impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
@@ -282,46 +275,30 @@ impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
         self.inner.on_insn(ctx);
     }
     fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-        if !self.elide {
-            self.inner.flow_copy(dst, src, len);
-        }
+        self.inner.flow_copy(dst, src, len);
     }
     fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {
-        if !self.elide {
-            self.inner.flow_union(dst, dst_len, srcs, keep_dst);
-        }
+        self.inner.flow_union(dst, dst_len, srcs, keep_dst);
     }
     fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-        if !self.elide {
-            self.inner.flow_delete(dst, len);
-        }
+        self.inner.flow_delete(dst, len);
     }
     fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {
-        if !self.elide {
-            self.inner.flow_addr_dep(dst, dst_len, addr_srcs);
-        }
+        self.inner.flow_addr_dep(dst, dst_len, addr_srcs);
     }
     fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
-        if !self.elide {
-            self.inner.flow_addr_dep_bytes(phys, addr_srcs);
-        }
+        self.inner.flow_addr_dep_bytes(phys, addr_srcs);
     }
     fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
-        if !self.elide {
-            self.inner.flow_load(dst, phys);
-        }
+        self.inner.flow_load(dst, phys);
     }
     fn flow_store(&mut self, phys: &[u32], src: Reg) {
         self.watch.note_phys(phys);
-        if !self.elide {
-            self.inner.flow_store(phys, src);
-        }
+        self.inner.flow_store(phys, src);
     }
     fn flow_delete_mem(&mut self, phys: &[u32]) {
         self.watch.note_phys(phys);
-        if !self.elide {
-            self.inner.flow_delete_mem(phys);
-        }
+        self.inner.flow_delete_mem(phys);
     }
     fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
         self.inner.on_load(ctx, vaddr, phys, width, dst);
@@ -338,8 +315,6 @@ impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
     fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
         self.inner.flow_flags(srcs);
     }
-    // flow_block_begin / flow_block_end keep their defaults: the executor
-    // talks to the real hook stack directly, never through the shim.
 }
 
 impl Cpu {
@@ -347,9 +322,7 @@ impl Cpu {
     ///
     /// Observably identical to calling [`Cpu::step`] `fuel` times and
     /// stopping at the first event a scheduler acts on: every hook fires in
-    /// the same order with the same arguments, except that per-op flow hooks
-    /// inside a block may be replaced by one [`CpuHooks::flow_block_end`]
-    /// when [`CpuHooks::flow_block_begin`] granted elision.
+    /// the same order with the same arguments.
     ///
     /// Returns the number of instructions retired and the event that ended
     /// the run: [`StepEvent::Syscall`], [`StepEvent::Halt`],
@@ -375,16 +348,11 @@ impl Cpu {
                 Ok(idx) => idx,
                 Err(ev) => return (executed, ev),
             };
-            let elide = hooks.flow_block_begin();
-            if elide {
-                tc.stats.elided_blocks += 1;
-            }
-            let mut acc = FlowSummary::default();
             let mut event = StepEvent::Normal;
             let mut terminal = false;
             {
                 let block = &tc.blocks[idx];
-                let mut shim = BlockHooks { inner: hooks, watch: &tc.watch, elide };
+                let mut shim = BlockHooks { inner: hooks, watch: &tc.watch };
                 for insn in &block.insns {
                     if executed >= fuel {
                         break;
@@ -407,9 +375,6 @@ impl Cpu {
                     }
                     self.retire_one();
                     executed += 1;
-                    if elide {
-                        acc.add(&insn.flows);
-                    }
                     match event {
                         StepEvent::Normal => {
                             // A store hit cached code: stop before the next
@@ -426,9 +391,6 @@ impl Cpu {
                     }
                 }
             }
-            if elide && !acc.is_empty() {
-                hooks.flow_block_end(&acc);
-            }
             if terminal {
                 return (executed, event);
             }
@@ -443,6 +405,7 @@ mod tests {
     use super::*;
     use crate::asm::Asm;
     use crate::cpu::NoHooks;
+    use crate::isa::Mem;
     use crate::mem::PAGE_SIZE;
     use crate::mmu::Perms;
 
@@ -477,22 +440,85 @@ mod tests {
         a.push(Reg::Ebx);
         a.pop(Reg::Esi);
         a.add_ri(Reg::Edx, 0);
-        a.st4(crate::isa::Mem::abs(0x2000), Reg::Esi);
-        a.ld4(Reg::Esi, crate::isa::Mem::abs(0x2000));
+        a.st4(Mem::abs(0x2000), Reg::Esi);
+        a.ld4(Reg::Esi, Mem::abs(0x2000));
+        // One instruction of every remaining flow and control shape.
+        a.lea(Reg::Edi, Mem::abs(0x2010)); // union, no sources
+        a.st4(Mem::reg(Reg::Edi), Reg::Edx); // store + memory addr dep
+        a.ld1(Reg::Esi, Mem::reg(Reg::Edi)); // narrow load + register addr dep
+        a.sub_rr(Reg::Esi, Reg::Edx); // union
+        a.xor_rr(Reg::Esi, Reg::Esi); // delete idiom
+        a.push_imm(7); // constant store
+        a.pop(Reg::Esi);
+        a.cmp_rr(Reg::Esi, Reg::Edx); // flags from registers
+        a.mov_label(Reg::Ebp, "leaf");
+        a.call_reg(Reg::Ebp); // indirect control with a target source
         a.sub_ri(Reg::Ecx, 1);
         a.cmp_ri(Reg::Ecx, 0);
         a.jnz("loop");
         a.hlt();
+        a.label("leaf");
+        a.ret();
         a
+    }
+
+    /// Logs every hook call with its arguments, in order.
+    #[derive(Default)]
+    struct Recorder(Vec<String>);
+
+    impl CpuHooks for Recorder {
+        fn on_insn(&mut self, ctx: &InsnCtx) {
+            self.0.push(format!("on_insn {ctx:?}"));
+        }
+        fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
+            self.0.push(format!("flow_copy {dst:?} {src:?} {len}"));
+        }
+        fn flow_union(&mut self, dst: ShadowLoc, len: u8, srcs: &[(ShadowLoc, u8)], keep: bool) {
+            self.0.push(format!("flow_union {dst:?} {len} {srcs:?} {keep}"));
+        }
+        fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
+            self.0.push(format!("flow_delete {dst:?} {len}"));
+        }
+        fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)]) {
+            self.0.push(format!("flow_addr_dep {dst:?} {dst_len} {srcs:?}"));
+        }
+        fn flow_addr_dep_bytes(&mut self, phys: &[u32], srcs: &[(ShadowLoc, u8)]) {
+            self.0.push(format!("flow_addr_dep_bytes {phys:?} {srcs:?}"));
+        }
+        fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
+            self.0.push(format!("flow_load {dst:?} {phys:?}"));
+        }
+        fn flow_store(&mut self, phys: &[u32], src: Reg) {
+            self.0.push(format!("flow_store {phys:?} {src:?}"));
+        }
+        fn flow_delete_mem(&mut self, phys: &[u32]) {
+            self.0.push(format!("flow_delete_mem {phys:?}"));
+        }
+        fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
+            self.0.push(format!("on_load {} {vaddr:#x} {phys:?} {width:?} {dst:?}", ctx.vaddr));
+        }
+        fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {
+            self.0.push(format!("on_store {} {vaddr:#x} {phys:?} {width:?} {src:?}", ctx.vaddr));
+        }
+        fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
+            self.0.push(format!("on_control {} {target:#x} {target_src:?}", ctx.vaddr));
+        }
+        fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
+            self.0.push(format!("on_branch {} {taken}", ctx.vaddr));
+        }
+        fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
+            self.0.push(format!("flow_flags {srcs:?}"));
+        }
     }
 
     #[test]
     fn cached_run_matches_interpreter_state_and_events() {
         let a = fib_program();
         let (mut ic, mut imem, iaspace) = machine(&a);
+        let mut interp_log = Recorder::default();
         let mut interp_events = Vec::new();
         loop {
-            let ev = ic.step(&mut imem, &iaspace, &mut NoHooks);
+            let ev = ic.step(&mut imem, &iaspace, &mut interp_log);
             interp_events.push(ev);
             if ev == StepEvent::Halt {
                 break;
@@ -500,14 +526,35 @@ mod tests {
         }
         let (mut cc, mut cmem, caspace) = machine(&a);
         let mut tc = TransCache::new();
+        let mut cached_log = Recorder::default();
         let (executed, ev) =
-            cc.run_cached(&mut cmem, &caspace, &mut tc, &mut NoHooks, u32::MAX);
+            cc.run_cached(&mut cmem, &caspace, &mut tc, &mut cached_log, u32::MAX);
         assert_eq!(ev, StepEvent::Halt);
         assert_eq!(executed as usize, interp_events.len());
         assert_eq!(cc.context(), ic.context());
         assert_eq!(cc.retired(), ic.retired());
         assert!(tc.stats().hits > 0, "loop body must hit the cache");
         assert!(tc.stats().misses >= 1);
+        for hook in [
+            "on_insn",
+            "flow_copy",
+            "flow_union",
+            "flow_delete",
+            "flow_addr_dep",
+            "flow_addr_dep_bytes",
+            "flow_load",
+            "flow_store",
+            "flow_delete_mem",
+            "on_load",
+            "on_store",
+            "on_control",
+            "on_branch",
+            "flow_flags",
+        ] {
+            let tag = format!("{hook} ");
+            assert!(interp_log.0.iter().any(|e| e.starts_with(&tag)), "program never fires {hook}");
+        }
+        assert_eq!(cached_log.0, interp_log.0, "cached run is hook-for-hook identical");
     }
 
     #[test]
@@ -543,7 +590,7 @@ mod tests {
         a2.jz("done");
         a2.mov_ri(Reg::Ecx, 99);
         a2.mov_ri(Reg::Ebx, 1);
-        a2.st4(crate::isa::Mem::abs(0x1002), Reg::Ecx);
+        a2.st4(Mem::abs(0x1002), Reg::Ecx);
         a2.jmp("start");
         a2.label("done");
         a2.hlt();
@@ -593,62 +640,5 @@ mod tests {
         tc.note_write(10, 2);
         assert_eq!(tc.version(), v0 + 1);
         assert_eq!(tc.stats().invalidations, 1);
-    }
-
-    #[test]
-    fn elision_replays_the_block_plan_once() {
-        #[derive(Default)]
-        struct ElideProbe {
-            grants: u32,
-            per_op: u32,
-            summaries: Vec<FlowSummary>,
-        }
-        impl CpuHooks for ElideProbe {
-            fn flow_block_begin(&mut self) -> bool {
-                self.grants += 1;
-                true
-            }
-            fn flow_block_end(&mut self, flows: &FlowSummary) {
-                self.summaries.push(*flows);
-            }
-            fn flow_copy(&mut self, _d: ShadowLoc, _s: ShadowLoc, _l: u8) {
-                self.per_op += 1;
-            }
-            fn flow_delete(&mut self, _d: ShadowLoc, _l: u8) {
-                self.per_op += 1;
-            }
-            fn flow_load(&mut self, _d: Reg, _p: &[u32]) {
-                self.per_op += 1;
-            }
-            fn flow_store(&mut self, _p: &[u32], _s: Reg) {
-                self.per_op += 1;
-            }
-            fn flow_delete_mem(&mut self, _p: &[u32]) {
-                self.per_op += 1;
-            }
-            fn flow_union(&mut self, _d: ShadowLoc, _l: u8, _s: &[(ShadowLoc, u8)], _k: bool) {
-                self.per_op += 1;
-            }
-        }
-        let mut a = Asm::new(0x1000);
-        a.mov_ri(Reg::Eax, 1);
-        a.mov_rr(Reg::Ebx, Reg::Eax);
-        a.hlt();
-        let (mut cpu, mut mem, aspace) = machine(&a);
-        let mut tc = TransCache::new();
-        let mut probe = ElideProbe::default();
-        let (_, ev) = cpu.run_cached(&mut mem, &aspace, &mut tc, &mut probe, u32::MAX);
-        assert_eq!(ev, StepEvent::Halt);
-        assert_eq!(probe.per_op, 0, "granted elision suppresses per-op flows");
-        assert_eq!(probe.grants, 1);
-        let expect = FlowSummary {
-            copy_ops: 1,
-            copy_bytes: 4,
-            delete_ops: 1,
-            delete_bytes: 4,
-            ..FlowSummary::default()
-        };
-        assert_eq!(probe.summaries, vec![expect]);
-        assert_eq!(tc.stats().elided_blocks, 1);
     }
 }

@@ -209,12 +209,6 @@ impl FastPath {
         m.inc(self.hits);
     }
 
-    /// Counts `n` fast-path hits in one update (batched block elision).
-    #[inline]
-    pub fn hit_n(&self, m: &mut MetricsRegistry, n: u64) {
-        m.add(self.hits, n);
-    }
-
     /// Counts a fast-path miss (the slow path ran).
     #[inline]
     pub fn miss(&self, m: &mut MetricsRegistry) {

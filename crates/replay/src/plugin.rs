@@ -11,7 +11,7 @@
 //! wall-clock per plugin (opt-in, because timing every hot-path hook costs
 //! two clock reads per dispatch).
 
-use faros_emu::cpu::{CpuHooks, FlowSummary, InsnCtx, ShadowLoc};
+use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::{Reg, Width};
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents};
 use faros_kernel::module::ModuleInfo;
@@ -239,31 +239,6 @@ impl CpuHooks for PluginManager {
     }
     fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
         fan!(self, flow_flags(srcs));
-    }
-    fn flow_block_begin(&mut self) -> bool {
-        // AND across all plugins *without* short-circuiting: every plugin
-        // must see the query (and have its dispatch counted), and elision
-        // is granted only when every one of them agrees.
-        let mut all = true;
-        if self.profile_wall {
-            for (p, &ci) in self.plugins.iter_mut().zip(&self.cost_idx) {
-                let t0 = Instant::now();
-                let granted = p.flow_block_begin();
-                let cost = &mut self.costs[ci];
-                cost.dispatches += 1;
-                cost.wall_ns += t0.elapsed().as_nanos() as u64;
-                all &= granted;
-            }
-        } else {
-            for (p, &ci) in self.plugins.iter_mut().zip(&self.cost_idx) {
-                all &= p.flow_block_begin();
-                self.costs[ci].dispatches += 1;
-            }
-        }
-        all
-    }
-    fn flow_block_end(&mut self, flows: &FlowSummary) {
-        fan!(self, flow_block_end(flows));
     }
 }
 

@@ -357,53 +357,6 @@ impl TaintEngine {
         self.shadow.is_clean() && self.control_ctx.is_empty()
     }
 
-    /// Returns `true` when a whole block's propagation calls may be elided
-    /// and replayed through [`TaintEngine::apply_clean_flows`]. This is
-    /// [`TaintEngine::propagation_is_noop`] plus an empty flags provenance:
-    /// with clean shadow and no recorded flags provenance, nothing a block
-    /// does (including `enter_branch_scope` at its terminating branch) can
-    /// change shadow state, open a non-empty control context, or alter what
-    /// any elided propagation call would have computed.
-    #[inline]
-    pub fn block_flows_elidable(&self) -> bool {
-        self.propagation_is_noop() && self.flags_prov.is_empty()
-    }
-
-    /// Replays the counter side effects of a block's worth of elided
-    /// propagation calls in O(1): the caller proved (via
-    /// [`TaintEngine::block_flows_elidable`] staying true for the whole
-    /// block) that every call was a fast-path no-op, so only the metrics
-    /// move. The parameters are mode-independent sums over the block:
-    ///
-    /// * `copy_bytes` / `delete_bytes` — total bytes of elided copies and
-    ///   deletes (these counters count bytes);
-    /// * `union_ops` — elided `union_into` calls (counted per call);
-    /// * `addr_dep_ops` — elided `addr_dep` / `addr_dep_bytes` calls; the
-    ///   engine applies its own mode split (each one also unions and probes
-    ///   the fast path only when address dependencies are propagated);
-    /// * `fastpath_probes` — fast-path decisions of the copy/union/delete
-    ///   calls themselves (one per call), excluding address deps.
-    pub fn apply_clean_flows(
-        &mut self,
-        copy_bytes: u64,
-        union_ops: u64,
-        delete_bytes: u64,
-        addr_dep_ops: u64,
-        fastpath_probes: u64,
-    ) {
-        debug_assert!(self.block_flows_elidable());
-        self.metrics.add(self.ctr.copies, copy_bytes);
-        self.metrics.add(self.ctr.deletes, delete_bytes);
-        self.metrics.add(self.ctr.addr_deps, addr_dep_ops);
-        let (unions, probes) = if self.mode.address_deps {
-            (union_ops + addr_dep_ops, fastpath_probes + addr_dep_ops)
-        } else {
-            (union_ops, fastpath_probes)
-        };
-        self.metrics.add(self.ctr.unions, unions);
-        self.ctr.fastpath.hit_n(&mut self.metrics, probes);
-    }
-
     /// Counts one fast-path decision; returns `true` on a hit (skip).
     #[inline]
     fn fast_path(&mut self) -> bool {

@@ -164,8 +164,9 @@ cargo run --release --offline -p faros-bench --bin faros-cli -- analyze --corpus
 echo "==> interpreter-vs-cache differential over the full corpus"
 # The translation cache is mechanism, not policy: for every sample in the
 # registry, the cached and interpreted replays must retire the same
-# instruction count and assemble byte-identical reports across every
-# section (detections, coverage, CFI, metrics, profile).
+# instruction count, assemble byte-identical reports across every
+# section (detections, coverage, CFI, metrics, profile) and deliver the
+# same number of callbacks to every plugin.
 cargo run --release --offline -p faros-bench --bin faros-cli -- differential
 
 echo "==> hermeticity check: no external dependencies in any manifest"

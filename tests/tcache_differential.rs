@@ -1,8 +1,8 @@
 //! Interpreter-vs-cache differential over representative corpus samples.
 //!
-//! The translation cache is pure mechanism: decode-once, block chaining,
-//! fused taint plans, elision of provably-no-op flow batches. None of it
-//! may be *policy* — for any recording, the report assembled from a cached
+//! The translation cache is pure mechanism: decode-once, block chaining and
+//! self-modifying-code invalidation. None of it may be *policy* — for any
+//! recording, the report assembled from a cached
 //! replay must be byte-for-byte the report assembled from an interpreted
 //! replay, across every section (taint detections, coverage diff, CFI
 //! cross-check, metrics, and the deterministic profile).

@@ -12,9 +12,10 @@
 //!   target set; each **unresolved indirect site** (no VSA claim) may
 //!   only reach a known function entry; every **return** must land on a
 //!   call-preceded address (the instruction after a `call`/`call reg`).
-//! * [`check`] replays the transfers a [`CfiMonitor`] recorded
-//!   ([`ProcessTransfers`]) against the models of every loaded module and
-//!   emits one [`CfiViolation`] per escaping `(site, target)` edge.
+//! * [`check`] replays the transfers a [`faros_replay::CfiMonitor`]
+//!   recorded ([`ProcessTransfers`]) against the models of every loaded
+//!   module and emits one [`CfiViolation`] per escaping `(site, target)`
+//!   edge.
 //!
 //! **Soundness on benign code.** Claims are only enforced where the
 //! static model has authority: kernel-space sites and targets are the

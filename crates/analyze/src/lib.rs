@@ -4,12 +4,12 @@
 //! shape of SpiderPig's static pre-analysis and ROPocop's statically
 //! derived code invariants:
 //!
-//! * [`cfg`] — recursive-descent + linear-sweep disassembly over an
+//! * [`mod@cfg`] — recursive-descent + linear-sweep disassembly over an
 //!   [`FdlImage`](faros_kernel::module::FdlImage)'s executable sections,
 //!   recovering basic blocks, a control-flow graph, and direct call edges
 //!   — without executing a single instruction;
 //! * [`lint`] — a pass over the image and its recovered CFG emitting
-//!   structured [`Finding`](lint::Finding)s: W^X sections, reachable
+//!   structured [`lint::Finding`]s: W^X sections, reachable
 //!   writes into code, statically unresolvable indirect control flow,
 //!   unreachable code, dangling exports, export-hash collisions;
 //! * [`vsa`] — worklist-based intra-procedural value-set analysis over

@@ -30,9 +30,9 @@
 //! VAs across the reachable sites — exact for the straight-line loaders
 //! the corpus ships, conservative in general.
 //!
-//! [`capability_cross_check`] is the dynamic half, mirroring the taint
-//! cross-check: each capability a process *concretely exercised* (recorded
-//! by `faros-replay`'s `CapabilityMonitor`) is classified statically
+//! [`capability_cross_check_with_stats`] is the dynamic half, mirroring
+//! the taint cross-check: each capability a process *concretely exercised*
+//! (recorded by `faros-replay`'s `CapabilityMonitor`) is classified statically
 //! *modeled* or **statically impossible-per-model** — the new alert class:
 //! a process exercising an injection capability its own loaded images
 //! cannot justify is running injected or laundered code. Because the

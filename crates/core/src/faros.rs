@@ -20,13 +20,23 @@ use faros_taint::shadow::{ShadowAddr, SHADOW_REGS};
 use faros_taint::tag::{NetflowTag, ProvTag, TagKind};
 use std::collections::{BTreeSet, HashMap, HashSet};
 
-/// Converts the emulator's shadow location into the taint engine's.
+/// The taint engine's address of byte 0 of `r`; a whole-register operand
+/// is this address with length 4.
 #[inline]
-fn loc(l: ShadowLoc) -> ShadowAddr {
-    match l {
-        ShadowLoc::Mem(p) => ShadowAddr::Mem(p),
-        ShadowLoc::Reg { reg, off } => ShadowAddr::Reg { index: reg.index() as u8, off },
+fn reg_addr(r: Reg) -> ShadowAddr {
+    ShadowAddr::Reg { index: r.index() as u8, off: 0 }
+}
+
+/// Whole-register source operands for the engine, on the stack: an FE32
+/// flow names at most two source registers (`Mem::regs_used`, `cmp r, r`).
+#[inline]
+fn reg_srcs(regs: &[Reg]) -> ([(ShadowAddr, u8); 2], usize) {
+    debug_assert!(regs.len() <= 2, "FE32 flows read at most two registers");
+    let mut out = [(ShadowAddr::Mem(0), 0); 2];
+    for (slot, &r) in out.iter_mut().zip(regs) {
+        *slot = (reg_addr(r), 4);
     }
+    (out, regs.len().min(2))
 }
 
 /// Converts a kernel flow tuple into a netflow tag payload.
@@ -311,25 +321,8 @@ impl CpuHooks for Faros {
         self.current_cr3 = ctx.asid.0;
     }
 
-    fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-        self.engine.copy(loc(dst), loc(src), len);
-        // "If a process accesses a byte in memory, FAROS adds a process tag
-        // into the head of that byte's provenance list" — applied on stores
-        // of tainted bytes. Skipped wholesale while shadow memory is clean:
-        // the copy above cannot have tainted anything.
-        if self.engine.shadow().tainted_mem_bytes() == 0 {
-            return;
-        }
-        if let ShadowLoc::Mem(p) = dst {
-            let cr3 = self.current_cr3;
-            for i in 0..len {
-                let a = ShadowAddr::Mem(p.wrapping_add(i as u32));
-                if !self.engine.prov_id(a).is_empty() {
-                    let tag = self.process_tag(cr3);
-                    self.engine.append_tag(a, tag);
-                }
-            }
-        }
+    fn flow_copy(&mut self, dst: Reg, src: Reg) {
+        self.engine.copy(reg_addr(dst), reg_addr(src), 4);
     }
 
     fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
@@ -346,9 +339,12 @@ impl CpuHooks for Faros {
 
     fn flow_store(&mut self, phys: &[u32], src: Reg) {
         self.engine.copy_reg_to_mem(phys, src.index() as u8);
-        // Process-tag append on stores of tainted bytes, per byte of the
-        // translated run (each byte on its own frame — a page-crossing
-        // store must not tag `phys[0] + i`).
+        // "If a process accesses a byte in memory, FAROS adds a process tag
+        // into the head of that byte's provenance list" — applied on stores
+        // of tainted bytes, per byte of the translated run (each byte on its
+        // own frame — a page-crossing store must not tag `phys[0] + i`).
+        // Skipped wholesale while shadow memory is clean: the copy above
+        // cannot have tainted anything.
         if self.engine.shadow().tainted_mem_bytes() == 0 {
             return;
         }
@@ -366,45 +362,28 @@ impl CpuHooks for Faros {
         self.engine.delete_mem(phys);
     }
 
-    fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {
-        if self.engine.propagation_is_noop() {
-            // Still dispatch with no sources so the union/fast-path counters
-            // advance exactly as on the slow path, without the conversion.
-            self.engine.union_into(loc(dst), dst_len, &[], keep_dst);
-            return;
-        }
-        let srcs: Vec<(ShadowAddr, u8)> = srcs.iter().map(|&(s, l)| (loc(s), l)).collect();
-        self.engine.union_into(loc(dst), dst_len, &srcs, keep_dst);
+    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
+        let (srcs, n) = reg_srcs(srcs);
+        self.engine.union_into(reg_addr(dst), 4, &srcs[..n], keep_dst);
     }
 
-    fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-        self.engine.delete(loc(dst), len);
+    fn flow_delete(&mut self, dst: Reg) {
+        self.engine.delete(reg_addr(dst), 4);
     }
 
-    fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {
-        if self.engine.propagation_is_noop() {
-            self.engine.addr_dep(loc(dst), dst_len, &[]);
-            return;
-        }
-        let srcs: Vec<(ShadowAddr, u8)> = addr_srcs.iter().map(|&(s, l)| (loc(s), l)).collect();
-        self.engine.addr_dep(loc(dst), dst_len, &srcs);
+    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
+        let (srcs, n) = reg_srcs(addr_srcs);
+        self.engine.addr_dep(reg_addr(dst), 4, &srcs[..n]);
     }
 
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
-        if self.engine.propagation_is_noop() {
-            self.engine.addr_dep_bytes(phys, &[]);
-            return;
-        }
-        let srcs: Vec<(ShadowAddr, u8)> = addr_srcs.iter().map(|&(s, l)| (loc(s), l)).collect();
-        self.engine.addr_dep_bytes(phys, &srcs);
+    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
+        let (srcs, n) = reg_srcs(addr_srcs);
+        self.engine.addr_dep_bytes(phys, &srcs[..n]);
     }
 
-    fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
-        if !self.engine.mode().control_deps {
-            return;
-        }
-        let srcs: Vec<(ShadowAddr, u8)> = srcs.iter().map(|&(s, l)| (loc(s), l)).collect();
-        self.engine.note_flags(&srcs);
+    fn flow_flags(&mut self, srcs: &[Reg]) {
+        let (srcs, n) = reg_srcs(srcs);
+        self.engine.note_flags(&srcs[..n]);
     }
 
     fn on_branch(&mut self, _ctx: &InsnCtx, _taken: bool) {
@@ -496,7 +475,10 @@ impl CpuHooks for Faros {
         if matches!(src, ShadowLoc::Mem(_)) && self.engine.shadow().tainted_mem_bytes() == 0 {
             return;
         }
-        let prov = self.engine.prov_id(loc(src));
+        let prov = self.engine.prov_id(match src {
+            ShadowLoc::Mem(p) => ShadowAddr::Mem(p),
+            ShadowLoc::Reg(r) => reg_addr(r),
+        });
         if !self.engine.interner().contains_kind(prov, TagKind::Netflow) {
             return;
         }

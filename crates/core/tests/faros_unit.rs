@@ -3,7 +3,7 @@
 //! isolation.
 
 use faros::{DetectionKind, Faros, Policy};
-use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
+use faros_emu::cpu::{CpuHooks, InsnCtx};
 use faros_emu::isa::{Instr, Mem, Reg, Width};
 use faros_emu::mmu::Asid;
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents};
@@ -216,7 +216,7 @@ fn context_switch_isolates_register_shadows() {
 
     faros.context_switch(None, (Pid(1), Tid(1)));
     // Thread 1 loads a tainted byte into EAX.
-    faros.flow_copy(ShadowLoc::Reg { reg: Reg::Eax, off: 0 }, ShadowLoc::Mem(0x100), 1);
+    faros.flow_load(Reg::Eax, &[0x100]);
     assert!(faros
         .engine()
         .has_kind(ShadowAddr::Reg { index: 0, off: 0 }, TagKind::Netflow));
@@ -242,8 +242,8 @@ fn store_appends_current_process_tag() {
     // Execute in P1's context: load then store to a new location.
     let ctx = ctx_at(0x0040_0000, 0x4000, 8, 0x2000, load_instr());
     faros.on_insn(&ctx);
-    faros.flow_copy(ShadowLoc::Reg { reg: Reg::Eax, off: 0 }, ShadowLoc::Mem(0x100), 1);
-    faros.flow_copy(ShadowLoc::Mem(0x600), ShadowLoc::Reg { reg: Reg::Eax, off: 0 }, 1);
+    faros.flow_load(Reg::Eax, &[0x100]);
+    faros.flow_store(&[0x600], Reg::Eax);
     let tags = faros.engine().prov_tags(ShadowAddr::Mem(0x600));
     assert_eq!(tags.len(), 2);
     assert_eq!(tags[0].kind(), TagKind::Netflow);

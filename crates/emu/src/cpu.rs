@@ -4,14 +4,15 @@
 //! [`AddressSpace`], reporting everything a whole-system DIFT engine needs
 //! through the [`CpuHooks`] trait:
 //!
-//! * **data flows** at byte granularity (`flow_copy` / `flow_union` /
-//!   `flow_delete` — exactly the three propagation operations of the paper's
-//!   Table I), plus the optional *address-dependency* flow for indexed
-//!   addressing;
+//! * **data flows** — the three propagation operations of the paper's
+//!   Table I (`flow_copy` / `flow_union` / `flow_delete`) on whole
+//!   registers, their memory forms (`flow_load` / `flow_store` /
+//!   `flow_delete_mem`) over the translated physical byte of each access,
+//!   and the optional *address-dependency* flows for indexed addressing;
 //! * **instruction events** carrying the per-byte physical addresses the
 //!   instruction was fetched from — the provenance of code bytes is how
 //!   FAROS recognizes injected instructions;
-//! * **memory access events** with both virtual and physical addresses;
+//! * **load events** with both virtual and physical addresses;
 //! * **control transfer events**, enabling Minos-style tainted-control-flow
 //!   policies as an ablation.
 //!
@@ -25,67 +26,15 @@ use crate::mem::{PhysMem, PAGE_SIZE};
 use crate::mmu::{Access, AddressSpace, Asid, Fault};
 use std::fmt;
 
-/// A byte-granular shadow location: a physical memory byte or a register
-/// byte. These are the operands of the propagation rules (paper Table I,
-/// "an address can be a byte in memory or a register").
+/// A shadow location named by a control transfer's `target_src`: the
+/// physical memory byte a `ret` popped its target from, or the register an
+/// indirect `call`/`jmp` read it from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShadowLoc {
     /// A byte of guest physical memory.
     Mem(u32),
-    /// Byte `off` (0..4) of a general-purpose register.
-    Reg {
-        /// The register.
-        reg: Reg,
-        /// Byte offset within the register, 0..4.
-        off: u8,
-    },
-}
-
-impl ShadowLoc {
-    /// The location `len` bytes after this one (same register or contiguous
-    /// physical memory).
-    ///
-    /// Register locations must stay inside the register: an offset past byte
-    /// 3 is a caller bug. The old behaviour silently saturated at byte 3,
-    /// which *aliased* distinct sub-register flows onto the top byte —
-    /// `Reg{off:2}.offset(2)` and `Reg{off:2}.offset(3)` both became byte 3,
-    /// so a 4-byte copy into `Reg{off:2}` merged two source bytes into one
-    /// shadow cell. Debug builds now fault; release builds still saturate
-    /// (explicitly, as the documented overflow policy) so a hostile guest
-    /// cannot turn the bug into a panic. Range-aware consumers should prefer
-    /// [`ShadowLoc::checked_offset`], which reports the overflow instead of
-    /// masking it.
-    #[inline]
-    pub fn offset(self, len: u8) -> ShadowLoc {
-        match self {
-            ShadowLoc::Mem(a) => ShadowLoc::Mem(a.wrapping_add(len as u32)),
-            ShadowLoc::Reg { reg, off } => {
-                debug_assert!(
-                    (off as u32) + (len as u32) < 4,
-                    "register shadow offset {off}+{len} escapes the register"
-                );
-                ShadowLoc::Reg { reg, off: off.saturating_add(len).min(3) }
-            }
-        }
-    }
-
-    /// Like [`ShadowLoc::offset`], but returns `None` when a register
-    /// location would escape the register (offset past byte 3) instead of
-    /// saturating. Memory locations always succeed (wrapping arithmetic).
-    #[inline]
-    pub fn checked_offset(self, len: u8) -> Option<ShadowLoc> {
-        match self {
-            ShadowLoc::Mem(a) => Some(ShadowLoc::Mem(a.wrapping_add(len as u32))),
-            ShadowLoc::Reg { reg, off } => {
-                let new = (off as u32) + (len as u32);
-                if new < 4 {
-                    Some(ShadowLoc::Reg { reg, off: new as u8 })
-                } else {
-                    None
-                }
-            }
-        }
-    }
+    /// A general-purpose register.
+    Reg(Reg),
 }
 
 /// CPU condition flags.
@@ -129,82 +78,56 @@ impl InsnCtx {
 
 /// Receiver for execution and data-flow events.
 ///
-/// All methods default to no-ops; implementors override what they need. The
-/// `Cpu` is generic over the hook type, so an unhooked run compiles down to a
-/// bare interpreter.
+/// The methods are exactly what [`Cpu::step`] emits, and all default to
+/// no-ops; implementors override what they need. Register flows name whole
+/// registers; memory flows carry the translated physical address of each
+/// accessed byte, since an access may cross a page boundary. The `Cpu` is
+/// generic over the hook type, so an unhooked run compiles down to a bare
+/// interpreter.
 #[allow(unused_variables)]
 pub trait CpuHooks {
     /// Called before an instruction executes (after a successful fetch and
     /// decode, before any side effect).
     fn on_insn(&mut self, ctx: &InsnCtx) {}
 
-    /// A byte-wise copy: `shadow(dst + i) = shadow(src + i)` for `i < len`.
-    fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {}
+    /// A register move: `shadow(dst) = shadow(src)`.
+    fn flow_copy(&mut self, dst: Reg, src: Reg) {}
 
-    /// A computation: every destination byte receives the union of all
-    /// source bytes' shadows, unioned with its own when `keep_dst` is set.
-    fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {}
+    /// A computation: `dst` receives the union of the sources' shadows,
+    /// unioned with its own when `keep_dst` is set.
+    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {}
 
-    /// Shadow deletion: `shadow(dst + i) = ∅` for `i < len` (the paper's
-    /// `delete` rule, fired by immediates and `xor r, r`).
-    fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {}
+    /// Shadow deletion: `shadow(dst) = ∅` (the paper's `delete` rule, fired
+    /// by immediates and `xor r, r`).
+    fn flow_delete(&mut self, dst: Reg) {}
 
-    /// An *address dependency*: the value written to `dst` was read from (or
-    /// written to) an address computed from the given register sources.
-    /// Policies that propagate address dependencies union these into the
-    /// destination; the default FAROS policy ignores them (§IV).
-    fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {}
+    /// An *address dependency*: the value loaded into `dst` was read from an
+    /// address computed from `addr_srcs`. Policies that propagate address
+    /// dependencies union these into the destination; the default FAROS
+    /// policy ignores them (§IV).
+    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {}
 
-    /// An address dependency on a memory destination, given per byte:
-    /// `phys[i]` is the translated physical address of the i-th accessed
-    /// byte, which may sit on a different frame than `phys[0]` when the
-    /// access crosses a page boundary. The default forwards byte-wise to
-    /// [`CpuHooks::flow_addr_dep`] so each byte lands on its own frame.
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
-        for &p in phys {
-            self.flow_addr_dep(ShadowLoc::Mem(p), 1, addr_srcs);
-        }
-    }
+    /// An address dependency on a store: `phys[i]` is the translated
+    /// physical address of the i-th stored byte, which may sit on a
+    /// different frame than `phys[0]` when the store crosses a page boundary.
+    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {}
 
-    /// Batched load flow: `shadow(dst.byte(i)) = shadow(phys[i])`, plus
+    /// Load flow: `shadow(dst.byte(i)) = shadow(phys[i])`, plus
     /// zero-extension of the register's remaining shadow bytes when the
-    /// access is narrower than the register. One call per load replaces
-    /// `4 × flow_copy + flow_delete`; the default decomposes to exactly
-    /// those per-byte flows, so hook implementors may override either level.
-    fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
-        for (i, &p) in phys.iter().enumerate() {
-            self.flow_copy(ShadowLoc::Reg { reg: dst, off: i as u8 }, ShadowLoc::Mem(p), 1);
-        }
-        let w = phys.len();
-        if w < 4 {
-            self.flow_delete(ShadowLoc::Reg { reg: dst, off: w as u8 }, (4 - w) as u8);
-        }
-    }
+    /// access is narrower than the register.
+    fn flow_load(&mut self, dst: Reg, phys: &[u32]) {}
 
-    /// Batched store flow: `shadow(phys[i]) = shadow(src.byte(i))`. The
-    /// default decomposes to per-byte [`CpuHooks::flow_copy`] calls.
-    fn flow_store(&mut self, phys: &[u32], src: Reg) {
-        for (i, &p) in phys.iter().enumerate() {
-            self.flow_copy(ShadowLoc::Mem(p), ShadowLoc::Reg { reg: src, off: i as u8 }, 1);
-        }
-    }
+    /// Store flow: `shadow(phys[i]) = shadow(src.byte(i))`.
+    fn flow_store(&mut self, phys: &[u32], src: Reg) {}
 
-    /// Batched shadow deletion over translated physical bytes (constant
-    /// stores: `push imm`, the return address slot of `call`).
-    fn flow_delete_mem(&mut self, phys: &[u32]) {
-        for &p in phys {
-            self.flow_delete(ShadowLoc::Mem(p), 1);
-        }
-    }
+    /// Shadow deletion over translated physical bytes (constant stores:
+    /// `push imm`, the return address slot of `call`).
+    fn flow_delete_mem(&mut self, phys: &[u32]) {}
 
     /// A memory load is about to complete. `phys` holds the translated
     /// physical address of *each* accessed byte — a page-crossing access
     /// lands bytes on more than one frame.
     fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {}
-
-    /// A memory store is about to complete (`phys` as in
-    /// [`CpuHooks::on_load`]).
-    fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {}
 
     /// A control transfer resolved. `target_src` is the shadow location the
     /// target address was read from for indirect transfers (`ret`,
@@ -219,7 +142,7 @@ pub trait CpuHooks {
     /// The flags register was written by a comparison whose operands are
     /// `srcs`. Conservative (RIFLE-style) policies use this to taint
     /// branch-scoped writes; FAROS ignores it.
-    fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {}
+    fn flow_flags(&mut self, srcs: &[Reg]) {}
 }
 
 /// A [`CpuHooks`] implementation that does nothing — the plain-QEMU-speed
@@ -235,19 +158,19 @@ impl<H: CpuHooks + ?Sized> CpuHooks for &mut H {
     fn on_insn(&mut self, ctx: &InsnCtx) {
         (**self).on_insn(ctx);
     }
-    fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-        (**self).flow_copy(dst, src, len);
+    fn flow_copy(&mut self, dst: Reg, src: Reg) {
+        (**self).flow_copy(dst, src);
     }
-    fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {
-        (**self).flow_union(dst, dst_len, srcs, keep_dst);
+    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
+        (**self).flow_union(dst, srcs, keep_dst);
     }
-    fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-        (**self).flow_delete(dst, len);
+    fn flow_delete(&mut self, dst: Reg) {
+        (**self).flow_delete(dst);
     }
-    fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {
-        (**self).flow_addr_dep(dst, dst_len, addr_srcs);
+    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
+        (**self).flow_addr_dep(dst, addr_srcs);
     }
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
+    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
         (**self).flow_addr_dep_bytes(phys, addr_srcs);
     }
     fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
@@ -262,16 +185,13 @@ impl<H: CpuHooks + ?Sized> CpuHooks for &mut H {
     fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
         (**self).on_load(ctx, vaddr, phys, width, dst);
     }
-    fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {
-        (**self).on_store(ctx, vaddr, phys, width, src);
-    }
     fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
         (**self).on_control(ctx, target, target_src);
     }
     fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
         (**self).on_branch(ctx, taken);
     }
-    fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
+    fn flow_flags(&mut self, srcs: &[Reg]) {
         (**self).flow_flags(srcs);
     }
 }
@@ -468,11 +388,11 @@ impl Cpu {
         }
     }
 
-    fn addr_srcs(mem_op: &Mem) -> ([(ShadowLoc, u8); 2], usize) {
-        let mut srcs = [(ShadowLoc::Reg { reg: Reg::Eax, off: 0 }, 0u8); 2];
+    fn addr_srcs(mem_op: &Mem) -> ([Reg; 2], usize) {
+        let mut srcs = [Reg::Eax; 2];
         let mut n = 0;
         for r in mem_op.regs_used() {
-            srcs[n] = (ShadowLoc::Reg { reg: r, off: 0 }, 4);
+            srcs[n] = r;
             n += 1;
         }
         (srcs, n)
@@ -600,9 +520,10 @@ impl Cpu {
     /// The execute half of [`Cpu::step`]: runs an already-fetched
     /// instruction. Flow hooks fire only after every translation the
     /// instruction needs has succeeded, so a faulting instruction
-    /// contributes no flows (the all-or-nothing property the block taint
-    /// plans rely on). Does *not* bump the retired counter — callers retire
-    /// non-faulting instructions themselves.
+    /// contributes no flows; this all-or-nothing property is what lets the
+    /// cached executor deliver precise faults mid-block. Does *not* bump the
+    /// retired counter — callers retire non-faulting instructions
+    /// themselves.
     pub(crate) fn exec_instr<H: CpuHooks>(
         &mut self,
         mem: &mut PhysMem,
@@ -612,13 +533,6 @@ impl Cpu {
     ) -> StepEvent {
         let vaddr = ctx.vaddr;
         let next_eip = vaddr.wrapping_add(ctx.len as u32);
-
-        // --- Execute ---
-        macro_rules! reg_loc {
-            ($r:expr) => {
-                ShadowLoc::Reg { reg: $r, off: 0 }
-            };
-        }
 
         match ctx.instr {
             Instr::Nop => {
@@ -631,13 +545,13 @@ impl Cpu {
             }
             Instr::MovRR { dst, src } => {
                 self.set_reg(dst, self.reg(src));
-                hooks.flow_copy(reg_loc!(dst), reg_loc!(src), 4);
+                hooks.flow_copy(dst, src);
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
             }
             Instr::MovRI { dst, imm } => {
                 self.set_reg(dst, imm);
-                hooks.flow_delete(reg_loc!(dst), 4);
+                hooks.flow_delete(dst);
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
             }
@@ -651,14 +565,11 @@ impl Cpu {
                 let val = Self::read_mem(mem, &phys, w);
                 hooks.on_load(ctx, addr, &phys[..w], width, dst);
                 self.set_reg(dst, val);
-                // One batched flow per load (covers zero-extension); the
-                // default hook decomposes it to the per-byte rules.
+                // One flow per load; it covers zero-extension.
                 hooks.flow_load(dst, &phys[..w]);
                 let (srcs, n) = Self::addr_srcs(&m);
                 if n > 0 {
-                    // The destination register is contiguous, so the
-                    // run-based form is not needed here.
-                    hooks.flow_addr_dep(reg_loc!(dst), 4, &srcs[..n]);
+                    hooks.flow_addr_dep(dst, &srcs[..n]);
                 }
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
@@ -670,14 +581,12 @@ impl Cpu {
                     Ok(p) => p,
                     Err(f) => return StepEvent::Fault(f),
                 };
-                hooks.on_store(ctx, addr, &phys[..w], width, src);
                 Self::write_mem(mem, &phys, w, self.reg(src));
                 hooks.flow_store(&phys[..w], src);
                 let (srcs, n) = Self::addr_srcs(&m);
                 if n > 0 {
-                    // Per-byte form: `flow_addr_dep(Mem(phys[0]), w, ..)`
-                    // would assume the w bytes are physically contiguous and
-                    // taint the wrong frame on a page-crossing store.
+                    // Per-byte frames: a page-crossing store's bytes are not
+                    // physically contiguous.
                     hooks.flow_addr_dep_bytes(&phys[..w], &srcs[..n]);
                 }
                 self.ctx.eip = next_eip;
@@ -687,7 +596,7 @@ impl Cpu {
                 let addr = self.mem_addr(&m);
                 self.set_reg(dst, addr);
                 let (srcs, n) = Self::addr_srcs(&m);
-                hooks.flow_union(reg_loc!(dst), 4, &srcs[..n], false);
+                hooks.flow_union(dst, &srcs[..n], false);
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
             }
@@ -705,10 +614,10 @@ impl Cpu {
                     Operand::Reg(r) if r == dst && matches!(op, AluOp::Xor | AluOp::Sub) => {
                         // xor r, r / sub r, r: result is constant zero —
                         // the canonical taint-deleting idiom (paper §V-A).
-                        hooks.flow_delete(reg_loc!(dst), 4);
+                        hooks.flow_delete(dst);
                     }
                     Operand::Reg(r) => {
-                        hooks.flow_union(reg_loc!(dst), 4, &[(reg_loc!(r), 4)], true);
+                        hooks.flow_union(dst, &[r], true);
                     }
                     Operand::Imm(_) => {
                         // Computation with an untainted constant: destination
@@ -725,10 +634,8 @@ impl Cpu {
                 };
                 self.set_cmp_flags(self.reg(a), bv);
                 match b {
-                    Operand::Reg(r) => {
-                        hooks.flow_flags(&[(reg_loc!(a), 4), (reg_loc!(r), 4)]);
-                    }
-                    Operand::Imm(_) => hooks.flow_flags(&[(reg_loc!(a), 4)]),
+                    Operand::Reg(r) => hooks.flow_flags(&[a, r]),
+                    Operand::Imm(_) => hooks.flow_flags(&[a]),
                 }
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
@@ -744,10 +651,8 @@ impl Cpu {
                 self.ctx.flags.cf = false;
                 self.ctx.flags.of = false;
                 match b {
-                    Operand::Reg(r) => {
-                        hooks.flow_flags(&[(reg_loc!(a), 4), (reg_loc!(r), 4)]);
-                    }
-                    Operand::Imm(_) => hooks.flow_flags(&[(reg_loc!(a), 4)]),
+                    Operand::Reg(r) => hooks.flow_flags(&[a, r]),
+                    Operand::Imm(_) => hooks.flow_flags(&[a]),
                 }
                 self.ctx.eip = next_eip;
                 StepEvent::Normal
@@ -792,13 +697,13 @@ impl Cpu {
                 Self::write_mem(mem, &phys, 4, next_eip);
                 hooks.flow_delete_mem(&phys);
                 self.set_reg(Reg::Esp, sp);
-                hooks.on_control(ctx, tgt, Some(reg_loc!(target)));
+                hooks.on_control(ctx, tgt, Some(ShadowLoc::Reg(target)));
                 self.ctx.eip = tgt;
                 StepEvent::Branch
             }
             Instr::JmpReg { target } => {
                 let tgt = self.reg(target);
-                hooks.on_control(ctx, tgt, Some(reg_loc!(target)));
+                hooks.on_control(ctx, tgt, Some(ShadowLoc::Reg(target)));
                 self.ctx.eip = tgt;
                 StepEvent::Branch
             }
@@ -1055,15 +960,15 @@ mod tests {
     fn flow_events_for_mov_chain() {
         #[derive(Default)]
         struct Recorder {
-            copies: Vec<(ShadowLoc, ShadowLoc, u8)>,
-            deletes: Vec<(ShadowLoc, u8)>,
+            copies: Vec<(Reg, Reg)>,
+            deletes: Vec<Reg>,
         }
         impl CpuHooks for Recorder {
-            fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-                self.copies.push((dst, src, len));
+            fn flow_copy(&mut self, dst: Reg, src: Reg) {
+                self.copies.push((dst, src));
             }
-            fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-                self.deletes.push((dst, len));
+            fn flow_delete(&mut self, dst: Reg) {
+                self.deletes.push(dst);
             }
         }
         let mut a = Asm::new(0x1000);
@@ -1074,17 +979,8 @@ mod tests {
         let (mut cpu, mut mem, aspace) = machine(&a);
         let mut rec = Recorder::default();
         while !matches!(cpu.step(&mut mem, &aspace, &mut rec), StepEvent::Halt) {}
-        assert_eq!(
-            rec.copies,
-            vec![(
-                ShadowLoc::Reg { reg: Reg::Ebx, off: 0 },
-                ShadowLoc::Reg { reg: Reg::Eax, off: 0 },
-                4
-            )]
-        );
-        assert_eq!(rec.deletes.len(), 2);
-        assert_eq!(rec.deletes[0], (ShadowLoc::Reg { reg: Reg::Eax, off: 0 }, 4));
-        assert_eq!(rec.deletes[1], (ShadowLoc::Reg { reg: Reg::Ecx, off: 0 }, 4));
+        assert_eq!(rec.copies, vec![(Reg::Ebx, Reg::Eax)]);
+        assert_eq!(rec.deletes, vec![Reg::Eax, Reg::Ecx]);
     }
 
     #[test]
@@ -1104,27 +1000,6 @@ mod tests {
         // data page (0x2000) maps to pfn 1 in the test fixture.
         let base = PAGE_SIZE + 0x14;
         assert_eq!(w.0, Some((0x2014, vec![base, base + 1, base + 2, base + 3])));
-    }
-
-    #[test]
-    fn shadow_loc_checked_offset_reports_register_overflow() {
-        // Regression for the offset-clamp aliasing bug: `offset` used to
-        // silently collapse every out-of-range register offset onto byte 3,
-        // merging distinct sub-register taint bytes. The checked form makes
-        // the overflow visible so consumers can treat the byte as absent.
-        assert_eq!(
-            ShadowLoc::Reg { reg: Reg::Eax, off: 1 }.checked_offset(2),
-            Some(ShadowLoc::Reg { reg: Reg::Eax, off: 3 })
-        );
-        assert_eq!(ShadowLoc::Reg { reg: Reg::Eax, off: 2 }.checked_offset(2), None);
-        assert_eq!(ShadowLoc::Reg { reg: Reg::Eax, off: 3 }.checked_offset(u8::MAX), None);
-        assert_eq!(ShadowLoc::Mem(10).checked_offset(3), Some(ShadowLoc::Mem(13)));
-        // In-range offsets agree between the two forms.
-        assert_eq!(
-            ShadowLoc::Reg { reg: Reg::Ebx, off: 0 }.offset(3),
-            ShadowLoc::Reg { reg: Reg::Ebx, off: 3 }
-        );
-        assert_eq!(ShadowLoc::Mem(u32::MAX).offset(1), ShadowLoc::Mem(0));
     }
 
     #[test]
@@ -1219,8 +1094,8 @@ mod tests {
     #[test]
     fn page_crossing_store_reports_per_byte_addr_deps() {
         // Regression for the page-crossing address-dependency bug: the CPU
-        // used to emit `flow_addr_dep(Mem(phys[0]), w, ..)`, which assumes
-        // the w translated bytes are contiguous. Map two *non-adjacent*
+        // used to report one dependency run starting at `phys[0]`, which
+        // assumes the w translated bytes are contiguous. Map two *non-adjacent*
         // physical frames at adjacent virtual pages and verify each byte's
         // own physical address is reported.
         #[derive(Default)]
@@ -1229,10 +1104,10 @@ mod tests {
             store_phys: Vec<u32>,
         }
         impl CpuHooks for DepWatch {
-            fn flow_addr_dep_bytes(&mut self, phys: &[u32], _srcs: &[(ShadowLoc, u8)]) {
+            fn flow_addr_dep_bytes(&mut self, phys: &[u32], _srcs: &[Reg]) {
                 self.runs.push(phys.to_vec());
             }
-            fn on_store(&mut self, _c: &InsnCtx, _v: u32, phys: &[u32], _w: Width, _s: Reg) {
+            fn flow_store(&mut self, phys: &[u32], _src: Reg) {
                 self.store_phys = phys.to_vec();
             }
         }
@@ -1264,7 +1139,7 @@ mod tests {
             hi_frame * PAGE_SIZE,
             hi_frame * PAGE_SIZE + 1,
         ];
-        assert_eq!(w.store_phys, expect, "on_store sees every translated byte");
+        assert_eq!(w.store_phys, expect, "flow_store sees every translated byte");
         assert_eq!(w.runs, vec![expect], "addr dep carries per-byte frames");
     }
 

@@ -3,9 +3,10 @@
 //! This crate is the QEMU substitute of the FAROS reproduction: a small
 //! 32-bit little-endian machine ("FE32") with byte-encoded instructions,
 //! 4 KiB paging, per-process address spaces named by a CR3-like [`mmu::Asid`],
-//! and an interpreter that reports byte-granular data flows through the
-//! [`cpu::CpuHooks`] trait — the substrate every layer above (guest kernel,
-//! record/replay, provenance DIFT, the FAROS detector) builds on.
+//! and an interpreter that reports data flows (whole registers, physical
+//! memory per byte) through the [`cpu::CpuHooks`] trait — the substrate
+//! every layer above (guest kernel, record/replay, provenance DIFT, the
+//! FAROS detector) builds on.
 //!
 //! ## Layout
 //!

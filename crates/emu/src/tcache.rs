@@ -15,9 +15,9 @@
 //! and bumps [`TransCache::version`]. Invalidations come from two directions:
 //!
 //! * **guest stores** — the block executor watches every store-flavored flow
-//!   hook through a [`CodeWatch`] and stops the current block before the
-//!   next instruction when a watched frame was hit, so self-modifying code
-//!   re-decodes before any stale instruction executes;
+//!   hook through a private `CodeWatch` and stops the current block before
+//!   the next instruction when a watched frame was hit, so self-modifying
+//!   code re-decodes before any stale instruction executes;
 //! * **kernel writes and mapping changes** — the kernel calls
 //!   [`TransCache::note_write`] for writes performed on behalf of syscalls
 //!   and [`TransCache::invalidate_all`] when mappings change (module
@@ -274,19 +274,19 @@ impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
     fn on_insn(&mut self, ctx: &InsnCtx) {
         self.inner.on_insn(ctx);
     }
-    fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-        self.inner.flow_copy(dst, src, len);
+    fn flow_copy(&mut self, dst: Reg, src: Reg) {
+        self.inner.flow_copy(dst, src);
     }
-    fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {
-        self.inner.flow_union(dst, dst_len, srcs, keep_dst);
+    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
+        self.inner.flow_union(dst, srcs, keep_dst);
     }
-    fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-        self.inner.flow_delete(dst, len);
+    fn flow_delete(&mut self, dst: Reg) {
+        self.inner.flow_delete(dst);
     }
-    fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {
-        self.inner.flow_addr_dep(dst, dst_len, addr_srcs);
+    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
+        self.inner.flow_addr_dep(dst, addr_srcs);
     }
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
+    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
         self.inner.flow_addr_dep_bytes(phys, addr_srcs);
     }
     fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
@@ -303,16 +303,13 @@ impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
     fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
         self.inner.on_load(ctx, vaddr, phys, width, dst);
     }
-    fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {
-        self.inner.on_store(ctx, vaddr, phys, width, src);
-    }
     fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
         self.inner.on_control(ctx, target, target_src);
     }
     fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
         self.inner.on_branch(ctx, taken);
     }
-    fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
+    fn flow_flags(&mut self, srcs: &[Reg]) {
         self.inner.flow_flags(srcs);
     }
 }
@@ -470,19 +467,19 @@ mod tests {
         fn on_insn(&mut self, ctx: &InsnCtx) {
             self.0.push(format!("on_insn {ctx:?}"));
         }
-        fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-            self.0.push(format!("flow_copy {dst:?} {src:?} {len}"));
+        fn flow_copy(&mut self, dst: Reg, src: Reg) {
+            self.0.push(format!("flow_copy {dst:?} {src:?}"));
         }
-        fn flow_union(&mut self, dst: ShadowLoc, len: u8, srcs: &[(ShadowLoc, u8)], keep: bool) {
-            self.0.push(format!("flow_union {dst:?} {len} {srcs:?} {keep}"));
+        fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep: bool) {
+            self.0.push(format!("flow_union {dst:?} {srcs:?} {keep}"));
         }
-        fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-            self.0.push(format!("flow_delete {dst:?} {len}"));
+        fn flow_delete(&mut self, dst: Reg) {
+            self.0.push(format!("flow_delete {dst:?}"));
         }
-        fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)]) {
-            self.0.push(format!("flow_addr_dep {dst:?} {dst_len} {srcs:?}"));
+        fn flow_addr_dep(&mut self, dst: Reg, srcs: &[Reg]) {
+            self.0.push(format!("flow_addr_dep {dst:?} {srcs:?}"));
         }
-        fn flow_addr_dep_bytes(&mut self, phys: &[u32], srcs: &[(ShadowLoc, u8)]) {
+        fn flow_addr_dep_bytes(&mut self, phys: &[u32], srcs: &[Reg]) {
             self.0.push(format!("flow_addr_dep_bytes {phys:?} {srcs:?}"));
         }
         fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
@@ -497,16 +494,13 @@ mod tests {
         fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
             self.0.push(format!("on_load {} {vaddr:#x} {phys:?} {width:?} {dst:?}", ctx.vaddr));
         }
-        fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {
-            self.0.push(format!("on_store {} {vaddr:#x} {phys:?} {width:?} {src:?}", ctx.vaddr));
-        }
         fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
             self.0.push(format!("on_control {} {target:#x} {target_src:?}", ctx.vaddr));
         }
         fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
             self.0.push(format!("on_branch {} {taken}", ctx.vaddr));
         }
-        fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
+        fn flow_flags(&mut self, srcs: &[Reg]) {
             self.0.push(format!("flow_flags {srcs:?}"));
         }
     }
@@ -546,7 +540,6 @@ mod tests {
             "flow_store",
             "flow_delete_mem",
             "on_load",
-            "on_store",
             "on_control",
             "on_branch",
             "flow_flags",

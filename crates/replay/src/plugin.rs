@@ -201,19 +201,19 @@ impl CpuHooks for PluginManager {
     fn on_insn(&mut self, ctx: &InsnCtx) {
         fan!(self, on_insn(ctx));
     }
-    fn flow_copy(&mut self, dst: ShadowLoc, src: ShadowLoc, len: u8) {
-        fan!(self, flow_copy(dst, src, len));
+    fn flow_copy(&mut self, dst: Reg, src: Reg) {
+        fan!(self, flow_copy(dst, src));
     }
-    fn flow_union(&mut self, dst: ShadowLoc, dst_len: u8, srcs: &[(ShadowLoc, u8)], keep_dst: bool) {
-        fan!(self, flow_union(dst, dst_len, srcs, keep_dst));
+    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
+        fan!(self, flow_union(dst, srcs, keep_dst));
     }
-    fn flow_delete(&mut self, dst: ShadowLoc, len: u8) {
-        fan!(self, flow_delete(dst, len));
+    fn flow_delete(&mut self, dst: Reg) {
+        fan!(self, flow_delete(dst));
     }
-    fn flow_addr_dep(&mut self, dst: ShadowLoc, dst_len: u8, addr_srcs: &[(ShadowLoc, u8)]) {
-        fan!(self, flow_addr_dep(dst, dst_len, addr_srcs));
+    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
+        fan!(self, flow_addr_dep(dst, addr_srcs));
     }
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[(ShadowLoc, u8)]) {
+    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
         fan!(self, flow_addr_dep_bytes(phys, addr_srcs));
     }
     fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
@@ -228,16 +228,13 @@ impl CpuHooks for PluginManager {
     fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
         fan!(self, on_load(ctx, vaddr, phys, width, dst));
     }
-    fn on_store(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, src: Reg) {
-        fan!(self, on_store(ctx, vaddr, phys, width, src));
-    }
     fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
         fan!(self, on_control(ctx, target, target_src));
     }
     fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
         fan!(self, on_branch(ctx, taken));
     }
-    fn flow_flags(&mut self, srcs: &[(ShadowLoc, u8)]) {
+    fn flow_flags(&mut self, srcs: &[Reg]) {
         fan!(self, flow_flags(srcs));
     }
 }

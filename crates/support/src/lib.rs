@@ -12,7 +12,7 @@
 //! * [`prop`] — a deterministic property-testing harness (xorshift64\*
 //!   PRNG, fixed-seed reproduction, greedy input shrinking) — the
 //!   substitute for `proptest`;
-//! * [`bench`] — a wall-clock micro-bench harness (warmup, N samples,
+//! * [`mod@bench`] — a wall-clock micro-bench harness (warmup, N samples,
 //!   median/p95, `BENCH_*.json` output) — the substitute for `criterion`;
 //! * [`arb`] — `Arbitrary`-style generators for the FE32 ISA and
 //!   guest-program domains, shared by the property suites.

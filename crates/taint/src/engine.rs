@@ -349,9 +349,9 @@ impl TaintEngine {
     /// Returns `true` when the zero-taint fast path applies: no shadow byte
     /// anywhere (memory or registers) is tainted and no control-dependency
     /// context is open, so `copy`/`union`/`delete`/`addr_dep` provably
-    /// cannot change shadow state. Replay-side hook adapters use this to
-    /// skip per-byte work entirely while the whole system is still clean
-    /// (before the first `label_fresh`).
+    /// cannot change shadow state. The rules that write shadow state check
+    /// it themselves (counting a fast-path hit or miss), so callers need
+    /// not.
     #[inline]
     pub fn propagation_is_noop(&self) -> bool {
         self.shadow.is_clean() && self.control_ctx.is_empty()
@@ -525,9 +525,9 @@ impl TaintEngine {
     /// an address computed from `srcs`. Propagated only when
     /// [`PropagationMode::address_deps`] is set.
     ///
-    /// `dst.offset(i)` must be the i-th affected byte, so a memory `dst`
-    /// must be physically contiguous — for a page-crossing memory operand
-    /// use [`TaintEngine::addr_dep_bytes`] with the translated per-byte
+    /// `dst.checked_offset(i)` must be the i-th affected byte, so a memory
+    /// `dst` must be physically contiguous — for a page-crossing memory
+    /// operand use [`TaintEngine::addr_dep_bytes`] with the translated per-byte
     /// physical addresses instead.
     pub fn addr_dep(&mut self, dst: ShadowAddr, dst_len: u8, srcs: &[(ShadowAddr, u8)]) {
         self.metrics.inc(self.ctr.addr_deps);

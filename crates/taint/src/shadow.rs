@@ -20,10 +20,9 @@ use crate::provlist::ListId;
 pub const SHADOW_REGS: usize = 16;
 
 /// A byte-granular shadow address: one guest physical memory byte or one
-/// register byte.
-///
-/// This mirrors `faros_emu::ShadowLoc`; the two are kept separate so the
-/// taint engine stays independent of any particular emulator.
+/// register byte — the operands of the paper's Table I rules, "a byte in
+/// memory or a register". The engine knows no emulator types; callers
+/// translate their own operands into these.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ShadowAddr {
     /// A guest physical memory byte.
@@ -38,36 +37,10 @@ pub enum ShadowAddr {
 }
 
 impl ShadowAddr {
-    /// The shadow address `n` bytes after this one.
-    ///
-    /// Register addresses must stay inside the register: an offset past
-    /// byte 3 is a caller bug. The old behaviour silently saturated, which
-    /// *aliased* distinct sub-register flows onto the top byte (two source
-    /// bytes merged into one shadow cell). Debug builds now fault; release
-    /// builds still saturate at byte 3 — explicitly, as the documented
-    /// overflow policy — so the array index can neither panic nor corrupt a
-    /// neighbouring slot. Range-aware consumers (the engine's per-byte
-    /// loops) use [`ShadowAddr::checked_offset`] instead, which reports the
-    /// overflow so the byte can be treated as absent. Mirrors
-    /// `faros_emu::ShadowLoc::offset`.
-    #[inline]
-    pub fn offset(self, n: u8) -> ShadowAddr {
-        match self {
-            ShadowAddr::Mem(a) => ShadowAddr::Mem(a.wrapping_add(n as u32)),
-            ShadowAddr::Reg { index, off } => {
-                debug_assert!(
-                    (off as u32) + (n as u32) < 4,
-                    "register shadow offset {off}+{n} escapes the register"
-                );
-                ShadowAddr::Reg { index, off: off.saturating_add(n).min(3) }
-            }
-        }
-    }
-
-    /// Like [`ShadowAddr::offset`], but returns `None` when a register
-    /// address would escape the register (offset past byte 3) instead of
-    /// saturating. Memory addresses always succeed (wrapping arithmetic).
-    /// Mirrors `faros_emu::ShadowLoc::checked_offset`.
+    /// The shadow address `n` bytes after this one, or `None` when a
+    /// register address would escape the register (offset past byte 3).
+    /// Memory addresses always succeed (wrapping arithmetic). The engine's
+    /// per-byte loops treat a `None` byte as absent.
     #[inline]
     pub fn checked_offset(self, n: u8) -> Option<ShadowAddr> {
         match self {
@@ -253,26 +226,18 @@ mod tests {
     }
 
     #[test]
-    fn offset_addressing() {
-        assert_eq!(ShadowAddr::Mem(10).offset(3), ShadowAddr::Mem(13));
-        assert_eq!(
-            ShadowAddr::Reg { index: 2, off: 0 }.offset(2),
-            ShadowAddr::Reg { index: 2, off: 2 }
-        );
-    }
-
-    #[test]
     fn reg_checked_offset_reports_overflow() {
-        // Regression for the clamp-aliasing bug: `offset` used to collapse
-        // every out-of-range register offset onto byte 3, merging distinct
-        // sub-register taint bytes. `checked_offset` reports the overflow so
-        // the engine's per-byte loops treat the byte as absent instead.
+        // Regression for the clamp-aliasing bug: a saturating offset used to
+        // collapse every out-of-range register offset onto byte 3, merging
+        // distinct sub-register taint bytes. `checked_offset` reports the
+        // overflow so the engine's per-byte loops treat the byte as absent.
         assert_eq!(
             ShadowAddr::Reg { index: 1, off: 2 }.checked_offset(1),
             Some(ShadowAddr::Reg { index: 1, off: 3 })
         );
         assert_eq!(ShadowAddr::Reg { index: 1, off: 2 }.checked_offset(2), None);
         assert_eq!(ShadowAddr::Reg { index: 1, off: 3 }.checked_offset(u8::MAX), None);
+        assert_eq!(ShadowAddr::Mem(10).checked_offset(3), Some(ShadowAddr::Mem(13)));
         assert_eq!(ShadowAddr::Mem(u32::MAX).checked_offset(1), Some(ShadowAddr::Mem(0)));
     }
 

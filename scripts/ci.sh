@@ -13,6 +13,11 @@ RUSTFLAGS="-D warnings" cargo build --offline --workspace --all-targets
 echo "==> clippy (workspace, -D warnings)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc (workspace, -D warnings)"
+# Broken, private or ambiguous intra-doc links fail the gate, so docs
+# cannot keep pointing at items that were renamed or deleted.
+RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
+
 echo "==> style check"
 # In-tree fmt-equivalent: no tabs, no trailing whitespace, no CRLF in any
 # Rust source.

@@ -406,6 +406,8 @@ impl CpuHooks for Faros {
             return;
         }
         let has_netflow = self.engine.interner().contains_kind(code_prov, TagKind::Netflow);
+        // Walks the code bytes' chronology newest first, without allocating,
+        // and stops at its oldest process tag.
         let cross_process = self
             .engine
             .interner()

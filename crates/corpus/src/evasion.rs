@@ -162,8 +162,10 @@ pub fn tainted_function_pointer(leaked_target: u32) -> Sample {
 /// ever-longer provenance chronologies. Two cooperating processes ping-pong
 /// a downloaded buffer with `NtWriteVirtualMemory`, appending alternating
 /// process tags every round; each round mints new interned lists, so the
-/// attack probes whether FAROS' bookkeeping stays linear (it does — see
-/// the paired test) rather than exploding.
+/// attack probes whether FAROS' bookkeeping stays linear rather than
+/// exploding. It does: `taint_bomb_growth_is_linear_not_explosive` bounds
+/// the number of interned lists, and `taint_bomb_stored_size_is_linear`
+/// bounds the interner's heap bytes.
 pub fn taint_bomb(rounds: u32) -> Sample {
     // Pong side: idles long enough for the ping side to finish.
     let pong = crate::attacks::benign_victim("pong", 40);

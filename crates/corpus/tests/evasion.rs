@@ -143,3 +143,27 @@ fn taint_bomb_growth_is_linear_not_explosive() {
         "interner growth {growth:.1}x for {round_growth:.1}x rounds: {lists_at:?}"
     );
 }
+
+#[test]
+fn taint_bomb_stored_size_is_linear() {
+    // §VI-D again, counting what the interner stores rather than how many
+    // lists it hands out: each round appends two tags to an ever-longer
+    // chronology, so a store that copied whole lists would grow with the
+    // square of the rounds.
+    let heap_at = |rounds: u32| {
+        let sample = evasion::taint_bomb(rounds);
+        let mut faros = Faros::new(Policy::paper());
+        let (_rec, outcome) =
+            record_and_replay(&sample.scenario, BUDGET, &mut faros).unwrap();
+        assert_eq!(outcome.exit, faros_kernel::RunExit::AllExited);
+        assert!(!faros.report().attack_flagged());
+        faros.engine().interner().heap_bytes()
+    };
+    let small = heap_at(1200);
+    let large = heap_at(4800);
+    assert!(
+        large as f64 <= small as f64 * 4.5,
+        "interner heap {large} B at 4800 rounds vs {small} B at 1200"
+    );
+    assert!(large <= 1 << 20, "interner heap {large} B at 4800 rounds exceeds 1 MiB");
+}

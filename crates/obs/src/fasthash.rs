@@ -1,8 +1,8 @@
 //! A fast, non-cryptographic hasher for the taint engine's internal maps.
 //!
-//! The taint interner's memo tables, the tag index maps, and the metrics
-//! registry's name indexes are hit on every append/union miss, every
-//! source-label event, and every counter registration. Their keys are small
+//! The taint interner's edge map and union memo, the tag index maps, and
+//! the metrics registry's name indexes are hit on every append, every union
+//! miss, every source-label event, and every counter registration. Their keys are small
 //! fixed-width tuples or short strings the engine itself constructs, so
 //! SipHash's flood resistance buys nothing here while costing a measurable
 //! slice of the replay-side labeling overhead. This is a word-at-a-time

@@ -315,8 +315,9 @@ impl TaintEngine {
         self.shadow.get(addr)
     }
 
-    /// The provenance tags of a shadow byte, oldest first.
-    pub fn prov_tags(&self, addr: ShadowAddr) -> &[ProvTag] {
+    /// The provenance tags of a shadow byte, oldest first. Walks the list
+    /// to its root; for rendering and tests, not the propagation path.
+    pub fn prov_tags(&self, addr: ShadowAddr) -> Vec<ProvTag> {
         self.interner.tags(self.shadow.get(addr))
     }
 
@@ -334,12 +335,13 @@ impl TaintEngine {
     /// Renders a provenance list in the paper's Table II style:
     /// `NetFlow: {...} ->Process: a.exe ->Process: b.exe`.
     pub fn display_list(&self, id: ListId) -> String {
-        let tags = self.interner.tags(id);
-        if tags.is_empty() {
+        if id.is_empty() {
             return "<untainted>".to_string();
         }
-        tags.iter()
-            .map(|&t| self.tables.display_tag(t))
+        self.interner
+            .tags(id)
+            .into_iter()
+            .map(|t| self.tables.display_tag(t))
             .collect::<Vec<_>>()
             .join(" ->")
     }

@@ -5,12 +5,33 @@
 //! paper's "head"). Because whole-system DIFT attaches a list to *every*
 //! tainted byte, lists are interned: a byte's shadow cell holds a small
 //! [`ListId`] and identical lists are stored exactly once. `copy` then costs
-//! one integer move and `union`/`append` are memoized — this is what keeps
-//! whole-system provenance tracking tractable (DESIGN.md, decision 3).
+//! one integer move (DESIGN.md, decision 3).
+//!
+//! Lists are hash-consed, parent-linked nodes. A node holds
+//!
+//! * its parent node (the list without its head; node 0 is the empty list),
+//! * its head [`ProvTag`],
+//! * a [`TagKind`] mask of every kind on the path to the root, and
+//! * a 64-bit membership filter word: one hashed bit per tag on that path.
+//!
+//! An edge map keyed by `(parent node, tag)` makes each chronology exactly
+//! one node, so [`ProvInterner::append`] is O(1) in time and space and
+//! [`ProvInterner::contains_kind`] is one mask test. The §VI-D taint bomb,
+//! which grows lists by one tag per round, therefore costs linear time and
+//! memory. [`ProvInterner::union`] appends the tags of `b` that `a` lacks
+//! onto `a`; membership is decided by the mask and filter word first and
+//! only a filter hit walks the chain. Only rendering and tests need a whole
+//! list ([`ProvInterner::tags`] walks to the root).
+//!
+//! [`ListId`]s are a separate, dense numbering, minted when a list is first
+//! returned from `append` or `union`. The intermediate nodes `union` builds
+//! on its way to the result get no id, so ids and [`ProvInterner::len`]
+//! count exactly the distinct lists handed out.
 
 use crate::tag::{ProvTag, TagKind};
 use faros_obs::fasthash::FastMap;
 use std::fmt;
+use std::mem::size_of;
 
 /// Identifier of an interned provenance list. `ListId::EMPTY` is the empty
 /// list (an untainted byte).
@@ -42,6 +63,35 @@ impl fmt::Display for ListId {
     }
 }
 
+/// Index of the root node, the empty list.
+const ROOT: u32 = 0;
+/// `Node::id` of a node no `append`/`union` has returned yet.
+const NO_ID: u32 = u32::MAX;
+
+/// One list: `tag` appended to the list at node `parent`.
+#[derive(Debug, Clone, Copy)]
+struct Node {
+    /// Union of [`filter_bit`] over every tag from here to the root.
+    filter: u64,
+    parent: u32,
+    /// The node's [`ListId`], or [`NO_ID`].
+    id: u32,
+    tag: ProvTag,
+    /// Union of [`kind_bit`] over every tag from here to the root.
+    kinds: u8,
+}
+
+#[inline]
+fn kind_bit(kind: TagKind) -> u8 {
+    1 << kind as u8
+}
+
+#[inline]
+fn filter_bit(tag: ProvTag) -> u64 {
+    let word = u32::from(tag.index()) | (tag.kind() as u32) << 16;
+    1 << (word.wrapping_mul(0x9E37_79B1) >> 26)
+}
+
 /// The provenance-list intern table.
 ///
 /// # Examples
@@ -63,9 +113,11 @@ impl fmt::Display for ListId {
 /// ```
 #[derive(Debug)]
 pub struct ProvInterner {
-    lists: Vec<Box<[ProvTag]>>,
-    by_content: FastMap<Box<[ProvTag]>, u32>,
-    append_memo: FastMap<(u32, ProvTag), u32>,
+    nodes: Vec<Node>,
+    /// `ListId` → node.
+    ids: Vec<u32>,
+    /// `(parent node, tag)` → child node.
+    edges: FastMap<(u32, ProvTag), u32>,
     union_memo: FastMap<(u32, u32), u32>,
 }
 
@@ -78,48 +130,116 @@ impl Default for ProvInterner {
 impl ProvInterner {
     /// Creates an interner containing only the empty list.
     pub fn new() -> ProvInterner {
-        let empty: Box<[ProvTag]> = Box::from([]);
-        let mut by_content = FastMap::default();
-        by_content.insert(empty.clone(), 0u32);
+        let root = Node {
+            filter: 0,
+            parent: ROOT,
+            id: ListId::EMPTY.0,
+            // Never read: walks stop at the root.
+            tag: ProvTag::EXPORT_TABLE,
+            kinds: 0,
+        };
         ProvInterner {
-            lists: vec![empty],
-            by_content,
-            append_memo: FastMap::default(),
+            nodes: vec![root],
+            ids: vec![ROOT],
+            edges: FastMap::default(),
             union_memo: FastMap::default(),
         }
     }
 
-    /// The tags of a list, oldest first (the paper's display order:
-    /// `NetFlow -> Process: a.exe -> Process: b.exe`).
     #[inline]
-    pub fn tags(&self, id: ListId) -> &[ProvTag] {
-        &self.lists[id.0 as usize]
+    fn node(&self, id: ListId) -> u32 {
+        self.ids[id.0 as usize]
+    }
+
+    /// The nodes from `node` up to (not including) the root, newest first.
+    fn chain(&self, node: u32) -> impl Iterator<Item = &Node> + '_ {
+        let mut cur = node;
+        std::iter::from_fn(move || {
+            if cur == ROOT {
+                return None;
+            }
+            let n = &self.nodes[cur as usize];
+            cur = n.parent;
+            Some(n)
+        })
+    }
+
+    /// The tags of a list, oldest first (the paper's display order:
+    /// `NetFlow -> Process: a.exe -> Process: b.exe`). Walks the list to
+    /// its root; the propagation path never needs the whole list.
+    pub fn tags(&self, id: ListId) -> Vec<ProvTag> {
+        let mut tags: Vec<ProvTag> = self.chain(self.node(id)).map(|n| n.tag).collect();
+        tags.reverse();
+        tags
     }
 
     /// The most recent tag (the list "head" in the paper's wording).
     pub fn head(&self, id: ListId) -> Option<ProvTag> {
-        self.tags(id).last().copied()
+        self.chain(self.node(id)).next().map(|n| n.tag)
     }
 
     /// Number of distinct lists interned (including the empty list).
     pub fn len(&self) -> usize {
-        self.lists.len()
+        self.ids.len()
     }
 
     /// Returns `true` if only the empty list exists.
     pub fn is_empty(&self) -> bool {
-        self.lists.len() == 1
+        self.ids.len() == 1
     }
 
-    fn intern(&mut self, content: Vec<ProvTag>) -> ListId {
-        if let Some(&id) = self.by_content.get(content.as_slice()) {
-            return ListId(id);
+    /// Heap bytes held by the interner, computed from the capacities of its
+    /// node and id vectors and its maps (one control byte per map slot), so
+    /// it is a deterministic function of the operations performed.
+    pub fn heap_bytes(&self) -> usize {
+        fn map_bytes<K, V>(map: &FastMap<K, V>) -> usize {
+            map.capacity() * (size_of::<(K, V)>() + 1)
         }
-        let id = self.lists.len() as u32;
-        let boxed: Box<[ProvTag]> = content.into_boxed_slice();
-        self.by_content.insert(boxed.clone(), id);
-        self.lists.push(boxed);
-        ListId(id)
+        self.nodes.capacity() * size_of::<Node>()
+            + self.ids.capacity() * size_of::<u32>()
+            + map_bytes(&self.edges)
+            + map_bytes(&self.union_memo)
+    }
+
+    /// The node for `tag` appended to `parent`, created on first use.
+    fn child(&mut self, parent: u32, tag: ProvTag) -> u32 {
+        if let Some(&node) = self.edges.get(&(parent, tag)) {
+            return node;
+        }
+        let p = self.nodes[parent as usize];
+        let node = self.nodes.len() as u32;
+        self.nodes.push(Node {
+            filter: p.filter | filter_bit(tag),
+            parent,
+            id: NO_ID,
+            tag,
+            kinds: p.kinds | kind_bit(tag.kind()),
+        });
+        self.edges.insert((parent, tag), node);
+        node
+    }
+
+    /// The id of `node`, minting the next one if it has none yet.
+    fn id_of(&mut self, node: u32) -> ListId {
+        let n = &mut self.nodes[node as usize];
+        if n.id == NO_ID {
+            n.id = self.ids.len() as u32;
+            self.ids.push(node);
+        }
+        ListId(n.id)
+    }
+
+    /// Returns `true` if the list at `node` contains `tag`. Masks and filter
+    /// words only grow from a node to its descendants, so the walk stops at
+    /// the first ancestor whose filter lacks `tag`'s bit.
+    fn node_contains(&self, node: u32, tag: ProvTag) -> bool {
+        let bit = filter_bit(tag);
+        if self.nodes[node as usize].kinds & kind_bit(tag.kind()) == 0 {
+            return false;
+        }
+        self.chain(node)
+            .take_while(|n| n.filter & bit != 0)
+            .any(|n| n.tag == tag)
     }
 
     /// Appends `tag` at the head (most-recent end) of `id`, returning the
@@ -132,18 +252,8 @@ impl ProvInterner {
         if self.head(id) == Some(tag) {
             return id;
         }
-        if let Some(&memo) = self.append_memo.get(&(id.0, tag)) {
-            return ListId(memo);
-        }
-        let old = self.tags(id);
-        // Exact capacity: `intern` converts the Vec into a `Box<[_]>`, which
-        // is free only when capacity == length.
-        let mut content = Vec::with_capacity(old.len() + 1);
-        content.extend_from_slice(old);
-        content.push(tag);
-        let out = self.intern(content);
-        self.append_memo.insert((id.0, tag), out.0);
-        out
+        let node = self.child(self.node(id), tag);
+        self.id_of(node)
     }
 
     /// The union of two lists (the paper's `union(a, b)` rule for
@@ -159,41 +269,36 @@ impl ProvInterner {
         if let Some(&memo) = self.union_memo.get(&(a.0, b.0)) {
             return ListId(memo);
         }
-        let mut content = self.tags(a).to_vec();
-        for &tag in self.tags(b) {
-            if !content.contains(&tag) {
-                content.push(tag);
+        let mut node = self.node(a);
+        for tag in self.tags(b) {
+            if !self.node_contains(node, tag) {
+                node = self.child(node, tag);
             }
         }
-        let out = self.intern(content);
+        let out = self.id_of(node);
         self.union_memo.insert((a.0, b.0), out.0);
         out
     }
 
     /// Returns `true` if the list contains any tag of `kind`.
+    #[inline]
     pub fn contains_kind(&self, id: ListId, kind: TagKind) -> bool {
-        self.tags(id).iter().any(|t| t.kind() == kind)
+        self.nodes[self.node(id) as usize].kinds & kind_bit(kind) != 0
     }
 
     /// Returns `true` if the list contains `tag`.
     pub fn contains(&self, id: ListId, tag: ProvTag) -> bool {
-        self.tags(id).contains(&tag)
+        self.node_contains(self.node(id), tag)
     }
 
-    /// Iterates over the tags of `kind` in the list, oldest first.
+    /// Iterates over the tags of `kind` in the list, *newest* first,
+    /// without allocating. The walk ends at the oldest tag of `kind`.
     pub fn tags_of_kind(&self, id: ListId, kind: TagKind) -> impl Iterator<Item = ProvTag> + '_ {
-        self.tags(id).iter().copied().filter(move |t| t.kind() == kind)
-    }
-
-    /// Counts *distinct* tags of `kind` in the list — e.g. how many distinct
-    /// processes appear in a byte's history, which the FAROS policy uses to
-    /// recognize cross-process flows.
-    pub fn count_distinct_of_kind(&self, id: ListId, kind: TagKind) -> usize {
-        let tags = self.tags(id);
-        tags.iter()
-            .enumerate()
-            .filter(|(i, t)| t.kind() == kind && !tags[..*i].contains(t))
-            .count()
+        let bit = kind_bit(kind);
+        self.chain(self.node(id))
+            .take_while(move |n| n.kinds & bit != 0)
+            .filter(move |n| n.tag.kind() == kind)
+            .map(|n| n.tag)
     }
 }
 
@@ -212,7 +317,7 @@ mod tests {
     fn empty_list_properties() {
         let interner = ProvInterner::new();
         assert!(ListId::EMPTY.is_empty());
-        assert_eq!(interner.tags(ListId::EMPTY), &[]);
+        assert!(interner.tags(ListId::EMPTY).is_empty());
         assert_eq!(interner.head(ListId::EMPTY), None);
         assert!(interner.is_empty());
     }
@@ -288,6 +393,24 @@ mod tests {
     }
 
     #[test]
+    fn union_intermediates_get_no_id() {
+        let mut i = ProvInterner::new();
+        let a = i.append(ListId::EMPTY, nf(0));
+        let b0 = i.append(ListId::EMPTY, proc(1));
+        let b = i.append(b0, proc(2));
+        let before = i.len();
+        let u = i.union(a, b);
+        assert_eq!(i.len(), before + 1, "[nf0, p1] is built but not handed out");
+        assert_eq!(u, ListId::from_raw(before as u32));
+        assert_eq!(i.tags(u), &[nf(0), proc(1), proc(2)]);
+        // Appending onto `a` now reaches the intermediate node and mints
+        // the next id for it.
+        let ap = i.append(a, proc(1));
+        assert_eq!(ap, ListId::from_raw(before as u32 + 1));
+        assert_eq!(i.append(ap, proc(2)), u);
+    }
+
+    #[test]
     fn kind_queries() {
         let mut i = ProvInterner::new();
         let l = i.append(ListId::EMPTY, nf(0));
@@ -297,18 +420,10 @@ mod tests {
         assert!(i.contains_kind(l, TagKind::Netflow));
         assert!(i.contains_kind(l, TagKind::ExportTable));
         assert!(!i.contains_kind(l, TagKind::File));
-        assert_eq!(i.count_distinct_of_kind(l, TagKind::Process), 2);
         assert_eq!(i.tags_of_kind(l, TagKind::Process).count(), 2);
+        let newest_first: Vec<_> = i.tags_of_kind(l, TagKind::Process).collect();
+        assert_eq!(newest_first, [proc(2), proc(1)]);
         assert!(i.contains(l, proc(1)));
         assert!(!i.contains(l, proc(9)));
-    }
-
-    #[test]
-    fn count_distinct_ignores_repeats() {
-        let mut i = ProvInterner::new();
-        let l = i.append(ListId::EMPTY, proc(1));
-        let l = i.append(l, proc(2));
-        let l = i.append(l, proc(1)); // repeat
-        assert_eq!(i.count_distinct_of_kind(l, TagKind::Process), 2);
     }
 }

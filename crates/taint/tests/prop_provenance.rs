@@ -12,6 +12,7 @@ use faros_taint::engine::{PropagationMode, TaintEngine};
 use faros_taint::provlist::{ListId, ProvInterner};
 use faros_taint::shadow::ShadowAddr;
 use faros_taint::tag::{ProvTag, TagKind};
+use std::collections::HashMap;
 
 fn tag_vec(rng: &mut Rng, max: usize) -> Vec<ProvTag> {
     rng.vec_of(0, max, tag)
@@ -99,8 +100,122 @@ fn union_contains_all_source_tags() {
                 prop_assert!(interner.contains(u, t));
             }
             // And nothing else.
-            for &t in interner.tags(u) {
+            for t in interner.tags(u) {
                 prop_assert!(tags_a.contains(&t) || tags_b.contains(&t));
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The flat intern table the parent-linked interner replaced: every list
+/// stored whole and keyed by its content. It is the reference for list
+/// contents *and* for id numbering.
+#[derive(Default)]
+struct FlatInterner {
+    lists: Vec<Vec<ProvTag>>,
+    by_content: HashMap<Vec<ProvTag>, u32>,
+}
+
+impl FlatInterner {
+    fn new() -> FlatInterner {
+        let mut flat = FlatInterner::default();
+        flat.intern(Vec::new());
+        flat
+    }
+
+    fn intern(&mut self, content: Vec<ProvTag>) -> u32 {
+        if let Some(&id) = self.by_content.get(&content) {
+            return id;
+        }
+        let id = self.lists.len() as u32;
+        self.by_content.insert(content.clone(), id);
+        self.lists.push(content);
+        id
+    }
+
+    fn append(&mut self, id: u32, tag: ProvTag) -> u32 {
+        let old = &self.lists[id as usize];
+        if old.last() == Some(&tag) {
+            return id;
+        }
+        let mut content = old.clone();
+        content.push(tag);
+        self.intern(content)
+    }
+
+    fn union(&mut self, a: u32, b: u32) -> u32 {
+        if a == b || b == 0 {
+            return a;
+        }
+        if a == 0 {
+            return b;
+        }
+        let mut content = self.lists[a as usize].clone();
+        for &tag in &self.lists[b as usize] {
+            if !content.contains(&tag) {
+                content.push(tag);
+            }
+        }
+        self.intern(content)
+    }
+}
+
+/// A tag from a deliberately tiny domain, so random histories share
+/// prefixes and unions find most tags already present.
+fn small_tag(rng: &mut Rng) -> ProvTag {
+    ProvTag::new(*rng.pick(&TagKind::ALL[..3]), rng.range_u32(0, 3) as u16)
+}
+
+#[test]
+fn interner_matches_flat_oracle() {
+    check(
+        "interner_matches_flat_oracle",
+        Config::default(),
+        |rng| {
+            // (is_union, left pick, right pick, tag): picks index the ids
+            // returned so far, modulo their count.
+            let op = |rng: &mut Rng| {
+                let t = if rng.next_bool() { small_tag(rng) } else { tag(rng) };
+                (rng.below(3) == 0, rng.next_u32(), rng.next_u32(), t)
+            };
+            rng.vec_of(0, 64, op)
+        },
+        |ops| {
+            let mut interner = ProvInterner::new();
+            let mut flat = FlatInterner::new();
+            // `ids[k]` is the interner's id for the oracle's list `k`.
+            let mut ids = vec![ListId::EMPTY];
+            for &(is_union, x, y, t) in ops {
+                let ra = x % ids.len() as u32;
+                let rb = y % ids.len() as u32;
+                let (a, b) = (ids[ra as usize], ids[rb as usize]);
+                let (got, want) = if is_union {
+                    (interner.union(a, b), flat.union(ra, rb))
+                } else {
+                    (interner.append(a, t), flat.append(ra, t))
+                };
+                prop_assert_eq!(got.to_string(), format!("prov[{want}]"), "returned id");
+                if want as usize == ids.len() {
+                    ids.push(got);
+                }
+                let content = &flat.lists[want as usize];
+                prop_assert_eq!(&interner.tags(got), content);
+                prop_assert_eq!(interner.head(got), content.last().copied());
+                prop_assert_eq!(interner.len(), flat.lists.len());
+                for kind in TagKind::ALL {
+                    prop_assert_eq!(
+                        interner.contains_kind(got, kind),
+                        content.iter().any(|t| t.kind() == kind)
+                    );
+                    let newest_first: Vec<ProvTag> =
+                        content.iter().rev().copied().filter(|t| t.kind() == kind).collect();
+                    prop_assert_eq!(
+                        interner.tags_of_kind(got, kind).collect::<Vec<_>>(),
+                        newest_first
+                    );
+                }
+                prop_assert_eq!(interner.contains(got, t), content.contains(&t));
             }
             Ok(())
         },
@@ -151,29 +266,6 @@ fn delete_always_clears() {
             engine.delete(ShadowAddr::Mem(*addr), 1);
             prop_assert!(engine.prov_id(ShadowAddr::Mem(*addr)).is_empty());
             prop_assert_eq!(engine.shadow().tainted_mem_bytes(), 0);
-            Ok(())
-        },
-    );
-}
-
-#[test]
-fn count_distinct_matches_set_semantics() {
-    check(
-        "count_distinct_matches_set_semantics",
-        Config::default(),
-        |rng| tag_vec(rng, 24),
-        |tags| {
-            let mut interner = ProvInterner::new();
-            let id = build_list(&mut interner, tags);
-            for kind in TagKind::ALL {
-                let expected: std::collections::HashSet<ProvTag> = interner
-                    .tags(id)
-                    .iter()
-                    .copied()
-                    .filter(|t| t.kind() == kind)
-                    .collect();
-                prop_assert_eq!(interner.count_distinct_of_kind(id, kind), expected.len());
-            }
             Ok(())
         },
     );

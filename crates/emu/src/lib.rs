@@ -14,7 +14,8 @@
 //! * [`encode`] — binary encoding/decoding (instructions live as guest bytes);
 //! * [`asm`] — a two-pass assembler with labels, used by the workload corpus;
 //! * [`text`] — a text-syntax frontend for the assembler;
-//! * [`mem`] — flat physical memory and the frame allocator;
+//! * [`mem`] — flat physical memory, the frame allocator and code-write
+//!   detection;
 //! * [`mmu`] — page tables, permissions, translation faults;
 //! * [`cpu`] — the interpreter and its DIFT-oriented hook surface;
 //! * [`tcache`] — the decode-once translation cache: predecoded blocks,

@@ -5,6 +5,15 @@
 //! by *physical* address, exactly like PANDA's taint2: that is what lets tags
 //! follow bytes across address spaces, which in turn is what makes
 //! cross-process injection visible to FAROS at all.
+//!
+//! `PhysMem` is also where self-modifying code is detected: every guest
+//! physical byte is written through [`PhysMem::write`] or
+//! [`PhysMem::write_u8`], whether by a guest store or by the kernel on a
+//! syscall's behalf (`NtWriteVirtualMemory`, `NtReadFile`, the loader). The
+//! translation cache marks each frame it decodes from
+//! (`PhysMem::watch_code_frame`); a write into a marked frame raises
+//! `PhysMem::code_written`, and the cache drops its blocks before it runs
+//! another instruction.
 
 use std::fmt;
 
@@ -84,6 +93,12 @@ pub struct PhysMem {
     total_frames: u32,
     next_frame: u32,
     free_list: Vec<u32>,
+    /// `code_frames[pfn]` is set while decoded code from frame `pfn` is
+    /// cached.
+    code_frames: Vec<bool>,
+    /// Set by any write into a watched frame since the last
+    /// `PhysMem::clear_code_watch`.
+    code_written: bool,
 }
 
 impl PhysMem {
@@ -101,6 +116,8 @@ impl PhysMem {
             total_frames: frames,
             next_frame: 0,
             free_list: Vec::new(),
+            code_frames: Vec::new(),
+            code_written: false,
         }
     }
 
@@ -210,6 +227,11 @@ impl PhysMem {
             self.commit_to(end);
         }
         self.data[start..end].copy_from_slice(bytes);
+        if !bytes.is_empty() {
+            let (first, last) = (start >> 12, (end - 1) >> 12);
+            let mut frames = self.code_frames.iter().skip(first).take(last - first + 1);
+            self.code_written |= frames.any(|&watched| watched);
+        }
         Ok(())
     }
 
@@ -242,6 +264,9 @@ impl PhysMem {
             self.commit_to(i + 1);
         }
         self.data[i] = val;
+        if self.code_frames.get(i >> 12) == Some(&true) {
+            self.code_written = true;
+        }
         Ok(())
     }
 
@@ -263,6 +288,34 @@ impl PhysMem {
     /// Returns [`MemError::OutOfRange`] if the range exceeds installed memory.
     pub fn write_u32(&mut self, addr: u32, val: u32) -> Result<(), MemError> {
         self.write(addr, &val.to_le_bytes())
+    }
+
+    /// Marks frame `pfn` as holding decoded code: from now on a write into
+    /// it raises `PhysMem::code_written`.
+    pub(crate) fn watch_code_frame(&mut self, pfn: u32) {
+        let i = pfn as usize;
+        if self.code_frames.len() <= i {
+            self.code_frames.resize(i + 1, false);
+        }
+        self.code_frames[i] = true;
+    }
+
+    /// Whether a write touched a watched frame since the last
+    /// `PhysMem::clear_code_watch`.
+    #[inline]
+    pub(crate) fn code_written(&self) -> bool {
+        self.code_written
+    }
+
+    /// Unwatches every frame and lowers `PhysMem::code_written`. Returns
+    /// whether any frame was watched. Only `TransCache::invalidate_all`
+    /// may call it, as it drops every block in the same step: a frame
+    /// unwatched while its blocks stay cached would let stale code run.
+    pub(crate) fn clear_code_watch(&mut self) -> bool {
+        let watched = !self.code_frames.is_empty();
+        self.code_frames.clear();
+        self.code_written = false;
+        watched
     }
 
     /// Borrows a physical byte range (used by snapshot scanners and the
@@ -358,6 +411,29 @@ mod tests {
         // Allocation still hands out zeroed frames in order.
         assert_eq!(mem.alloc_frame().unwrap(), 0);
         assert_eq!(mem.free_frames(), 7);
+    }
+
+    #[test]
+    fn writes_into_watched_frames_raise_code_written() {
+        let mut mem = PhysMem::new(4);
+        mem.watch_code_frame(1);
+        // Writes outside the watched frame leave the flag down.
+        mem.write(0, &[1; 16]).unwrap();
+        mem.write_u8(2 * PAGE_SIZE, 1).unwrap();
+        mem.write(PAGE_SIZE, &[]).unwrap();
+        assert!(!mem.code_written());
+        // A run straddling into the watched frame raises it.
+        mem.write(PAGE_SIZE - 2, &[7; 4]).unwrap();
+        assert!(mem.code_written());
+        assert!(mem.clear_code_watch());
+        assert!(!mem.code_written());
+        // Clearing unwatches the frame too.
+        mem.write_u8(PAGE_SIZE + 5, 9).unwrap();
+        assert!(!mem.code_written());
+        assert!(!mem.clear_code_watch());
+        mem.watch_code_frame(1);
+        mem.write_u8(PAGE_SIZE + 5, 9).unwrap();
+        assert!(mem.code_written());
     }
 
     #[test]

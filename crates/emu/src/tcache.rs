@@ -10,31 +10,30 @@
 //!
 //! # Key scheme and invalidation
 //!
-//! Blocks are keyed by `(asid, entry VA)`; the *code version* is implicit —
-//! any write into a frame that holds cached code invalidates the whole cache
-//! and bumps [`TransCache::version`]. Invalidations come from two directions:
+//! Blocks are keyed by `(asid, entry VA)`, and [`TransCache::invalidate_all`]
+//! drops every block at once. Two things trigger it:
 //!
-//! * **guest stores** — the block executor watches every store-flavored flow
-//!   hook through a private `CodeWatch` and stops the current block before
-//!   the next instruction when a watched frame was hit, so self-modifying
-//!   code re-decodes before any stale instruction executes;
-//! * **kernel writes and mapping changes** — the kernel calls
-//!   [`TransCache::note_write`] for writes performed on behalf of syscalls
-//!   and [`TransCache::invalidate_all`] when mappings change (module
-//!   load/unload, permission changes), since a remap can silently change
-//!   what a virtual address decodes to.
+//! * **code writes** — each frame a block is decoded from is marked in
+//!   [`PhysMem`] (`PhysMem::watch_code_frame`), which raises
+//!   `PhysMem::code_written` on any write into a marked frame, whether a
+//!   guest store or a kernel copy made on a syscall's behalf. The executor
+//!   checks the flag after every instruction and before every block
+//!   lookup, so self-modifying code re-decodes before any stale
+//!   instruction executes;
+//! * **mapping changes** — the kernel calls [`TransCache::invalidate_all`]
+//!   when mappings change (module load/unload, permission changes), since
+//!   a remap can silently change what a virtual address decodes to.
 //!
 //! Correctness bar: running a workload through [`Cpu::run_cached`] must be
 //! observably identical — hook for hook, counter for counter — to running it
 //! through [`Cpu::step`]. The corpus-wide differential gate in CI holds the
 //! two executors to byte-identical analysis reports.
 
-use crate::cpu::{Cpu, CpuHooks, InsnCtx, ShadowLoc, StepEvent};
+use crate::cpu::{Cpu, CpuHooks, InsnCtx, StepEvent};
 use crate::encode::MAX_INSTR_LEN;
-use crate::isa::{Instr, Reg, Width};
+use crate::isa::Instr;
 use crate::mem::{page_number, PhysMem};
 use crate::mmu::{AddressSpace, Asid};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Upper bound on instructions per cached block; straight-line runs longer
@@ -79,50 +78,12 @@ pub struct TcStats {
     pub elided_blocks: u64,
 }
 
-/// Watches stores for writes into frames that back cached code.
-///
-/// The watch is consulted from inside the hook stack (shared reference), so
-/// the "a cached frame was written" signal is a [`Cell`] the owning
-/// [`TransCache`] drains between blocks.
-#[derive(Debug, Default)]
-struct CodeWatch {
-    /// `code_frames[pfn]` is set when any cached block was decoded from
-    /// bytes on that physical frame.
-    code_frames: Vec<bool>,
-    /// Set by the executor's hook shim when a store hit a watched frame.
-    pending: Cell<bool>,
-}
-
-impl CodeWatch {
-    fn watches(&self, pfn: u32) -> bool {
-        self.code_frames.get(pfn as usize).copied().unwrap_or(false)
-    }
-
-    fn mark(&mut self, pfn: u32) {
-        let i = pfn as usize;
-        if self.code_frames.len() <= i {
-            self.code_frames.resize(i + 1, false);
-        }
-        self.code_frames[i] = true;
-    }
-
-    fn note_phys(&self, phys: &[u32]) {
-        for &p in phys {
-            if self.watches(page_number(p)) {
-                self.pending.set(true);
-            }
-        }
-    }
-}
-
 /// The per-machine decoded-block cache. See the module docs for the key
 /// scheme and invalidation rules.
 #[derive(Debug, Default)]
 pub struct TransCache {
     map: HashMap<(Asid, u32), usize>,
     blocks: Vec<CachedBlock>,
-    watch: CodeWatch,
-    version: u64,
     stats: TcStats,
 }
 
@@ -137,58 +98,22 @@ impl TransCache {
         self.stats
     }
 
-    /// The code version: bumped on every invalidation, so `(asid, VA,
-    /// version)` names the decoded bytes a block was built from.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// Drops every cached block and bumps the code version.
-    pub fn invalidate_all(&mut self) {
+    /// Drops every cached block and unwatches the frames they were decoded
+    /// from.
+    pub fn invalidate_all(&mut self, mem: &mut PhysMem) {
+        let watched = mem.clear_code_watch();
         // Cheap when already empty (repeated mapping changes at boot).
-        if self.map.is_empty() && self.watch.code_frames.is_empty() {
-            self.watch.pending.set(false);
+        if self.map.is_empty() && !watched {
             return;
         }
         self.map.clear();
         self.blocks.clear();
-        self.watch.code_frames.clear();
-        self.watch.pending.set(false);
-        self.version += 1;
         self.stats.invalidations += 1;
-    }
-
-    /// Reports a physical-memory write performed outside guest execution
-    /// (syscall service, DMA-style kernel copies). Invalidates if the run
-    /// `[start, start + len)` overlaps any frame holding cached code.
-    pub fn note_write(&mut self, start: u32, len: u32) {
-        if len == 0 {
-            return;
-        }
-        let first = page_number(start);
-        let last = page_number(start.saturating_add(len - 1));
-        for pfn in first..=last {
-            if self.watch.watches(pfn) {
-                self.invalidate_all();
-                return;
-            }
-        }
-    }
-
-    /// Drains the executor's pending-write signal, invalidating when a guest
-    /// store hit cached code. Returns `true` if the cache was flushed.
-    fn flush_if_pending(&mut self) -> bool {
-        if self.watch.pending.get() {
-            self.invalidate_all();
-            true
-        } else {
-            false
-        }
     }
 
     fn lookup_or_build(
         &mut self,
-        mem: &PhysMem,
+        mem: &mut PhysMem,
         aspace: &AddressSpace,
         asid: Asid,
         entry: u32,
@@ -222,7 +147,7 @@ impl TransCache {
 
     fn build_block(
         &mut self,
-        mem: &PhysMem,
+        mem: &mut PhysMem,
         aspace: &AddressSpace,
         asid: Asid,
         entry: u32,
@@ -241,7 +166,7 @@ impl TransCache {
                 Err(_) => break,
             };
             for &p in &code_phys[..len] {
-                self.watch.mark(page_number(p));
+                mem.watch_code_frame(page_number(p));
             }
             insns.push(CachedInsn {
                 vaddr: va,
@@ -259,58 +184,6 @@ impl TransCache {
         self.map.insert((asid, entry), idx);
         self.stats.blocks_built += 1;
         Ok(idx)
-    }
-}
-
-/// The executor's per-block hook shim: watches stores for self-modifying
-/// code and forwards every hook unchanged, so observers see the exact
-/// interpreter event stream.
-struct BlockHooks<'a, H: CpuHooks> {
-    inner: &'a mut H,
-    watch: &'a CodeWatch,
-}
-
-impl<H: CpuHooks> CpuHooks for BlockHooks<'_, H> {
-    fn on_insn(&mut self, ctx: &InsnCtx) {
-        self.inner.on_insn(ctx);
-    }
-    fn flow_copy(&mut self, dst: Reg, src: Reg) {
-        self.inner.flow_copy(dst, src);
-    }
-    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
-        self.inner.flow_union(dst, srcs, keep_dst);
-    }
-    fn flow_delete(&mut self, dst: Reg) {
-        self.inner.flow_delete(dst);
-    }
-    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
-        self.inner.flow_addr_dep(dst, addr_srcs);
-    }
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
-        self.inner.flow_addr_dep_bytes(phys, addr_srcs);
-    }
-    fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
-        self.inner.flow_load(dst, phys);
-    }
-    fn flow_store(&mut self, phys: &[u32], src: Reg) {
-        self.watch.note_phys(phys);
-        self.inner.flow_store(phys, src);
-    }
-    fn flow_delete_mem(&mut self, phys: &[u32]) {
-        self.watch.note_phys(phys);
-        self.inner.flow_delete_mem(phys);
-    }
-    fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
-        self.inner.on_load(ctx, vaddr, phys, width, dst);
-    }
-    fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
-        self.inner.on_control(ctx, target, target_src);
-    }
-    fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
-        self.inner.on_branch(ctx, taken);
-    }
-    fn flow_flags(&mut self, srcs: &[Reg]) {
-        self.inner.flow_flags(srcs);
     }
 }
 
@@ -336,7 +209,8 @@ impl Cpu {
         let mut executed = 0u32;
         let mut prev: Option<usize> = None;
         while executed < fuel {
-            if tc.flush_if_pending() {
+            if mem.code_written() {
+                tc.invalidate_all(mem);
                 prev = None;
             }
             let entry = self.context().eip;
@@ -345,51 +219,35 @@ impl Cpu {
                 Ok(idx) => idx,
                 Err(ev) => return (executed, ev),
             };
-            let mut event = StepEvent::Normal;
-            let mut terminal = false;
-            {
-                let block = &tc.blocks[idx];
-                let mut shim = BlockHooks { inner: hooks, watch: &tc.watch };
-                for insn in &block.insns {
-                    if executed >= fuel {
-                        break;
-                    }
-                    debug_assert_eq!(self.context().eip, insn.vaddr);
-                    let ctx = InsnCtx {
-                        vaddr: insn.vaddr,
-                        code_phys: insn.code_phys,
-                        len: insn.len,
-                        instr: insn.instr,
-                        asid,
-                        retired: self.retired(),
-                    };
-                    shim.inner.on_insn(&ctx);
-                    event = self.exec_instr(mem, aspace, &mut shim, &ctx);
-                    if matches!(event, StepEvent::Fault(_)) {
-                        // Precise fault: nothing retired, no flows fired.
-                        terminal = true;
-                        break;
-                    }
-                    self.retire_one();
-                    executed += 1;
-                    match event {
-                        StepEvent::Normal => {
-                            // A store hit cached code: stop before the next
-                            // (possibly stale) instruction and re-decode.
-                            if shim.watch.pending.get() {
-                                break;
-                            }
-                        }
-                        StepEvent::Branch => break,
-                        _ => {
-                            terminal = true;
-                            break;
-                        }
-                    }
+            for insn in &tc.blocks[idx].insns {
+                if executed >= fuel {
+                    break;
                 }
-            }
-            if terminal {
-                return (executed, event);
+                debug_assert_eq!(self.context().eip, insn.vaddr);
+                let ctx = InsnCtx {
+                    vaddr: insn.vaddr,
+                    code_phys: insn.code_phys,
+                    len: insn.len,
+                    instr: insn.instr,
+                    asid,
+                    retired: self.retired(),
+                };
+                hooks.on_insn(&ctx);
+                let event = self.exec_instr(mem, aspace, hooks, &ctx);
+                if matches!(event, StepEvent::Fault(_)) {
+                    // Precise fault: nothing retired, no flows fired.
+                    return (executed, event);
+                }
+                self.retire_one();
+                executed += 1;
+                match event {
+                    // A write hit cached code: stop before the next
+                    // (possibly stale) instruction and re-decode.
+                    StepEvent::Normal if mem.code_written() => break,
+                    StepEvent::Normal => {}
+                    StepEvent::Branch => break,
+                    _ => return (executed, event),
+                }
             }
             prev = Some(idx);
         }
@@ -401,8 +259,8 @@ impl Cpu {
 mod tests {
     use super::*;
     use crate::asm::Asm;
-    use crate::cpu::NoHooks;
-    use crate::isa::Mem;
+    use crate::cpu::{NoHooks, ShadowLoc};
+    use crate::isa::{Mem, Reg, Width};
     use crate::mem::PAGE_SIZE;
     use crate::mmu::Perms;
 
@@ -614,24 +472,5 @@ mod tests {
         let (cached_eax, cached_retired) = run(&mut mem2, true);
         assert_eq!(interp_eax, 99, "second pass executes the patched imm");
         assert_eq!((cached_eax, cached_retired), (interp_eax, interp_retired));
-    }
-
-    #[test]
-    fn kernel_note_write_invalidates_overlapping_frames() {
-        let mut a = Asm::new(0x1000);
-        a.nop();
-        a.hlt();
-        let (mut cpu, mut mem, aspace) = machine(&a);
-        let mut tc = TransCache::new();
-        let (_, ev) = cpu.run_cached(&mut mem, &aspace, &mut tc, &mut NoHooks, u32::MAX);
-        assert_eq!(ev, StepEvent::Halt);
-        let v0 = tc.version();
-        // A write to a non-code frame does not invalidate.
-        tc.note_write(2 * PAGE_SIZE, 16);
-        assert_eq!(tc.version(), v0);
-        // A write overlapping the code frame does.
-        tc.note_write(10, 2);
-        assert_eq!(tc.version(), v0 + 1);
-        assert_eq!(tc.stats().invalidations, 1);
     }
 }

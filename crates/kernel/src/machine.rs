@@ -415,18 +415,9 @@ impl Machine {
         access: Access,
     ) -> Result<Vec<ByteRange>, MachineError> {
         let proc = self.procs.get(&pid).ok_or(MachineError::NoSuchProcess(pid))?;
-        let mut runs: Vec<ByteRange> = Vec::new();
-        for i in 0..len {
-            let phys = proc
-                .aspace
-                .translate(va.wrapping_add(i), access)
-                .map_err(MachineError::BadAddress)?;
-            match runs.last_mut() {
-                Some(last) if last.phys + last.len == phys => last.len += 1,
-                _ => runs.push(ByteRange { phys, len: 1 }),
-            }
-        }
-        Ok(runs)
+        coalesce_runs(va, len, |vaddr| {
+            proc.aspace.translate(vaddr, access).map_err(MachineError::BadAddress)
+        })
     }
 
     /// Reads guest bytes from `pid`'s address space.
@@ -458,14 +449,7 @@ impl Machine {
         bytes: &[u8],
     ) -> Result<Vec<ByteRange>, MachineError> {
         let runs = self.phys_runs(pid, va, bytes.len() as u32, Access::Write)?;
-        let mut off = 0usize;
-        for r in &runs {
-            self.mem
-                .write(r.phys, &bytes[off..off + r.len as usize])
-                .expect("translated range in bounds");
-            self.tcache.note_write(r.phys, r.len);
-            off += r.len as usize;
-        }
+        self.write_runs(&runs, bytes);
         Ok(runs)
     }
 
@@ -478,32 +462,27 @@ impl Machine {
         va: u32,
         bytes: &[u8],
     ) -> Result<Vec<ByteRange>, MachineError> {
-        let runs = {
-            let proc = self.procs.get(&pid).ok_or(MachineError::NoSuchProcess(pid))?;
-            let mut runs: Vec<ByteRange> = Vec::new();
-            for i in 0..bytes.len() as u32 {
-                let vaddr = va.wrapping_add(i);
-                let entry = proc
-                    .aspace
-                    .entry(vaddr)
-                    .ok_or(MachineError::BadAddress(Fault::NotMapped { vaddr }))?;
-                let phys = entry.pfn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1));
-                match runs.last_mut() {
-                    Some(last) if last.phys + last.len == phys => last.len += 1,
-                    _ => runs.push(ByteRange { phys, len: 1 }),
-                }
-            }
-            runs
-        };
+        let proc = self.procs.get(&pid).ok_or(MachineError::NoSuchProcess(pid))?;
+        let runs = coalesce_runs(va, bytes.len() as u32, |vaddr| {
+            let entry = proc
+                .aspace
+                .entry(vaddr)
+                .ok_or(MachineError::BadAddress(Fault::NotMapped { vaddr }))?;
+            Ok(entry.pfn * PAGE_SIZE + (vaddr & (PAGE_SIZE - 1)))
+        })?;
+        self.write_runs(&runs, bytes);
+        Ok(runs)
+    }
+
+    /// Writes `bytes` across the translated physical `runs`, in order.
+    fn write_runs(&mut self, runs: &[ByteRange], bytes: &[u8]) {
         let mut off = 0usize;
-        for r in &runs {
+        for r in runs {
             self.mem
                 .write(r.phys, &bytes[off..off + r.len as usize])
-                .expect("mapped range in bounds");
-            self.tcache.note_write(r.phys, r.len);
+                .expect("translated range in bounds");
             off += r.len as usize;
         }
-        Ok(runs)
     }
 
     /// Kernel-mediated guest-to-guest copy (the `NtWriteVirtualMemory` /
@@ -524,10 +503,9 @@ impl Machine {
         let mut pairs: Vec<CopyRun> = Vec::new();
         let mut src_iter = src_runs.iter().flat_map(|r| (0..r.len).map(move |i| r.phys + i));
         let mut dst_iter = dst_runs.iter().flat_map(|r| (0..r.len).map(move |i| r.phys + i));
-        let mut buf = vec![0u8; 1];
         while let (Some(s), Some(d)) = (src_iter.next(), dst_iter.next()) {
-            self.mem.read(s, &mut buf).expect("translated");
-            self.mem.write(d, &buf).expect("translated");
+            let byte = self.mem.read_u8(s).expect("translated");
+            self.mem.write_u8(d, byte).expect("translated");
             match pairs.last_mut() {
                 Some(last)
                     if last.src_phys + last.len == s && last.dst_phys + last.len == d =>
@@ -536,9 +514,6 @@ impl Machine {
                 }
                 _ => pairs.push(CopyRun { dst_phys: d, src_phys: s, len: 1 }),
             }
-        }
-        for pair in &pairs {
-            self.tcache.note_write(pair.dst_phys, pair.len);
         }
         obs.guest_copy(src_pid, dst_pid, &pairs);
         Ok(())
@@ -576,7 +551,7 @@ impl Machine {
         let proc = self.procs.get_mut(&pid).expect("checked above");
         proc.add_region(VadRegion { base: va, size: pages * PAGE_SIZE, perms, kind });
         // New mappings change what a cached virtual address decodes to.
-        self.tcache.invalidate_all();
+        self.tcache.invalidate_all(&mut self.mem);
         obs.kernel_write(pid, &ranges);
         Ok(())
     }
@@ -595,7 +570,7 @@ impl Machine {
         }
         // Cached blocks for the torn-down mapping must not outlive it
         // (module unload / UnmapViewOfSection).
-        self.tcache.invalidate_all();
+        self.tcache.invalidate_all(&mut self.mem);
         Ok(region)
     }
 
@@ -1067,4 +1042,22 @@ impl Machine {
     pub(crate) fn push_console(&mut self, pid: Pid, text: String) {
         self.console.push((pid, text));
     }
+}
+
+/// Translates the `len` bytes at `va` one by one through `translate` and
+/// coalesces the physical addresses into contiguous runs.
+fn coalesce_runs(
+    va: u32,
+    len: u32,
+    mut translate: impl FnMut(u32) -> Result<u32, MachineError>,
+) -> Result<Vec<ByteRange>, MachineError> {
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for i in 0..len {
+        let phys = translate(va.wrapping_add(i))?;
+        match runs.last_mut() {
+            Some(last) if last.phys + last.len == phys => last.len += 1,
+            _ => runs.push(ByteRange { phys, len: 1 }),
+        }
+    }
+    Ok(runs)
 }

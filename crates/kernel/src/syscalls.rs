@@ -662,7 +662,7 @@ impl Machine {
         // Protection changes can grant or revoke execute on pages that back
         // cached blocks (VirtualProtect before a jump into fresh shellcode);
         // drop the cache even on partial failure — earlier pages changed.
-        self.tcache.invalidate_all();
+        self.tcache.invalidate_all(&mut self.mem);
         if ok {
             NtStatus::Success
         } else {

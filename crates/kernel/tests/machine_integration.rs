@@ -6,7 +6,7 @@ use faros_emu::asm::Asm;
 use faros_emu::isa::{Mem as M, Reg};
 use faros_emu::mmu::Perms;
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents, NullObserver};
-use faros_kernel::machine::{Machine, MachineConfig, RunExit, IMAGE_BASE};
+use faros_kernel::machine::{ExecMode, Machine, MachineConfig, RunExit, IMAGE_BASE};
 use faros_kernel::module::{FdlImage, Section};
 use faros_kernel::net::{NetworkFabric, RemoteEndpoint};
 use faros_kernel::nt::Sysno;
@@ -224,6 +224,70 @@ fn cross_process_write_and_remote_thread() {
     // And it really ran in the victim's context:
     let victim_proc = machine.process_by_name("victim.exe").unwrap();
     assert_eq!(machine.console()[0].0, victim_proc.pid);
+}
+
+#[test]
+fn kernel_writes_into_cached_code_are_executed() {
+    // The routine `mov eax, imm32; ret` lives in the image's RWX section.
+    // The guest calls it, patches its immediate through
+    // NtWriteVirtualMemory(self) and then through NtReadFile, calling it
+    // after each patch. The cached executor must re-decode after each
+    // kernel write, exactly as the interpreter does.
+    let scratch = IMAGE_BASE + 0x1000;
+    let call_and_print = |asm: &mut Asm| {
+        asm.call("routine");
+        asm.st4(M::abs(scratch + 8), Reg::Eax);
+        syscall(asm, Sysno::NtDisplayString, &[(Reg::Ebx, scratch + 8), (Reg::Ecx, 4)]);
+    };
+    let mut asm = Asm::new(IMAGE_BASE);
+    call_and_print(&mut asm);
+    asm.mov_label(Reg::Ecx, "routine");
+    asm.add_ri(Reg::Ecx, 2); // the imm32 of the routine's `mov`
+    asm.mov_label(Reg::Edx, "patch");
+    syscall(
+        &mut asm,
+        Sysno::NtWriteVirtualMemory,
+        &[(Reg::Ebx, 0xffff_ffff), (Reg::Esi, 4)],
+    );
+    call_and_print(&mut asm);
+    asm.mov_label(Reg::Ebx, "path");
+    syscall(
+        &mut asm,
+        Sysno::NtCreateFile,
+        &[(Reg::Ecx, 12), (Reg::Edx, 0), (Reg::Esi, scratch)],
+    );
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    asm.mov_label(Reg::Ecx, "routine");
+    asm.add_ri(Reg::Ecx, 2);
+    syscall(&mut asm, Sysno::NtReadFile, &[(Reg::Edx, 4), (Reg::Esi, 0)]);
+    call_and_print(&mut asm);
+    asm.hlt();
+    asm.label("routine");
+    asm.mov_ri(Reg::Eax, u32::from_le_bytes(*b"one!"));
+    asm.ret();
+    asm.label("patch");
+    asm.raw(b"two!");
+    asm.label("path");
+    asm.raw(b"C:/patch.bin");
+    let image = image_from_asm(asm);
+
+    let run = |exec: ExecMode| {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.set_exec_mode(exec);
+        machine.fs.create("C:/patch.bin", b"thr!".to_vec()).unwrap();
+        machine.install_program("C:/test.exe", &image).unwrap();
+        machine
+            .spawn_process("C:/test.exe", false, None, &mut NullObserver)
+            .unwrap();
+        assert_eq!(machine.run(5_000_000, &mut NullObserver), RunExit::AllExited);
+        let lines: Vec<String> = machine.console().iter().map(|(_, s)| s.clone()).collect();
+        (lines, machine.ticks(), machine.tc_stats().invalidations)
+    };
+    let (cached_lines, cached_ticks, invalidations) = run(ExecMode::Cached);
+    let (interp_lines, interp_ticks, _) = run(ExecMode::Interpret);
+    assert_eq!(interp_lines, ["one!", "two!", "thr!"], "each call sees the patched bytes");
+    assert_eq!((cached_lines, cached_ticks), (interp_lines, interp_ticks));
+    assert!(invalidations >= 2, "both kernel writes invalidate: {invalidations}");
 }
 
 /// An attacker endpoint that serves a fixed payload after a "GET" request.

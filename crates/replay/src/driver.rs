@@ -21,7 +21,6 @@ use faros_kernel::net::{NetLog, NetworkFabric};
 use faros_obs::profile::PhaseProfile;
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::fmt;
-use std::time::{Duration, Instant};
 
 /// Captured nondeterminism plus run metadata — everything needed to
 /// re-execute a scenario deterministically.
@@ -110,11 +109,10 @@ pub struct RunOutcome {
     pub exit: RunExit,
     /// Instructions retired.
     pub instructions: u64,
-    /// Wall-clock duration of the run — the measurement behind Table V.
-    pub wall: Duration,
-    /// Wall-clock per driver phase (`setup`, `record`/`replay`); callers
-    /// merge their own phases (e.g. `report`) in. Human-facing diagnostics
-    /// only — never part of deterministic exports.
+    /// Wall-clock per driver phase (`setup`, `record`/`replay`; the
+    /// `replay` phase is the measurement behind Table V); callers merge
+    /// their own phases (e.g. `report`) in. Human-facing diagnostics only —
+    /// never part of deterministic exports.
     pub phases: PhaseProfile,
 }
 
@@ -123,7 +121,6 @@ impl fmt::Debug for RunOutcome {
         f.debug_struct("RunOutcome")
             .field("exit", &self.exit)
             .field("instructions", &self.instructions)
-            .field("wall", &self.wall)
             .field("phases", &self.phases)
             .finish()
     }
@@ -167,9 +164,7 @@ pub fn record<S: Scenario + ?Sized>(
     let mut machine = phases
         .time("setup", || scenario.build(fabric, &mut obs))
         .map_err(|e| ReplayError::Setup(e.to_string()))?;
-    let start = Instant::now();
     let exit = phases.time("record", || machine.run(budget, &mut obs));
-    let wall = start.elapsed();
     let instructions = machine.ticks();
     let recording = Recording {
         scenario: scenario.name().to_string(),
@@ -177,7 +172,7 @@ pub fn record<S: Scenario + ?Sized>(
         instructions,
         clean_exit: exit == RunExit::AllExited,
     };
-    Ok((recording, RunOutcome { machine, exit, instructions, wall, phases }))
+    Ok((recording, RunOutcome { machine, exit, instructions, phases }))
 }
 
 /// Replays a recording with the given observer (plugin stack) attached,
@@ -218,14 +213,12 @@ pub fn replay_with_exec<S: Scenario + ?Sized, O: Observer>(
         .time("setup", || scenario.build(fabric, &mut obs))
         .map_err(|e| ReplayError::Setup(e.to_string()))?;
     machine.set_exec_mode(exec);
-    let start = Instant::now();
     let exit = phases.time("replay", || machine.run(budget, &mut obs));
-    let wall = start.elapsed();
     if let Some(d) = machine.net.divergence() {
         return Err(ReplayError::Diverged(d.detail.clone()));
     }
     let instructions = machine.ticks();
-    Ok(RunOutcome { machine, exit, instructions, wall, phases })
+    Ok(RunOutcome { machine, exit, instructions, phases })
 }
 
 /// Records a scenario, then replays it under the observer — the

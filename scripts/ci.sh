@@ -180,4 +180,8 @@ if grep -rn "crates-io\|serde\|proptest\|criterion\|parking_lot" crates/*/Cargo.
     exit 1
 fi
 
+echo "==> tracked size (scripts/loc.sh: non-test lines under crates/*/src)"
+# Print-only: records the size ROADMAP.md tracks in every run's log.
+scripts/loc.sh
+
 echo "CI gate passed."

@@ -130,31 +130,6 @@ impl ToJson for CfiModel {
     }
 }
 
-impl FromJson for CfiModel {
-    fn from_json_value(v: &JsonValue) -> Result<CfiModel, JsonError> {
-        let raw = v
-            .get("indirect_targets")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("missing indirect_targets array"))?;
-        let mut indirect_targets = BTreeMap::new();
-        for s in raw {
-            let site: u32 = json::field(s, "site")?;
-            let targets: Vec<u32> = json::field(s, "targets")?;
-            indirect_targets.insert(site, targets.into_iter().collect());
-        }
-        let unresolved: Vec<u32> = json::field(v, "unresolved_sites")?;
-        let returns: Vec<u32> = json::field(v, "return_sites")?;
-        let entries: Vec<u32> = json::field(v, "function_entries")?;
-        Ok(CfiModel {
-            module: json::field(v, "module")?,
-            indirect_targets,
-            unresolved_sites: unresolved.into_iter().collect(),
-            return_sites: returns.into_iter().collect(),
-            function_entries: entries.into_iter().collect(),
-        })
-    }
-}
-
 /// One control transfer that escaped every static claim.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CfiViolation {
@@ -477,8 +452,6 @@ mod tests {
         assert!(model.function_entries.contains(&helper));
         assert_eq!(model.indirect_targets.len(), 1);
         assert!(model.unresolved_sites.is_empty());
-        let v = model.to_json_value();
-        assert_eq!(CfiModel::from_json_value(&v).unwrap(), model);
     }
 
     #[test]

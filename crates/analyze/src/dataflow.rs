@@ -227,13 +227,6 @@ pub struct ImageFlowMap {
     pub taint_reachable: BTreeSet<u32>,
 }
 
-impl ImageFlowMap {
-    /// Flows ending at a given sink kind.
-    pub fn flows_into(&self, sink: SinkKind) -> impl Iterator<Item = &StaticFlow> {
-        self.flows.iter().filter(move |f| f.sink == sink)
-    }
-}
-
 impl ToJson for ImageFlowMap {
     fn to_json_value(&self) -> JsonValue {
         let sources: Vec<JsonValue> = self
@@ -252,26 +245,6 @@ impl ToJson for ImageFlowMap {
                 self.taint_reachable.iter().copied().collect::<Vec<u32>>().to_json_value(),
             ),
         ])
-    }
-}
-
-impl FromJson for ImageFlowMap {
-    fn from_json_value(v: &JsonValue) -> Result<ImageFlowMap, JsonError> {
-        let raw_sources = v
-            .get("sources")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("missing sources array"))?;
-        let mut sources = Vec::with_capacity(raw_sources.len());
-        for s in raw_sources {
-            sources.push((json::field(s, "va")?, json::field(s, "kind")?));
-        }
-        let reach: Vec<u32> = json::field(v, "taint_reachable")?;
-        Ok(ImageFlowMap {
-            module: json::field(v, "module")?,
-            sources,
-            flows: json::field(v, "flows")?,
-            taint_reachable: reach.into_iter().collect(),
-        })
     }
 }
 
@@ -354,19 +327,6 @@ impl ToJson for DataflowStats {
             ("summary_cache_hits", self.summary_cache_hits.to_json_value()),
             ("functions_analyzed", self.functions_analyzed.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for DataflowStats {
-    fn from_json_value(v: &JsonValue) -> Result<DataflowStats, JsonError> {
-        Ok(DataflowStats {
-            worklist_iterations: json::field(v, "worklist_iterations")?,
-            widenings: json::field(v, "widenings")?,
-            indirects_resolved: json::field(v, "indirects_resolved")?,
-            indirects_unresolved: json::field(v, "indirects_unresolved")?,
-            summary_cache_hits: json::field(v, "summary_cache_hits")?,
-            functions_analyzed: json::field(v, "functions_analyzed")?,
-        })
     }
 }
 
@@ -1419,8 +1379,6 @@ mod tests {
         assert_eq!(snap.counter("analyze.worklist.iterations"), Some(10));
         assert_eq!(snap.counter("analyze.indirect.resolved"), Some(3));
         assert_eq!(snap.counter("analyze.summary.cache_hits"), Some(4));
-        let back = DataflowStats::from_json_value(&stats.to_json_value()).unwrap();
-        assert_eq!(back, stats);
 
         // The same counters land in the Chrome trace as an instant event.
         let rec = RecorderHandle::new(16);

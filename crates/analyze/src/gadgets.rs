@@ -24,7 +24,7 @@ use faros_emu::isa::Instr;
 use faros_kernel::module::FdlImage;
 use faros_obs::metrics::MetricsRegistry;
 use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
-use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
+use faros_support::json::{JsonValue, ToJson};
 
 /// Maximum bytes a gadget body may span before its endpoint.
 pub const SUFFIX_WINDOW: u32 = 16;
@@ -117,18 +117,6 @@ impl ToJson for GadgetStats {
             ("unintended", self.unintended.to_json_value()),
             ("gadgets", self.gadgets.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for GadgetStats {
-    fn from_json_value(v: &JsonValue) -> Result<GadgetStats, JsonError> {
-        Ok(GadgetStats {
-            sections_scanned: json::field(v, "sections_scanned")?,
-            bytes_scanned: json::field(v, "bytes_scanned")?,
-            endpoints: json::field(v, "endpoints")?,
-            unintended: json::field(v, "unintended")?,
-            gadgets: json::field(v, "gadgets")?,
-        })
     }
 }
 
@@ -249,21 +237,6 @@ impl ToJson for SectionGadgets {
     }
 }
 
-impl FromJson for SectionGadgets {
-    fn from_json_value(v: &JsonValue) -> Result<SectionGadgets, JsonError> {
-        Ok(SectionGadgets {
-            va: json::field(v, "va")?,
-            bytes: json::field(v, "bytes")?,
-            ret_endpoints: json::field(v, "ret_endpoints")?,
-            call_endpoints: json::field(v, "call_endpoints")?,
-            jmp_endpoints: json::field(v, "jmp_endpoints")?,
-            unintended_endpoints: json::field(v, "unintended_endpoints")?,
-            gadgets: json::field(v, "gadgets")?,
-            density_per_kib: json::field(v, "density_per_kib")?,
-        })
-    }
-}
-
 impl ToJson for GadgetReport {
     fn to_json_value(&self) -> JsonValue {
         JsonValue::object(vec![
@@ -271,16 +244,6 @@ impl ToJson for GadgetReport {
             ("sections", self.sections.to_json_value()),
             ("stats", self.stats.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for GadgetReport {
-    fn from_json_value(v: &JsonValue) -> Result<GadgetReport, JsonError> {
-        Ok(GadgetReport {
-            module: json::field(v, "module")?,
-            sections: json::field(v, "sections")?,
-            stats: json::field(v, "stats")?,
-        })
     }
 }
 
@@ -367,16 +330,5 @@ mod tests {
         let sec = &report.sections[0];
         assert!(sec.call_endpoints >= 1);
         assert!(sec.jmp_endpoints >= 1);
-    }
-
-    #[test]
-    fn report_round_trips_through_json() {
-        let mut asm = Asm::new(BASE);
-        asm.mov_ri(Reg::Eax, 0xc3c3_c3c3);
-        asm.ret();
-        let report = scan(&image_of(asm));
-        let v = report.to_json_value();
-        let restored = GadgetReport::from_json_value(&v).unwrap();
-        assert_eq!(restored, report);
     }
 }

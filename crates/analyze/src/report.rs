@@ -15,7 +15,7 @@ use crate::lint::{lint_with_cfg, Finding, FindingKind, Severity};
 use crate::model::ImageModel;
 use crate::syscap::{self, CapabilityReport};
 use faros_kernel::module::FdlImage;
-use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
+use faros_support::json::{JsonError, JsonValue, ToJson};
 
 impl ToJson for Severity {
     fn to_json_value(&self) -> JsonValue {
@@ -23,34 +23,9 @@ impl ToJson for Severity {
     }
 }
 
-impl FromJson for Severity {
-    fn from_json_value(v: &JsonValue) -> Result<Severity, JsonError> {
-        match v.as_str() {
-            Some("error") => Ok(Severity::Error),
-            Some("advisory") => Ok(Severity::Advisory),
-            _ => Err(JsonError::decode("unknown Severity")),
-        }
-    }
-}
-
 impl ToJson for FindingKind {
     fn to_json_value(&self) -> JsonValue {
         JsonValue::Str(self.to_string())
-    }
-}
-
-impl FromJson for FindingKind {
-    fn from_json_value(v: &JsonValue) -> Result<FindingKind, JsonError> {
-        match v.as_str() {
-            Some("w^x-section") => Ok(FindingKind::WxSection),
-            Some("write-to-code") => Ok(FindingKind::WriteToCode),
-            Some("unresolved-indirect") => Ok(FindingKind::UnresolvedIndirect),
-            Some("unreachable-block") => Ok(FindingKind::UnreachableBlock),
-            Some("export-outside-code") => Ok(FindingKind::ExportOutsideCode),
-            Some("export-hash-collision") => Ok(FindingKind::ExportHashCollision),
-            Some("syscall-number-unresolved") => Ok(FindingKind::SyscallNumberUnresolved),
-            _ => Err(JsonError::decode("unknown FindingKind")),
-        }
     }
 }
 
@@ -63,18 +38,6 @@ impl ToJson for Finding {
             ("va", self.va.to_json_value()),
             ("detail", self.detail.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for Finding {
-    fn from_json_value(v: &JsonValue) -> Result<Finding, JsonError> {
-        Ok(Finding {
-            module: json::field(v, "module")?,
-            kind: json::field(v, "kind")?,
-            severity: json::field(v, "severity")?,
-            va: json::field(v, "va")?,
-            detail: json::field(v, "detail")?,
-        })
     }
 }
 
@@ -147,15 +110,6 @@ impl StaticReport {
     pub fn to_json(&self) -> Result<String, JsonError> {
         Ok(self.to_json_value().to_pretty())
     }
-
-    /// Deserializes a report from JSON.
-    ///
-    /// # Errors
-    ///
-    /// Returns a parse error for malformed input.
-    pub fn from_json(text: &str) -> Result<StaticReport, JsonError> {
-        StaticReport::from_json_value(&JsonValue::parse(text)?)
-    }
 }
 
 impl ToJson for StaticReport {
@@ -180,30 +134,6 @@ impl ToJson for StaticReport {
             ("cfi", self.cfi.to_json_value()),
             ("capabilities", self.capabilities.to_json_value()),
         ])
-    }
-}
-
-impl FromJson for StaticReport {
-    fn from_json_value(v: &JsonValue) -> Result<StaticReport, JsonError> {
-        let raw = v
-            .get("resolved_sites")
-            .and_then(JsonValue::as_array)
-            .ok_or_else(|| JsonError::decode("missing resolved_sites array"))?;
-        let mut resolved_sites = Vec::with_capacity(raw.len());
-        for s in raw {
-            resolved_sites.push((json::field(s, "va")?, json::field(s, "targets")?));
-        }
-        Ok(StaticReport {
-            module: json::field(v, "module")?,
-            findings: json::field(v, "findings")?,
-            resolved_sites,
-            flows: json::field(v, "flows")?,
-            stats: json::field(v, "stats")?,
-            // Absent in pre-CFI / pre-capability reports.
-            gadgets: json::field_or_default(v, "gadgets")?,
-            cfi: json::field_or_default(v, "cfi")?,
-            capabilities: json::field_or_default(v, "capabilities")?,
-        })
     }
 }
 
@@ -237,15 +167,10 @@ mod tests {
     }
 
     #[test]
-    fn report_resolves_the_indirect_and_round_trips() {
+    fn report_resolves_the_indirect() {
         let report = StaticReport::build("demo", &demo_image());
         assert_eq!(report.resolved_sites.len(), 1);
         assert!(report.findings.iter().all(|f| f.kind != FindingKind::UnresolvedIndirect));
         assert_eq!(report.errors().count(), 0);
-        let json = report.to_json().unwrap();
-        let restored = StaticReport::from_json(&json).unwrap();
-        assert_eq!(restored, report);
-        // Byte-stable: re-serializing is the identity.
-        assert_eq!(restored.to_json().unwrap(), json);
     }
 }

@@ -508,13 +508,6 @@ pub fn step(image: &FdlImage, state: &mut State, instr: &Instr) {
     transfer(image, state, instr);
 }
 
-/// Returns the abstract value a load through `mem` (width `width`) yields
-/// in `state` — stack-slot lookups and read-only image bytes fold to
-/// constants, everything else is `Top`.
-pub fn load_value(image: &FdlImage, state: &State, mem: &Mem, width: Width) -> AVal {
-    load(image, state, mem, width)
-}
-
 /// The result of analyzing one function.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionVsa {

@@ -231,9 +231,7 @@ mod tests {
 
     fn run_to_completion(sample: &faros_corpus::Sample) -> Machine {
         let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-        let mut obs = NullObserver;
-        let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-        let mut machine = sample.scenario.build(fabric, &mut obs_dyn).unwrap();
+        let mut machine = sample.scenario.build(fabric, &mut NullObserver).unwrap();
         assert_eq!(machine.run(20_000_000, &mut NullObserver), RunExit::AllExited);
         machine
     }
@@ -315,9 +313,7 @@ mod tests {
             .program("C:/notepad.exe", attacks::benign_victim("notepad", 3))
             .autostart("C:/notepad.exe");
         let fabric = NetworkFabric::new_live(scenario.guest_ip());
-        let mut obs = NullObserver;
-        let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-        let mut machine = scenario.build(fabric, &mut obs_dyn).unwrap();
+        let mut machine = scenario.build(fabric, &mut NullObserver).unwrap();
         assert_eq!(machine.run(20_000_000, &mut NullObserver), RunExit::AllExited);
         assert!(!scan(&machine).detects_injection());
     }

@@ -1,6 +1,6 @@
 //! The experiment runners, one per paper artifact.
 
-use faros::{Faros, FarosReport, Policy};
+use faros::{Faros, Policy};
 use faros_baselines::comparison;
 use faros_corpus::{attacks, families, jit, perf, Behavior, Sample};
 use faros_replay::{record, record_and_replay, replay, PluginManager, RunOutcome};
@@ -513,11 +513,6 @@ pub fn ablation() -> String {
          extension close the two documented gaps."
     );
     out
-}
-
-/// Convenience: render a [`FarosReport`] with a header.
-pub fn render_report(title: &str, report: &FarosReport) -> String {
-    format!("{title}\n\n{report}")
 }
 
 #[cfg(test)]

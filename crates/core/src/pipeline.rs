@@ -83,9 +83,12 @@ impl Default for AnalysisConfig {
 /// never enters report bytes, merged service metrics, or golden fixtures).
 #[derive(Debug, Clone, Default)]
 pub struct JobCost {
-    /// Per-phase wall-clock totals: `replay` (the one replay pass) and
-    /// `analyze` (static models, cross-checks and report assembly); the service
-    /// adds `queue_wait` and `report` around them.
+    /// Per-phase wall-clock totals: `replay` (the one replay pass: the
+    /// driver's `setup` plus `replay` phases, as [`RunOutcome::phases`]
+    /// timed them) and `analyze` (static models, cross-checks and report
+    /// assembly); the service adds `queue_wait` and `report` around them.
+    ///
+    /// [`RunOutcome::phases`]: faros_replay::RunOutcome::phases
     pub phases: PhaseProfile,
     /// Per-plugin dispatch counts of the replay pass; `wall_ns` is
     /// populated when [`AnalysisConfig::profile`] is on.
@@ -192,9 +195,8 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     plugins.register(Box::new(BlockCoverage::new()));
     plugins.register(Box::new(CfiMonitor::new()));
     plugins.register(Box::new(CapabilityMonitor::new()));
-    let replay_start = Instant::now();
     let outcome = replay_with_exec(scenario, recording, cfg.budget, cfg.exec, &mut plugins)?;
-    cost.phases.add_ns("replay", replay_start.elapsed().as_nanos() as u64);
+    cost.phases.add_ns("replay", outcome.phases.total_ns());
     let mut faros = *plugins
         .take_as::<Faros>("faros")
         .expect("the faros plugin was registered above");

@@ -99,45 +99,6 @@ pub fn recv_into(asm: &mut Asm, sock_slot: u32, buf_va: u32, cap: u32, count_slo
     );
 }
 
-/// Emits `NtCreateFile(path_label, len)` storing the handle at
-/// `SCRATCH + handle_slot`.
-pub fn create_file(asm: &mut Asm, path_label: &str, path_len: u32, handle_slot: u32) {
-    asm.mov_label(Reg::Ebx, path_label);
-    sys(
-        asm,
-        Sysno::NtCreateFile,
-        &[
-            (Reg::Ecx, path_len),
-            (Reg::Edx, 0),
-            (Reg::Esi, SCRATCH + handle_slot),
-        ],
-    );
-}
-
-/// Emits `NtWriteFile(handle, buf_va, len)`.
-pub fn write_file(asm: &mut Asm, handle_slot: u32, buf_va: u32, len: u32) {
-    asm.ld4(Reg::Ebx, M::abs(SCRATCH + handle_slot));
-    sys(
-        asm,
-        Sysno::NtWriteFile,
-        &[(Reg::Ecx, buf_va), (Reg::Edx, len), (Reg::Esi, 0)],
-    );
-}
-
-/// Emits `NtReadFile(handle, buf_va, cap)`; count to `SCRATCH + count_slot`.
-pub fn read_file(asm: &mut Asm, handle_slot: u32, buf_va: u32, cap: u32, count_slot: u32) {
-    asm.ld4(Reg::Ebx, M::abs(SCRATCH + handle_slot));
-    sys(
-        asm,
-        Sysno::NtReadFile,
-        &[
-            (Reg::Ecx, buf_va),
-            (Reg::Edx, cap),
-            (Reg::Esi, SCRATCH + count_slot),
-        ],
-    );
-}
-
 /// Emits `NtDelayExecution(ticks)`.
 pub fn sleep(asm: &mut Asm, ticks: u32) {
     sys(asm, Sysno::NtDelayExecution, &[(Reg::Ebx, ticks)]);

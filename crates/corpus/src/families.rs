@@ -422,9 +422,7 @@ mod tests {
         for family in malware_rows().iter().chain(benign_rows().iter()) {
             let sample = build_family_sample(family, 1, 1);
             let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-            let mut obs = NullObserver;
-            let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-            let mut machine = sample.scenario.build(fabric, &mut obs_dyn).unwrap();
+            let mut machine = sample.scenario.build(fabric, &mut NullObserver).unwrap();
             let exit = machine.run(20_000_000, &mut NullObserver);
             assert_eq!(exit, RunExit::AllExited, "{} must terminate", sample.name());
             let done = machine.console().iter().any(|(_, s)| s == "done");
@@ -438,9 +436,7 @@ mod tests {
         let family = &malware_rows()[2]; // Njrat v0.7: KeyLogger + Download
         let sample = build_family_sample(family, 3, 1);
         let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-        let mut obs = NullObserver;
-        let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-        let mut machine = sample.scenario.build(fabric, &mut obs_dyn).unwrap();
+        let mut machine = sample.scenario.build(fabric, &mut NullObserver).unwrap();
         assert_eq!(machine.run(20_000_000, &mut NullObserver), RunExit::AllExited);
         assert!(machine.fs.exists("C:/keys.log"));
         assert!(machine.fs.exists("C:/drop.bin"));

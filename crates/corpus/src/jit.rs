@@ -248,9 +248,7 @@ mod tests {
             let engine = if site.contains('.') { "browser" } else { "java" };
             let sample = jit_sample(site, engine, direct);
             let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-            let mut obs = NullObserver;
-            let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-            let mut machine = sample.scenario.build(fabric, &mut obs_dyn).unwrap();
+            let mut machine = sample.scenario.build(fabric, &mut NullObserver).unwrap();
             let exit = machine.run(20_000_000, &mut NullObserver);
             assert_eq!(exit, RunExit::AllExited, "{site} must terminate");
             assert!(

@@ -231,8 +231,7 @@ impl Scenario for SampleScenario {
             machine.install_program(path, image)?;
         }
         for path in &self.autostart {
-            let mut obs = &mut *obs;
-            machine.spawn_process(path, false, None, &mut obs)?;
+            machine.spawn_process(path, false, None, obs)?;
         }
         Ok(machine)
     }

@@ -135,9 +135,7 @@ mod tests {
     fn patch_loop_sees_every_patched_value() {
         let sample = smc_patch_loop();
         let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-        let mut obs = NullObserver;
-        let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
-        let mut machine = sample.scenario.build(fabric, &mut obs_dyn).unwrap();
+        let mut machine = sample.scenario.build(fabric, &mut NullObserver).unwrap();
         let exit = machine.run(20_000_000, &mut NullObserver);
         assert_eq!(exit, RunExit::AllExited);
         assert!(

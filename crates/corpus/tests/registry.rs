@@ -53,11 +53,9 @@ fn every_registered_sample_builds() {
     // poison the CLI and harness.
     for sample in sample_registry() {
         let fabric = NetworkFabric::new_live(sample.scenario.guest_ip());
-        let mut obs = NullObserver;
-        let mut obs_dyn: &mut dyn faros_kernel::event::Observer = &mut obs;
         sample
             .scenario
-            .build(fabric, &mut obs_dyn)
+            .build(fabric, &mut NullObserver)
             .unwrap_or_else(|e| panic!("{}: {e}", sample.name()));
     }
 }

@@ -83,7 +83,8 @@ impl InsnCtx {
 /// registers; memory flows carry the translated physical address of each
 /// accessed byte, since an access may cross a page boundary. The `Cpu` is
 /// generic over the hook type, so an unhooked run compiles down to a bare
-/// interpreter.
+/// interpreter; the bound is `?Sized`, so a `&mut dyn` hook stack is passed
+/// on as it is, with no forwarding layer.
 #[allow(unused_variables)]
 pub trait CpuHooks {
     /// Called before an instruction executes (after a successful fetch and
@@ -151,50 +152,6 @@ pub trait CpuHooks {
 pub struct NoHooks;
 
 impl CpuHooks for NoHooks {}
-
-// Forwarding impl so `&mut dyn`-style hook stacks (e.g. a plugin manager
-// handed around as a trait object) satisfy the generic bound on `Cpu::step`.
-impl<H: CpuHooks + ?Sized> CpuHooks for &mut H {
-    fn on_insn(&mut self, ctx: &InsnCtx) {
-        (**self).on_insn(ctx);
-    }
-    fn flow_copy(&mut self, dst: Reg, src: Reg) {
-        (**self).flow_copy(dst, src);
-    }
-    fn flow_union(&mut self, dst: Reg, srcs: &[Reg], keep_dst: bool) {
-        (**self).flow_union(dst, srcs, keep_dst);
-    }
-    fn flow_delete(&mut self, dst: Reg) {
-        (**self).flow_delete(dst);
-    }
-    fn flow_addr_dep(&mut self, dst: Reg, addr_srcs: &[Reg]) {
-        (**self).flow_addr_dep(dst, addr_srcs);
-    }
-    fn flow_addr_dep_bytes(&mut self, phys: &[u32], addr_srcs: &[Reg]) {
-        (**self).flow_addr_dep_bytes(phys, addr_srcs);
-    }
-    fn flow_load(&mut self, dst: Reg, phys: &[u32]) {
-        (**self).flow_load(dst, phys);
-    }
-    fn flow_store(&mut self, phys: &[u32], src: Reg) {
-        (**self).flow_store(phys, src);
-    }
-    fn flow_delete_mem(&mut self, phys: &[u32]) {
-        (**self).flow_delete_mem(phys);
-    }
-    fn on_load(&mut self, ctx: &InsnCtx, vaddr: u32, phys: &[u32], width: Width, dst: Reg) {
-        (**self).on_load(ctx, vaddr, phys, width, dst);
-    }
-    fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
-        (**self).on_control(ctx, target, target_src);
-    }
-    fn on_branch(&mut self, ctx: &InsnCtx, taken: bool) {
-        (**self).on_branch(ctx, taken);
-    }
-    fn flow_flags(&mut self, srcs: &[Reg]) {
-        (**self).flow_flags(srcs);
-    }
-}
 
 /// Why [`Cpu::step`] stopped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -490,7 +447,7 @@ impl Cpu {
     /// On a fault the CPU state is unchanged (`eip` still addresses the
     /// faulting instruction) and no data-flow hooks have fired for it, so the
     /// kernel can deliver the fault precisely.
-    pub fn step<H: CpuHooks>(
+    pub fn step<H: CpuHooks + ?Sized>(
         &mut self,
         mem: &mut PhysMem,
         aspace: &AddressSpace,
@@ -524,7 +481,7 @@ impl Cpu {
     /// cached executor deliver precise faults mid-block. Does *not* bump the
     /// retired counter — callers retire non-faulting instructions
     /// themselves.
-    pub(crate) fn exec_instr<H: CpuHooks>(
+    pub(crate) fn exec_instr<H: CpuHooks + ?Sized>(
         &mut self,
         mem: &mut PhysMem,
         aspace: &AddressSpace,

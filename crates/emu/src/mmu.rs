@@ -237,11 +237,6 @@ impl AddressSpace {
         self.table.iter().map(|(&vpn, &e)| (vpn, e))
     }
 
-    /// Number of mapped pages.
-    pub fn mapped_pages(&self) -> usize {
-        self.table.len()
-    }
-
     /// Returns `true` if `vaddr` lies in the shared kernel half.
     pub fn is_kernel_addr(vaddr: u32) -> bool {
         vaddr >= KERNEL_BASE

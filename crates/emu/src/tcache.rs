@@ -198,7 +198,7 @@ impl Cpu {
     /// the run: [`StepEvent::Syscall`], [`StepEvent::Halt`],
     /// [`StepEvent::Fault`], [`StepEvent::Illegal`] — or
     /// [`StepEvent::Normal`] when the fuel ran out.
-    pub fn run_cached<H: CpuHooks>(
+    pub fn run_cached<H: CpuHooks + ?Sized>(
         &mut self,
         mem: &mut PhysMem,
         aspace: &AddressSpace,

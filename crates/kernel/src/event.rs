@@ -110,60 +110,10 @@ pub trait KernelEvents {
     fn tick(&mut self, now: u64) {}
 }
 
-// Forwarding impl so `&mut dyn Observer` can be handed to the generic
-// machine entry points.
-impl<T: KernelEvents + ?Sized> KernelEvents for &mut T {
-    fn syscall_enter(&mut self, pid: Pid, tid: Tid, sysno: Sysno, args: &[u32; 5]) {
-        (**self).syscall_enter(pid, tid, sysno, args);
-    }
-    fn syscall_exit(&mut self, pid: Pid, tid: Tid, sysno: Sysno, status: NtStatus) {
-        (**self).syscall_exit(pid, tid, sysno, status);
-    }
-    fn process_created(&mut self, info: &ProcessInfo) {
-        (**self).process_created(info);
-    }
-    fn process_exited(&mut self, pid: Pid, name: &str) {
-        (**self).process_exited(pid, name);
-    }
-    fn thread_created(&mut self, pid: Pid, tid: Tid) {
-        (**self).thread_created(pid, tid);
-    }
-    fn thread_exited(&mut self, pid: Pid, tid: Tid) {
-        (**self).thread_exited(pid, tid);
-    }
-    fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, export_table: &[ByteRange]) {
-        (**self).module_loaded(pid, module, export_table);
-    }
-    fn net_rx(&mut self, pid: Pid, flow: &FlowTuple, dst: &[ByteRange]) {
-        (**self).net_rx(pid, flow, dst);
-    }
-    fn net_tx(&mut self, pid: Pid, flow: &FlowTuple, src: &[ByteRange]) {
-        (**self).net_tx(pid, flow, src);
-    }
-    fn file_read(&mut self, pid: Pid, path: &str, version: u32, dst: &[ByteRange]) {
-        (**self).file_read(pid, path, version, dst);
-    }
-    fn file_write(&mut self, pid: Pid, path: &str, version: u32, src: &[ByteRange]) {
-        (**self).file_write(pid, path, version, src);
-    }
-    fn guest_copy(&mut self, src_pid: Pid, dst_pid: Pid, runs: &[CopyRun]) {
-        (**self).guest_copy(src_pid, dst_pid, runs);
-    }
-    fn kernel_write(&mut self, pid: Pid, dst: &[ByteRange]) {
-        (**self).kernel_write(pid, dst);
-    }
-    fn context_switch(&mut self, from: Option<(Pid, Tid)>, to: (Pid, Tid)) {
-        (**self).context_switch(from, to);
-    }
-    fn console_output(&mut self, pid: Pid, text: &str) {
-        (**self).console_output(pid, text);
-    }
-    fn tick(&mut self, now: u64) {
-        (**self).tick(now);
-    }
-}
-
 /// The full observer surface: CPU hooks + kernel events.
+///
+/// The machine's entry points take `O: Observer + ?Sized`, so the
+/// `&mut dyn Observer` a scenario build receives is passed on unchanged.
 pub trait Observer: CpuHooks + KernelEvents {}
 
 impl<T: CpuHooks + KernelEvents + ?Sized> Observer for T {}
@@ -182,8 +132,10 @@ mod tests {
 
     #[test]
     fn null_observer_is_an_observer() {
-        fn takes_observer<O: Observer>(_o: &mut O) {}
+        fn takes_observer<O: Observer + ?Sized>(_o: &mut O) {}
         takes_observer(&mut NullObserver);
+        let unsized_obs: &mut dyn Observer = &mut NullObserver;
+        takes_observer(unsized_obs);
     }
 
     #[test]

@@ -196,11 +196,6 @@ impl Machine {
         self.exec = exec;
     }
 
-    /// The current execution mode.
-    pub fn exec_mode(&self) -> ExecMode {
-        self.exec
-    }
-
     /// Translation-cache counters (`tc.*` metrics source). All zero when the
     /// machine runs in [`ExecMode::Interpret`].
     pub fn tc_stats(&self) -> TcStats {
@@ -391,7 +386,7 @@ impl Machine {
         ranges
     }
 
-    fn emit_boot<O: Observer>(&mut self, obs: &mut O) {
+    fn emit_boot<O: Observer + ?Sized>(&mut self, obs: &mut O) {
         if self.booted {
             return;
         }
@@ -488,7 +483,7 @@ impl Machine {
     /// Kernel-mediated guest-to-guest copy (the `NtWriteVirtualMemory` /
     /// `NtReadVirtualMemory` data path). Copies the bytes and reports the
     /// physical pairing so shadow state can follow.
-    pub fn guest_copy<O: Observer>(
+    pub fn guest_copy<O: Observer + ?Sized>(
         &mut self,
         src_pid: Pid,
         src_va: u32,
@@ -522,7 +517,7 @@ impl Machine {
     /// Maps `size` bytes of fresh zeroed memory at `va` in `pid`'s address
     /// space and registers a VAD region. Fires `kernel_write` so stale
     /// shadow on recycled frames is cleared.
-    pub fn map_fresh<O: Observer>(
+    pub fn map_fresh<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         va: u32,
@@ -595,7 +590,7 @@ impl Machine {
     ///
     /// Fails if the file is missing, not a valid FDL, or memory is
     /// exhausted.
-    pub fn spawn_process<O: Observer>(
+    pub fn spawn_process<O: Observer + ?Sized>(
         &mut self,
         path: &str,
         suspended: bool,
@@ -650,7 +645,7 @@ impl Machine {
     ///
     /// Fails if the file is missing, is not a valid FDL, collides with an
     /// existing mapping, or memory is exhausted.
-    pub fn load_image_into<O: Observer>(
+    pub fn load_image_into<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         path: &str,
@@ -741,7 +736,7 @@ impl Machine {
 
     /// Creates a thread with a fresh stack in the target process — the
     /// `NtCreateThreadEx` path (remote thread creation).
-    pub fn create_thread_with_stack<O: Observer>(
+    pub fn create_thread_with_stack<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         start: u32,
@@ -781,7 +776,7 @@ impl Machine {
     }
 
     /// Marks a process (and all its threads) exited.
-    pub(crate) fn terminate_process<O: Observer>(
+    pub(crate) fn terminate_process<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         code: u32,
@@ -869,7 +864,7 @@ impl Machine {
 
     /// Runs the machine for at most `budget` instructions, reporting events
     /// to `obs`.
-    pub fn run<O: Observer>(&mut self, budget: u64, obs: &mut O) -> RunExit {
+    pub fn run<O: Observer + ?Sized>(&mut self, budget: u64, obs: &mut O) -> RunExit {
         self.emit_boot(obs);
         let start_retired = self.cpu.retired();
         let mut idle_rounds = 0u32;

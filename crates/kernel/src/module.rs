@@ -322,11 +322,6 @@ impl ModuleInfo {
         self.export_table_va + 4 + i as u32 * EXPORT_ENTRY_SIZE + EXPORT_PTR_OFFSET
     }
 
-    /// Virtual address of entry `i` (start of its name field).
-    pub fn export_entry_va(&self, i: usize) -> u32 {
-        self.export_table_va + 4 + i as u32 * EXPORT_ENTRY_SIZE
-    }
-
     /// Looks up an export by name.
     pub fn find_export(&self, name: &str) -> Option<&Export> {
         self.exports.iter().find(|e| e.name == name)

@@ -665,11 +665,6 @@ impl NetworkFabric {
             }
         }
     }
-
-    /// Number of connections ever opened.
-    pub fn connection_count(&self) -> usize {
-        self.conns.len()
-    }
 }
 
 #[cfg(test)]

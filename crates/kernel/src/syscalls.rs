@@ -83,7 +83,7 @@ impl Machine {
     /// Returns `true` when the service completed (status in `EAX`) and
     /// `false` when the thread parked (the scheduler will retry with
     /// `retried = true` once the thread wakes).
-    pub(crate) fn service_syscall<O: Observer>(
+    pub(crate) fn service_syscall<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         tid: Tid,
@@ -111,7 +111,7 @@ impl Machine {
         }
     }
 
-    fn dispatch<O: Observer>(
+    fn dispatch<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         tid: Tid,
@@ -182,7 +182,7 @@ impl Machine {
     // helpers
     // ------------------------------------------------------------------
 
-    fn out_u32s<O: Observer>(&mut self, pid: Pid, ptr: u32, vals: &[u32], obs: &mut O) -> NtStatus {
+    fn out_u32s<O: Observer + ?Sized>(&mut self, pid: Pid, ptr: u32, vals: &[u32], obs: &mut O) -> NtStatus {
         if ptr == 0 {
             return NtStatus::Success;
         }
@@ -232,7 +232,7 @@ impl Machine {
     // files
     // ------------------------------------------------------------------
 
-    fn sys_create_file<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_create_file<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(path) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -244,7 +244,7 @@ impl Machine {
         self.out_u32s(pid, a[3], &[h.0], obs)
     }
 
-    fn sys_open_file<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_open_file<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(path) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -256,7 +256,7 @@ impl Machine {
         self.out_u32s(pid, a[2], &[h.0], obs)
     }
 
-    fn sys_read_file<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_read_file<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let (path, offset) = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -287,7 +287,7 @@ impl Machine {
         self.out_u32s(pid, a[3], &[data.len() as u32], obs)
     }
 
-    fn sys_write_file<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_write_file<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let (path, offset) = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -340,7 +340,7 @@ impl Machine {
         }
     }
 
-    fn sys_query_info_file<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_query_info_file<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let path = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -365,7 +365,7 @@ impl Machine {
         }
     }
 
-    fn sys_query_directory<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_query_directory<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(prefix) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -381,7 +381,7 @@ impl Machine {
         }
     }
 
-    fn sys_create_section<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_create_section<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let path = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -394,7 +394,7 @@ impl Machine {
         self.out_u32s(pid, a[1], &[h.0], obs)
     }
 
-    fn sys_open_section<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_open_section<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(path) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -406,7 +406,7 @@ impl Machine {
         self.out_u32s(pid, a[2], &[h.0], obs)
     }
 
-    fn sys_map_view<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_map_view<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let path = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -459,7 +459,7 @@ impl Machine {
     // process / memory / thread
     // ------------------------------------------------------------------
 
-    fn sys_create_process<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_create_process<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(path) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -488,7 +488,7 @@ impl Machine {
         }
     }
 
-    fn sys_open_process<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_open_process<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = Pid(a[0]);
         if !self.procs.contains_key(&target) {
             return NtStatus::ObjectNameNotFound;
@@ -498,7 +498,7 @@ impl Machine {
         self.out_u32s(pid, a[1], &[h.0], obs)
     }
 
-    fn sys_terminate_process<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_terminate_process<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -547,7 +547,7 @@ impl Machine {
         }
     }
 
-    fn sys_create_thread<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_create_thread<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -585,7 +585,7 @@ impl Machine {
         ctx
     }
 
-    fn sys_get_context<O: Observer>(&mut self, pid: Pid, tid: Tid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_get_context<O: Observer + ?Sized>(&mut self, pid: Pid, tid: Tid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let (tp, tt) = match self.resolve_thread(pid, tid, a[0]) {
             Ok(x) => x,
             Err(s) => return s,
@@ -616,7 +616,7 @@ impl Machine {
         NtStatus::Success
     }
 
-    fn sys_alloc_vm<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_alloc_vm<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -681,7 +681,7 @@ impl Machine {
         }
     }
 
-    fn sys_write_vm<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_write_vm<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -692,7 +692,7 @@ impl Machine {
         }
     }
 
-    fn sys_read_vm<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_read_vm<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -703,7 +703,7 @@ impl Machine {
         }
     }
 
-    fn sys_query_vm<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_query_vm<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -724,7 +724,7 @@ impl Machine {
         self.out_u32s(pid, a[2], &words, obs)
     }
 
-    fn sys_query_process<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_query_process<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let target = match self.resolve_process(pid, a[0]) {
             Ok(t) => t,
             Err(s) => return s,
@@ -744,7 +744,7 @@ impl Machine {
     // sockets
     // ------------------------------------------------------------------
 
-    fn sys_socket_create<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_socket_create<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let proc = self.procs.get_mut(&pid).expect("caller exists");
         let h = proc.handles.insert(HandleObject::Socket { conn: None, local_port: None });
         self.out_u32s(pid, a[0], &[h.0], obs)
@@ -791,7 +791,7 @@ impl Machine {
 
     /// Blocking accept: `NtSocketAccept(listen_h, out_handle_ptr)`. Parks
     /// until a scheduled remote peer dials the bound port.
-    fn sys_socket_accept<O: Observer>(
+    fn sys_socket_accept<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         tid: Tid,
@@ -828,7 +828,7 @@ impl Machine {
         }
     }
 
-    fn sys_socket_send<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_socket_send<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let conn = {
             let proc = self.procs.get(&pid).expect("caller exists");
             match proc.handles.get(Handle(a[0])) {
@@ -855,7 +855,7 @@ impl Machine {
     }
 
     /// Blocking receive. Returns `None` (park) when no bytes are available.
-    fn sys_socket_recv<O: Observer>(
+    fn sys_socket_recv<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
         tid: Tid,
@@ -913,7 +913,7 @@ impl Machine {
         None
     }
 
-    fn sys_query_time<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_query_time<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let tick = self.ticks() as u32;
         self.out_u32s(pid, a[0], &[tick], obs)
     }
@@ -921,7 +921,7 @@ impl Machine {
     /// `LdrLoadDll(path_ptr, path_len, out_base_ptr)`: loads and *registers*
     /// a library module in the calling process (sections mapped, export
     /// table materialized, module visible in the DLL list).
-    fn sys_load_library<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_load_library<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(path) = self.read_path(pid, a[0], a[1]) else {
             return NtStatus::AccessViolation;
         };
@@ -935,7 +935,7 @@ impl Machine {
         }
     }
 
-    fn sys_display_string<O: Observer>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
+    fn sys_display_string<O: Observer + ?Sized>(&mut self, pid: Pid, a: [u32; 5], obs: &mut O) -> NtStatus {
         let Ok(text) = self.read_guest_str(pid, a[0], a[1].min(512)) else {
             return NtStatus::AccessViolation;
         };

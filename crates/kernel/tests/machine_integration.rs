@@ -3,15 +3,16 @@
 //! are built on.
 
 use faros_emu::asm::Asm;
-use faros_emu::isa::{Mem as M, Reg};
+use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
+use faros_emu::isa::{Mem as M, Reg, Width};
 use faros_emu::mmu::Perms;
-use faros_kernel::event::{ByteRange, CopyRun, KernelEvents, NullObserver};
+use faros_kernel::event::{ByteRange, CopyRun, KernelEvents, NullObserver, Observer};
 use faros_kernel::machine::{ExecMode, Machine, MachineConfig, RunExit, IMAGE_BASE};
-use faros_kernel::module::{FdlImage, Section};
+use faros_kernel::module::{FdlImage, ModuleInfo, Section};
 use faros_kernel::net::{NetworkFabric, RemoteEndpoint};
-use faros_kernel::nt::Sysno;
-use faros_kernel::{FlowTuple, Pid, Tid};
-use faros_emu::cpu::CpuHooks;
+use faros_kernel::nt::{NtStatus, Sysno};
+use faros_kernel::{FlowTuple, Pid, ProcessInfo, Tid};
+use std::collections::BTreeMap;
 
 const ATTACKER_IP: [u8; 4] = [169, 254, 26, 161];
 
@@ -583,6 +584,141 @@ fn events_fire_with_physical_ranges() {
     assert_eq!(*len, 4);
     assert_eq!(flow.src_ip, ATTACKER_IP);
     assert_eq!(flow.src_port, 4444);
+}
+
+/// Counts every CPU hook and kernel event it receives, by name.
+#[derive(Default)]
+struct EventCounts(BTreeMap<&'static str, u64>);
+
+impl EventCounts {
+    fn bump(&mut self, event: &'static str) {
+        *self.0.entry(event).or_default() += 1;
+    }
+}
+
+impl CpuHooks for EventCounts {
+    fn on_insn(&mut self, _: &InsnCtx) {
+        self.bump("on_insn");
+    }
+    fn flow_copy(&mut self, _: Reg, _: Reg) {
+        self.bump("flow_copy");
+    }
+    fn flow_union(&mut self, _: Reg, _: &[Reg], _: bool) {
+        self.bump("flow_union");
+    }
+    fn flow_delete(&mut self, _: Reg) {
+        self.bump("flow_delete");
+    }
+    fn flow_addr_dep(&mut self, _: Reg, _: &[Reg]) {
+        self.bump("flow_addr_dep");
+    }
+    fn flow_addr_dep_bytes(&mut self, _: &[u32], _: &[Reg]) {
+        self.bump("flow_addr_dep_bytes");
+    }
+    fn flow_load(&mut self, _: Reg, _: &[u32]) {
+        self.bump("flow_load");
+    }
+    fn flow_store(&mut self, _: &[u32], _: Reg) {
+        self.bump("flow_store");
+    }
+    fn flow_delete_mem(&mut self, _: &[u32]) {
+        self.bump("flow_delete_mem");
+    }
+    fn on_load(&mut self, _: &InsnCtx, _: u32, _: &[u32], _: Width, _: Reg) {
+        self.bump("on_load");
+    }
+    fn on_control(&mut self, _: &InsnCtx, _: u32, _: Option<ShadowLoc>) {
+        self.bump("on_control");
+    }
+    fn on_branch(&mut self, _: &InsnCtx, _: bool) {
+        self.bump("on_branch");
+    }
+    fn flow_flags(&mut self, _: &[Reg]) {
+        self.bump("flow_flags");
+    }
+}
+
+impl KernelEvents for EventCounts {
+    fn syscall_enter(&mut self, _: Pid, _: Tid, _: Sysno, _: &[u32; 5]) {
+        self.bump("syscall_enter");
+    }
+    fn syscall_exit(&mut self, _: Pid, _: Tid, _: Sysno, _: NtStatus) {
+        self.bump("syscall_exit");
+    }
+    fn process_created(&mut self, _: &ProcessInfo) {
+        self.bump("process_created");
+    }
+    fn process_exited(&mut self, _: Pid, _: &str) {
+        self.bump("process_exited");
+    }
+    fn thread_created(&mut self, _: Pid, _: Tid) {
+        self.bump("thread_created");
+    }
+    fn thread_exited(&mut self, _: Pid, _: Tid) {
+        self.bump("thread_exited");
+    }
+    fn module_loaded(&mut self, _: Option<Pid>, _: &ModuleInfo, _: &[ByteRange]) {
+        self.bump("module_loaded");
+    }
+    fn net_rx(&mut self, _: Pid, _: &FlowTuple, _: &[ByteRange]) {
+        self.bump("net_rx");
+    }
+    fn net_tx(&mut self, _: Pid, _: &FlowTuple, _: &[ByteRange]) {
+        self.bump("net_tx");
+    }
+    fn file_read(&mut self, _: Pid, _: &str, _: u32, _: &[ByteRange]) {
+        self.bump("file_read");
+    }
+    fn file_write(&mut self, _: Pid, _: &str, _: u32, _: &[ByteRange]) {
+        self.bump("file_write");
+    }
+    fn guest_copy(&mut self, _: Pid, _: Pid, _: &[CopyRun]) {
+        self.bump("guest_copy");
+    }
+    fn kernel_write(&mut self, _: Pid, _: &[ByteRange]) {
+        self.bump("kernel_write");
+    }
+    fn context_switch(&mut self, _: Option<(Pid, Tid)>, _: (Pid, Tid)) {
+        self.bump("context_switch");
+    }
+    fn console_output(&mut self, _: Pid, _: &str) {
+        self.bump("console_output");
+    }
+    fn tick(&mut self, _: u64) {
+        self.bump("tick");
+    }
+}
+
+#[test]
+fn unsized_observer_sees_what_a_concrete_one_sees() {
+    // A scenario build receives its observer as `&mut dyn Observer` and
+    // hands it to the machine as it is; a direct caller passes a concrete
+    // type. Both must deliver the same events in the same numbers.
+    fn drive<O: Observer + ?Sized>(obs: &mut O) -> u64 {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.net.add_endpoint(
+            ATTACKER_IP,
+            4444,
+            Box::new(PayloadServer { payload: b"EVIL".to_vec() }),
+        );
+        machine
+            .install_program("C:/dl.exe", &image_from_asm(downloader_asm()))
+            .unwrap();
+        machine.spawn_process("C:/dl.exe", false, None, obs).unwrap();
+        assert_eq!(machine.run(5_000_000, obs), RunExit::AllExited);
+        machine.ticks()
+    }
+    let mut concrete = EventCounts::default();
+    let concrete_ticks = drive(&mut concrete);
+    let mut counted = EventCounts::default();
+    let unsized_obs: &mut dyn Observer = &mut counted;
+    let unsized_ticks = drive(unsized_obs);
+
+    assert_eq!(unsized_ticks, concrete_ticks);
+    assert_eq!(counted.0, concrete.0);
+    for event in ["on_insn", "flow_delete", "syscall_enter", "process_created", "net_rx", "net_tx"] {
+        assert!(concrete.0.get(event).is_some_and(|&n| n > 0), "no {event}: {:?}", concrete.0);
+    }
 }
 
 #[test]

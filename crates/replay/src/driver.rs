@@ -110,9 +110,10 @@ pub struct RunOutcome {
     /// Instructions retired.
     pub instructions: u64,
     /// Wall-clock per driver phase (`setup`, `record`/`replay`; the
-    /// `replay` phase is the measurement behind Table V); callers merge
-    /// their own phases (e.g. `report`) in. Human-facing diagnostics only —
-    /// never part of deterministic exports.
+    /// `replay` phase is the measurement behind Table V, and the sum of
+    /// both is the job's `replay` cost in `faros::pipeline`); callers
+    /// merge their own phases (e.g. `report`) in. Human-facing diagnostics
+    /// only — never part of deterministic exports.
     pub phases: PhaseProfile,
 }
 
@@ -208,12 +209,11 @@ pub fn replay_with_exec<S: Scenario + ?Sized, O: Observer>(
 ) -> Result<RunOutcome, ReplayError> {
     let mut phases = PhaseProfile::new();
     let fabric = NetworkFabric::new_replay(scenario.guest_ip(), recording.net_log.clone());
-    let mut obs = obs;
     let mut machine = phases
-        .time("setup", || scenario.build(fabric, &mut obs))
+        .time("setup", || scenario.build(fabric, obs))
         .map_err(|e| ReplayError::Setup(e.to_string()))?;
     machine.set_exec_mode(exec);
-    let exit = phases.time("replay", || machine.run(budget, &mut obs));
+    let exit = phases.time("replay", || machine.run(budget, obs));
     if let Some(d) = machine.net.divergence() {
         return Err(ReplayError::Diverged(d.detail.clone()));
     }

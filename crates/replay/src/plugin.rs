@@ -120,11 +120,6 @@ impl PluginManager {
         self.plugins.is_empty()
     }
 
-    /// Borrows a plugin by name.
-    pub fn get(&self, name: &str) -> Option<&dyn Plugin> {
-        self.plugins.iter().find(|p| p.name() == name).map(|p| p.as_ref())
-    }
-
     /// Takes a plugin out of the manager by name (to extract its results
     /// after a run). Its dispatch-cost entry survives in
     /// [`PluginManager::dispatch_costs`].
@@ -331,11 +326,9 @@ mod tests {
     }
 
     #[test]
-    fn get_and_take_by_name() {
+    fn take_by_name() {
         let mut mgr = PluginManager::new();
         mgr.register(Box::new(Tally { name: "x".into(), insns: 0, syscalls: 0 }));
-        assert!(mgr.get("x").is_some());
-        assert!(mgr.get("y").is_none());
         assert!(mgr.take("x").is_some());
         assert!(mgr.take("x").is_none());
     }

@@ -90,11 +90,6 @@ impl TraceRecorder {
         self.metrics.snapshot()
     }
 
-    /// Renders the ring as Chrome `trace_event` JSON.
-    pub fn export_chrome(&self) -> String {
-        self.recorder.export_chrome()
-    }
-
     fn count_sysno(&mut self, sysno: Sysno) {
         let id = match self.per_sysno.get(&sysno) {
             Some(&id) => id,

@@ -54,8 +54,7 @@ impl Scenario for Inline {
             },
         )?;
         let path = if self.broken { "C:/missing.exe" } else { "C:/inline.exe" };
-        let mut obs = &mut *obs;
-        machine.spawn_process(path, false, None, &mut obs)?;
+        machine.spawn_process(path, false, None, obs)?;
         Ok(machine)
     }
 }

@@ -387,12 +387,6 @@ impl Detonator {
         self.inner.metrics.lock().expect("metrics poisoned").registry.snapshot()
     }
 
-    /// The service-level flight-recorder trace (one `service`-category
-    /// span per job attempt) as Chrome `trace_event` JSON.
-    pub fn service_trace(&self) -> String {
-        self.inner.recorder.lock().expect("recorder poisoned").to_chrome_json()
-    }
-
     /// The live telemetry snapshot behind `Request::Metrics`: the
     /// deterministic merged report metrics, the wall-clock cost channel
     /// (phase latencies, plugin dispatches), and the service registry

@@ -174,9 +174,15 @@ echo "==> interpreter-vs-cache differential over the full corpus"
 # same number of callbacks to every plugin.
 cargo run --release --offline -p faros-bench --bin faros-cli -- differential
 
-echo "==> hermeticity check: no external dependencies in any manifest"
-if grep -rn "crates-io\|serde\|proptest\|criterion\|parking_lot" crates/*/Cargo.toml Cargo.toml; then
+echo "==> hermeticity check: no external dependencies in any manifest or lockfile"
+if grep -rn "crates-io\|serde\|proptest\|criterion\|parking_lot" \
+    crates/*/Cargo.toml Cargo.toml jobbench/Cargo.toml; then
     echo "error: external dependency reference found in a manifest" >&2
+    exit 1
+fi
+# Path packages carry no `source =` line; a registry or git package does.
+if grep -n "^source = " Cargo.lock jobbench/Cargo.lock; then
+    echo "error: registry or git package found in a lockfile" >&2
     exit 1
 fi
 

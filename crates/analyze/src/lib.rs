@@ -21,10 +21,6 @@
 //!   inter-procedural source→sink flow map, and cross-checks dynamic
 //!   taint alerts against the static model (`statically explainable` vs
 //!   `statically impossible-per-model` — the latter an injection signal);
-//! * [`gadgets`] — the gadget-surface scanner: a byte-granular linear
-//!   sweep for free-branch endpoints (`ret`, `call reg`, `jmp reg`) and
-//!   the short instruction runs that reach them, scoring each image's
-//!   code-reuse raw material by gadget density;
 //! * [`cfi`] — the static control-flow-integrity model ([`cfi::CfiModel`]:
 //!   resolved indirect target sets, call-preceded return sites, function
 //!   entries) and the dynamic cross-check ([`cfi::check`]) that holds
@@ -52,7 +48,6 @@ pub mod cfg;
 pub mod cfi;
 pub mod coverage;
 pub mod dataflow;
-pub mod gadgets;
 pub mod lint;
 pub mod model;
 pub mod report;
@@ -62,7 +57,6 @@ pub mod vsa;
 pub use cfg::{BasicBlock, ModuleCfg};
 pub use cfi::{CfiCheckReport, CfiModel, CfiStats, CfiViolation};
 pub use coverage::{diff, CoverageReport, ProcessCoverage};
-pub use gadgets::{GadgetReport, GadgetStats, SectionGadgets};
 pub use dataflow::{
     analyze_image, taint_cross_check_with_stats, DataflowStats, DynamicAlert,
     ImageDataflow, ImageFlowMap, ProcessTaintCheck, ResidualFlow, SinkKind, SourceKind,

@@ -134,8 +134,7 @@ pub fn lint_with_cfg(name: &str, image: &FdlImage, cfg: &ModuleCfg) -> Vec<Findi
 
     // W^X: a section both writable and executable.
     for s in &image.sections {
-        use faros_emu::mmu::Perms;
-        if s.perms.contains(Perms::W) && s.perms.contains(Perms::X) {
+        if s.perms.is_wx() {
             out.push(finding(
                 name,
                 FindingKind::WxSection,

@@ -10,7 +10,6 @@
 
 use crate::cfi::CfiModel;
 use crate::dataflow::{DataflowStats, ImageFlowMap};
-use crate::gadgets::{self, GadgetReport};
 use crate::lint::{lint_with_cfg, Finding, FindingKind, Severity};
 use crate::model::ImageModel;
 use crate::syscap::{self, CapabilityReport};
@@ -55,9 +54,6 @@ pub struct StaticReport {
     pub flows: ImageFlowMap,
     /// Dataflow cost/outcome counters.
     pub stats: DataflowStats,
-    /// The gadget-surface scan: free-branch endpoints and short gadget
-    /// bodies per executable section, with density scoring.
-    pub gadgets: GadgetReport,
     /// The static CFI model (resolved target sets, call-preceded return
     /// sites, function entries) the dynamic cross-check enforces.
     pub cfi: CfiModel,
@@ -84,14 +80,12 @@ impl StaticReport {
             .iter()
             .map(|(&va, targets)| (va, targets.clone()))
             .collect();
-        let gadgets = gadgets::scan_image(name, image, &analysis.cfg);
         StaticReport {
             module: name.to_string(),
             findings,
             resolved_sites,
             flows: analysis.flows,
             stats: analysis.stats,
-            gadgets,
             cfi,
             capabilities,
         }
@@ -130,7 +124,6 @@ impl ToJson for StaticReport {
             ("resolved_sites", JsonValue::Array(resolved)),
             ("flows", self.flows.to_json_value()),
             ("stats", self.stats.to_json_value()),
-            ("gadgets", self.gadgets.to_json_value()),
             ("cfi", self.cfi.to_json_value()),
             ("capabilities", self.capabilities.to_json_value()),
         ])

@@ -388,17 +388,6 @@ impl CapabilityReport {
     pub fn is_empty(&self) -> bool {
         self.caps.is_empty() && self.recipes.is_empty() && self.unresolved_sites.is_empty()
     }
-
-    /// The capability set the cross-check credits this image with: its
-    /// own static capabilities, plus the ambient stub set when the image
-    /// can call into unknown code.
-    pub fn modeled_caps(&self) -> CapSet {
-        if self.calls_unknown_code || !self.unresolved_sites.is_empty() {
-            self.caps.union(ambient_caps())
-        } else {
-            self.caps
-        }
-    }
 }
 
 impl ToJson for CapabilityReport {
@@ -1040,9 +1029,6 @@ mod tests {
         let df = crate::dataflow::analyze_image("t", &image);
         let r = capability_report(&df);
         assert_eq!(r.unresolved_sites.len(), 1);
-        // The escape hatch grants the ambient set.
-        assert!(r.modeled_caps().contains(Capability::WriteRemote));
-        assert!(!r.modeled_caps().contains(Capability::MapExec), "no MapView stub");
         let findings = unresolved_syscall_findings("t", &df);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].kind, FindingKind::SyscallNumberUnresolved);

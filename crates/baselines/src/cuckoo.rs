@@ -85,11 +85,6 @@ impl CuckooReport {
     pub fn has_payload_provenance(&self) -> bool {
         false
     }
-
-    /// Total syscalls traced.
-    pub fn syscall_count(&self) -> usize {
-        self.syscalls.len()
-    }
 }
 
 /// The sandbox observer. Attach to a run (live or replay); extract the
@@ -109,11 +104,6 @@ impl CuckooSandbox {
     /// The report collected so far.
     pub fn report(&self) -> &CuckooReport {
         &self.report
-    }
-
-    /// Consumes the sandbox, returning the report.
-    pub fn into_report(self) -> CuckooReport {
-        self.report
     }
 }
 
@@ -179,7 +169,7 @@ mod tests {
         let report = CuckooReport::default();
         assert!(!report.detects_injection());
         assert!(!report.has_payload_provenance());
-        assert_eq!(report.syscall_count(), 0);
+        assert!(report.syscalls.is_empty());
     }
 
     #[test]
@@ -200,8 +190,8 @@ mod tests {
             parent: None,
         });
         sandbox.console_output(Pid(1), "hi");
-        let report = sandbox.into_report();
-        assert_eq!(report.syscall_count(), 1);
+        let report = sandbox.report();
+        assert_eq!(report.syscalls.len(), 1);
         assert_eq!(report.pslist[&1], "a.exe");
         assert_eq!(report.console, vec![(1, "hi".to_string())]);
     }

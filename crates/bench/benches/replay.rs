@@ -10,8 +10,15 @@ use faros_bench::experiments::BUDGET;
 use faros_corpus::attacks;
 use faros_obs::trace::RecorderHandle;
 use faros_replay::{record, replay, PluginManager, TraceRecorder};
-use faros_support::bench::BenchGroup;
+use faros_support::bench::{black_box, BenchGroup};
 use faros_support::bench_main;
+use std::time::Instant;
+
+/// Interleaved base/FAROS pairs behind the gate statistic.
+const GATE_PAIRS: usize = 10;
+
+/// Replays per side of one pair (about 5 ms of plain replay).
+const REPLAYS_PER_SIDE: u32 = 20;
 
 fn bench_replay() {
     let mut group = BenchGroup::new("replay");
@@ -23,22 +30,20 @@ fn bench_replay() {
     });
 
     let (recording, _) = record(&sample.scenario, BUDGET).expect("record");
-    group.bench_function("replay_base", |b| {
-        b.iter(|| {
-            let mut empty = PluginManager::new();
-            replay(&sample.scenario, &recording, BUDGET, &mut empty)
-                .expect("replay")
-                .instructions
-        })
-    });
-    group.bench_function("replay_faros", |b| {
-        b.iter(|| {
-            let mut faros = Faros::new(Policy::paper());
-            replay(&sample.scenario, &recording, BUDGET, &mut faros)
-                .expect("replay")
-                .instructions
-        })
-    });
+    let replay_base = || {
+        let mut empty = PluginManager::new();
+        replay(&sample.scenario, &recording, BUDGET, &mut empty).expect("replay").instructions
+    };
+    let replay_faros = || {
+        let mut faros = Faros::new(Policy::paper());
+        replay(&sample.scenario, &recording, BUDGET, &mut faros).expect("replay").instructions
+    };
+    group.bench_function("replay_base", |b| b.iter(replay_base));
+    group.bench_function("replay_faros", |b| b.iter(replay_faros));
+    // The statistic `faros-cli bench-gate` checks. Each pair times both
+    // sides back to back, so load on a shared host slows both alike, and
+    // alternating the leading side cancels any first-runner advantage.
+    group.annotate("pair_ratio_median_x1000", median_pair_ratio_x1000(replay_base, replay_faros));
     // Full observability stack: flight recorder + FAROS emitting into the
     // same ring, dispatch counting on — the realistic traced-replay cost.
     group.bench_function("replay_traced", |b| {
@@ -76,6 +81,33 @@ fn bench_replay() {
     bench_shadow(&mut group);
 
     group.finish();
+}
+
+/// Times [`GATE_PAIRS`] interleaved `(base, faros)` pairs, alternating which
+/// side runs first, and returns the median of the per-pair
+/// `faros / base` time ratios, times 1000.
+fn median_pair_ratio_x1000(base: impl Fn() -> u64, faros: impl Fn() -> u64) -> u64 {
+    let time = |side: &dyn Fn() -> u64| {
+        let start = Instant::now();
+        for _ in 0..REPLAYS_PER_SIDE {
+            black_box(side());
+        }
+        start.elapsed().as_nanos().max(1)
+    };
+    let mut ratios: Vec<u64> = (0..GATE_PAIRS)
+        .map(|i| {
+            let (base_ns, faros_ns) = if i % 2 == 0 {
+                let b = time(&base);
+                (b, time(&faros))
+            } else {
+                let f = time(&faros);
+                (time(&base), f)
+            };
+            (faros_ns * 1000 / base_ns) as u64
+        })
+        .collect();
+    ratios.sort_unstable();
+    ratios[GATE_PAIRS / 2]
 }
 
 fn bench_shadow(group: &mut BenchGroup) {

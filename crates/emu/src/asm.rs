@@ -102,11 +102,6 @@ impl Asm {
         self
     }
 
-    /// Returns the virtual address of a previously defined label.
-    pub fn addr_of(&self, name: &str) -> Option<u32> {
-        self.labels.get(name).map(|&off| self.base + off as u32)
-    }
-
     fn emit(&mut self, instr: Instr) -> &mut Asm {
         encode_into(&instr, &mut self.bytes);
         self
@@ -500,15 +495,6 @@ mod tests {
         let (bytes, labels) = a.assemble_with_labels().unwrap();
         let (i, _) = decode(&bytes).unwrap();
         assert_eq!(i, Instr::MovRI { dst: Reg::Eax, imm: labels["data"] });
-    }
-
-    #[test]
-    fn addr_of_tracks_position() {
-        let mut a = Asm::new(0x1000);
-        a.nop();
-        a.label("after_nop");
-        assert_eq!(a.addr_of("after_nop"), Some(0x1001));
-        assert_eq!(a.addr_of("missing"), None);
     }
 
     #[test]

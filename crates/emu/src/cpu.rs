@@ -178,13 +178,6 @@ pub enum StepEvent {
     },
 }
 
-impl StepEvent {
-    /// Returns `true` for events the scheduler treats as thread-fatal.
-    pub fn is_fatal(&self) -> bool {
-        matches!(self, StepEvent::Fault(_) | StepEvent::Illegal { .. })
-    }
-}
-
 impl fmt::Display for StepEvent {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
@@ -910,7 +903,6 @@ mod tests {
         cpu.context_mut().eip = 0x1000;
         let ev = cpu.step(&mut mem, &aspace, &mut NoHooks);
         assert!(matches!(ev, StepEvent::Illegal { vaddr: 0x1000, .. }));
-        assert!(ev.is_fatal());
     }
 
     #[test]

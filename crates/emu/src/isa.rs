@@ -570,59 +570,6 @@ impl Instr {
             | Instr::Nop => Vec::new(),
         }
     }
-
-    /// Registers this instruction (re)defines, including the implicit `esp`
-    /// adjustment of the stack forms. `Int` reports the kernel-written
-    /// result registers (`eax` carries the status on return).
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use faros_emu::isa::{Instr, Reg};
-    /// assert_eq!(Instr::Pop { dst: Reg::Ebx }.regs_written(), vec![Reg::Ebx, Reg::Esp]);
-    /// assert!(Instr::Ret.regs_written().contains(&Reg::Esp));
-    /// ```
-    pub fn regs_written(&self) -> Vec<Reg> {
-        match *self {
-            Instr::MovRR { dst, .. }
-            | Instr::MovRI { dst, .. }
-            | Instr::Load { dst, .. }
-            | Instr::Lea { dst, .. }
-            | Instr::Alu { dst, .. } => vec![dst],
-            Instr::Pop { dst } => vec![dst, Reg::Esp],
-            Instr::Push { .. } | Instr::PushImm { .. } | Instr::Ret => vec![Reg::Esp],
-            Instr::Call { .. } | Instr::CallReg { .. } => vec![Reg::Esp],
-            Instr::Int { .. } => vec![Reg::Eax],
-            Instr::Store { .. }
-            | Instr::Cmp { .. }
-            | Instr::Test { .. }
-            | Instr::Jmp { .. }
-            | Instr::Jcc { .. }
-            | Instr::JmpReg { .. }
-            | Instr::Hlt
-            | Instr::Nop => Vec::new(),
-        }
-    }
-
-    /// The explicit memory operand this instruction loads from, with its
-    /// access width. The implicit stack reads of `pop`/`ret` are reported
-    /// via [`Instr::regs_read`] on `esp`, not here.
-    pub fn mem_read(&self) -> Option<(Mem, Width)> {
-        match *self {
-            Instr::Load { mem, width, .. } => Some((mem, width)),
-            _ => None,
-        }
-    }
-
-    /// The explicit memory operand this instruction stores to, with its
-    /// access width. The implicit stack writes of `push`/`call` are not
-    /// reported here.
-    pub fn mem_written(&self) -> Option<(Mem, Width)> {
-        match *self {
-            Instr::Store { mem, width, .. } => Some((mem, width)),
-            _ => None,
-        }
-    }
 }
 
 /// The syscall interrupt vector used by the guest ABI (mirrors NT's
@@ -709,23 +656,6 @@ mod tests {
         assert_eq!(I::Ret.regs_read(), vec![Reg::Esp]);
         assert!(I::Jmp { rel: 0 }.regs_read().is_empty());
         assert!(I::Int { vector: SYSCALL_VECTOR }.regs_read().is_empty());
-        // Writes.
-        assert_eq!(I::Lea { dst: Reg::Esi, mem }.regs_written(), vec![Reg::Esi]);
-        assert_eq!(I::Push { src: Reg::Eax }.regs_written(), vec![Reg::Esp]);
-        assert_eq!(I::Call { rel: 0 }.regs_written(), vec![Reg::Esp]);
-        assert_eq!(I::Int { vector: SYSCALL_VECTOR }.regs_written(), vec![Reg::Eax]);
-        assert!(I::Store { mem, src: Reg::Edx, width: Width::B4 }.regs_written().is_empty());
-        // Memory operands.
-        assert_eq!(
-            I::Load { dst: Reg::Eax, mem, width: Width::B2 }.mem_read(),
-            Some((mem, Width::B2))
-        );
-        assert_eq!(I::Load { dst: Reg::Eax, mem, width: Width::B2 }.mem_written(), None);
-        assert_eq!(
-            I::Store { mem, src: Reg::Eax, width: Width::B1 }.mem_written(),
-            Some((mem, Width::B1))
-        );
-        assert_eq!(I::Nop.mem_read(), None);
     }
 
     #[test]

@@ -29,12 +29,6 @@ pub fn page_number(addr: u32) -> u32 {
     addr >> 12
 }
 
-/// Returns the byte offset of `addr` within its page.
-#[inline]
-pub fn page_offset(addr: u32) -> u32 {
-    addr & PAGE_MASK
-}
-
 /// Error returned when physical memory is exhausted or an access is out of
 /// range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,17 +264,6 @@ impl PhysMem {
         Ok(())
     }
 
-    /// Reads a little-endian `u32`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MemError::OutOfRange`] if the range exceeds installed memory.
-    pub fn read_u32(&self, addr: u32) -> Result<u32, MemError> {
-        let mut b = [0u8; 4];
-        self.read(addr, &mut b)?;
-        Ok(u32::from_le_bytes(b))
-    }
-
     /// Writes a little-endian `u32`.
     ///
     /// # Errors
@@ -370,10 +353,9 @@ mod tests {
     fn read_write_round_trip() {
         let mut mem = PhysMem::new(2);
         mem.write_u32(100, 0xdead_beef).unwrap();
-        assert_eq!(mem.read_u32(100).unwrap(), 0xdead_beef);
-        assert_eq!(mem.read_u8(100).unwrap(), 0xef, "little-endian layout");
+        assert_eq!(mem.slice(100, 4).unwrap(), [0xef, 0xbe, 0xad, 0xde], "little-endian layout");
         mem.write_u8(103, 0x00).unwrap();
-        assert_eq!(mem.read_u32(100).unwrap(), 0x00ad_beef);
+        assert_eq!(mem.slice(100, 4).unwrap(), [0xef, 0xbe, 0xad, 0x00]);
     }
 
     #[test]
@@ -384,7 +366,7 @@ mod tests {
         let mut buf = [0u8; 8];
         assert!(mem.read(PAGE_SIZE - 4, &mut buf).is_err());
         assert!(mem.write(PAGE_SIZE - 4, &buf).is_err());
-        assert!(mem.read_u32(u32::MAX).is_err());
+        assert!(mem.read(u32::MAX, &mut buf[..4]).is_err());
     }
 
     #[test]
@@ -393,7 +375,7 @@ mod tests {
         // Nothing committed yet: in-range reads still see the documented
         // zero-initialized contents.
         assert_eq!(mem.read_u8(5 * PAGE_SIZE).unwrap(), 0);
-        assert_eq!(mem.read_u32(7 * PAGE_SIZE + 42).unwrap(), 0);
+        assert_eq!(mem.read_u8(7 * PAGE_SIZE + 42).unwrap(), 0);
         let mut buf = [0xaa; 16];
         mem.read(3 * PAGE_SIZE - 8, &mut buf).unwrap();
         assert_eq!(buf, [0; 16], "uncommitted frames read as zeroes");
@@ -441,7 +423,6 @@ mod tests {
         assert_eq!(page_number(0), 0);
         assert_eq!(page_number(4095), 0);
         assert_eq!(page_number(4096), 1);
-        assert_eq!(page_offset(4097), 1);
     }
 
     #[test]

@@ -236,11 +236,6 @@ impl AddressSpace {
     pub fn iter(&self) -> impl Iterator<Item = (u32, PageEntry)> + '_ {
         self.table.iter().map(|(&vpn, &e)| (vpn, e))
     }
-
-    /// Returns `true` if `vaddr` lies in the shared kernel half.
-    pub fn is_kernel_addr(vaddr: u32) -> bool {
-        vaddr >= KERNEL_BASE
-    }
 }
 
 #[cfg(test)]
@@ -305,12 +300,5 @@ mod tests {
         assert_eq!(Perms::RWX.to_string(), "rwx");
         assert_eq!(Perms::RX.to_string(), "r-x");
         assert_eq!(Perms::NONE.to_string(), "---");
-    }
-
-    #[test]
-    fn kernel_addr_split() {
-        assert!(!AddressSpace::is_kernel_addr(0x7fff_ffff));
-        assert!(AddressSpace::is_kernel_addr(KERNEL_BASE));
-        assert!(AddressSpace::is_kernel_addr(0x83b0_7019)); // paper's Table II address
     }
 }

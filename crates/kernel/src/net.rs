@@ -386,11 +386,6 @@ impl NetworkFabric {
         &self.recorded
     }
 
-    /// Consumes the fabric, returning its recording.
-    pub fn into_recorded(self) -> NetLog {
-        self.recorded
-    }
-
     /// Returns the first divergence detected in replay mode, if any.
     pub fn divergence(&self) -> Option<&ReplayDivergence> {
         self.divergence.as_ref()
@@ -762,7 +757,7 @@ mod tests {
         let RecvOutcome::Data { bytes: b2, .. } = live.recv(conn, 64, 12) else {
             panic!()
         };
-        let log = live.into_recorded();
+        let log = live.recorded().clone();
 
         // Replay without any endpoint attached.
         let mut rep = NetworkFabric::new_replay(GUEST, log);
@@ -787,7 +782,7 @@ mod tests {
         let conn = live.connect(ATTACKER, 4444, 0).unwrap();
         live.pump(150);
         let RecvOutcome::Data { .. } = live.recv(conn, 64, 150) else { panic!() };
-        let log = live.into_recorded();
+        let log = live.recorded().clone();
 
         let mut rep = NetworkFabric::new_replay(GUEST, log);
         let conn2 = rep.connect(ATTACKER, 4444, 0).unwrap();
@@ -806,7 +801,7 @@ mod tests {
         let mut live = NetworkFabric::new_live(GUEST);
         live.add_endpoint(ATTACKER, 4444, Box::new(Echo));
         live.connect(ATTACKER, 4444, 0).unwrap();
-        let log = live.into_recorded();
+        let log = live.recorded().clone();
 
         let mut rep = NetworkFabric::new_replay(GUEST, log);
         // Replayed guest connects somewhere else entirely.

@@ -47,13 +47,6 @@ pub enum NtStatus {
     ConflictingAddresses = 0xC000_0018,
 }
 
-impl NtStatus {
-    /// Returns `true` for success-class statuses.
-    pub fn is_success(self) -> bool {
-        (self as u32) & 0x8000_0000 == 0
-    }
-}
-
 impl fmt::Display for NtStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{self:?} ({:#010x})", *self as u32)
@@ -313,14 +306,6 @@ mod tests {
         for s in Sysno::ALL {
             assert_eq!(s.name(), format!("{s:?}"), "name() must track the variant");
         }
-    }
-
-    #[test]
-    fn status_success_classification() {
-        assert!(NtStatus::Success.is_success());
-        assert!(NtStatus::Pending.is_success());
-        assert!(!NtStatus::AccessViolation.is_success());
-        assert!(!NtStatus::EndOfFile.is_success());
     }
 
     #[test]

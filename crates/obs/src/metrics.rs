@@ -312,16 +312,6 @@ impl Utilization {
     pub fn read(&self, m: &MetricsRegistry) -> (u64, u64) {
         (m.get(self.jobs), m.get(self.busy_ns))
     }
-
-    /// Busy fraction of `workers` workers over an `elapsed` wall-clock
-    /// span, in `[0, 1]` (clamped).
-    pub fn fraction(&self, m: &MetricsRegistry, workers: u64, elapsed: std::time::Duration) -> f64 {
-        let span = elapsed.as_nanos() as u64 * workers.max(1);
-        if span == 0 {
-            return 0.0;
-        }
-        (m.get(self.busy_ns) as f64 / span as f64).min(1.0)
-    }
 }
 
 /// Serializable state of one histogram.

@@ -129,15 +129,7 @@ pub fn quiet_fault_panics() {
     INSTALL.call_once(|| {
         let previous = panic::take_hook();
         panic::set_hook(Box::new(move |info| {
-            let injected = info
-                .payload()
-                .downcast_ref::<String>()
-                .map(|s| s.contains(FAULT_PREFIX))
-                .or_else(|| {
-                    info.payload().downcast_ref::<&str>().map(|s| s.contains(FAULT_PREFIX))
-                })
-                .unwrap_or(false);
-            if !injected {
+            if !is_fault_payload(info.payload()) {
                 previous(info);
             }
         }));

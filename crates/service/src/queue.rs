@@ -3,11 +3,12 @@
 //!
 //! Capacity is the backpressure boundary: [`BoundedQueue::try_push`]
 //! rejects when full (the server turns that into a structured `QueueFull`
-//! response), [`BoundedQueue::push_wait`] blocks until space frees (the
-//! in-process submission path). [`BoundedQueue::close`] flips the queue
-//! into drain mode: pushes are refused, pops keep succeeding until the
-//! queue is empty, then return `None` — which is exactly the worker-pool
-//! shutdown contract ("drain in-flight jobs, reject new ones").
+//! response), [`BoundedQueue::wait_space`] blocks until space frees (the
+//! in-process submission path retries its push after it).
+//! [`BoundedQueue::close`] flips the queue into drain mode: pushes are
+//! refused, pops keep succeeding until the queue is empty, then return
+//! `None` — which is exactly the worker-pool shutdown contract ("drain
+//! in-flight jobs, reject new ones").
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex};
@@ -96,25 +97,6 @@ impl<T> BoundedQueue<T> {
         Ok(())
     }
 
-    /// Blocking push: waits for space, failing only with
-    /// [`PushError::Closed`] if the queue closes while (or before)
-    /// waiting.
-    pub fn push_wait(&self, item: T) -> Result<(), PushError> {
-        let mut s = self.state.lock().expect("queue poisoned");
-        loop {
-            if s.closed {
-                return Err(PushError::Closed);
-            }
-            if s.items.len() < self.cap {
-                s.items.push_back(item);
-                s.high_water = s.high_water.max(s.items.len());
-                self.not_empty.notify_one();
-                return Ok(());
-            }
-            s = self.not_full.wait(s).expect("queue poisoned");
-        }
-    }
-
     /// Blocks until the queue has space for at least one item (or is
     /// closed). Returns `true` when space was observed, `false` on close.
     /// The space is not reserved — a racing producer may take it, so
@@ -191,26 +173,26 @@ mod tests {
     }
 
     #[test]
-    fn push_wait_unblocks_on_space_and_fails_on_close() {
+    fn wait_space_unblocks_on_space_and_fails_on_close() {
         let q = Arc::new(BoundedQueue::new(1));
         q.try_push(0u32).unwrap();
         let producer = {
             let q = Arc::clone(&q);
-            thread::spawn(move || q.push_wait(1))
+            thread::spawn(move || q.wait_space())
         };
         thread::sleep(Duration::from_millis(20));
         assert_eq!(q.pop(), Some(0), "make space for the blocked producer");
-        assert_eq!(producer.join().unwrap(), Ok(()));
+        assert!(producer.join().unwrap());
 
         let q2 = Arc::new(BoundedQueue::new(1));
         q2.try_push(0u32).unwrap();
         let blocked = {
             let q2 = Arc::clone(&q2);
-            thread::spawn(move || q2.push_wait(1))
+            thread::spawn(move || q2.wait_space())
         };
         thread::sleep(Duration::from_millis(20));
         q2.close();
-        assert_eq!(blocked.join().unwrap(), Err(PushError::Closed));
+        assert!(!blocked.join().unwrap());
     }
 
     #[test]
@@ -229,7 +211,9 @@ mod tests {
             })
             .collect();
         for i in 0..100u32 {
-            q.push_wait(i).unwrap();
+            while q.try_push(i) == Err(PushError::Full) {
+                assert!(q.wait_space());
+            }
         }
         q.close();
         let mut all: Vec<u32> =

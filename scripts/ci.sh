@@ -79,7 +79,7 @@ FAROS_BENCH_WRITE="$PWD" cargo bench --offline -p faros-bench --bench replay >/d
 cargo run --release --offline -p faros-bench --bin faros-cli -- json-check BENCH_replay.json
 test -s BENCH_replay.json
 
-echo "==> bench regression gate (replay_faros <= 1.5x replay_base)"
+echo "==> bench regression gate (median per-pair replay_faros/replay_base <= 1.5x)"
 cargo run --release --offline -p faros-bench --bin faros-cli -- bench-gate BENCH_replay.json
 
 echo "==> detonation service bench (FAROS_BENCH_WRITE -> BENCH_service.json)"
@@ -91,8 +91,9 @@ echo "==> service scaling gate (core-count-aware 4-worker speedup floor)"
 cargo run --release --offline -p faros-bench --bin faros-cli -- service-gate BENCH_service.json
 
 echo "==> bounded service soak (200 jobs, 4 workers, exact accounting)"
-# The pool must drain to zero, lose no workers, drop no trace events, and
-# the merged metrics must equal the fold of the per-job snapshots.
+# The pool must drain to zero, lose no workers, capture trace events and
+# drop none, and the merged metrics must equal the fold of the per-job
+# snapshots.
 cargo run --release --offline -p faros-bench --bin faros-cli -- soak --jobs 200 --workers 4
 
 echo "==> replay profiler smoke (two runs, byte-identical JSON)"
@@ -155,6 +156,15 @@ if [ "$cli_report" != "$(cat tests/fixtures/analyze_demo_report.json)" ]; then
     echo "error: faros-cli analyze output drifted from tests/fixtures/analyze_demo_report.json" >&2
     exit 1
 fi
+
+echo "==> static analyze trace smoke (faros-cli analyze <image> --trace)"
+# The dataflow counters must reach the Chrome trace the CLI writes.
+cargo run --release --offline -p faros-bench --bin faros-cli -- \
+    analyze tests/fixtures/analyze_demo.fdl --trace target/analyze_trace.json >/dev/null
+cargo run --release --offline -p faros-bench --bin faros-cli -- json-check \
+    target/analyze_trace.json
+grep -q '"analyze.worklist.iterations"' target/analyze_trace.json \
+    || { echo "error: analyze --trace wrote no analyze.worklist.iterations counter" >&2; exit 1; }
 
 echo "==> static/dynamic cross-check + CFI + capability truth-table gate over the corpus"
 # Injectors keep >=1 statically-impossible alert and >=1 exercised

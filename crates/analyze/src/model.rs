@@ -63,10 +63,11 @@ impl ImageModel {
 }
 
 /// Builds one [`ImageModel`] per image, keyed by basename so
-/// `C:/notepad.exe` and `notepad.exe` name the same model. Feed it every
-/// image a scenario can load: its program images plus any seed files that
-/// parse as FDL (dropped DLLs). A later entry with the same basename
-/// replaces an earlier one before anything is built.
+/// `C:/notepad.exe` and `notepad.exe` name the same model. A job feeds it
+/// the images its replay loaded
+/// ([`Machine::loaded_images`](faros_kernel::machine::Machine::loaded_images):
+/// programs and registered DLLs, dropped ones included). A later entry with
+/// the same basename replaces an earlier one before anything is built.
 pub fn model_map<S: AsRef<str>>(
     entries: impl IntoIterator<Item = (S, FdlImage)>,
 ) -> BTreeMap<String, ImageModel> {

@@ -1,17 +1,18 @@
 //! The CuckooBox / malfind / FAROS comparison harness (paper §VI-B).
 //!
-//! Records a sample once and replays it once with the Cuckoo-style sandbox
-//! (event view), FAROS (flow view) and the block-coverage and CFI
-//! observers (structure view) stacked in one plugin manager, scans that
-//! replay's final machine state with the malfind-style scanner (snapshot
-//! view), and cross-checks the executed blocks and indirect transfers
-//! against the static models of the sample's module images, reporting who
-//! detected what and who could provide provenance.
+//! Records a sample once and runs the detonation job over the recording
+//! ([`faros::analyze_recording`]: FAROS's flow view plus the coverage and
+//! CFI cross-checks against the static models of the images the replay
+//! loaded), replays it once more under the Cuckoo-style sandbox (event
+//! view), and scans that replay's final machine state with the
+//! malfind-style scanner (snapshot view), reporting who detected what and
+//! who could provide provenance.
 
 use crate::cuckoo::CuckooSandbox;
 use crate::malfind;
+use faros::AnalysisConfig;
 use faros_corpus::Sample;
-use faros_replay::{record, replay, BlockCoverage, CfiMonitor, PluginManager};
+use faros_replay::{record, replay};
 use std::fmt;
 
 /// Comparison outcome for one sample.
@@ -74,7 +75,8 @@ impl fmt::Display for ComparisonError {
 
 impl std::error::Error for ComparisonError {}
 
-/// Runs every analyzer over one sample: one recording, one replay.
+/// Runs every analyzer over one sample: one recording, the detonation job
+/// and one Cuckoo replay.
 ///
 /// # Errors
 ///
@@ -82,74 +84,31 @@ impl std::error::Error for ComparisonError {}
 /// replay diverges.
 pub fn compare(sample: &Sample, budget: u64) -> Result<ComparisonRow, ComparisonError> {
     use faros_replay::Scenario as _;
-    // 1. Record once, then replay once with every dynamic view attached:
-    //    the Cuckoo sandbox (it runs live on the victim VM), FAROS, and
-    //    the executed-block and indirect-transfer observers the static
-    //    cross-checks below read.
     let (recording, _live) =
         record(&sample.scenario, budget).map_err(|e| ComparisonError(e.to_string()))?;
-    let mut plugins = PluginManager::new();
-    plugins.register(Box::new(CuckooSandbox::new()));
-    plugins.register(Box::new(faros::Faros::new(faros::Policy::paper())));
-    plugins.register(Box::new(BlockCoverage::new()));
-    plugins.register(Box::new(CfiMonitor::new()));
-    let outcome = replay(&sample.scenario, &recording, budget, &mut plugins)
+    let job = faros::analyze_recording(
+        &sample.scenario,
+        &recording,
+        &AnalysisConfig { budget, ..AnalysisConfig::default() },
+    )
+    .map_err(|e| ComparisonError(e.to_string()))?;
+    let report = job.report;
+
+    // The Cuckoo sandbox runs live on the victim VM; malfind scans the
+    // final memory state of that run (the "memory dump").
+    let mut cuckoo = CuckooSandbox::new();
+    let outcome = replay(&sample.scenario, &recording, budget, &mut cuckoo)
         .map_err(|e| ComparisonError(e.to_string()))?;
-    let taken = "registered above";
-    let cuckoo = plugins.take_as::<CuckooSandbox>("cuckoo").expect(taken);
-    let faros = plugins.take_as::<faros::Faros>("faros").expect(taken);
-    let blocks = plugins.take_as::<BlockCoverage>("block-coverage").expect(taken);
-    let monitor = plugins.take_as::<CfiMonitor>("cfi-monitor").expect(taken);
-    let faros_report = faros.report();
-
-    // 2. malfind scans the final memory state (the "memory dump").
-    let malfind_report = malfind::scan(&outcome.machine);
-
-    // 3. The static-vs-dynamic cross-check: diff the executed basic-block
-    //    starts against the static CFGs of the sample's own module images.
-    //    Injected code executes outside every image. The analyzer sees
-    //    everything on disk: the sample's program images plus any file the
-    //    run dropped that parses as FDL (a dropped DLL is a disk artifact
-    //    static analysis *can* chart — unlike reflective code).
-    let mut on_disk: Vec<(String, faros_kernel::module::FdlImage)> = sample
-        .scenario
-        .programs()
-        .iter()
-        .map(|(path, image)| (path.clone(), image.clone()))
-        .collect();
-    for path in outcome.machine.fs.list("") {
-        let Ok(info) = outcome.machine.fs.info(&path) else { continue };
-        let Ok(bytes) = outcome.machine.fs.read(&path, 0, info.size as usize) else {
-            continue;
-        };
-        if let Ok(image) = faros_kernel::module::FdlImage::parse(&bytes) {
-            on_disk.push((path, image));
-        }
-    }
-    let models = faros_analyze::model_map(on_disk);
-    let coverage = faros_analyze::diff(&blocks.into_processes(), &models);
-
-    // 4. The CFI cross-check: validate every observed indirect transfer
-    //    and return against the static control-flow model of the same
-    //    image set (fused with FAROS's taint view of the transfer
-    //    targets). Code reuse is invisible to every view above — no
-    //    foreign bytes to dump, no unaccounted blocks — but not to this
-    //    one.
-    let cfi =
-        faros_analyze::cfi::check(&monitor.into_processes(), &models, faros.tainted_transfers());
 
     Ok(ComparisonRow {
         sample: sample.scenario.name().to_string(),
         is_attack: sample.category.is_attack(),
         cuckoo: cuckoo.report().detects_injection(),
-        malfind: malfind_report.detects_injection(),
-        faros: faros_report.attack_flagged(),
-        faros_provenance: faros_report
-            .detections
-            .iter()
-            .any(|d| d.code_provenance.contains("->")),
-        coverage_gap: coverage.injection_suspected(),
-        cfi_violation: cfi.violation_found(),
+        malfind: malfind::scan(&outcome.machine).detects_injection(),
+        faros: report.attack_flagged(),
+        faros_provenance: report.detections.iter().any(|d| d.code_provenance.contains("->")),
+        coverage_gap: report.coverage_suspicious(),
+        cfi_violation: report.cfi_suspicious(),
     })
 }
 

@@ -5,8 +5,10 @@
 //! A *job* is one recording analyzed end to end: one replay under FAROS
 //! with the block-coverage, CFI-transfer and capability observers stacked
 //! beside it (and the flight recorder when tracing), then one static
-//! [`faros_analyze::ImageModel`] per program image, shared by the coverage
-//! diff, the taint, CFI and capability cross-checks and profile
+//! [`faros_analyze::ImageModel`] per image the replay's loader mapped
+//! ([`faros_kernel::machine::Machine::loaded_images`]: program images and
+//! registered DLLs, never reflectively mapped code), shared by the
+//! coverage diff, the taint, CFI and capability cross-checks and profile
 //! symbolization, whose results and merged metrics attach to the
 //! [`FarosReport`]. Each replay signal has exactly one observer: the
 //! executed blocks [`BlockCoverage`] records, with their retired
@@ -154,10 +156,10 @@ pub struct AnalyzedJob {
 ///
 /// Pipeline: one replay with FAROS, [`BlockCoverage`], [`CfiMonitor`] and
 /// [`CapabilityMonitor`] (plus the trace recorder when capture is on) in
-/// one [`PluginManager`]; one static model per program image; then the
-/// coverage diff and the taint, CFI and capability cross-checks against
-/// those models, attached with the merged FAROS + cross-check metrics, and
-/// the profile symbolized from the same block counts when
+/// one [`PluginManager`]; one static model per image the replay loaded;
+/// then the coverage diff and the taint, CFI and capability cross-checks
+/// against those models, attached with the merged FAROS + cross-check
+/// metrics, and the profile symbolized from the same block counts when
 /// [`AnalysisConfig::profile`] is on.
 ///
 /// # Errors
@@ -222,12 +224,11 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         .expect("the capability monitor was registered above");
     cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
 
-    // One static model per image, shared by every cross-check below.
+    // One static model per image the loader mapped, shared by every
+    // cross-check below.
     let analyze_start = Instant::now();
     let mut report = faros.report();
-    let models = faros_analyze::model_map(
-        scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
-    );
+    let models = faros_analyze::model_map(outcome.machine.loaded_images().clone());
     let observed = blocks.into_processes();
     report.attach_coverage(&faros_analyze::diff(&observed, &models));
     let alerts: Vec<DynamicAlert> = report

@@ -144,6 +144,7 @@ pub struct Machine {
     kernel_pages: Vec<(u32, u32, Perms)>,
     kernel_modules: Vec<ModuleInfo>,
     kernel_export_ranges: Vec<ByteRange>,
+    loaded_images: BTreeMap<String, FdlImage>,
     idle_boost: u64,
     console: Vec<(Pid, String)>,
     booted: bool,
@@ -175,6 +176,7 @@ impl Machine {
             kernel_pages: Vec::new(),
             kernel_modules: Vec::new(),
             kernel_export_ranges: Vec::new(),
+            loaded_images: BTreeMap::new(),
             idle_boost: 0,
             console: Vec::new(),
             booted: false,
@@ -230,6 +232,14 @@ impl Machine {
     /// Boot-time kernel modules (mapped into every process).
     pub fn kernel_modules(&self) -> &[ModuleInfo] {
         &self.kernel_modules
+    }
+
+    /// Every FDL image the loader mapped this run, as parsed at load time,
+    /// keyed by module name (the file's basename). A later load under the
+    /// same name replaces the entry. This is the module set a job's static
+    /// models are built from.
+    pub fn loaded_images(&self) -> &BTreeMap<String, FdlImage> {
+        &self.loaded_images
     }
 
     /// The currently scheduled thread.
@@ -635,7 +645,8 @@ impl Machine {
 
     /// Loads an FDL image file into an existing process: maps its sections
     /// (reported as file reads, so the DIFT layer applies file tags),
-    /// materializes its export table, registers the module, and fires
+    /// materializes its export table, registers the module, records the
+    /// parsed image in [`Machine::loaded_images`], and fires
     /// `module_loaded`. This is both the main-image half of
     /// [`Machine::spawn_process`] and the `LdrLoadDll` service (normal —
     /// i.e. *registered* — library loading, the counterpart the reflective
@@ -705,6 +716,7 @@ impl Machine {
             .ok_or(MachineError::NoSuchProcess(pid))?
             .modules
             .push(module.clone());
+        self.loaded_images.insert(module.name.clone(), image);
         obs.module_loaded(Some(pid), &module, &table_runs);
         Ok(module)
     }

@@ -403,6 +403,44 @@ fn record_then_replay_is_identical() {
 }
 
 #[test]
+fn loaded_images_keep_the_bytes_the_loader_mapped() {
+    let mut asm = Asm::new(IMAGE_BASE);
+    asm.hlt();
+    let main = image_from_asm(asm);
+    let dll = |va: u32| FdlImage {
+        entry: va,
+        export_table_va: va + 0x0010_0000,
+        sections: vec![Section { va, data: vec![0x90; 0x100], perms: Perms::RX }],
+        exports: vec![],
+    };
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.install_program("C:/test.exe", &main).unwrap();
+    machine.install_program("C:/never.dll", &dll(0x0200_0000)).unwrap();
+    machine.install_program("C:/lib/extra.dll", &dll(0x0200_0000)).unwrap();
+    machine.install_program("D:/extra.dll", &dll(0x0300_0000)).unwrap();
+    let pid = machine
+        .spawn_process("C:/test.exe", true, None, &mut NullObserver)
+        .unwrap();
+    machine.load_image_into(pid, "C:/lib/extra.dll", &mut NullObserver).unwrap();
+
+    // Overwriting the file after the load leaves the loader's image intact:
+    // the run executed what was mapped, not what the disk holds at the end.
+    machine.fs.write("C:/test.exe", 0, &[0xff; 64]).unwrap();
+    assert_eq!(machine.loaded_images()["test.exe"], main);
+    assert_eq!(machine.loaded_images()["extra.dll"], dll(0x0200_0000));
+    assert!(
+        !machine.loaded_images().contains_key("never.dll"),
+        "a file that was never loaded is no module of the run"
+    );
+
+    // A later load under the same module name replaces the entry.
+    machine.load_image_into(pid, "D:/extra.dll", &mut NullObserver).unwrap();
+    assert_eq!(machine.loaded_images()["extra.dll"], dll(0x0300_0000));
+    let names: Vec<&str> = machine.loaded_images().keys().map(String::as_str).collect();
+    assert_eq!(names, ["extra.dll", "test.exe"]);
+}
+
+#[test]
 fn get_proc_address_stub_resolves_exports() {
     use faros_kernel::module::hash_name;
     let scratch = IMAGE_BASE + 0x2000;

@@ -110,27 +110,9 @@ impl PluginManager {
         self.plugins.iter().map(|p| p.name()).collect()
     }
 
-    /// Number of registered plugins.
-    pub fn len(&self) -> usize {
-        self.plugins.len()
-    }
-
-    /// Returns `true` if no plugins are registered.
-    pub fn is_empty(&self) -> bool {
-        self.plugins.is_empty()
-    }
-
-    /// Takes a plugin out of the manager by name (to extract its results
-    /// after a run). Its dispatch-cost entry survives in
-    /// [`PluginManager::dispatch_costs`].
-    pub fn take(&mut self, name: &str) -> Option<Box<dyn Plugin>> {
-        let idx = self.plugins.iter().position(|p| p.name() == name)?;
-        self.cost_idx.remove(idx);
-        Some(self.plugins.remove(idx))
-    }
-
     /// Takes a plugin out by name, returned as its concrete type — the
-    /// post-run result-extraction path.
+    /// post-run result-extraction path. Its dispatch-cost entry survives in
+    /// [`PluginManager::dispatch_costs`].
     ///
     /// Returns `None` (leaving the manager untouched) when no plugin has
     /// that name or the named plugin is not a `T`.
@@ -153,7 +135,7 @@ impl PluginManager {
     }
 
     /// Per-plugin dispatch accounting, in registration order (entries
-    /// outlive [`PluginManager::take`]).
+    /// outlive [`PluginManager::take_as`]).
     pub fn dispatch_costs(&self) -> &[PluginCost] {
         &self.costs
     }
@@ -315,22 +297,14 @@ mod tests {
         let mut mgr = PluginManager::new();
         mgr.register(Box::new(Tally { name: "a".into(), insns: 0, syscalls: 0 }));
         mgr.register(Box::new(Tally { name: "b".into(), insns: 0, syscalls: 0 }));
-        assert_eq!(mgr.len(), 2);
+        assert_eq!(mgr.plugin_names(), ["a", "b"]);
         mgr.syscall_enter(Pid(1), Tid(1), Sysno::NtClose, &[0; 5]);
         mgr.syscall_enter(Pid(1), Tid(1), Sysno::NtClose, &[0; 5]);
         for name in ["a", "b"] {
             let p = mgr.take_as::<Tally>(name).unwrap();
             assert_eq!(p.syscalls, 2, "{name} saw both events");
         }
-        assert!(mgr.is_empty());
-    }
-
-    #[test]
-    fn take_by_name() {
-        let mut mgr = PluginManager::new();
-        mgr.register(Box::new(Tally { name: "x".into(), insns: 0, syscalls: 0 }));
-        assert!(mgr.take("x").is_some());
-        assert!(mgr.take("x").is_none());
+        assert!(mgr.plugin_names().is_empty());
     }
 
     struct Other(String);
@@ -347,8 +321,9 @@ mod tests {
         let mut mgr = PluginManager::new();
         mgr.register(Box::new(Other("o".into())));
         assert!(mgr.take_as::<Tally>("o").is_none());
-        assert_eq!(mgr.len(), 1, "mismatched take_as leaves the plugin in place");
+        assert_eq!(mgr.plugin_names(), ["o"], "mismatched take_as leaves the plugin in place");
         assert!(mgr.take_as::<Other>("o").is_some());
+        assert!(mgr.take_as::<Other>("o").is_none());
     }
 
     #[test]
@@ -358,7 +333,7 @@ mod tests {
         mgr.register(Box::new(Tally { name: "b".into(), insns: 0, syscalls: 0 }));
         mgr.syscall_enter(Pid(1), Tid(1), Sysno::NtClose, &[0; 5]);
         mgr.tick(7);
-        let _ = mgr.take("a");
+        let _ = mgr.take_as::<Tally>("a");
         // "b" keeps receiving events at the right slot after the removal.
         mgr.context_switch(None, (Pid(1), Tid(1)));
         let costs = mgr.dispatch_costs();

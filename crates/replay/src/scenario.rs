@@ -49,8 +49,8 @@ pub trait Scenario {
     /// The guest program images the scenario installs, as `(path, image)`
     /// pairs — the module set static analysis lints without executing
     /// anything. Scenarios that build their machines some other way may
-    /// return an empty slice; job-scoped report assembly then skips the
-    /// static cross-checks.
+    /// return an empty slice. Job-scoped report assembly does not read
+    /// this: it models the images the replay's loader mapped.
     fn programs(&self) -> &[(String, FdlImage)] {
         &[]
     }

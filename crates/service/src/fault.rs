@@ -2,9 +2,9 @@
 //!
 //! A [`FaultPlan`] maps job ids to [`Fault`]s; workers consult it right
 //! before executing a job. Faults are injected *authentically*: a
-//! [`Fault::PanicMidReplay`] registers a real plugin
-//! ([`PanicAt`]) that panics from inside the replay's instruction hook —
-//! the same unwind path a genuine analysis bug would take — rather than
+//! [`Fault::PanicMidReplay`] replays under a real observer ([`PanicAt`])
+//! that panics from inside the replay's instruction hook — the same
+//! unwind path a genuine analysis bug would take — rather than
 //! short-circuiting before any work happens. The fault-injection test
 //! suite uses this to prove the pool's containment story: a poisoned job
 //! becomes a structured failure, its worker is replaced, and the queue
@@ -16,7 +16,6 @@
 
 use faros_emu::cpu::{CpuHooks, InsnCtx};
 use faros_kernel::event::KernelEvents;
-use faros_replay::Plugin;
 use std::collections::HashMap;
 use std::panic;
 use std::sync::{Mutex, Once};
@@ -72,7 +71,7 @@ impl FaultPlan {
     }
 }
 
-/// A plugin that panics after `after` instruction dispatches — the
+/// An observer that panics after `after` instruction dispatches — the
 /// authentic mid-replay crash.
 #[derive(Debug)]
 pub struct PanicAt {
@@ -96,11 +95,6 @@ impl CpuHooks for PanicAt {
     }
 }
 impl KernelEvents for PanicAt {}
-impl Plugin for PanicAt {
-    fn name(&self) -> &str {
-        "panic-at"
-    }
-}
 
 /// Returns `true` when a panic payload is an injected fault (its message
 /// starts with [`FAULT_PREFIX`]).

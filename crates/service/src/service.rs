@@ -30,7 +30,7 @@ use crate::queue::{BoundedQueue, PushError};
 use faros::AnalysisConfig;
 use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot, QueueGauges, Utilization};
 use faros_obs::trace::{FlightRecorder, TraceCategory, TraceEvent};
-use faros_replay::{record, replay, PluginManager, Recording};
+use faros_replay::{record, replay, Recording};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::collections::HashMap;
 use std::panic::{self, AssertUnwindSafe};
@@ -738,13 +738,11 @@ fn execute_job(
         Some(Fault::PanicMidReplay(after)) => {
             // A genuinely doomed replay pass: the panic unwinds out of the
             // instruction hook, exactly like a real analysis bug.
-            let mut doomed = PluginManager::new();
-            doomed.register(Box::new(PanicAt::new(after)));
             let _ = replay(
                 &sample.scenario,
                 &recording,
                 inner.config.analysis.budget,
-                &mut doomed,
+                &mut PanicAt::new(after),
             );
         }
         Some(Fault::CorruptReport) | None => {}

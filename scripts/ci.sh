@@ -172,8 +172,11 @@ echo "==> static/dynamic cross-check + CFI + capability truth-table gate over th
 # sample trips >=1 cfi-violation (taint/coverage/capability silent) with
 # the benign dense-indirect foils at zero, the capability-laundering pair
 # raises the impossible-capability alert while the debugger foil stays
-# quiet, and the corpus-wide advisory counts (unresolved indirects,
-# unresolved syscall numbers) stay on their pins.
+# quiet, the samples outside the injectors and JIT hosts whose job report
+# shows a coverage gap are exactly {smc_patch_loop} (the dropped DLL is
+# charted because the job models every image the loader mapped), and the
+# corpus-wide advisory counts (unresolved indirects, unresolved syscall
+# numbers) stay on their pins.
 cargo run --release --offline -p faros-bench --bin faros-cli -- analyze --corpus
 
 echo "==> interpreter-vs-cache differential over the full corpus"

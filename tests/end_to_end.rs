@@ -91,11 +91,8 @@ fn plugin_manager_stacks_faros_with_cuckoo() {
     manager.register(Box::new(baselines::CuckooSandbox::new()));
     replay(&sample.scenario, &recording, BUDGET, &mut manager).unwrap();
     assert_eq!(manager.plugin_names(), vec!["faros", "cuckoo"]);
-    // Both plugins saw the run: extract and check.
-    let faros_plugin = manager.take("faros").unwrap();
-    drop(faros_plugin); // results checked via the single-plugin path below
-    let mut faros = Faros::new(Policy::paper());
-    replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
+    // The stacked FAROS saw the run: extract it and check its verdict.
+    let faros = manager.take_as::<Faros>("faros").unwrap();
     assert!(faros.report().attack_flagged());
 }
 

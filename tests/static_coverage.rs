@@ -12,25 +12,19 @@
 
 use faros_repro::analyze;
 use faros_repro::corpus::{attacks, dll, families, jit, Sample};
-use faros_repro::faros::{Faros, Policy};
+use faros_repro::faros::{self, AnalysisConfig, Faros, Policy};
 use faros_repro::replay::{record, replay, BlockCoverage, Scenario as _};
 
 const BUDGET: u64 = 20_000_000;
 
 /// Records the sample, replays it with the block-coverage plugin, and
-/// diffs the executed blocks against the static CFGs of the sample's own
-/// program images.
+/// diffs the executed blocks against the static CFGs of the images the
+/// replay loaded.
 fn coverage_for(sample: &Sample) -> analyze::CoverageReport {
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
     let mut blocks = BlockCoverage::new();
-    replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let models = analyze::model_map(
-        sample
-            .scenario
-            .programs()
-            .iter()
-            .map(|(path, image)| (path.as_str(), image.clone())),
-    );
+    let outcome = replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
+    let models = analyze::model_map(outcome.machine.loaded_images().clone());
     analyze::diff(&blocks.into_processes(), &models)
 }
 
@@ -133,6 +127,32 @@ fn benign_plugin_host_is_fully_charted() {
 }
 
 #[test]
+fn dropped_dll_is_modeled_from_the_image_the_loader_mapped() {
+    // The attack writes `dropped.dll` at run time and loads it through the
+    // registered loader, so it is no program image of the scenario. The
+    // job models every image the loader mapped: the DLL's blocks are
+    // charted, its indirect transfers land in a model, and the profile
+    // names its functions.
+    let sample = dll::dropped_dll_attack();
+    assert!(sample.scenario.programs().iter().all(|(path, _)| !path.ends_with("dropped.dll")));
+    let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+    let cfg = AnalysisConfig { budget: BUDGET, profile: true, ..AnalysisConfig::default() };
+    let report = faros::analyze_recording(&sample.scenario, &recording, &cfg).unwrap().report;
+    assert!(!report.coverage_suspicious(), "{:?}", report.coverage);
+    assert_eq!(report.cfi.stats.edges_escaping, 0);
+    assert!(
+        report
+            .profile
+            .processes
+            .iter()
+            .flat_map(|p| &p.functions)
+            .any(|f| (f.module.as_str(), f.function.as_str()) == ("dropped.dll", "PluginMain")),
+        "{:?}",
+        report.profile
+    );
+}
+
+#[test]
 fn jit_applets_are_the_only_benign_exception() {
     // A JIT's entire business is materializing code at runtime; the
     // coverage check flags all of them, which is why it is an advisory
@@ -193,14 +213,8 @@ fn coverage_attaches_to_the_faros_report() {
     let mut report = faros.report();
 
     let mut blocks = BlockCoverage::new();
-    replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let models = analyze::model_map(
-        sample
-            .scenario
-            .programs()
-            .iter()
-            .map(|(path, image)| (path.as_str(), image.clone())),
-    );
+    let outcome = replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
+    let models = analyze::model_map(outcome.machine.loaded_images().clone());
     let coverage = analyze::diff(&blocks.into_processes(), &models);
     report.attach_coverage(&coverage);
 

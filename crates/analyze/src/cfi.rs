@@ -13,9 +13,9 @@
 //!   only reach a known function entry; every **return** must land on a
 //!   call-preceded address (the instruction after a `call`/`call reg`).
 //! * [`check`] replays the transfers a [`faros_replay::CfiMonitor`]
-//!   recorded ([`ProcessTransfers`]) against the models of every loaded
-//!   module and emits one [`CfiViolation`] per escaping `(site, target)`
-//!   edge.
+//!   recorded ([`ProcessTransfers`], per pid) against the models of the
+//!   modules each process loaded (the job's [`ProcessTable`]) and emits
+//!   one [`CfiViolation`] per escaping `(site, target)` edge.
 //!
 //! **Soundness on benign code.** Claims are only enforced where the
 //! static model has authority: kernel-space sites and targets are the
@@ -28,10 +28,11 @@
 
 use crate::cfg::ModuleCfg;
 use crate::dataflow;
-use crate::model::{loaded_models, ImageModel};
+use crate::model::ProcessTable;
 use faros_emu::isa::Instr;
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::module::FdlImage;
+use faros_kernel::Pid;
 use faros_obs::metrics::MetricsRegistry;
 use faros_replay::{ProcessTransfers, TransferKind};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
@@ -261,48 +262,47 @@ impl FromJson for CfiCheckReport {
 }
 
 /// Checks every observed indirect transfer against the CFI models of the
-/// images the process loaded. `models` is keyed by basename, as for
-/// [`crate::coverage::diff`].
+/// images the process loaded, as the job's [`ProcessTable`] lists them.
 ///
 /// `tainted_sites` carries the taint-fusion bit: `(process name, site VA)`
 /// pairs whose transfer target was read from netflow-tainted data during
 /// the FAROS replay (see `Faros::tainted_transfers`). Pass an empty set
 /// when no taint information is available.
 pub fn check(
-    observed: &[ProcessTransfers],
-    models: &BTreeMap<String, ImageModel>,
+    procs: &ProcessTable,
+    observed: &BTreeMap<Pid, ProcessTransfers>,
     tainted_sites: &BTreeSet<(String, u32)>,
 ) -> CfiCheckReport {
     // Models are per image, shared across processes.
-    let mut stats = CfiStats { models_built: models.len() as u64, ..CfiStats::default() };
+    let mut stats = CfiStats { models_built: procs.models.len() as u64, ..CfiStats::default() };
 
     let mut violations: Vec<CfiViolation> = Vec::new();
-    for proc in observed {
-        let loaded: Vec<(&FdlImage, &CfiModel)> =
-            loaded_models(&proc.modules, models).map(|m| (&m.image, &m.cfi)).collect();
+    for proc in &procs.processes {
+        let Some(sites) = observed.get(&proc.pid) else { continue };
+        let loaded = &proc.models;
         // A cross-module call may return into the caller's image: returns
         // and weak indirect claims are checked against the union over
         // every loaded module.
         let return_sites: BTreeSet<u32> =
-            loaded.iter().flat_map(|(_, m)| m.return_sites.iter().copied()).collect();
+            loaded.iter().flat_map(|m| m.cfi.return_sites.iter().copied()).collect();
         let function_entries: BTreeSet<u32> =
-            loaded.iter().flat_map(|(_, m)| m.function_entries.iter().copied()).collect();
+            loaded.iter().flat_map(|m| m.cfi.function_entries.iter().copied()).collect();
         let in_modeled_code =
-            |va: u32| va < KERNEL_BASE && loaded.iter().any(|(img, _)| img.is_code_va(va));
+            |va: u32| va < KERNEL_BASE && loaded.iter().any(|m| m.image.is_code_va(va));
 
-        for (&site, ts) in &proc.seen {
+        for (&site, ts) in sites {
             stats.sites_observed += 1;
             let owner = (site < KERNEL_BASE)
-                .then(|| loaded.iter().find(|(img, _)| img.is_code_va(site)))
+                .then(|| loaded.iter().find(|m| m.image.is_code_va(site)))
                 .flatten();
-            let Some((_, model)) = owner else {
+            let Some(model) = owner.map(|m| &m.cfi) else {
                 // Kernel sites and sites outside every modeled image (JIT
                 // buffers, injected code) carry no static claim; the
                 // coverage diff owns the latter signal.
                 stats.edges_foreign += ts.targets.len() as u64;
                 continue;
             };
-            let tainted = tainted_sites.contains(&(proc.name.clone(), site));
+            let tainted = tainted_sites.contains(&(proc.name.to_string(), site));
             for &target in &ts.targets {
                 if !in_modeled_code(target) {
                     // The transfer leaves modeled code (a JIT buffer, a
@@ -331,7 +331,7 @@ pub fn check(
                     stats.tainted_violations += 1;
                 }
                 violations.push(CfiViolation {
-                    process: proc.name.clone(),
+                    process: proc.name.to_string(),
                     site,
                     target,
                     kind: ts.kind,
@@ -384,8 +384,9 @@ mod tests {
     use faros_emu::asm::Asm;
     use faros_emu::isa::Reg;
     use faros_emu::mmu::Perms;
-    use faros_kernel::module::{ModuleInfo, Section};
-    use faros_kernel::Pid;
+    use crate::model::tests::one_process;
+    use crate::model::ImageModel;
+    use faros_kernel::module::Section;
     use faros_replay::TransferSite;
 
     const BASE: u32 = 0x40_0000;
@@ -423,19 +424,14 @@ mod tests {
         asm.assemble_with_labels().unwrap().1
     }
 
-    fn proc_with(sites: Vec<(u32, TransferSite)>) -> ProcessTransfers {
-        ProcessTransfers {
-            pid: Pid(1),
-            name: "app.exe".into(),
-            modules: vec![ModuleInfo {
-                name: "C:/app.exe".into(),
-                base: BASE,
-                entry: BASE,
-                export_table_va: 0,
-                exports: vec![],
-            }],
-            seen: sites.into_iter().collect(),
-        }
+    /// Checks `sites`, observed in one `app.exe` process, against its model.
+    fn check_app(
+        models: &BTreeMap<String, ImageModel>,
+        sites: Vec<(u32, TransferSite)>,
+        tainted: &BTreeSet<(String, u32)>,
+    ) -> CfiCheckReport {
+        let observed = [(Pid(1), sites.into_iter().collect())].into();
+        check(&one_process(models, "app.exe"), &observed, tainted)
     }
 
     fn site(kind: TransferKind, targets: &[u32]) -> TransferSite {
@@ -461,11 +457,11 @@ mod tests {
         let helper = labels()["helper"];
         let call_site = *model.indirect_targets.keys().next().unwrap();
         let ret_target = *model.return_sites.iter().next().unwrap();
-        let observed = vec![proc_with(vec![
+        let sites = vec![
             (call_site, site(TransferKind::IndirectCall, &[helper])),
             (helper, site(TransferKind::Return, &[ret_target])),
-        ])];
-        let report = check(&observed, &models, &BTreeSet::new());
+        ];
+        let report = check_app(&models, sites, &BTreeSet::new());
         assert!(!report.violation_found(), "{:?}", report.violations);
         assert_eq!(report.stats.edges_checked, 2);
     }
@@ -477,9 +473,8 @@ mod tests {
         let models = crate::model_map([("C:/app.exe", image)]);
         // A ret landing on the helper *entry* — a gadget start, not a
         // call-preceded address.
-        let observed =
-            vec![proc_with(vec![(helper, site(TransferKind::Return, &[helper]))])];
-        let report = check(&observed, &models, &BTreeSet::new());
+        let sites = vec![(helper, site(TransferKind::Return, &[helper]))];
+        let report = check_app(&models, sites, &BTreeSet::new());
         assert_eq!(report.violations.len(), 1);
         let v = &report.violations[0];
         assert_eq!(v.kind, TransferKind::Return);
@@ -494,12 +489,9 @@ mod tests {
         let call_site = *model.indirect_targets.keys().next().unwrap();
         // The indirect call reaches a mid-instruction address instead of
         // the resolved helper entry.
-        let observed = vec![proc_with(vec![(
-            call_site,
-            site(TransferKind::IndirectCall, &[BASE + 1]),
-        )])];
+        let sites = vec![(call_site, site(TransferKind::IndirectCall, &[BASE + 1]))];
         let tainted: BTreeSet<(String, u32)> = [("app.exe".to_string(), call_site)].into();
-        let report = check(&observed, &models, &tainted);
+        let report = check_app(&models, sites, &tainted);
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].tainted);
         assert_eq!(report.stats.tainted_violations, 1);
@@ -510,15 +502,15 @@ mod tests {
         let models = crate::model_map([("C:/app.exe", demo_image())]);
         let model = &models["app.exe"].cfi;
         let call_site = *model.indirect_targets.keys().next().unwrap();
-        let observed = vec![proc_with(vec![
+        let sites = vec![
             // Into an anonymous allocation (a JIT buffer, say).
             (call_site, site(TransferKind::IndirectCall, &[0x0100_0000])),
             // Return into kernel space.
             (BASE + 2, site(TransferKind::Return, &[0x8000_1000])),
             // A site outside modeled code entirely.
             (0x0100_0004, site(TransferKind::Return, &[BASE])),
-        ])];
-        let report = check(&observed, &models, &BTreeSet::new());
+        ];
+        let report = check_app(&models, sites, &BTreeSet::new());
         assert!(!report.violation_found(), "{:?}", report.violations);
         assert_eq!(report.stats.edges_escaping, 2);
         assert_eq!(report.stats.edges_foreign, 1);

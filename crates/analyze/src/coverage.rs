@@ -1,8 +1,9 @@
 //! The static-vs-dynamic coverage cross-check.
 //!
-//! [`diff`] takes the per-process executed-block sets a replay recorded
-//! (via [`faros_replay::BlockCoverage`]) and the static models of every
-//! module image, and classifies each executed block start:
+//! [`diff`] takes the job's [`ProcessTable`] (each process with the static
+//! models of its loaded modules) and the executed-block sets a replay
+//! recorded per pid (via [`faros_replay::BlockCoverage`]), and classifies
+//! each executed block start:
 //!
 //! * **kernel** — kernel-space VAs (`>= KERNEL_BASE`); the kernel module
 //!   is assembled at boot, not loaded from an image, and is trusted;
@@ -18,7 +19,7 @@
 //!   whole benign corpus (JIT applets excepted, by design) executes only
 //!   image-backed code.
 
-use crate::model::{loaded_models, ImageModel};
+use crate::model::ProcessTable;
 use faros_emu::mmu::KERNEL_BASE;
 use faros_kernel::Pid;
 use faros_replay::ProcessBlocks;
@@ -64,11 +65,6 @@ impl CoverageReport {
         self.processes.iter().filter(|p| !p.unaccounted.is_empty()).collect()
     }
 
-    /// The coverage row for a process name, if observed.
-    pub fn process(&self, name: &str) -> Option<&ProcessCoverage> {
-        self.processes.iter().find(|p| p.process == name)
-    }
-
     /// Renders the report as a fixed-width table, one row per process.
     pub fn render_table(&self) -> String {
         let mut out = String::new();
@@ -100,24 +96,25 @@ impl fmt::Display for CoverageReport {
 }
 
 /// Diffs replay-observed block starts against the static models of each
-/// process's loaded modules.
-pub fn diff(observed: &[ProcessBlocks], models: &BTreeMap<String, ImageModel>) -> CoverageReport {
+/// process's loaded modules, one row per process of the table.
+pub fn diff(procs: &ProcessTable, observed: &BTreeMap<Pid, ProcessBlocks>) -> CoverageReport {
+    let none = ProcessBlocks::new();
     let mut processes = Vec::new();
-    for proc in observed {
-        let loaded: Vec<&ImageModel> = loaded_models(&proc.modules, models).collect();
+    for proc in &procs.processes {
+        let blocks = observed.get(&proc.pid).unwrap_or(&none);
         let mut cov = ProcessCoverage {
             pid: proc.pid,
-            process: proc.name.clone(),
-            executed: proc.seen.len(),
+            process: proc.name.to_string(),
+            executed: blocks.len(),
             kernel: 0,
             accounted: 0,
             uncharted: Vec::new(),
             unaccounted: Vec::new(),
         };
-        for &va in proc.seen.keys() {
+        for &va in blocks.keys() {
             if va >= KERNEL_BASE {
                 cov.kernel += 1;
-            } else if let Some(model) = loaded.iter().find(|m| m.image.is_code_va(va)) {
+            } else if let Some(model) = proc.models.iter().find(|m| m.image.is_code_va(va)) {
                 if model.dataflow.cfg.accounts_for(va) {
                     cov.accounted += 1;
                 } else {
@@ -135,10 +132,10 @@ pub fn diff(observed: &[ProcessBlocks], models: &BTreeMap<String, ImageModel>) -
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::one_process;
     use faros_emu::asm::Asm;
     use faros_emu::mmu::Perms;
-    use faros_kernel::module::{FdlImage, ModuleInfo, Section};
-    use faros_kernel::Pid;
+    use faros_kernel::module::{FdlImage, Section};
 
     const BASE: u32 = 0x40_0000;
 
@@ -158,45 +155,34 @@ mod tests {
         }
     }
 
-    fn observed(name: &str, blocks: &[u32]) -> ProcessBlocks {
-        ProcessBlocks {
-            pid: Pid(1),
-            name: name.into(),
-            modules: vec![ModuleInfo {
-                name: format!("C:/{name}"),
-                base: BASE,
-                entry: BASE,
-                export_table_va: 0,
-                exports: vec![],
-            }],
-            seen: blocks.iter().map(|&va| (va, 1)).collect(),
-        }
+    /// Diffs `blocks`, executed by one `app.exe` process, against its model.
+    fn diff_app(image: FdlImage, blocks: &[u32]) -> CoverageReport {
+        let models = crate::model_map([("C:/app.exe", image)]);
+        let observed = [(Pid(1), blocks.iter().map(|&va| (va, 1)).collect())].into();
+        diff(&one_process(&models, "app.exe"), &observed)
     }
 
     #[test]
     fn image_backed_blocks_are_accounted() {
-        let models = crate::model_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE])], &models);
+        let report = diff_app(simple_image(), &[BASE]);
         assert!(!report.injection_suspected());
-        let p = report.process("app.exe").unwrap();
+        let p = &report.processes[0];
         assert_eq!(p.accounted, 1);
         assert!(p.unaccounted.is_empty());
     }
 
     #[test]
     fn anonymous_code_is_unaccounted() {
-        let models = crate::model_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE, 0x0100_0000])], &models);
+        let report = diff_app(simple_image(), &[BASE, 0x0100_0000]);
         assert!(report.injection_suspected());
-        let p = report.process("app.exe").unwrap();
+        let p = &report.processes[0];
         assert_eq!(p.unaccounted, vec![0x0100_0000]);
         assert_eq!(report.suspicious_processes().len(), 1);
     }
 
     #[test]
     fn kernel_space_blocks_are_trusted() {
-        let models = crate::model_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[0x8000_0010])], &models);
+        let report = diff_app(simple_image(), &[0x8000_0010]);
         assert!(!report.injection_suspected());
         assert_eq!(report.processes[0].kernel, 1);
     }
@@ -208,16 +194,14 @@ mod tests {
         let mut image = simple_image();
         let len = image.sections[0].data.len() as u32;
         image.sections[0].data.resize(len as usize + 16, 0);
-        let models = crate::model_map([("C:/app.exe", image)]);
-        let report = diff(&[observed("app.exe", &[BASE + len + 2])], &models);
+        let report = diff_app(image, &[BASE + len + 2]);
         assert_eq!(report.processes[0].accounted, 1); // nop padding is charted
         assert!(!report.injection_suspected());
     }
 
     #[test]
     fn table_lists_every_process() {
-        let models = crate::model_map([("C:/app.exe", simple_image())]);
-        let report = diff(&[observed("app.exe", &[BASE])], &models);
+        let report = diff_app(simple_image(), &[BASE]);
         let t = report.render_table();
         assert!(t.contains("app.exe"));
         assert!(t.contains("unaccounted"));

@@ -32,12 +32,13 @@
 //! produce tainted data at its address.
 
 use crate::cfg::ModuleCfg;
-use crate::model::{loaded_models, ImageModel};
+use crate::model::ProcessTable;
 use crate::vsa::{self, AVal, FunctionVsa, State};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_emu::mmu::{Perms, KERNEL_BASE};
 use faros_kernel::module::FdlImage;
 use faros_kernel::nt::Sysno;
+use faros_kernel::Pid;
 use faros_obs::metrics::MetricsRegistry;
 use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
 use faros_replay::ProcessBlocks;
@@ -955,6 +956,9 @@ fn taint_phases(
 pub struct DynamicAlert {
     /// Process image name the alert fired in.
     pub process: String,
+    /// CR3 of the process the alert fired in — how the alert finds its
+    /// process (two processes may share an image name).
+    pub cr3: u32,
     /// VA of the flagged instruction.
     pub va: u32,
 }
@@ -1067,18 +1071,19 @@ impl FromJson for TaintCrossCheck {
     }
 }
 
-/// Classifies dynamic taint alerts against the static flow model of every
-/// loaded module, and reports statically feasible flows no replay
-/// exercised. `models` is keyed by basename, as for [`crate::coverage::diff`].
+/// Classifies dynamic taint alerts against the static flow model of the
+/// modules loaded by the process each alert fired in (found by CR3 in the
+/// job's [`ProcessTable`]), and reports statically feasible flows no
+/// replay exercised, judged on the blocks each process executed (per pid).
 /// Also returns the merged [`DataflowStats`] of every per-image analysis
 /// (for `analyze.*` metrics emission).
 pub fn taint_cross_check_with_stats(
     alerts: &[DynamicAlert],
-    observed: &[ProcessBlocks],
-    models: &BTreeMap<String, ImageModel>,
+    procs: &ProcessTable,
+    observed: &BTreeMap<Pid, ProcessBlocks>,
 ) -> (TaintCrossCheck, DataflowStats) {
     let mut stats = DataflowStats::default();
-    for m in models.values() {
+    for m in procs.models.values() {
         stats.merge(&m.dataflow.stats);
     }
 
@@ -1093,10 +1098,8 @@ pub fn taint_cross_check_with_stats(
             row.explainable.push(alert.va);
             continue;
         }
-        let proc = observed.iter().find(|p| p.name == alert.process);
-        let model = proc.and_then(|p| {
-            loaded_models(&p.modules, models)
-                .find(|m| m.image.section_containing(alert.va).is_some())
+        let model = procs.processes.iter().find(|p| p.cr3 == alert.cr3).and_then(|p| {
+            p.models.iter().find(|m| m.image.section_containing(alert.va).is_some())
         });
         match model {
             // In a module, at an instruction the modeled flows reach.
@@ -1112,12 +1115,9 @@ pub fn taint_cross_check_with_stats(
     // Residual surface: a flow is exercised if any process that loaded the
     // module executed the block containing its sink.
     let mut residual = Vec::new();
-    for (key, model) in models {
+    for (key, model) in procs.models {
         let analysis = &model.dataflow;
-        let loaders: Vec<&ProcessBlocks> = observed
-            .iter()
-            .filter(|p| loaded_models(&p.modules, models).any(|m| std::ptr::eq(m, model)))
-            .collect();
+        let loaders: Vec<Pid> = procs.loaders(model).map(|p| p.pid).collect();
         if loaders.is_empty() {
             continue;
         }
@@ -1130,7 +1130,7 @@ pub fn taint_cross_check_with_stats(
                 .filter(|(_, b)| flow.sink_va < b.end)
                 .map(|(&s, _)| s);
             let exercised = block_start.is_some_and(|bs| {
-                loaders.iter().any(|p| p.seen.contains_key(&bs))
+                loaders.iter().any(|pid| observed.get(pid).is_some_and(|b| b.contains_key(&bs)))
             });
             if !exercised {
                 residual.push(ResidualFlow { module: key.to_string(), flow: *flow });
@@ -1144,6 +1144,8 @@ pub fn taint_cross_check_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::one_process;
+    use crate::model::ModeledProcess;
     use faros_emu::asm::Asm;
     use faros_kernel::module::{Export, Section};
 
@@ -1289,25 +1291,63 @@ mod tests {
         asm.hlt();
         let image = image_of(asm);
         let models = crate::model_map([("prog.exe", image)]);
-        let observed = vec![ProcessBlocks {
-            pid: faros_kernel::Pid(1),
-            name: "prog.exe".into(),
-            modules: vec![faros_kernel::module::ModuleInfo {
-                name: "prog.exe".into(),
-                base: BASE,
-                entry: BASE,
-                export_table_va: 0,
-                exports: vec![],
-            }],
-            seen: BTreeMap::from([(BASE, 1)]),
-        }];
+        let observed = BTreeMap::from([(Pid(1), BTreeMap::from([(BASE, 1)]))]);
         let alerts = vec![
-            DynamicAlert { process: "prog.exe".into(), va: 0x0100_2000 }, // payload memory
+            // Payload memory.
+            DynamicAlert { process: "prog.exe".into(), cr3: 0x2000, va: 0x0100_2000 },
         ];
-        let check = taint_cross_check_with_stats(&alerts, &observed, &models).0;
+        let procs = one_process(&models, "prog.exe");
+        let check = taint_cross_check_with_stats(&alerts, &procs, &observed).0;
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert_eq!(check.explainable_total(), 0);
+    }
+
+    #[test]
+    fn alerts_find_their_process_by_cr3_not_by_name() {
+        // Two `a.exe` processes; only the second loaded `lib.dll`, whose
+        // modeled flow reaches the alert VA. A lookup by name would find
+        // the first process, which has no model covering the VA.
+        let mut asm = Asm::new(BASE);
+        asm.hlt();
+        let app = image_of(asm);
+        const DLL: u32 = 0x0200_0000;
+        let mut asm = Asm::new(DLL);
+        sys(&mut asm, Sysno::NtSocketRecv as u32);
+        asm.ld4(Reg::Eax, Mem::abs(0x50_0000)); // reads the received bytes
+        asm.hlt();
+        let lib = FdlImage {
+            entry: DLL,
+            export_table_va: 0,
+            sections: vec![Section { va: DLL, data: asm.assemble().unwrap(), perms: Perms::RX }],
+            exports: vec![],
+        };
+        let models = crate::model_map([("a.exe", app), ("lib.dll", lib)]);
+        let va = *models["lib.dll"].dataflow.flows.taint_reachable.iter().next().unwrap();
+        let table = ProcessTable {
+            models: &models,
+            processes: vec![
+                ModeledProcess {
+                    pid: Pid(1),
+                    cr3: 0x2000,
+                    name: "a.exe",
+                    models: vec![&models["a.exe"]],
+                    unmodeled: false,
+                },
+                ModeledProcess {
+                    pid: Pid(2),
+                    cr3: 0x3000,
+                    name: "a.exe",
+                    models: vec![&models["a.exe"], &models["lib.dll"]],
+                    unmodeled: false,
+                },
+            ],
+        };
+        let alerts = vec![DynamicAlert { process: "a.exe".into(), cr3: 0x3000, va }];
+        let check = taint_cross_check_with_stats(&alerts, &table, &BTreeMap::new()).0;
+        assert_eq!(check.processes.len(), 1);
+        assert_eq!(check.processes[0].explainable, [va]);
+        assert!(check.processes[0].impossible.is_empty());
     }
 
     #[test]
@@ -1320,19 +1360,8 @@ mod tests {
         let image = image_of(asm);
         let models = crate::model_map([("prog.exe", image)]);
         // The process loaded the module but never executed anything.
-        let observed = vec![ProcessBlocks {
-            pid: faros_kernel::Pid(1),
-            name: "prog.exe".into(),
-            modules: vec![faros_kernel::module::ModuleInfo {
-                name: "prog.exe".into(),
-                base: BASE,
-                entry: BASE,
-                export_table_va: 0,
-                exports: vec![],
-            }],
-            seen: BTreeMap::new(),
-        }];
-        let check = taint_cross_check_with_stats(&[], &observed, &models).0;
+        let procs = one_process(&models, "prog.exe");
+        let check = taint_cross_check_with_stats(&[], &procs, &BTreeMap::new()).0;
         assert!(!check.injection_suspected());
         assert!(
             check.residual.iter().any(|r| r.flow.sink == SinkKind::Net),

@@ -30,8 +30,9 @@
 //!   (dataflow over the resolved CFG, CFI claims, capability report,
 //!   profiler function table), built once per job and shared by every
 //!   cross-check below and by profile symbolization, and
-//!   [`loaded_models`], the one basename lookup from a process's loaded
-//!   modules to their models;
+//!   [`ProcessTable`], the job's process table (read from the replay's
+//!   final machine) joined to those models once: the one place a
+//!   process's loaded modules are resolved to models;
 //! * [`report`] — the one-call bundle behind `faros-cli analyze <image>`:
 //!   CFG + dataflow + lints over a single image rendered to a stable JSON
 //!   wire format;
@@ -63,7 +64,7 @@ pub use dataflow::{
     StaticFlow, TaintCrossCheck,
 };
 pub use lint::{lint_image, render_findings, Finding, FindingKind, Severity};
-pub use model::{layouts_for, loaded_models, model_map, ImageModel};
+pub use model::{model_map, ImageModel, ModeledProcess, ProcessTable};
 pub use report::StaticReport;
 pub use syscap::{
     ambient_caps, capability_cross_check_with_stats,

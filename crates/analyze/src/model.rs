@@ -8,6 +8,11 @@
 //! derive from its resolved CFG. The checkers take the
 //! [`model_map`] by reference and never rebuild a model themselves.
 //!
+//! [`ProcessTable::join`] is the one place a process's loaded modules are
+//! resolved to models: it reads the replay's final machine (the OSI view:
+//! pid, CR3, image name, module list) once per job, and every checker and
+//! the profiler read the joined table.
+//!
 //! The model also carries the symbolization hook for the deterministic
 //! replay profiler: a [`ModuleLayout`] that rolls the profiler's
 //! basic-block start VAs up to named functions. Function entries come from
@@ -20,7 +25,9 @@
 use crate::cfi::CfiModel;
 use crate::dataflow::{analyze_image, ImageDataflow};
 use crate::syscap::{capability_report, CapabilityReport};
-use faros_kernel::module::{FdlImage, ModuleInfo};
+use faros_kernel::machine::Machine;
+use faros_kernel::module::FdlImage;
+use faros_kernel::Pid;
 use faros_obs::prof::ModuleLayout;
 use std::collections::BTreeMap;
 
@@ -87,29 +94,64 @@ pub(crate) fn basename(path: &str) -> &str {
     path.rsplit(['/', '\\']).next().unwrap_or(path)
 }
 
-/// The models of a process's loaded modules, in load order, matched by
-/// basename (`C:/notepad.exe` loads the `notepad.exe` model). Modules with
-/// no archived image are skipped. Every cross-check resolves modules to
-/// models through here.
-pub fn loaded_models<'a>(
-    modules: &'a [ModuleInfo],
-    models: &'a BTreeMap<String, ImageModel>,
-) -> impl Iterator<Item = &'a ImageModel> + 'a {
-    modules.iter().filter_map(|m| models.get(basename(&m.name)))
+/// One process of a job's machine, its loaded modules resolved to models.
+#[derive(Debug, Clone)]
+pub struct ModeledProcess<'a> {
+    /// Process id.
+    pub pid: Pid,
+    /// CR3 (address-space id) — the identity a taint alert carries.
+    pub cr3: u32,
+    /// Image name (e.g. `notepad.exe`).
+    pub name: &'a str,
+    /// The models of the process's loaded modules, in load order.
+    pub models: Vec<&'a ImageModel>,
+    /// Whether some loaded module has no model.
+    pub unmodeled: bool,
 }
 
-/// Selects the layouts of a process's loaded modules (see
-/// [`loaded_models`]). Modules with no archived image are skipped — their
-/// blocks symbolize to `[anon]`.
-pub fn layouts_for(
-    modules: &[ModuleInfo],
-    models: &BTreeMap<String, ImageModel>,
-) -> Vec<ModuleLayout> {
-    loaded_models(modules, models).map(|m| m.layout.clone()).collect()
+/// A job's process table joined to its static models: what every checker
+/// and the profiler read about which process ran which images.
+#[derive(Debug, Clone)]
+pub struct ProcessTable<'a> {
+    /// Every model of the job, keyed by basename (see [`model_map`]).
+    pub models: &'a BTreeMap<String, ImageModel>,
+    /// Every process, in pid order.
+    pub processes: Vec<ModeledProcess<'a>>,
+}
+
+impl<'a> ProcessTable<'a> {
+    /// Joins every process of `machine`, alive and exited, to the models
+    /// of its loaded modules, matched by basename (`C:/notepad.exe` loads
+    /// the `notepad.exe` model).
+    pub fn join(machine: &'a Machine, models: &'a BTreeMap<String, ImageModel>) -> Self {
+        let processes = machine
+            .processes()
+            .map(|p| {
+                let loaded: Vec<&ImageModel> =
+                    p.modules.iter().filter_map(|m| models.get(basename(&m.name))).collect();
+                ModeledProcess {
+                    pid: p.pid,
+                    cr3: p.cr3().0,
+                    name: &p.name,
+                    unmodeled: loaded.len() < p.modules.len(),
+                    models: loaded,
+                }
+            })
+            .collect();
+        ProcessTable { models, processes }
+    }
+
+    /// The processes that loaded `model`.
+    pub(crate) fn loaders<'s>(
+        &'s self,
+        model: &'s ImageModel,
+    ) -> impl Iterator<Item = &'s ModeledProcess<'a>> + 's {
+        self.processes.iter().filter(move |p| p.models.iter().any(|m| std::ptr::eq(*m, model)))
+    }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use faros_emu::asm::Asm;
     use faros_emu::isa::Reg;
@@ -117,6 +159,22 @@ mod tests {
     use faros_kernel::module::{Export, Section};
 
     const BASE: u32 = 0x40_0000;
+
+    /// A table of one process (pid 1, CR3 0x2000) named after the one
+    /// model it loaded.
+    pub(crate) fn one_process<'a>(
+        models: &'a BTreeMap<String, ImageModel>,
+        module: &'a str,
+    ) -> ProcessTable<'a> {
+        let process = ModeledProcess {
+            pid: Pid(1),
+            cr3: 0x2000,
+            name: module,
+            models: vec![&models[module]],
+            unmodeled: false,
+        };
+        ProcessTable { models, processes: vec![process] }
+    }
 
     #[test]
     fn models_are_keyed_by_basename_and_built_once_per_image() {
@@ -175,6 +233,57 @@ mod tests {
             Some(&*format!("sub_{helper:08x}")),
             "a function reached only through a resolved `call reg` is a layout entry"
         );
+    }
+
+    #[test]
+    fn the_join_lists_every_process_with_its_models_in_load_order() {
+        use faros_kernel::event::NullObserver;
+        use faros_kernel::machine::MachineConfig;
+        let (image, _, _) = indirect_image();
+        let dll = |base: u32| {
+            let mut asm = Asm::new(base);
+            asm.ret();
+            let data = asm.assemble().unwrap();
+            FdlImage {
+                entry: base,
+                export_table_va: 0,
+                sections: vec![Section { va: base, data, perms: Perms::RX }],
+                exports: vec![],
+            }
+        };
+        let (lib, other) = (dll(0x0200_0000), dll(0x0300_0000));
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.install_program("C:/app.exe", &image).unwrap();
+        machine.install_program("C:/lib.dll", &lib).unwrap();
+        machine.install_program("C:/other.dll", &other).unwrap();
+        let obs = &mut NullObserver;
+        let a = machine.spawn_process("C:/app.exe", true, None, obs).unwrap();
+        let b = machine.spawn_process("C:/app.exe", true, None, obs).unwrap();
+        machine.load_image_into(b, "C:/lib.dll", obs).unwrap();
+        machine.load_image_into(b, "C:/other.dll", obs).unwrap();
+        // `other.dll` was loaded but has no model.
+        let models = model_map([("app.exe", image), ("lib.dll", lib)]);
+        let table = ProcessTable::join(&machine, &models);
+
+        let rows: Vec<(Pid, &str, Vec<&str>, bool)> = table
+            .processes
+            .iter()
+            .map(|p| {
+                let names = p.models.iter().map(|m| &*m.layout.name).collect();
+                (p.pid, p.name, names, p.unmodeled)
+            })
+            .collect();
+        assert_eq!(
+            rows,
+            [
+                (a, "app.exe", vec!["app.exe"], false),
+                (b, "app.exe", vec!["app.exe", "lib.dll"], true),
+            ]
+        );
+        let cr3s: Vec<u32> = table.processes.iter().map(|p| p.cr3).collect();
+        assert_eq!(cr3s, [a, b].map(|pid| machine.process(pid).unwrap().cr3().0));
+        let loaders: Vec<Pid> = table.loaders(&models["lib.dll"]).map(|p| p.pid).collect();
+        assert_eq!(loaders, [b]);
     }
 
     #[test]

@@ -47,14 +47,14 @@
 
 use crate::cfg::ModuleCfg;
 use crate::dataflow::ImageDataflow;
-use crate::model::{loaded_models, ImageModel};
+use crate::model::ProcessTable;
 use crate::lint::{Finding, FindingKind, Severity};
 use crate::vsa::AVal;
 use faros_emu::isa::Instr;
 use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
-use faros_kernel::Machine;
+use faros_kernel::{Machine, Pid};
 use faros_obs::metrics::MetricsRegistry;
-use faros_replay::syscap::{CapSet, Capability, ProcessCapabilities};
+use faros_replay::syscap::{CapSet, Capability, CapabilityUse};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
@@ -770,15 +770,17 @@ impl SyscapStats {
     }
 }
 
-/// Classifies the capabilities each process concretely exercised against
-/// the static capability model of every loaded module, and reports
-/// statically present recipes no replay exercised. `models` is keyed by
-/// basename, as for [`crate::coverage::diff`]. Also returns the
-/// [`SyscapStats`] (for `syscap.*` metrics emission).
+/// Classifies the capabilities each process concretely exercised (per
+/// pid) against the static capability models of the modules it loaded, as
+/// the job's [`ProcessTable`] lists them, and reports statically present
+/// recipes no replay exercised. Also returns the [`SyscapStats`] (for
+/// `syscap.*` metrics emission).
 pub fn capability_cross_check_with_stats(
-    observed: &[ProcessCapabilities],
-    models: &BTreeMap<String, ImageModel>,
+    procs: &ProcessTable,
+    observed: &BTreeMap<Pid, CapabilityUse>,
 ) -> (CapabilityCrossCheck, SyscapStats) {
+    let models = procs.models;
+    let none = CapabilityUse::default();
     let mut stats = SyscapStats::default();
     for r in models.values().map(|m| &m.caps) {
         stats.images_analyzed += 1;
@@ -790,16 +792,15 @@ pub fn capability_cross_check_with_stats(
 
     let ambient = ambient_caps();
     let mut processes = Vec::new();
-    for p in observed {
-        let exercised = p.exercised();
-        let loaded: Vec<&CapabilityReport> =
-            loaded_models(&p.modules, models).map(|m| &m.caps).collect();
+    for p in &procs.processes {
+        let used = observed.get(&p.pid).unwrap_or(&none);
+        let exercised = used.exercised();
         // A process with no modeled module at all, or with a module no
         // model covers, cannot be fully judged: grant the escape hatch
         // rather than alert on everything it does.
-        let mut escape = loaded.is_empty() || loaded.len() < p.modules.len();
+        let mut escape = p.models.is_empty() || p.unmodeled;
         let mut modeled = CapSet::EMPTY;
-        for r in &loaded {
+        for r in p.models.iter().map(|m| &m.caps) {
             modeled = modeled.union(r.caps);
             escape |= r.calls_unknown_code || !r.unresolved_sites.is_empty();
         }
@@ -809,7 +810,7 @@ pub fn capability_cross_check_with_stats(
         let impossible = exercised.difference(modeled);
         let recipes_exercised: Vec<String> = RECIPES
             .iter()
-            .filter(|r| p.exercised_in_order(r.steps))
+            .filter(|r| used.exercised_in_order(r.steps))
             .map(|r| r.name.to_string())
             .collect();
         stats.caps_impossible += impossible.len() as u64;
@@ -818,7 +819,7 @@ pub fn capability_cross_check_with_stats(
             continue;
         }
         processes.push(ProcessCapCheck {
-            process: p.name.clone(),
+            process: p.name.to_string(),
             exercised,
             modeled,
             impossible,
@@ -830,16 +831,16 @@ pub fn capability_cross_check_with_stats(
     // loaded the module completed it dynamically.
     let mut residual = Vec::new();
     for (key, model) in models {
-        let loaders: Vec<&ProcessCapabilities> = observed
-            .iter()
-            .filter(|p| loaded_models(&p.modules, models).any(|m| std::ptr::eq(m, model)))
+        let loaders: Vec<&CapabilityUse> = procs
+            .loaders(model)
+            .map(|p| observed.get(&p.pid).unwrap_or(&none))
             .collect();
         if loaders.is_empty() {
             continue;
         }
         for hit in &model.caps.recipes {
             let Some(recipe) = recipe_by_name(&hit.recipe) else { continue };
-            let exercised = loaders.iter().any(|p| p.exercised_in_order(recipe.steps));
+            let exercised = loaders.iter().any(|u| u.exercised_in_order(recipe.steps));
             if !exercised {
                 residual.push(ResidualRecipe {
                     module: key.to_string(),
@@ -886,11 +887,13 @@ pub fn render_capability_check(check: &CapabilityCrossCheck) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::model::tests::one_process;
+    use crate::model::ImageModel;
     use faros_emu::asm::Asm;
     use faros_emu::isa::{Mem as M, Reg};
     use faros_emu::mmu::Perms;
     use faros_kernel::module::{FdlImage, Section};
-    use faros_kernel::{Pid, Tid};
+    use faros_kernel::Tid;
     use faros_replay::syscap::concrete_capability;
     use faros_replay::CapabilityMonitor;
 
@@ -1055,28 +1058,19 @@ mod tests {
         assert!(!a.contains(Capability::MapExec), "no MapViewOfSection stub");
     }
 
-    /// Feeds one process's events through the replay-side monitor.
-    fn observed(name: &str, module: &str, seq: &[(Sysno, [u32; 5])]) -> ProcessCapabilities {
+    /// Feeds one process's syscalls through the replay-side monitor and
+    /// checks them; the process (pid 1) loaded only the model `module`.
+    fn check_one(
+        models: &BTreeMap<String, ImageModel>,
+        module: &str,
+        seq: &[(Sysno, [u32; 5])],
+    ) -> (CapabilityCrossCheck, SyscapStats) {
         use faros_kernel::event::KernelEvents;
         let mut mon = CapabilityMonitor::new();
-        mon.process_created(&faros_kernel::process::ProcessInfo {
-            pid: Pid(1),
-            cr3: 0,
-            name: name.into(),
-            parent: None,
-        });
-        let m = faros_kernel::module::ModuleInfo {
-            name: module.into(),
-            base: BASE,
-            entry: BASE,
-            export_table_va: 0,
-            exports: vec![],
-        };
-        mon.module_loaded(Some(Pid(1)), &m, &[]);
         for (s, args) in seq {
             mon.syscall_enter(Pid(1), Tid(1), *s, args);
         }
-        mon.into_processes().remove(0)
+        capability_cross_check_with_stats(&one_process(models, module), &mon.into_processes())
     }
 
     #[test]
@@ -1089,12 +1083,8 @@ mod tests {
         asm.hlt();
         let victim = image_of(asm);
         let models = crate::model_map([("victim.exe", victim)]);
-        let p = observed(
-            "victim.exe",
-            "victim.exe",
-            &[(Sysno::NtSocketSend, [1, 0x50_0000, 32, 0, 0])],
-        );
-        let (check, stats) = capability_cross_check_with_stats(&[p], &models);
+        let (check, stats) =
+            check_one(&models, "victim.exe", &[(Sysno::NtSocketSend, [1, 0x50_0000, 32, 0, 0])]);
         assert!(check.injection_suspected());
         assert_eq!(check.impossible_total(), 1);
         assert!(check.processes[0].impossible.contains(Capability::SendNet));
@@ -1104,16 +1094,12 @@ mod tests {
     #[test]
     fn modeled_capabilities_and_exercised_recipes_classify_cleanly() {
         let models = crate::model_map([("inj.exe", injector_image())]);
-        let p = observed(
-            "inj.exe",
-            "inj.exe",
-            &[
-                (Sysno::NtAllocateVirtualMemory, [7, 0x1000, 0b111, 0, 0]),
-                (Sysno::NtWriteVirtualMemory, [7, 0x0100_0000, 0x50_0000, 0x100, 0]),
-                (Sysno::NtCreateThreadEx, [7, 0x0100_0000, 0, 0, 0]),
-            ],
-        );
-        let check = capability_cross_check_with_stats(&[p], &models).0;
+        let seq = [
+            (Sysno::NtAllocateVirtualMemory, [7, 0x1000, 0b111, 0, 0]),
+            (Sysno::NtWriteVirtualMemory, [7, 0x0100_0000, 0x50_0000, 0x100, 0]),
+            (Sysno::NtCreateThreadEx, [7, 0x0100_0000, 0, 0, 0]),
+        ];
+        let check = check_one(&models, "inj.exe", &seq).0;
         // Everything exercised is modeled…
         assert_eq!(check.impossible_total(), 0);
         // …but the completed recipe is still the injection signal.
@@ -1131,8 +1117,7 @@ mod tests {
     fn unexercised_static_recipes_are_residual_surface() {
         let models = crate::model_map([("inj.exe", injector_image())]);
         // The process loaded the injector image but never ran the recipe.
-        let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check_with_stats(&[p], &models).0;
+        let check = check_one(&models, "inj.exe", &[]).0;
         assert!(!check.injection_suspected());
         assert!(
             check
@@ -1151,12 +1136,8 @@ mod tests {
         sys(&mut asm, Sysno::NtReadVirtualMemory);
         asm.hlt();
         let models = crate::model_map([("dbg.exe", image_of(asm))]);
-        let p = observed(
-            "dbg.exe",
-            "dbg.exe",
-            &[(Sysno::NtReadVirtualMemory, [7, 0x1000, 0x50_0000, 16, 0])],
-        );
-        let check = capability_cross_check_with_stats(&[p], &models).0;
+        let seq = [(Sysno::NtReadVirtualMemory, [7, 0x1000, 0x50_0000, 16, 0])];
+        let check = check_one(&models, "dbg.exe", &seq).0;
         assert!(!check.injection_suspected(), "{check:?}");
         assert_eq!(check.processes[0].exercised, CapSet::of(Capability::ReadRemote));
     }
@@ -1164,12 +1145,8 @@ mod tests {
     #[test]
     fn cross_check_json_round_trips() {
         let models = crate::model_map([("inj.exe", injector_image())]);
-        let p = observed(
-            "inj.exe",
-            "inj.exe",
-            &[(Sysno::NtWriteVirtualMemory, [7, 0, 0, 0, 0])],
-        );
-        let check = capability_cross_check_with_stats(&[p], &models).0;
+        let seq = [(Sysno::NtWriteVirtualMemory, [7, 0, 0, 0, 0])];
+        let check = check_one(&models, "inj.exe", &seq).0;
         let back = CapabilityCrossCheck::from_json_value(&check.to_json_value()).unwrap();
         assert_eq!(back, check);
         let empty = CapabilityCrossCheck::default();
@@ -1201,8 +1178,7 @@ mod tests {
     #[test]
     fn render_shows_processes_and_residual(){
         let models = crate::model_map([("inj.exe", injector_image())]);
-        let p = observed("inj.exe", "inj.exe", &[]);
-        let check = capability_cross_check_with_stats(&[p], &models).0;
+        let check = check_one(&models, "inj.exe", &[]).0;
         let table = render_capability_check(&check);
         assert!(table.contains("residual: remote-thread-injection"), "{table}");
     }

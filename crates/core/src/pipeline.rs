@@ -12,7 +12,10 @@
 //! symbolization, whose results and merged metrics attach to the
 //! [`FarosReport`]. Each replay signal has exactly one observer: the
 //! executed blocks [`BlockCoverage`] records, with their retired
-//! instructions, feed both the coverage diff and the profile.
+//! instructions, feed both the coverage diff and the profile. The
+//! observers report only what they saw, keyed by pid; which process that
+//! pid is and which models its loaded modules have comes from one
+//! [`ProcessTable`], joined once from the replay's final machine.
 //! Keeping the assembly in one place is what makes the service's parallel
 //! reports *byte-identical* to sequential CLI runs: both sides call
 //! [`analyze_recording`], so there is no second pipeline to drift.
@@ -25,7 +28,7 @@
 use crate::faros::Faros;
 use crate::policy::Policy;
 use crate::report::FarosReport;
-use faros_analyze::DynamicAlert;
+use faros_analyze::{DynamicAlert, ProcessTable};
 use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot};
 use faros_obs::prof::{ProcessSamples, ProfileReport};
 use faros_obs::profile::PhaseProfile;
@@ -156,9 +159,10 @@ pub struct AnalyzedJob {
 ///
 /// Pipeline: one replay with FAROS, [`BlockCoverage`], [`CfiMonitor`] and
 /// [`CapabilityMonitor`] (plus the trace recorder when capture is on) in
-/// one [`PluginManager`]; one static model per image the replay loaded;
+/// one [`PluginManager`]; one static model per image the replay loaded and
+/// one [`ProcessTable`] joining the final machine's processes to them;
 /// then the coverage diff and the taint, CFI and capability cross-checks
-/// against those models, attached with the merged FAROS + cross-check
+/// over that table, attached with the merged FAROS + cross-check
 /// metrics, and the profile symbolized from the same block counts when
 /// [`AnalysisConfig::profile`] is on.
 ///
@@ -224,25 +228,25 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         .expect("the capability monitor was registered above");
     cost.plugins.extend(plugins.dispatch_costs().iter().cloned());
 
-    // One static model per image the loader mapped, shared by every
-    // cross-check below.
+    // One static model per image the loader mapped, and one process table
+    // joined to them, both read by every cross-check below.
     let analyze_start = Instant::now();
     let mut report = faros.report();
     let models = faros_analyze::model_map(outcome.machine.loaded_images().clone());
-    let observed = blocks.into_processes();
-    report.attach_coverage(&faros_analyze::diff(&observed, &models));
+    let procs = ProcessTable::join(&outcome.machine, &models);
+    let mut blocks = blocks.into_processes();
+    report.attach_coverage(&faros_analyze::diff(&procs, &blocks));
     let alerts: Vec<DynamicAlert> = report
         .detections
         .iter()
-        .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
+        .map(|d| DynamicAlert { process: d.process.clone(), cr3: d.cr3, va: d.insn_vaddr })
         .collect();
-    let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &observed, &models);
+    let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &procs, &blocks);
     report.attach_taint(taint);
-    let transfers = monitor.into_processes();
-    let cfi = faros_analyze::cfi::check(&transfers, &models, faros.tainted_transfers());
-    let caps_observed = capmon.into_processes();
+    let cfi =
+        faros_analyze::cfi::check(&procs, &monitor.into_processes(), faros.tainted_transfers());
     let (caps, cap_stats) =
-        faros_analyze::capability_cross_check_with_stats(&caps_observed, &models);
+        faros_analyze::capability_cross_check_with_stats(&procs, &capmon.into_processes());
     let mut reg = MetricsRegistry::new();
     stats.record_into(&mut reg);
     cfi.stats.record_into(&mut reg);
@@ -254,13 +258,14 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
         // images' static function tables — a pure function of recording +
         // images, so the attached profile is byte-identical across
         // replays.
-        let samples: Vec<ProcessSamples> = observed
-            .into_iter()
+        let samples: Vec<ProcessSamples> = procs
+            .processes
+            .iter()
             .map(|p| ProcessSamples {
                 pid: p.pid.0,
-                process: p.name,
-                modules: faros_analyze::layouts_for(&p.modules, &models),
-                blocks: p.seen,
+                process: p.name.to_string(),
+                modules: p.models.iter().map(|m| m.layout.clone()).collect(),
+                blocks: blocks.remove(&p.pid).unwrap_or_default(),
             })
             .collect();
         report.attach_profile(ProfileReport::build(samples));

@@ -599,7 +599,8 @@ impl Machine {
     /// # Errors
     ///
     /// Fails if the file is missing, not a valid FDL, or memory is
-    /// exhausted.
+    /// exhausted. If the image cannot be loaded, the process is removed
+    /// again and `process_exited` follows its `process_created`.
     pub fn spawn_process<O: Observer + ?Sized>(
         &mut self,
         path: &str,
@@ -623,8 +624,10 @@ impl Machine {
         let module = match self.load_image_into(pid, path, obs) {
             Ok(m) => m,
             Err(e) => {
-                // Roll back the half-created process.
+                // Roll back the half-created process. Observers saw it
+                // created, so they also see it go.
                 self.procs.remove(&pid);
+                obs.process_exited(pid, &name);
                 return Err(e);
             }
         };

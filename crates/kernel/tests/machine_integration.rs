@@ -7,7 +7,7 @@ use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::{Mem as M, Reg, Width};
 use faros_emu::mmu::Perms;
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents, NullObserver, Observer};
-use faros_kernel::machine::{ExecMode, Machine, MachineConfig, RunExit, IMAGE_BASE};
+use faros_kernel::machine::{ExecMode, Machine, MachineConfig, MachineError, RunExit, IMAGE_BASE};
 use faros_kernel::module::{FdlImage, ModuleInfo, Section};
 use faros_kernel::net::{NetworkFabric, RemoteEndpoint};
 use faros_kernel::nt::{NtStatus, Sysno};
@@ -622,6 +622,35 @@ fn events_fire_with_physical_ranges() {
     assert_eq!(*len, 4);
     assert_eq!(flow.src_ip, ATTACKER_IP);
     assert_eq!(flow.src_port, 4444);
+}
+
+/// Records the process lifecycle events it receives, in order.
+#[derive(Default)]
+struct Lifecycle(Vec<(&'static str, Pid)>);
+
+impl CpuHooks for Lifecycle {}
+impl KernelEvents for Lifecycle {
+    fn process_created(&mut self, info: &ProcessInfo) {
+        self.0.push(("created", info.pid));
+    }
+    fn process_exited(&mut self, pid: Pid, _: &str) {
+        self.0.push(("exited", pid));
+    }
+}
+
+#[test]
+fn a_spawn_that_cannot_load_its_image_ends_in_process_exited() {
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.fs.create("C:/notes.txt", b"not an image".to_vec()).unwrap();
+    let mut obs = Lifecycle::default();
+    let err = machine.spawn_process("C:/notes.txt", false, None, &mut obs).unwrap_err();
+    assert!(matches!(err, MachineError::BadImage(_)), "{err:?}");
+    let Some(&("created", pid)) = obs.0.first() else {
+        panic!("no process_created before the failure: {:?}", obs.0)
+    };
+    assert_eq!(obs.0, [("created", pid), ("exited", pid)]);
+    assert!(machine.process(pid).is_none());
+    assert!(machine.pslist().iter().all(|p| p.pid != pid));
 }
 
 /// Counts every CPU hook and kernel event it receives, by name.

@@ -2,9 +2,8 @@
 //! CFI cross-check.
 //!
 //! [`CfiMonitor`] watches every *indirect* control transfer the replay
-//! retires (`call reg`, `jmp reg`, `ret`) and records, per process, the
-//! site → observed-target sets plus the process's loaded-module list. It
-//! makes no judgement itself: the analysis layer (`faros-analyze`)
+//! retires (`call reg`, `jmp reg`, `ret`) and records, per pid, the
+//! site → observed-target sets. It makes no judgement itself: the analysis layer (`faros-analyze`)
 //! afterwards checks each observed transfer against the statically derived
 //! [`CfiModel`](../../faros_analyze/cfi/struct.CfiModel.html) — ROPocop's
 //! shape, where a return landing anywhere but a call-preceded address, or
@@ -18,12 +17,9 @@
 //! static value-set analysis is checked against it as well.
 
 use crate::plugin::Plugin;
-use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::Instr;
-use faros_kernel::event::{ByteRange, KernelEvents};
-use faros_kernel::module::ModuleInfo;
-use faros_kernel::process::ProcessInfo;
+use faros_kernel::event::KernelEvents;
 use faros_kernel::{Pid, Tid};
 use faros_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::{BTreeMap, BTreeSet};
@@ -79,13 +75,13 @@ pub struct TransferSite {
 
 /// Everything [`CfiMonitor`] observed about one process: site VA →
 /// observed transfer kind and target set.
-pub type ProcessTransfers = ProcessRecord<BTreeMap<u32, TransferSite>>;
+pub type ProcessTransfers = BTreeMap<u32, TransferSite>;
 
 /// The indirect-control-transfer recording plugin.
 #[derive(Debug, Default)]
 pub struct CfiMonitor {
     current: Option<(Pid, Tid)>,
-    procs: PerProcess<BTreeMap<u32, TransferSite>>,
+    procs: BTreeMap<Pid, ProcessTransfers>,
 }
 
 impl CfiMonitor {
@@ -94,10 +90,10 @@ impl CfiMonitor {
         CfiMonitor::default()
     }
 
-    /// Consumes the plugin, returning the per-process observations ordered
-    /// by pid.
-    pub fn into_processes(self) -> Vec<ProcessTransfers> {
-        self.procs.into_records()
+    /// Consumes the plugin, returning the transfer sites each process
+    /// executed, keyed by pid.
+    pub fn into_processes(self) -> BTreeMap<Pid, ProcessTransfers> {
+        self.procs
     }
 }
 
@@ -114,6 +110,7 @@ impl CpuHooks for CfiMonitor {
         let Some((pid, _tid)) = self.current else { return };
         self.procs
             .entry(pid)
+            .or_default()
             .entry(ctx.vaddr)
             .or_insert_with(|| TransferSite { kind, targets: BTreeSet::new() })
             .targets
@@ -124,14 +121,6 @@ impl CpuHooks for CfiMonitor {
 impl KernelEvents for CfiMonitor {
     fn context_switch(&mut self, _from: Option<(Pid, Tid)>, to: (Pid, Tid)) {
         self.current = Some(to);
-    }
-
-    fn process_created(&mut self, info: &ProcessInfo) {
-        self.procs.process_created(info);
-    }
-
-    fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -169,7 +158,7 @@ mod tests {
         mon.on_control(&ctx(0x4000, Instr::Jmp { rel: 4 }), 0x4006, None);
         mon.on_control(&ctx(0x4100, Instr::Call { rel: -8 }), 0x40fe, None);
         let procs = mon.into_processes();
-        let sites = &procs[0].seen;
+        let sites = &procs[&Pid(1)];
         assert_eq!(sites.len(), 3);
         assert_eq!(sites[&0x1000].kind, TransferKind::IndirectCall);
         assert_eq!(
@@ -188,7 +177,7 @@ mod tests {
         mon.context_switch(Some((Pid(1), Tid(1))), (Pid(2), Tid(2)));
         mon.on_control(&ctx(0x1000, Instr::Ret), 0x3000, None);
         let procs = mon.into_processes();
-        assert_eq!(procs.iter().map(|p| p.pid).collect::<Vec<_>>(), [Pid(1), Pid(2)]);
-        assert!(procs.iter().all(|p| p.seen[&0x1000].targets.len() == 1));
+        assert_eq!(procs.keys().copied().collect::<Vec<_>>(), [Pid(1), Pid(2)]);
+        assert!(procs.values().all(|sites| sites[&0x1000].targets.len() == 1));
     }
 }

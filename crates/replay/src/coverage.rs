@@ -21,17 +21,14 @@
 //! are taken.
 
 use crate::plugin::Plugin;
-use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::{CpuHooks, InsnCtx};
-use faros_kernel::event::{ByteRange, KernelEvents};
-use faros_kernel::module::ModuleInfo;
-use faros_kernel::process::ProcessInfo;
+use faros_kernel::event::KernelEvents;
 use faros_kernel::{Pid, Tid};
 use std::collections::BTreeMap;
 
 /// Everything [`BlockCoverage`] observed about one process: executed block
 /// start VA → instructions retired inside that block.
-pub type ProcessBlocks = ProcessRecord<BTreeMap<u32, u64>>;
+pub type ProcessBlocks = BTreeMap<u32, u64>;
 
 /// A thread's open block: its start VA and the instructions it retired
 /// since its count was last charged.
@@ -50,7 +47,7 @@ pub struct BlockCoverage {
     cursor: Option<Cursor>,
     /// Start VAs of the blocks that switched-out threads are inside.
     parked: BTreeMap<(Pid, Tid), u32>,
-    procs: PerProcess<BTreeMap<u32, u64>>,
+    procs: BTreeMap<Pid, ProcessBlocks>,
 }
 
 impl BlockCoverage {
@@ -59,16 +56,17 @@ impl BlockCoverage {
         BlockCoverage::default()
     }
 
-    /// Consumes the plugin, returning the per-process observations ordered
-    /// by pid (the running thread's open block included).
-    pub fn into_processes(mut self) -> Vec<ProcessBlocks> {
+    /// Consumes the plugin, returning the blocks each process executed,
+    /// keyed by pid (the running thread's open block included). Process
+    /// identity comes from the replay's machine, not from here.
+    pub fn into_processes(mut self) -> BTreeMap<Pid, ProcessBlocks> {
         self.charge_running();
-        self.procs.into_records()
+        self.procs
     }
 
     fn charge_running(&mut self) {
         if let (Some((pid, _)), Some(c)) = (self.current, self.cursor.take()) {
-            *self.procs.entry(pid).entry(c.block).or_insert(0) += c.retired;
+            *self.procs.entry(pid).or_default().entry(c.block).or_insert(0) += c.retired;
         }
     }
 }
@@ -93,14 +91,6 @@ impl KernelEvents for BlockCoverage {
         }
         self.cursor = self.parked.remove(&to).map(|block| Cursor { block, retired: 0 });
         self.current = Some(to);
-    }
-
-    fn process_created(&mut self, info: &ProcessInfo) {
-        self.procs.process_created(info);
-    }
-
-    fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -128,8 +118,7 @@ mod tests {
 
     fn blocks(cov: BlockCoverage, pid: Pid) -> Vec<(u32, u64)> {
         let procs = cov.into_processes();
-        let p = procs.iter().find(|p| p.pid == pid).expect("process observed");
-        p.seen.iter().map(|(&va, &n)| (va, n)).collect()
+        procs[&pid].iter().map(|(&va, &n)| (va, n)).collect()
     }
 
     #[test]
@@ -156,7 +145,7 @@ mod tests {
         cov.on_insn(&ctx(0x1001, Instr::Ret));
         let procs = cov.into_processes();
         let seen: Vec<Vec<(u32, u64)>> =
-            procs.iter().map(|p| p.seen.iter().map(|(&va, &n)| (va, n)).collect()).collect();
+            procs.values().map(|b| b.iter().map(|(&va, &n)| (va, n)).collect()).collect();
         assert_eq!(seen, [vec![(0x1000, 2)], vec![(0x2000, 1)]]);
     }
 

@@ -16,9 +16,11 @@
 //!   signal: [`coverage::BlockCoverage`] (executed blocks, each with its
 //!   retired instructions — the coverage diff and the replay profiler
 //!   both read it), [`cfi::CfiMonitor`] (indirect control transfers) and
-//!   [`syscap::CapabilityMonitor`] (exercised syscall capabilities);
-//! * [`process`] — the per-process bookkeeping (pid, image name, loaded
-//!   modules) those observers share.
+//!   [`syscap::CapabilityMonitor`] (exercised syscall capabilities). Each
+//!   returns only what it saw, keyed by pid; process identity (name, CR3,
+//!   loaded modules) is read from the replay's final
+//!   [`Machine`](faros_kernel::machine::Machine), the OSI view, as the
+//!   paper's plugin reads it from PANDA.
 //!
 //! Table V's measurement is `replay` wall-clock with an empty plugin stack
 //! vs. with FAROS registered.
@@ -31,7 +33,6 @@ pub mod coverage;
 pub mod syscap;
 pub mod driver;
 pub mod plugin;
-pub mod process;
 pub mod recorder;
 pub mod scenario;
 
@@ -42,7 +43,6 @@ pub use driver::{
     DEFAULT_BUDGET,
 };
 pub use plugin::{Plugin, PluginCost, PluginManager};
-pub use process::{PerProcess, ProcessRecord};
 pub use recorder::TraceRecorder;
-pub use syscap::{CapSet, Capability, CapabilityMonitor, CapabilityUse, ProcessCapabilities};
+pub use syscap::{CapSet, Capability, CapabilityMonitor, CapabilityUse};
 pub use scenario::{Scenario, DEFAULT_GUEST_IP};

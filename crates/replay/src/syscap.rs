@@ -3,7 +3,7 @@
 //!
 //! [`CapabilityMonitor`] rides the existing kernel syscall observation
 //! ([`KernelEvents::syscall_enter`] carries the service number and the raw
-//! argument registers) and records, per process, which [`Capability`]s the
+//! argument registers) and records, per pid, which [`Capability`]s the
 //! process *concretely exercised*: an `NtAllocateVirtualMemory` with the
 //! X bit in its protection argument against a non-self handle is an
 //! observed [`Capability::AllocExecRemote`], and so on. Like
@@ -18,12 +18,9 @@
 //! syscalls are rare next to retired instructions.
 
 use crate::plugin::Plugin;
-use crate::process::{PerProcess, ProcessRecord};
 use faros_emu::cpu::CpuHooks;
-use faros_kernel::event::{ByteRange, KernelEvents};
-use faros_kernel::module::ModuleInfo;
+use faros_kernel::event::KernelEvents;
 use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
-use faros_kernel::process::ProcessInfo;
 use faros_kernel::{Pid, Tid};
 use faros_support::json::{FromJson, JsonError, JsonValue, ToJson};
 use std::collections::BTreeMap;
@@ -276,20 +273,17 @@ pub struct CapabilityUse {
     pub sequence: Vec<Capability>,
 }
 
-/// Everything [`CapabilityMonitor`] observed about one process.
-pub type ProcessCapabilities = ProcessRecord<CapabilityUse>;
-
-impl ProcessCapabilities {
+impl CapabilityUse {
     /// The set of capabilities the process exercised at least once.
     pub fn exercised(&self) -> CapSet {
-        self.seen.counts.keys().copied().collect()
+        self.counts.keys().copied().collect()
     }
 
     /// `true` when the steps of `recipe` were exercised in order (as a
     /// subsequence of the observed capability sequence).
     pub fn exercised_in_order(&self, recipe: &[Capability]) -> bool {
         let mut next = 0;
-        for &c in &self.seen.sequence {
+        for &c in &self.sequence {
             if next < recipe.len() && c == recipe[next] {
                 next += 1;
             }
@@ -301,7 +295,7 @@ impl ProcessCapabilities {
 /// The exercised-capability recording plugin.
 #[derive(Debug, Default)]
 pub struct CapabilityMonitor {
-    procs: PerProcess<CapabilityUse>,
+    procs: BTreeMap<Pid, CapabilityUse>,
 }
 
 impl CapabilityMonitor {
@@ -310,10 +304,10 @@ impl CapabilityMonitor {
         CapabilityMonitor::default()
     }
 
-    /// Consumes the plugin, returning the per-process observations ordered
-    /// by pid.
-    pub fn into_processes(self) -> Vec<ProcessCapabilities> {
-        self.procs.into_records()
+    /// Consumes the plugin, returning the capabilities each process
+    /// exercised, keyed by pid.
+    pub fn into_processes(self) -> BTreeMap<Pid, CapabilityUse> {
+        self.procs
     }
 }
 
@@ -324,19 +318,11 @@ impl CpuHooks for CapabilityMonitor {}
 impl KernelEvents for CapabilityMonitor {
     fn syscall_enter(&mut self, pid: Pid, _tid: Tid, sysno: Sysno, args: &[u32; 5]) {
         let Some(cap) = concrete_capability(sysno, args) else { return };
-        let p = self.procs.entry(pid);
+        let p = self.procs.entry(pid).or_default();
         *p.counts.entry(cap).or_insert(0) += 1;
         if p.sequence.last() != Some(&cap) {
             p.sequence.push(cap);
         }
-    }
-
-    fn process_created(&mut self, info: &ProcessInfo) {
-        self.procs.process_created(info);
-    }
-
-    fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, _table: &[ByteRange]) {
-        self.procs.module_loaded(pid, module);
     }
 }
 
@@ -411,10 +397,10 @@ mod tests {
         mon.syscall_enter(Pid(1), t, Sysno::NtCreateThreadEx, &[7, 0x1000, 0, 0, 0]);
         mon.syscall_enter(Pid(2), t, Sysno::NtSocketRecv, &[1, 0x3000, 64, 0, 0]);
         let procs = mon.into_processes();
-        let (p1, p2) = (&procs[0], &procs[1]);
-        assert_eq!(p1.seen.counts[&Capability::WriteRemote], 2);
+        let (p1, p2) = (&procs[&Pid(1)], &procs[&Pid(2)]);
+        assert_eq!(p1.counts[&Capability::WriteRemote], 2);
         assert_eq!(
-            p1.seen.sequence,
+            p1.sequence,
             vec![
                 Capability::AllocExecRemote,
                 Capability::WriteRemote,
@@ -432,7 +418,7 @@ mod tests {
             Capability::AllocExecRemote
         ]));
         assert_eq!(p2.exercised(), CapSet::of(Capability::RecvNet));
-        assert_eq!(p2.seen.counts[&Capability::RecvNet], 1);
+        assert_eq!(p2.counts[&Capability::RecvNet], 1);
     }
 
     #[test]
@@ -444,7 +430,7 @@ mod tests {
         mon.syscall_enter(Pid(1), t, Sysno::NtWriteVirtualMemory, &[7, 0, 0, 0, 0]);
         mon.syscall_enter(Pid(1), t, Sysno::NtAllocateVirtualMemory, &[7, 64, 0b111, 0, 0]);
         mon.syscall_enter(Pid(1), t, Sysno::NtWriteVirtualMemory, &[7, 0, 0, 0, 0]);
-        let p = &mon.into_processes()[0];
+        let p = &mon.into_processes()[&Pid(1)];
         assert!(p.exercised_in_order(&[Capability::AllocExecRemote, Capability::WriteRemote]));
     }
 

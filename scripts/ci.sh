@@ -20,8 +20,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --offline --no-deps --workspace
 
 echo "==> style check"
 # In-tree fmt-equivalent: no tabs, no trailing whitespace, no CRLF in any
-# Rust source.
-if grep -rn -P '\t|[ ]+$|\r' --include='*.rs' src crates examples tests; then
+# Rust source, the jobbench package's included.
+if grep -rn -P '\t|[ ]+$|\r' --include='*.rs' src crates examples tests jobbench; then
     echo "error: tabs / trailing whitespace / CRLF found in Rust sources" >&2
     exit 1
 fi

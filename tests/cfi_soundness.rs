@@ -16,10 +16,8 @@
 //!    dense-indirect foils raise none.
 
 use faros::{analyze_recording, AnalysisConfig};
-use faros_repro::analyze;
 use faros_repro::corpus::{reuse, sample_registry};
-use faros_repro::replay::{record, replay, CfiMonitor, Scenario as _};
-use std::collections::BTreeSet;
+use faros_repro::replay::{record, Scenario as _};
 
 const BUDGET: u64 = 20_000_000;
 
@@ -33,13 +31,9 @@ fn benign_corpus_raises_zero_cfi_violations() {
         }
         samples_run += 1;
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-        let mut monitor = CfiMonitor::new();
-        replay(&sample.scenario, &recording, BUDGET, &mut monitor).unwrap();
-        let models = analyze::model_map(
-            sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
-        );
-        let report =
-            analyze::cfi::check(&monitor.into_processes(), &models, &BTreeSet::new());
+        let cfg = AnalysisConfig { budget: BUDGET, ..AnalysisConfig::default() };
+        let job = analyze_recording(&sample.scenario, &recording, &cfg).unwrap();
+        let report = &job.report.cfi;
         assert!(
             !report.violation_found(),
             "{}: benign sample tripped the CFI check: {:?}",

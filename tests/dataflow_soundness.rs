@@ -3,8 +3,8 @@
 //! The static dataflow engine claims, for every indirect call/jump site it
 //! resolves, a *complete* target set ("soundly coarse": the enumeration
 //! over-approximates). The replay side records the target every indirect
-//! branch actually took ([`CfiMonitor`]'s `call reg` / `jmp reg` sites in
-//! [`ProcessTransfers`](faros_repro::replay::ProcessTransfers)), so the
+//! branch actually took ([`CfiMonitor`]'s `call reg` / `jmp reg` sites,
+//! [`ProcessTransfers`](faros_repro::replay::ProcessTransfers) per pid), so the
 //! claim is testable: across the whole corpus, no dynamically observed
 //! target at a resolved site may fall outside the statically resolved
 //! set. FDL images are position-dependent, so static VAs and runtime VAs
@@ -31,8 +31,8 @@ fn observed_indirect_targets_are_contained_in_resolved_sets() {
         let models = analyze::model_map(
             sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
         );
-        for proc in monitor.into_processes() {
-            for (site, observed) in &proc.seen {
+        for sites in monitor.into_processes().into_values() {
+            for (site, observed) in &sites {
                 if observed.kind == TransferKind::Return {
                     continue;
                 }

@@ -12,20 +12,22 @@
 
 use faros_repro::analyze;
 use faros_repro::corpus::{attacks, dll, families, jit, Sample};
-use faros_repro::faros::{self, AnalysisConfig, Faros, Policy};
+use faros_repro::faros::{self, AnalysisConfig};
+use faros_repro::kernel::NullObserver;
 use faros_repro::replay::{record, replay, BlockCoverage, Scenario as _};
 
 const BUDGET: u64 = 20_000_000;
 
 /// Records the sample, replays it with the block-coverage plugin, and
-/// diffs the executed blocks against the static CFGs of the images the
-/// replay loaded.
+/// diffs the executed blocks against the static CFGs of the images each
+/// process of the replay's machine loaded.
 fn coverage_for(sample: &Sample) -> analyze::CoverageReport {
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
     let mut blocks = BlockCoverage::new();
     let outcome = replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
     let models = analyze::model_map(outcome.machine.loaded_images().clone());
-    analyze::diff(&blocks.into_processes(), &models)
+    let procs = analyze::ProcessTable::join(&outcome.machine, &models);
+    analyze::diff(&procs, &blocks.into_processes())
 }
 
 /// Pins the corpus-wide `unresolved-indirect` residue to an exact,
@@ -208,15 +210,10 @@ fn corpus_images_lint_clean_and_payloads_do_not() {
 fn coverage_attaches_to_the_faros_report() {
     let sample = attacks::reflective_dll_inject();
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-    let mut faros = Faros::new(Policy::paper());
-    replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
-    let mut report = faros.report();
-
-    let mut blocks = BlockCoverage::new();
-    let outcome = replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let models = analyze::model_map(outcome.machine.loaded_images().clone());
-    let coverage = analyze::diff(&blocks.into_processes(), &models);
-    report.attach_coverage(&coverage);
+    let report =
+        faros::analyze_recording(&sample.scenario, &recording, &AnalysisConfig::default())
+            .unwrap()
+            .report;
 
     assert!(report.attack_flagged());
     assert!(report.coverage_suspicious());
@@ -227,4 +224,22 @@ fn coverage_attaches_to_the_faros_report() {
     let json = report.to_json().unwrap();
     let restored = faros_repro::faros::FarosReport::from_json(&json).unwrap();
     assert_eq!(report, restored);
+}
+
+#[test]
+fn coverage_rows_are_the_machines_process_table() {
+    // The job takes process identity from the replay's final machine, the
+    // OSI view, and from nowhere else: its coverage section has one row
+    // per process the machine lists, alive or exited, in pid order, so
+    // row `i` is `pslist()[i]`.
+    for sample in faros_repro::corpus::sample_registry() {
+        let name = sample.scenario.name().to_string();
+        let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
+        let plain = replay(&sample.scenario, &recording, BUDGET, &mut NullObserver).unwrap();
+        let pslist: Vec<String> = plain.machine.pslist().into_iter().map(|p| p.name).collect();
+        let job = faros::analyze_recording(&sample.scenario, &recording, &AnalysisConfig::default())
+            .unwrap();
+        let rows: Vec<String> = job.report.coverage.into_iter().map(|c| c.process).collect();
+        assert_eq!(rows, pslist, "{name}: coverage rows are not the machine's process table");
+    }
 }

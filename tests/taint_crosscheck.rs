@@ -8,35 +8,23 @@
 //! an injection signal. The truth table: every injecting sample raises at
 //! least one impossible alert, every non-injecting family variant none.
 
-use faros_repro::analyze::{self, DynamicAlert, TaintCrossCheck};
 use faros_repro::corpus::{attacks, families, Sample};
-use faros_repro::faros::{Faros, Policy};
-use faros_repro::replay::{record, replay, BlockCoverage, Scenario as _};
+use faros_repro::faros::{analyze_recording, AnalysisConfig, FarosReport};
+use faros_repro::replay::{record, Scenario as _};
 
 const BUDGET: u64 = 20_000_000;
 
-fn cross_check(sample: &Sample) -> TaintCrossCheck {
+/// Records the sample and analyzes it as a detonation job.
+fn job_report(sample: &Sample) -> FarosReport {
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-    let mut faros = Faros::new(Policy::paper());
-    replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
-    let mut blocks = BlockCoverage::new();
-    replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let models = analyze::model_map(
-        sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
-    );
-    let alerts: Vec<DynamicAlert> = faros
-        .report()
-        .detections
-        .iter()
-        .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
-        .collect();
-    analyze::taint_cross_check_with_stats(&alerts, &blocks.into_processes(), &models).0
+    let cfg = AnalysisConfig { budget: BUDGET, ..AnalysisConfig::default() };
+    analyze_recording(&sample.scenario, &recording, &cfg).unwrap().report
 }
 
 #[test]
 fn every_injecting_sample_raises_a_statically_impossible_alert() {
     for sample in attacks::all_injecting_samples() {
-        let cc = cross_check(&sample);
+        let cc = job_report(&sample).taint;
         assert!(
             cc.injection_suspected(),
             "{}: the taint alerts fire in injected code, which the static \
@@ -56,7 +44,7 @@ fn family_variants_raise_no_statically_impossible_alerts() {
     assert_eq!(rows.len(), 21, "the family corpus is part of the truth table");
     for family in rows {
         let sample = families::build_family_sample(&family, 0, 1);
-        let cc = cross_check(&sample);
+        let cc = job_report(&sample).taint;
         assert_eq!(
             cc.impossible_total(),
             0,
@@ -69,30 +57,9 @@ fn family_variants_raise_no_statically_impossible_alerts() {
 
 #[test]
 fn cross_check_attaches_to_the_faros_report() {
-    let sample = attacks::reflective_dll_inject();
-    let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
-    let mut faros = Faros::new(Policy::paper());
-    replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
-    let mut report = faros.report();
-
-    let mut blocks = BlockCoverage::new();
-    replay(&sample.scenario, &recording, BUDGET, &mut blocks).unwrap();
-    let models = analyze::model_map(
-        sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
-    );
-    let alerts: Vec<DynamicAlert> = report
-        .detections
-        .iter()
-        .map(|d| DynamicAlert { process: d.process.clone(), va: d.insn_vaddr })
-        .collect();
-    let (taint, stats) =
-        analyze::taint_cross_check_with_stats(&alerts, &blocks.into_processes(), &models);
-    report.attach_taint(taint);
-
-    // The analyze.* metrics ride the same report.
-    let mut reg = faros_repro::obs::metrics::MetricsRegistry::new();
-    stats.record_into(&mut reg);
-    report.attach_metrics(reg.snapshot());
+    // The job attaches the cross-check and its analyze.* metrics to the
+    // report it assembles.
+    let report = job_report(&attacks::reflective_dll_inject());
 
     assert!(report.attack_flagged());
     assert!(report.taint_suspicious());
@@ -101,6 +68,6 @@ fn cross_check_attaches_to_the_faros_report() {
 
     // And the section round-trips through the JSON report.
     let json = report.to_json().unwrap();
-    let restored = faros_repro::faros::FarosReport::from_json(&json).unwrap();
+    let restored = FarosReport::from_json(&json).unwrap();
     assert_eq!(report, restored);
 }

@@ -44,7 +44,10 @@ cargo test --release --offline --locked --manifest-path jobbench/Cargo.toml
 echo "==> golden fixture staleness check (regen must be a no-op)"
 # Re-emitting every golden fixture must leave the working tree untouched;
 # a diff here means a checked-in fixture is stale relative to the code and
-# the golden tests above were comparing against yesterday's format.
+# the golden tests above were comparing against yesterday's format. The
+# fixtures include tests/fixtures/registry_report_digests.txt, the FNV-1a
+# digests of every registry sample's job report (profile off and on), so
+# this step also fails when any registry report changes by one byte.
 FAROS_REGEN_GOLDEN=1 cargo test -q --offline \
     --test golden_roundtrip --test analyze_cli --test service_protocol >/dev/null
 git diff --exit-code -- tests/fixtures \

@@ -1,7 +1,10 @@
 //! Golden-file serialization tests: the JSON wire formats for analyst
 //! reports and recordings are load-bearing interfaces (analysts archive
 //! recordings; tooling diffs reports), so they must be *byte-stable*
-//! across refactors, not merely round-trippable.
+//! across refactors, not merely round-trippable. Beyond the single-sample
+//! fixtures, `registry_report_digests.txt` pins a digest of every registry
+//! sample's job report, so a refactor that must not change report bytes is
+//! checked on the whole corpus.
 //!
 //! The fixtures live in `tests/fixtures/`. If an intentional format change
 //! invalidates them, regenerate with:
@@ -17,6 +20,7 @@ use faros_repro::faros::{Faros, FarosReport, Policy};
 use faros_repro::obs::trace::{FlightRecorder, TraceCategory, TraceEvent};
 use faros_repro::replay::{record, record_and_replay, Recording};
 use faros_repro::support::json::JsonValue;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const BUDGET: u64 = 20_000_000;
@@ -214,4 +218,53 @@ fn profile_sections_are_byte_stable() {
         let json = job.report.profile.to_json_value().to_pretty() + "\n";
         check_golden(&format!("profile_{name}.json"), &json);
     }
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn every_registry_report_is_pinned_by_digest() {
+    // One line per registry sample: the FNV-1a digests of its job report
+    // with the profile off and on. Any change to any section of any
+    // sample's report moves a digest, so refactors that must not change
+    // report bytes are checked against the whole corpus, not one sample.
+    // With `profile` reset to its default the report serializes to the
+    // bytes of a job run with profiling off.
+    let cfg = faros::AnalysisConfig { profile: true, ..faros::AnalysisConfig::default() };
+    let mut actual = String::new();
+    for sample in faros_repro::corpus::sample_registry() {
+        let (recording, _) = record(&sample.scenario, cfg.budget).unwrap();
+        let mut report =
+            faros::analyze_recording(&sample.scenario, &recording, &cfg).unwrap().report;
+        let on = fnv1a64(report.to_json().unwrap().as_bytes());
+        report.profile = Default::default();
+        let off = fnv1a64(report.to_json().unwrap().as_bytes());
+        actual += &format!("{} {off:016x} {on:016x}\n", sample.name());
+    }
+    let name = "registry_report_digests.txt";
+    if std::env::var("FAROS_REGEN_GOLDEN").is_ok() {
+        check_golden(name, &actual);
+        return;
+    }
+    let expected = std::fs::read_to_string(fixture_path(name)).unwrap_or_else(|e| {
+        panic!("missing fixture {name} ({e}); regenerate with FAROS_REGEN_GOLDEN=1")
+    });
+    let want: BTreeSet<&str> = expected.lines().collect();
+    let got: BTreeSet<&str> = actual.lines().collect();
+    let moved: BTreeSet<&str> = want
+        .symmetric_difference(&got)
+        .map(|line| line.split(' ').next().unwrap_or(line))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "report digests moved for {} sample(s): {moved:?}; if the report change is \
+         intentional, regenerate with FAROS_REGEN_GOLDEN=1 and review the diff",
+        moved.len()
+    );
+    assert_eq!(actual, expected, "{name}: sample order or line format changed");
 }

@@ -264,14 +264,15 @@ impl FromJson for CfiCheckReport {
 /// Checks every observed indirect transfer against the CFI models of the
 /// images the process loaded, as the job's [`ProcessTable`] lists them.
 ///
-/// `tainted_sites` carries the taint-fusion bit: `(process name, site VA)`
-/// pairs whose transfer target was read from netflow-tainted data during
-/// the FAROS replay (see `Faros::tainted_transfers`). Pass an empty set
-/// when no taint information is available.
+/// `tainted_sites` carries the taint-fusion bit: `(CR3, site VA)` pairs
+/// whose transfer target was read from netflow-tainted data during the
+/// FAROS replay (see `Faros::tainted_transfers`); a site is tainted only in
+/// the process with that CR3. Pass an empty set when no taint information
+/// is available.
 pub fn check(
     procs: &ProcessTable,
     observed: &BTreeMap<Pid, ProcessTransfers>,
-    tainted_sites: &BTreeSet<(String, u32)>,
+    tainted_sites: &BTreeSet<(u32, u32)>,
 ) -> CfiCheckReport {
     // Models are per image, shared across processes.
     let mut stats = CfiStats { models_built: procs.models.len() as u64, ..CfiStats::default() };
@@ -302,7 +303,7 @@ pub fn check(
                 stats.edges_foreign += ts.targets.len() as u64;
                 continue;
             };
-            let tainted = tainted_sites.contains(&(proc.name.to_string(), site));
+            let tainted = tainted_sites.contains(&(proc.cr3, site));
             for &target in &ts.targets {
                 if !in_modeled_code(target) {
                     // The transfer leaves modeled code (a JIT buffer, a
@@ -384,7 +385,7 @@ mod tests {
     use faros_emu::asm::Asm;
     use faros_emu::isa::Reg;
     use faros_emu::mmu::Perms;
-    use crate::model::tests::one_process;
+    use crate::model::tests::{one_process, processes_of};
     use crate::model::ImageModel;
     use faros_kernel::module::Section;
     use faros_replay::TransferSite;
@@ -428,7 +429,7 @@ mod tests {
     fn check_app(
         models: &BTreeMap<String, ImageModel>,
         sites: Vec<(u32, TransferSite)>,
-        tainted: &BTreeSet<(String, u32)>,
+        tainted: &BTreeSet<(u32, u32)>,
     ) -> CfiCheckReport {
         let observed = [(Pid(1), sites.into_iter().collect())].into();
         check(&one_process(models, "app.exe"), &observed, tainted)
@@ -452,7 +453,7 @@ mod tests {
 
     #[test]
     fn legal_transfers_raise_no_violation() {
-        let models = crate::model_map([("C:/app.exe", demo_image())]);
+        let models = crate::model_map([("app.exe", demo_image())]);
         let model = &models["app.exe"].cfi;
         let helper = labels()["helper"];
         let call_site = *model.indirect_targets.keys().next().unwrap();
@@ -470,7 +471,7 @@ mod tests {
     fn rop_style_return_into_non_return_site_is_flagged() {
         let image = demo_image();
         let helper = labels()["helper"];
-        let models = crate::model_map([("C:/app.exe", image)]);
+        let models = crate::model_map([("app.exe", image)]);
         // A ret landing on the helper *entry* — a gadget start, not a
         // call-preceded address.
         let sites = vec![(helper, site(TransferKind::Return, &[helper]))];
@@ -484,13 +485,13 @@ mod tests {
 
     #[test]
     fn resolved_site_escaping_its_target_set_is_flagged_and_taint_fuses() {
-        let models = crate::model_map([("C:/app.exe", demo_image())]);
+        let models = crate::model_map([("app.exe", demo_image())]);
         let model = &models["app.exe"].cfi;
         let call_site = *model.indirect_targets.keys().next().unwrap();
         // The indirect call reaches a mid-instruction address instead of
         // the resolved helper entry.
         let sites = vec![(call_site, site(TransferKind::IndirectCall, &[BASE + 1]))];
-        let tainted: BTreeSet<(String, u32)> = [("app.exe".to_string(), call_site)].into();
+        let tainted: BTreeSet<(u32, u32)> = [(0x2000, call_site)].into();
         let report = check_app(&models, sites, &tainted);
         assert_eq!(report.violations.len(), 1);
         assert!(report.violations[0].tainted);
@@ -498,8 +499,23 @@ mod tests {
     }
 
     #[test]
+    fn taint_fuses_only_in_the_process_with_the_tainted_cr3() {
+        // Two `app.exe` processes make the same escaping call; only the
+        // second one's target came from tainted data.
+        let models = crate::model_map([("app.exe", demo_image())]);
+        let call_site = *models["app.exe"].cfi.indirect_targets.keys().next().unwrap();
+        let table = processes_of(&models, "app.exe", &[0x2000, 0x3000]);
+        let escape = || [(call_site, site(TransferKind::IndirectCall, &[BASE + 1]))].into();
+        let observed = [(Pid(1), escape()), (Pid(2), escape())].into();
+        let report = check(&table, &observed, &[(0x3000, call_site)].into());
+        let tainted: Vec<bool> = report.violations.iter().map(|v| v.tainted).collect();
+        assert_eq!(tainted, [false, true]);
+        assert_eq!((report.stats.violations, report.stats.tainted_violations), (2, 1));
+    }
+
+    #[test]
     fn transfers_leaving_modeled_code_carry_no_claim() {
-        let models = crate::model_map([("C:/app.exe", demo_image())]);
+        let models = crate::model_map([("app.exe", demo_image())]);
         let model = &models["app.exe"].cfi;
         let call_site = *model.indirect_targets.keys().next().unwrap();
         let sites = vec![

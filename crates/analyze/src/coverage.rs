@@ -157,7 +157,7 @@ mod tests {
 
     /// Diffs `blocks`, executed by one `app.exe` process, against its model.
     fn diff_app(image: FdlImage, blocks: &[u32]) -> CoverageReport {
-        let models = crate::model_map([("C:/app.exe", image)]);
+        let models = crate::model_map([("app.exe", image)]);
         let observed = [(Pid(1), blocks.iter().map(|&va| (va, 1)).collect())].into();
         diff(&one_process(&models, "app.exe"), &observed)
     }

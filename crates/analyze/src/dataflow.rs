@@ -1075,6 +1075,9 @@ impl FromJson for TaintCrossCheck {
 /// modules loaded by the process each alert fired in (found by CR3 in the
 /// job's [`ProcessTable`]), and reports statically feasible flows no
 /// replay exercised, judged on the blocks each process executed (per pid).
+/// Each process gets its own row, ordered by name and then pid, so two
+/// processes sharing an image name are reported apart; alerts whose CR3
+/// matches no process share one row per name.
 /// Also returns the merged [`DataflowStats`] of every per-image analysis
 /// (for `analyze.*` metrics emission).
 pub fn taint_cross_check_with_stats(
@@ -1087,9 +1090,11 @@ pub fn taint_cross_check_with_stats(
         stats.merge(&m.dataflow.stats);
     }
 
-    let mut rows: BTreeMap<&str, ProcessTaintCheck> = BTreeMap::new();
+    let mut rows: BTreeMap<(&str, Option<Pid>), ProcessTaintCheck> = BTreeMap::new();
     for alert in alerts {
-        let row = rows.entry(alert.process.as_str()).or_insert_with(|| ProcessTaintCheck {
+        let proc = procs.processes.iter().find(|p| p.cr3 == alert.cr3);
+        let key = (alert.process.as_str(), proc.map(|p| p.pid));
+        let row = rows.entry(key).or_insert_with(|| ProcessTaintCheck {
             process: alert.process.clone(),
             ..ProcessTaintCheck::default()
         });
@@ -1098,7 +1103,7 @@ pub fn taint_cross_check_with_stats(
             row.explainable.push(alert.va);
             continue;
         }
-        let model = procs.processes.iter().find(|p| p.cr3 == alert.cr3).and_then(|p| {
+        let model = proc.and_then(|p| {
             p.models.iter().find(|m| m.image.section_containing(alert.va).is_some())
         });
         match model {
@@ -1144,7 +1149,7 @@ pub fn taint_cross_check_with_stats(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::tests::one_process;
+    use crate::model::tests::{one_process, processes_of};
     use crate::model::ModeledProcess;
     use faros_emu::asm::Asm;
     use faros_kernel::module::{Export, Section};
@@ -1348,6 +1353,20 @@ mod tests {
         assert_eq!(check.processes.len(), 1);
         assert_eq!(check.processes[0].explainable, [va]);
         assert!(check.processes[0].impossible.is_empty());
+    }
+
+    #[test]
+    fn processes_sharing_a_name_get_a_row_each() {
+        let mut asm = Asm::new(BASE);
+        asm.hlt();
+        let models = crate::model_map([("a.exe", image_of(asm))]);
+        let table = processes_of(&models, "a.exe", &[0x2000, 0x3000]);
+        let alerts = [(0x2000, 0x0100_1000), (0x3000, 0x0100_2000)]
+            .map(|(cr3, va)| DynamicAlert { process: "a.exe".into(), cr3, va });
+        let check = taint_cross_check_with_stats(&alerts, &table, &BTreeMap::new()).0;
+        let rows: Vec<(&str, &[u32])> =
+            check.processes.iter().map(|p| (&*p.process, &*p.impossible)).collect();
+        assert_eq!(rows, [("a.exe", &[0x0100_1000][..]), ("a.exe", &[0x0100_2000][..])]);
     }
 
     #[test]

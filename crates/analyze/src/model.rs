@@ -11,7 +11,9 @@
 //! [`ProcessTable::join`] is the one place a process's loaded modules are
 //! resolved to models: it reads the replay's final machine (the OSI view:
 //! pid, CR3, image name, module list) once per job, and every checker and
-//! the profiler read the joined table.
+//! the profiler read the joined table. Identities are the kernel's: a
+//! process is its pid and CR3, a module is the name the loader gave it,
+//! and a model is keyed by that same name, so nothing here derives a name.
 //!
 //! The model also carries the symbolization hook for the deterministic
 //! replay profiler: a [`ModuleLayout`] that rolls the profiler's
@@ -69,29 +71,22 @@ impl ImageModel {
     }
 }
 
-/// Builds one [`ImageModel`] per image, keyed by basename so
-/// `C:/notepad.exe` and `notepad.exe` name the same model. A job feeds it
-/// the images its replay loaded
+/// Builds one [`ImageModel`] per image, keyed by the module name it is
+/// given. A job feeds it the images its replay loaded
 /// ([`Machine::loaded_images`](faros_kernel::machine::Machine::loaded_images):
-/// programs and registered DLLs, dropped ones included). A later entry with
-/// the same basename replaces an earlier one before anything is built.
-pub fn model_map<S: AsRef<str>>(
+/// programs and registered DLLs, dropped ones included), keyed by the
+/// names the loader gave the modules.
+pub fn model_map<S: Into<String>>(
     entries: impl IntoIterator<Item = (S, FdlImage)>,
 ) -> BTreeMap<String, ImageModel> {
-    let images: BTreeMap<String, FdlImage> = entries
+    entries
         .into_iter()
-        .map(|(path, image)| (basename(path.as_ref()).to_string(), image))
-        .collect();
-    images
-        .into_iter()
-        .map(|(name, image)| (name.clone(), ImageModel::build(&name, image)))
+        .map(|(name, image)| {
+            let name = name.into();
+            let model = ImageModel::build(&name, image);
+            (name, model)
+        })
         .collect()
-}
-
-/// The final path component, so `C:/notepad.exe` and `notepad.exe` key the
-/// same image.
-pub(crate) fn basename(path: &str) -> &str {
-    path.rsplit(['/', '\\']).next().unwrap_or(path)
 }
 
 /// One process of a job's machine, its loaded modules resolved to models.
@@ -113,7 +108,7 @@ pub struct ModeledProcess<'a> {
 /// and the profiler read about which process ran which images.
 #[derive(Debug, Clone)]
 pub struct ProcessTable<'a> {
-    /// Every model of the job, keyed by basename (see [`model_map`]).
+    /// Every model of the job, keyed by module name (see [`model_map`]).
     pub models: &'a BTreeMap<String, ImageModel>,
     /// Every process, in pid order.
     pub processes: Vec<ModeledProcess<'a>>,
@@ -121,14 +116,13 @@ pub struct ProcessTable<'a> {
 
 impl<'a> ProcessTable<'a> {
     /// Joins every process of `machine`, alive and exited, to the models
-    /// of its loaded modules, matched by basename (`C:/notepad.exe` loads
-    /// the `notepad.exe` model).
+    /// of its loaded modules, matched by module name exactly.
     pub fn join(machine: &'a Machine, models: &'a BTreeMap<String, ImageModel>) -> Self {
         let processes = machine
             .processes()
             .map(|p| {
                 let loaded: Vec<&ImageModel> =
-                    p.modules.iter().filter_map(|m| models.get(basename(&m.name))).collect();
+                    p.modules.iter().filter_map(|m| models.get(&m.name)).collect();
                 ModeledProcess {
                     pid: p.pid,
                     cr3: p.cr3().0,
@@ -160,24 +154,37 @@ pub(crate) mod tests {
 
     const BASE: u32 = 0x40_0000;
 
+    /// A table of processes named after the one model each loaded: pid
+    /// `i + 1` has CR3 `cr3s[i]`.
+    pub(crate) fn processes_of<'a>(
+        models: &'a BTreeMap<String, ImageModel>,
+        module: &'a str,
+        cr3s: &[u32],
+    ) -> ProcessTable<'a> {
+        let processes = (1..)
+            .zip(cr3s)
+            .map(|(pid, &cr3)| ModeledProcess {
+                pid: Pid(pid),
+                cr3,
+                name: module,
+                models: vec![&models[module]],
+                unmodeled: false,
+            })
+            .collect();
+        ProcessTable { models, processes }
+    }
+
     /// A table of one process (pid 1, CR3 0x2000) named after the one
     /// model it loaded.
     pub(crate) fn one_process<'a>(
         models: &'a BTreeMap<String, ImageModel>,
         module: &'a str,
     ) -> ProcessTable<'a> {
-        let process = ModeledProcess {
-            pid: Pid(1),
-            cr3: 0x2000,
-            name: module,
-            models: vec![&models[module]],
-            unmodeled: false,
-        };
-        ProcessTable { models, processes: vec![process] }
+        processes_of(models, module, &[0x2000])
     }
 
     #[test]
-    fn models_are_keyed_by_basename_and_built_once_per_image() {
+    fn models_are_keyed_by_the_name_they_are_given() {
         let mut asm = Asm::new(BASE);
         asm.hlt();
         let image = FdlImage {
@@ -186,8 +193,8 @@ pub(crate) mod tests {
             sections: vec![Section { va: BASE, data: asm.assemble().unwrap(), perms: Perms::RX }],
             exports: vec![],
         };
-        let models = model_map([("C:/a.exe", image.clone()), ("a.exe", image.clone())]);
-        assert_eq!(models.keys().collect::<Vec<_>>(), ["a.exe"]);
+        let models = model_map([("a.exe", image.clone()), ("b.exe", image)]);
+        assert_eq!(models.keys().collect::<Vec<_>>(), ["a.exe", "b.exe"]);
         let m = &models["a.exe"];
         assert_eq!(m.dataflow.cfg.name, "a.exe");
         assert_eq!(m.cfi.module, "a.exe");

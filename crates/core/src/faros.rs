@@ -124,11 +124,8 @@ impl FarosCounters {
 pub struct Faros {
     engine: TaintEngine,
     policy: Policy,
-    /// CR3 -> interned process tag.
-    proc_tags: HashMap<u32, ProvTag>,
-    /// CR3 -> image name.
-    proc_names: HashMap<u32, String>,
-    /// Pid -> CR3 (events carry pids; taint identity is the CR3).
+    /// Pid -> CR3 (events carry pids; taint identity is the CR3, and the
+    /// engine's process tag table maps each CR3 to its tag and name).
     pid_cr3: HashMap<Pid, u32>,
     /// Per-thread register shadow banks, swapped on context switch.
     reg_banks: HashMap<(Pid, Tid), [[ListId; 4]; SHADOW_REGS]>,
@@ -137,10 +134,10 @@ pub struct Faros {
     detections: Vec<Detection>,
     whitelisted: Vec<Detection>,
     seen_insns: HashSet<u32>,
-    /// `(process name, site VA)` pairs whose indirect-transfer target was
-    /// read from netflow-tainted data — the taint-fusion input to the CFI
+    /// `(CR3, site VA)` pairs whose indirect-transfer target was read
+    /// from netflow-tainted data — the taint-fusion input to the CFI
     /// cross-check, recorded independently of the Minos alert policy.
-    tainted_transfers: BTreeSet<(String, u32)>,
+    tainted_transfers: BTreeSet<(u32, u32)>,
     ctr: FarosCounters,
     /// Shared flight-recorder ring for taint-event instants; `None` (the
     /// default) keeps tracing entirely off the FAROS hot path.
@@ -165,8 +162,6 @@ impl Faros {
         Faros {
             engine,
             policy,
-            proc_tags: HashMap::new(),
-            proc_names: HashMap::new(),
             pid_cr3: HashMap::new(),
             reg_banks: HashMap::new(),
             current_thread: None,
@@ -198,11 +193,12 @@ impl Faros {
         &self.engine
     }
 
-    /// `(process name, site VA)` pairs whose indirect-transfer target was
-    /// read from netflow-tainted data. Fed to `faros_analyze::cfi::check`
-    /// as its taint-fusion input: a CFI violation at one of these sites
-    /// means *attacker data decided the escaping control transfer*.
-    pub fn tainted_transfers(&self) -> &BTreeSet<(String, u32)> {
+    /// `(CR3, site VA)` pairs whose indirect-transfer target was read
+    /// from netflow-tainted data. Fed to `faros_analyze::cfi::check` as
+    /// its taint-fusion input: a CFI violation at one of these sites in
+    /// the process with that CR3 means *attacker data decided the escaping
+    /// control transfer*.
+    pub fn tainted_transfers(&self) -> &BTreeSet<(u32, u32)> {
         &self.tainted_transfers
     }
 
@@ -238,36 +234,24 @@ impl Faros {
 
     /// Builds the analyst report.
     pub fn report(&self) -> FarosReport {
+        // The job pipeline fills the remaining sections in.
         FarosReport {
             detections: self.detections.clone(),
             whitelisted: self.whitelisted.clone(),
-            // Filled in by `FarosReport::attach_coverage` /
-            // `attach_taint` / `attach_metrics` when the caller opts in.
-            coverage: Vec::new(),
-            taint: Default::default(),
-            cfi: Default::default(),
-            capabilities: Default::default(),
-            metrics: MetricsSnapshot::default(),
-            profile: Default::default(),
+            ..FarosReport::default()
         }
     }
 
+    /// The process tag of `cr3`, interned under a `cr3-<hex>` name when no
+    /// `process_created` announced that CR3.
     fn process_tag(&mut self, cr3: u32) -> ProvTag {
-        if let Some(&t) = self.proc_tags.get(&cr3) {
+        if let Some(t) = self.engine.tables().process_by_cr3(cr3) {
             return t;
         }
-        let name = self
-            .proc_names
-            .get(&cr3)
-            .cloned()
-            .unwrap_or_else(|| format!("cr3-{cr3:#x}"));
-        let tag = self
-            .engine
+        self.engine
             .tables_mut()
-            .intern_process(cr3, &name)
-            .expect("process tag table overflow");
-        self.proc_tags.insert(cr3, tag);
-        tag
+            .intern_process(cr3, &format!("cr3-{cr3:#x}"))
+            .expect("process tag table overflow")
     }
 
     fn pid_tag(&mut self, pid: Pid) -> Option<ProvTag> {
@@ -307,10 +291,11 @@ impl Faros {
     }
 
     fn current_process_name(&self) -> String {
-        self.proc_names
-            .get(&self.current_cr3)
-            .cloned()
-            .unwrap_or_else(|| format!("cr3-{:#x}", self.current_cr3))
+        let tables = self.engine.tables();
+        match tables.process_by_cr3(self.current_cr3).and_then(|t| tables.process(t)) {
+            Some(p) => p.name.clone(),
+            None => format!("cr3-{:#x}", self.current_cr3),
+        }
     }
 }
 
@@ -487,7 +472,7 @@ impl CpuHooks for Faros {
         // Taint-fusion bit for the CFI cross-check, recorded whether or
         // not the Minos alert policy is on: tainted data decided this
         // control transfer.
-        self.tainted_transfers.insert((self.current_process_name(), ctx.vaddr));
+        self.tainted_transfers.insert((self.current_cr3, ctx.vaddr));
         // Extension policy (Minos-style, §VII): flag indirect transfers
         // whose target address was read from netflow-tainted bytes.
         if !self.policy.minos_tainted_pc {
@@ -526,9 +511,11 @@ impl CpuHooks for Faros {
 
 impl KernelEvents for Faros {
     fn process_created(&mut self, info: &ProcessInfo) {
-        self.proc_names.insert(info.cr3, info.name.clone());
         self.pid_cr3.insert(info.pid, info.cr3);
-        let _ = self.process_tag(info.cr3);
+        self.engine
+            .tables_mut()
+            .intern_process(info.cr3, &info.name)
+            .expect("process tag table overflow");
     }
 
     fn module_loaded(&mut self, _pid: Option<Pid>, module: &ModuleInfo, export_table: &[ByteRange]) {

@@ -231,33 +231,29 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
     // One static model per image the loader mapped, and one process table
     // joined to them, both read by every cross-check below.
     let analyze_start = Instant::now();
-    let mut report = faros.report();
     let models = faros_analyze::model_map(outcome.machine.loaded_images().clone());
     let procs = ProcessTable::join(&outcome.machine, &models);
     let mut blocks = blocks.into_processes();
-    report.attach_coverage(&faros_analyze::diff(&procs, &blocks));
-    let alerts: Vec<DynamicAlert> = report
+    let coverage = faros_analyze::diff(&procs, &blocks);
+    let detected = faros.report();
+    let alerts: Vec<DynamicAlert> = detected
         .detections
         .iter()
         .map(|d| DynamicAlert { process: d.process.clone(), cr3: d.cr3, va: d.insn_vaddr })
         .collect();
     let (taint, stats) = faros_analyze::taint_cross_check_with_stats(&alerts, &procs, &blocks);
-    report.attach_taint(taint);
     let cfi =
         faros_analyze::cfi::check(&procs, &monitor.into_processes(), faros.tainted_transfers());
-    let (caps, cap_stats) =
+    let (capabilities, cap_stats) =
         faros_analyze::capability_cross_check_with_stats(&procs, &capmon.into_processes());
     let mut reg = MetricsRegistry::new();
     stats.record_into(&mut reg);
     cfi.stats.record_into(&mut reg);
     cap_stats.record_into(&mut reg);
-    report.attach_cfi(cfi);
-    report.attach_capabilities(caps);
-    if cfg.profile {
-        // Symbolize the per-block retired-instruction counts through the
-        // images' static function tables — a pure function of recording +
-        // images, so the attached profile is byte-identical across
-        // replays.
+    // Symbolize the per-block retired-instruction counts through the
+    // images' static function tables — a pure function of recording +
+    // images, so the attached profile is byte-identical across replays.
+    let profile = if cfg.profile {
         let samples: Vec<ProcessSamples> = procs
             .processes
             .iter()
@@ -268,11 +264,14 @@ pub fn analyze_recording<S: Scenario + ?Sized>(
                 blocks: blocks.remove(&p.pid).unwrap_or_default(),
             })
             .collect();
-        report.attach_profile(ProfileReport::build(samples));
-    }
-    let mut snap = faros.metrics_snapshot();
-    snap.merge(&reg.snapshot());
-    report.attach_metrics(snap);
+        ProfileReport::build(samples)
+    } else {
+        ProfileReport::default()
+    };
+    let mut metrics = faros.metrics_snapshot();
+    metrics.merge(&reg.snapshot());
+    let mut report = FarosReport { taint, cfi, capabilities, metrics, profile, ..detected };
+    report.attach_coverage(&coverage);
     cost.phases.add_ns("analyze", analyze_start.elapsed().as_nanos() as u64);
 
     Ok(AnalyzedJob { report, faros, instructions: outcome.instructions, trace, cost })

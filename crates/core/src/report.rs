@@ -154,22 +154,10 @@ impl FarosReport {
         self.coverage.iter().any(|c| !c.unaccounted.is_empty())
     }
 
-    /// Imports the static-vs-dynamic taint cross-check computed by
-    /// `faros-analyze`'s dataflow engine.
-    pub fn attach_taint(&mut self, taint: faros_analyze::TaintCrossCheck) {
-        self.taint = taint;
-    }
-
     /// Returns `true` if the taint cross-check classified any dynamic
     /// alert as statically impossible-per-model (injection signal).
     pub fn taint_suspicious(&self) -> bool {
         self.taint.injection_suspected()
-    }
-
-    /// Imports the dynamic CFI cross-check computed by `faros-analyze`
-    /// from the transfers a `CfiMonitor` recorded.
-    pub fn attach_cfi(&mut self, cfi: faros_analyze::CfiCheckReport) {
-        self.cfi = cfi;
     }
 
     /// Returns `true` if any observed control transfer escaped the static
@@ -178,28 +166,10 @@ impl FarosReport {
         self.cfi.violation_found()
     }
 
-    /// Imports the static-vs-dynamic capability cross-check computed by
-    /// `faros-analyze::syscap` from a `CapabilityMonitor`'s observations.
-    pub fn attach_capabilities(&mut self, capabilities: faros_analyze::CapabilityCrossCheck) {
-        self.capabilities = capabilities;
-    }
-
     /// Returns `true` if any process exercised a statically impossible
     /// capability or completed an injection recipe.
     pub fn capabilities_suspicious(&self) -> bool {
         self.capabilities.injection_suspected()
-    }
-
-    /// Attaches a metrics snapshot (typically the merge of the FAROS
-    /// engine's, the trace recorder's, and the plugin manager's snapshots).
-    pub fn attach_metrics(&mut self, metrics: MetricsSnapshot) {
-        self.metrics = metrics;
-    }
-
-    /// Attaches the deterministic replay profile: the per-block retired
-    /// instructions `replay::BlockCoverage` recorded, after symbolization.
-    pub fn attach_profile(&mut self, profile: ProfileReport) {
-        self.profile = profile;
     }
 
     /// Renders the report as the paper's Table II: one row per flagged
@@ -545,14 +515,14 @@ mod tests {
         let bare = r.to_json().unwrap();
         assert!(!bare.contains("\"taint\""), "empty taint check must not serialize");
 
-        r.attach_taint(TaintCrossCheck {
+        r.taint = TaintCrossCheck {
             processes: vec![ProcessTaintCheck {
                 process: "notepad.exe".into(),
                 explainable: vec![0x40_0010],
                 impossible: vec![0x0100_0000],
             }],
             residual: vec![],
-        });
+        };
         assert!(r.taint_suspicious());
         let json = r.to_json().unwrap();
         assert!(json.contains("\"taint\""));
@@ -575,7 +545,7 @@ mod tests {
         let bare = r.to_json().unwrap();
         assert!(!bare.contains("\"cfi\""), "empty cfi check must not serialize");
 
-        r.attach_cfi(CfiCheckReport {
+        r.cfi = CfiCheckReport {
             violations: vec![CfiViolation {
                 process: "notepad.exe".into(),
                 site: 0x40_0010,
@@ -595,7 +565,7 @@ mod tests {
                 tainted_violations: 1,
                 ..CfiStats::default()
             },
-        });
+        };
         assert!(r.cfi_suspicious());
         let json = r.to_json().unwrap();
         assert!(json.contains("\"cfi\""));
@@ -623,7 +593,7 @@ mod tests {
         blocks.insert(0x40_0000u32, 100u64);
         let mut functions = BTreeMap::new();
         functions.insert(0x40_0000u32, "main".to_string());
-        r.attach_profile(ProfileReport::build(vec![ProcessSamples {
+        r.profile = ProfileReport::build(vec![ProcessSamples {
             pid: 4,
             process: "notepad.exe".into(),
             blocks,
@@ -633,7 +603,7 @@ mod tests {
                 limit: 0x41_0000,
                 functions,
             }],
-        }]));
+        }]);
         let json = r.to_json().unwrap();
         assert!(json.contains("\"profile\""));
         assert!(json.contains("total_retired"));
@@ -657,7 +627,7 @@ mod tests {
         let mut reg = faros_obs::metrics::MetricsRegistry::new();
         let insns = reg.counter("cpu.instructions");
         reg.add(insns, 12_345);
-        r.attach_metrics(reg.snapshot());
+        r.metrics = reg.snapshot();
         let json = r.to_json().unwrap();
         assert!(json.contains("cpu.instructions"));
         let restored = FarosReport::from_json(&json).unwrap();

@@ -598,9 +598,10 @@ impl Machine {
     ///
     /// # Errors
     ///
-    /// Fails if the file is missing, not a valid FDL, or memory is
-    /// exhausted. If the image cannot be loaded, the process is removed
-    /// again and `process_exited` follows its `process_created`.
+    /// Fails if the file is missing, not a valid FDL, collides with an
+    /// existing mapping, or memory is exhausted. If the image or the stack
+    /// cannot be mapped, the process is removed again and `process_exited`
+    /// follows its `process_created`.
     pub fn spawn_process<O: Observer + ?Sized>(
         &mut self,
         path: &str,
@@ -616,31 +617,27 @@ impl Machine {
         for &(va, pfn, perms) in &self.kernel_pages {
             aspace.map(va, pfn, perms);
         }
-        let name = path.rsplit('/').next().unwrap_or(path).to_string();
-        let proc = Process::new(pid, &name, parent, aspace);
+        let name = module_name(path);
+        let proc = Process::new(pid, name, parent, aspace);
         self.procs.insert(pid, proc);
         obs.process_created(&self.procs[&pid].info());
 
-        let module = match self.load_image_into(pid, path, obs) {
+        // Image + stack, then the main thread.
+        let mapped = self.load_image_into(pid, path, obs).and_then(|module| {
+            let stack = crate::process::RegionKind::Stack;
+            self.map_fresh(pid, STACK_TOP - STACK_SIZE, STACK_SIZE, Perms::RW, stack, obs)?;
+            Ok(module)
+        });
+        let module = match mapped {
             Ok(m) => m,
             Err(e) => {
                 // Roll back the half-created process. Observers saw it
                 // created, so they also see it go.
                 self.procs.remove(&pid);
-                obs.process_exited(pid, &name);
+                obs.process_exited(pid, name);
                 return Err(e);
             }
         };
-
-        // Stack + main thread.
-        self.map_fresh(
-            pid,
-            STACK_TOP - STACK_SIZE,
-            STACK_SIZE,
-            Perms::RW,
-            crate::process::RegionKind::Stack,
-            obs,
-        )?;
         let tid = self.create_thread_raw(pid, module.entry, STACK_TOP, suspended);
         obs.thread_created(pid, tid);
         Ok(pid)
@@ -671,7 +668,7 @@ impl Machine {
             .map_err(|_| MachineError::NoSuchFile(path.to_string()))?;
         let version = self.fs.version(path).unwrap_or(1);
         let image = FdlImage::parse(&bytes).map_err(|e| MachineError::BadImage(e.to_string()))?;
-        let name = path.rsplit('/').next().unwrap_or(path).to_string();
+        let name = module_name(path).to_string();
 
         // Map sections and copy image bytes; report as file reads.
         let mut base = u32::MAX;
@@ -1052,6 +1049,12 @@ impl Machine {
     pub(crate) fn push_console(&mut self, pid: Pid, text: String) {
         self.console.push((pid, text));
     }
+}
+
+/// The module name the loader gives the image at `path`: its final path
+/// component (`C:/notepad.exe` loads as `notepad.exe`).
+fn module_name(path: &str) -> &str {
+    path.rsplit('/').next().unwrap_or(path)
 }
 
 /// Translates the `len` bytes at `va` one by one through `translate` and

@@ -7,7 +7,9 @@ use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
 use faros_emu::isa::{Mem as M, Reg, Width};
 use faros_emu::mmu::Perms;
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents, NullObserver, Observer};
-use faros_kernel::machine::{ExecMode, Machine, MachineConfig, MachineError, RunExit, IMAGE_BASE};
+use faros_kernel::machine::{
+    ExecMode, Machine, MachineConfig, MachineError, RunExit, IMAGE_BASE, STACK_SIZE, STACK_TOP,
+};
 use faros_kernel::module::{FdlImage, ModuleInfo, Section};
 use faros_kernel::net::{NetworkFabric, RemoteEndpoint};
 use faros_kernel::nt::{NtStatus, Sysno};
@@ -640,17 +642,34 @@ impl KernelEvents for Lifecycle {
 
 #[test]
 fn a_spawn_that_cannot_load_its_image_ends_in_process_exited() {
-    let mut machine = Machine::new(MachineConfig::default());
-    machine.fs.create("C:/notes.txt", b"not an image".to_vec()).unwrap();
-    let mut obs = Lifecycle::default();
-    let err = machine.spawn_process("C:/notes.txt", false, None, &mut obs).unwrap_err();
-    assert!(matches!(err, MachineError::BadImage(_)), "{err:?}");
-    let Some(&("created", pid)) = obs.0.first() else {
-        panic!("no process_created before the failure: {:?}", obs.0)
+    // An image that loads but covers the stack: the stack map fails after
+    // `module_loaded`, and the spawn must roll back the same way.
+    let stack = STACK_TOP - STACK_SIZE;
+    let over_stack = FdlImage {
+        entry: stack,
+        export_table_va: 0,
+        sections: vec![Section { va: stack, data: vec![0; 16], perms: Perms::RW }],
+        exports: vec![],
     };
-    assert_eq!(obs.0, [("created", pid), ("exited", pid)]);
-    assert!(machine.process(pid).is_none());
-    assert!(machine.pslist().iter().all(|p| p.pid != pid));
+    for (contents, stack_conflict) in
+        [(b"not an image".to_vec(), false), (over_stack.to_bytes(), true)]
+    {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.fs.create("C:/notes.txt", contents).unwrap();
+        let mut obs = Lifecycle::default();
+        let err = machine.spawn_process("C:/notes.txt", false, None, &mut obs).unwrap_err();
+        if stack_conflict {
+            assert_eq!(err, MachineError::AddressConflict(stack));
+        } else {
+            assert!(matches!(err, MachineError::BadImage(_)), "{err:?}");
+        }
+        let Some(&("created", pid)) = obs.0.first() else {
+            panic!("no process_created before the failure: {:?}", obs.0)
+        };
+        assert_eq!(obs.0, [("created", pid), ("exited", pid)]);
+        assert!(machine.process(pid).is_none());
+        assert!(machine.pslist().iter().all(|p| p.pid != pid));
+    }
 }
 
 /// Counts every CPU hook and kernel event it receives, by name.

@@ -161,6 +161,11 @@ impl TagTables {
             .flatten()
     }
 
+    /// The process tag interned for `cr3`, if any.
+    pub fn process_by_cr3(&self, cr3: u32) -> Option<ProvTag> {
+        self.process_index.get(&cr3).map(|&i| ProvTag::new(TagKind::Process, i))
+    }
+
     /// Looks up a file payload.
     pub fn file(&self, tag: ProvTag) -> Option<&FileTag> {
         (tag.kind() == TagKind::File)
@@ -228,6 +233,8 @@ mod tests {
         let b = t.intern_process(0x1000, "renamed.exe").unwrap();
         assert_eq!(a, b, "same CR3 is the same process identity");
         assert_eq!(t.process(a).unwrap().name, "a.exe");
+        assert_eq!(t.process_by_cr3(0x1000), Some(a));
+        assert_eq!(t.process_by_cr3(0x2000), None);
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   counters + recorder counters + plugin dispatch counts).
 
 use faros_repro::corpus::attacks;
-use faros_repro::faros::{Faros, Policy};
+use faros_repro::faros::{Faros, FarosReport, Policy};
 use faros_repro::taint::engine::PropagationMode;
 use faros_repro::obs::trace::RecorderHandle;
 use faros_repro::replay::{record, replay, PluginManager, TraceRecorder};
@@ -51,8 +51,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let mut metrics = faros.metrics_snapshot();
     metrics.merge(&tracer.metrics_snapshot());
     metrics.merge(&plugins.metrics_snapshot());
-    let mut report = faros.report();
-    report.attach_metrics(metrics.clone());
+    let report = FarosReport { metrics: metrics.clone(), ..faros.report() };
 
     let trace_json = ring.export_chrome();
     let out_dir = std::path::Path::new("target");

@@ -10,9 +10,12 @@
 //! set. FDL images are position-dependent, so static VAs and runtime VAs
 //! coincide and the comparison is exact.
 //!
-//! Sites the engine leaves unresolved, and sites in dynamically
-//! materialized code (no static model exists), make no claim and are
-//! skipped.
+//! Each site is judged against the models of the process that ran it (the
+//! replay's final machine joined to the images its loader mapped): every
+//! corpus program is linked at the same base, so in a multi-program sample
+//! one VA can lie in several programs' code. Sites the engine leaves
+//! unresolved, and sites in dynamically materialized code (no static model
+//! exists), make no claim and are skipped.
 
 use faros_repro::analyze;
 use faros_repro::corpus::sample_registry;
@@ -27,18 +30,19 @@ fn observed_indirect_targets_are_contained_in_resolved_sets() {
     for sample in sample_registry() {
         let (recording, _) = record(&sample.scenario, BUDGET).unwrap();
         let mut monitor = CfiMonitor::new();
-        replay(&sample.scenario, &recording, BUDGET, &mut monitor).unwrap();
-        let models = analyze::model_map(
-            sample.scenario.programs().iter().map(|(p, i)| (p.as_str(), i.clone())),
-        );
-        for sites in monitor.into_processes().into_values() {
-            for (site, observed) in &sites {
+        let outcome = replay(&sample.scenario, &recording, BUDGET, &mut monitor).unwrap();
+        let models = analyze::model_map(outcome.machine.loaded_images().clone());
+        let procs = analyze::ProcessTable::join(&outcome.machine, &models);
+        let transfers = monitor.into_processes();
+        for proc in &procs.processes {
+            let Some(sites) = transfers.get(&proc.pid) else { continue };
+            for (site, observed) in sites {
                 if observed.kind == TransferKind::Return {
                     continue;
                 }
-                // The site must be inside a statically modeled image
-                // (injected code has no model) ...
-                let Some(model) = models.values().find(|m| m.image.is_code_va(*site)) else {
+                // The site must be inside an image this process loaded
+                // and that has a model (injected code has none) ...
+                let Some(model) = proc.models.iter().find(|m| m.image.is_code_va(*site)) else {
                     continue;
                 };
                 // ... and the engine must have claimed a target set.

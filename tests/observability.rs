@@ -4,7 +4,7 @@
 //! whole-system counters the paper's evaluation leans on.
 
 use faros_repro::corpus::attacks;
-use faros_repro::faros::{Faros, Policy};
+use faros_repro::faros::{Faros, FarosReport, Policy};
 use faros_repro::obs::metrics::MetricsSnapshot;
 use faros_repro::obs::trace::RecorderHandle;
 use faros_repro::replay::{record, replay, PluginManager, Recording, TraceRecorder};
@@ -105,11 +105,10 @@ fn report_metrics_section_round_trips_through_json() {
 
     let mut faros = Faros::new(Policy::paper());
     replay(&sample.scenario, &recording, BUDGET, &mut faros).unwrap();
-    let mut report = faros.report();
-    report.attach_metrics(faros.metrics_snapshot());
+    let report = FarosReport { metrics: faros.metrics_snapshot(), ..faros.report() };
 
     assert!(report.metrics.counter("faros.instructions").unwrap_or(0) > 0);
     let json = report.to_json().unwrap();
-    let restored = faros_repro::faros::FarosReport::from_json(&json).unwrap();
+    let restored = FarosReport::from_json(&json).unwrap();
     assert_eq!(restored, report);
 }

@@ -71,11 +71,11 @@ impl ImageModel {
     }
 }
 
-/// Builds one [`ImageModel`] per image, keyed by the module name it is
-/// given. A job feeds it the images its replay loaded
+/// Builds one [`ImageModel`] per image, keyed by the module name it comes
+/// with. A job feeds it the images its replay loaded
 /// ([`Machine::loaded_images`](faros_kernel::machine::Machine::loaded_images):
-/// programs and registered DLLs, dropped ones included), keyed by the
-/// names the loader gave the modules.
+/// programs and registered DLLs, dropped ones included) under the names
+/// the loader gave them.
 pub fn model_map<S: Into<String>>(
     entries: impl IntoIterator<Item = (S, FdlImage)>,
 ) -> BTreeMap<String, ImageModel> {

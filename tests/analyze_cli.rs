@@ -3,21 +3,27 @@
 //! The static report JSON is a load-bearing interface (tooling diffs it,
 //! CI pins it), so it must be byte-stable. The FDL demo image itself is
 //! also checked in, so `scripts/ci.sh` can drive the actual CLI binary
-//! over it and compare against the same golden report.
+//! over it and compare against the same golden report. Beyond the demo
+//! image, `static_report_digests.txt` pins a digest of the static report
+//! of every corpus program and payload image, so a refactor of the static
+//! layer that must not change its output is checked on the whole corpus.
 //!
-//! Regenerate both fixtures after an intentional format change with:
+//! Regenerate the fixtures after an intentional format change with:
 //!
 //! ```sh
 //! FAROS_REGEN_GOLDEN=1 cargo test --test analyze_cli
 //! ```
 
 use faros_repro::analyze::{FindingKind, SinkKind, SourceKind, StaticReport};
+use faros_repro::corpus::{attacks, sample_registry};
 use faros_repro::emu::asm::Asm;
 use faros_repro::emu::isa::{Mem, Reg};
 use faros_repro::emu::Perms;
 use faros_repro::kernel::module::Section;
 use faros_repro::kernel::nt::Sysno;
 use faros_repro::kernel::FdlImage;
+use faros_repro::replay::Scenario;
+use std::collections::BTreeSet;
 use std::path::{Path, PathBuf};
 
 const BASE: u32 = 0x40_0000;
@@ -127,4 +133,55 @@ fn checked_in_fdl_parses_and_reanalyzes_to_the_golden_report() {
     let json = StaticReport::build("analyze_demo.fdl", &image).to_json().unwrap();
     let expected = std::fs::read_to_string(fixture_path("analyze_demo_report.json")).unwrap();
     assert_eq!(json, expected);
+}
+
+/// 64-bit FNV-1a of `bytes`.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes
+        .iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3))
+}
+
+#[test]
+fn every_corpus_static_report_is_pinned_by_digest() {
+    // One line per image: the sample (or payload) name, the image path,
+    // and the FNV-1a digest of its static report JSON. The report carries
+    // the findings, resolved sites, flow map, CFI model, capability report
+    // and the dataflow cost counters, so any change to what the static
+    // layer derives, or to how much work it does, moves a digest.
+    let mut images: Vec<(String, String, FdlImage)> = Vec::new();
+    for sample in sample_registry() {
+        for (path, image) in sample.scenario.programs() {
+            images.push((sample.name().to_string(), path.clone(), image.clone()));
+        }
+    }
+    for (name, image) in attacks::payload_images() {
+        images.push((name.clone(), name, image));
+    }
+    let mut actual = String::new();
+    for (owner, path, image) in &images {
+        let json = StaticReport::build(path, image).to_json().unwrap();
+        actual += &format!("{owner} {path} {:016x}\n", fnv1a64(json.as_bytes()));
+    }
+    let name = "static_report_digests.txt";
+    if std::env::var("FAROS_REGEN_GOLDEN").is_ok() {
+        check_golden_bytes(name, actual.as_bytes());
+        return;
+    }
+    let expected = std::fs::read_to_string(fixture_path(name)).unwrap_or_else(|e| {
+        panic!("missing fixture {name} ({e}); regenerate with FAROS_REGEN_GOLDEN=1")
+    });
+    let want: BTreeSet<&str> = expected.lines().collect();
+    let got: BTreeSet<&str> = actual.lines().collect();
+    let moved: BTreeSet<&str> = want
+        .symmetric_difference(&got)
+        .map(|&line| line.rsplit_once(' ').map_or(line, |(image, _)| image))
+        .collect();
+    assert!(
+        moved.is_empty(),
+        "static report digests moved for {} image(s): {moved:?}; if the report change is \
+         intentional, regenerate with FAROS_REGEN_GOLDEN=1 and review the diff",
+        moved.len()
+    );
+    assert_eq!(actual, expected, "{name}: image order or line format changed");
 }

@@ -379,6 +379,17 @@ impl ModuleCfg {
         }
     }
 
+    /// The resolved targets of the indirect site at `va` when every one of
+    /// them starts an in-image block; `None` when the site is unresolved or
+    /// may transfer to code outside the image (a JIT buffer, another
+    /// module), whose behavior the model cannot see.
+    pub fn resolved_in_image(&self, va: u32) -> Option<&[u32]> {
+        self.resolved_targets
+            .get(&va)
+            .filter(|ts| ts.iter().all(|t| self.blocks.contains_key(t)))
+            .map(Vec::as_slice)
+    }
+
     /// Returns `true` if `va` is the start of a statically recovered
     /// instruction (descent or sweep) — the coverage cross-check's
     /// definition of "statically charted".

@@ -8,13 +8,19 @@
 //!    edges are spliced back into the [`ModuleCfg`]
 //!    ([`ModuleCfg::splice_resolved`]), and the analysis repeats — newly
 //!    reachable code may contain further sites — until nothing changes.
-//! 2. **Taint summaries** — a second lock-step pass computes, per
+//! 2. **Taint summaries** — a second pass, the same block worklist
+//!    (`vsa::solve`) over value and taint state together, computes, per
 //!    function, which syscall *sources* (`NtSocketRecv`, `NtReadFile`,
 //!    `NtReadVirtualMemory`) can reach which *sinks* (output syscalls,
-//!    indirect call-outs through tainted registers). Summaries compose
-//!    over the static call graph into an inter-procedural
-//!    [`ImageFlowMap`]: the source→sink flows the image can exhibit *per
-//!    the model*, plus the set of instructions tainted data can reach.
+//!    indirect call-outs through tainted registers). Source masks compose
+//!    over the static call graph through the same summary fixpoint the
+//!    capability analysis uses ([`crate::syscap::summarize`]) into an
+//!    inter-procedural [`ImageFlowMap`]: the source→sink flows the image
+//!    can exhibit *per the model*, plus the set of instructions tainted
+//!    data can reach.
+//!
+//! Resolved target sets are kept only on the CFG
+//! ([`ModuleCfg::resolved_targets`]); every pass reads them there.
 //!
 //! [`taint_cross_check_with_stats`] is the dynamic half, mirroring the coverage
 //! cross-check: each dynamic taint alert is classified *statically
@@ -33,7 +39,8 @@
 
 use crate::cfg::ModuleCfg;
 use crate::model::ProcessTable;
-use crate::vsa::{self, AVal, FunctionVsa, State};
+use crate::syscap::summarize;
+use crate::vsa::{self, AVal, BlockState, FunctionVsa, State};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_emu::mmu::{Perms, KERNEL_BASE};
 use faros_kernel::module::FdlImage;
@@ -43,7 +50,7 @@ use faros_obs::metrics::MetricsRegistry;
 use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
 use faros_replay::ProcessBlocks;
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 /// A syscall input source — where external bytes enter the process.
@@ -396,7 +403,6 @@ pub(crate) fn function_entries(cfg: &ModuleCfg, image: &FdlImage) -> BTreeSet<u3
 pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
     let mut cfg = ModuleCfg::recover(name, image);
     let mut stats = DataflowStats::default();
-    let mut resolved: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
     let mut vsas: BTreeMap<u32, FunctionVsa> = BTreeMap::new();
 
     // Resolution fixpoint: analyze, resolve, splice, repeat.
@@ -404,7 +410,7 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
         let entries = function_entries(&cfg, image);
         vsas.clear();
         for &e in &entries {
-            let f = vsa::analyze_function(image, &cfg, e, &resolved);
+            let f = vsa::analyze_function(image, &cfg, e);
             stats.worklist_iterations += f.iterations;
             stats.widenings += f.widenings;
             stats.functions_analyzed += 1;
@@ -413,7 +419,7 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
         let mut newly: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
         for f in vsas.values() {
             for (&site, regs) in &f.site_regs {
-                if resolved.contains_key(&site) || newly.contains_key(&site) {
+                if cfg.resolved_targets.contains_key(&site) || newly.contains_key(&site) {
                     continue;
                 }
                 let target = match cfg.instr_at(site) {
@@ -431,14 +437,13 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
             break;
         }
         cfg.splice_resolved(&newly);
-        resolved.extend(newly);
     }
 
     for site in &cfg.indirect_sites {
         if !site.reachable {
             continue;
         }
-        if resolved.contains_key(&site.va) {
+        if cfg.resolved_targets.contains_key(&site.va) {
             stats.indirects_resolved += 1;
         } else {
             stats.indirects_unresolved += 1;
@@ -465,19 +470,15 @@ pub fn analyze_image(name: &str, image: &FdlImage) -> ImageDataflow {
         }
     }
     let call_graph: BTreeMap<u32, BTreeSet<u32>> =
-        vsas.iter().map(|(&e, f)| (e, callees_of(&cfg, f, &resolved))).collect();
+        vsas.iter().map(|(&e, f)| (e, callees_of(&cfg, f))).collect();
     let roots = roots(&cfg, image);
-    let flows = taint_phases(name, image, &cfg, &vsas, &call_graph, &resolved, &mut stats);
+    let flows = taint_phases(name, image, &cfg, &vsas, &call_graph, &mut stats);
     ImageDataflow { cfg, flows, syscall_sites, call_graph, roots, stats }
 }
 
 /// Direct and resolved-indirect callees of the function `f`, derived from
 /// the blocks its intra-procedural walk visited.
-fn callees_of(
-    cfg: &ModuleCfg,
-    f: &FunctionVsa,
-    resolved: &BTreeMap<u32, Vec<u32>>,
-) -> BTreeSet<u32> {
+fn callees_of(cfg: &ModuleCfg, f: &FunctionVsa) -> BTreeSet<u32> {
     let mut out = BTreeSet::new();
     for bva in &f.blocks {
         let Some(block) = cfg.blocks.get(bva) else { continue };
@@ -490,7 +491,7 @@ fn callees_of(
                 }
             }
             Instr::CallReg { .. } => {
-                if let Some(ts) = resolved.get(&va) {
+                if let Some(ts) = cfg.resolved_targets.get(&va) {
                     out.extend(ts.iter().copied().filter(|t| cfg.blocks.contains_key(t)));
                 }
             }
@@ -503,7 +504,7 @@ fn callees_of(
 /// The source bits a function can trigger *without* its in-image callees:
 /// its own syscall sources, plus `ALL_SOURCES` for any call into unknown
 /// code (unresolved indirects, or resolved targets outside the image).
-fn local_source_mask(cfg: &ModuleCfg, f: &FunctionVsa, resolved: &BTreeMap<u32, Vec<u32>>) -> u8 {
+fn local_source_mask(cfg: &ModuleCfg, f: &FunctionVsa) -> u8 {
     let mut mask = 0u8;
     for (&va, regs) in &f.site_regs {
         match cfg.instr_at(va) {
@@ -516,12 +517,13 @@ fn local_source_mask(cfg: &ModuleCfg, f: &FunctionVsa, resolved: &BTreeMap<u32, 
                 // Unknown service number: could be any input syscall.
                 None => mask |= ALL_SOURCES,
             },
-            Some(Instr::CallReg { .. }) | Some(Instr::JmpReg { .. }) => match resolved.get(&va) {
-                Some(ts) if ts.iter().all(|&t| cfg.blocks.contains_key(&t)) => {}
-                // Unresolved, or a target outside the image (JIT buffer,
-                // another module): the callee's behavior is unknown.
-                _ => mask |= ALL_SOURCES,
-            },
+            // Unresolved, or a target outside the image (JIT buffer,
+            // another module): the callee's behavior is unknown.
+            Some(Instr::CallReg { .. }) | Some(Instr::JmpReg { .. })
+                if cfg.resolved_in_image(va).is_none() =>
+            {
+                mask |= ALL_SOURCES
+            }
             _ => {}
         }
     }
@@ -638,12 +640,21 @@ fn taint_store(vstate: &State, t: &mut TaintState, mem: &Mem, width: Width, v: u
     }
 }
 
-/// The lock-step VSA + taint pass over one function.
+impl BlockState for (State, TaintState) {
+    fn join_from(&mut self, other: &Self, widen: bool, widenings: &mut u64) -> bool {
+        let vc = self.0.join_from(&other.0, widen, widenings);
+        let tc = self.1.join_from(&other.1);
+        vc || tc
+    }
+}
+
+/// The taint pass over one function: the block worklist (`vsa::solve`)
+/// runs over `(State, TaintState)`, so each instruction's taint transfer
+/// reads the value view of the same program point.
 fn taint_function(
     image: &FdlImage,
     cfg: &ModuleCfg,
     entry: u32,
-    resolved: &BTreeMap<u32, Vec<u32>>,
     introduces: &BTreeMap<u32, u8>,
     stats: &mut DataflowStats,
 ) -> FnTaint {
@@ -653,30 +664,20 @@ fn taint_function(
     }
     stats.functions_analyzed += 1;
 
-    const WIDEN_AFTER_JOINS: u32 = 3;
-    let mut in_states: BTreeMap<u32, (State, TaintState)> = BTreeMap::new();
-    let mut join_counts: BTreeMap<u32, u32> = BTreeMap::new();
-    in_states.insert(entry, (State::entry(), TaintState::entry()));
-    let mut work: VecDeque<u32> = VecDeque::from([entry]);
-    let mut queued: BTreeSet<u32> = BTreeSet::from([entry]);
-
     // The contribution an in-image callee makes to the memory bucket.
-    let callee_mask = |va: u32, stats: &mut DataflowStats| -> u8 {
+    let mut cache_hits = 0;
+    let mut callee_mask = |va: u32| -> u8 {
         match introduces.get(&va) {
             Some(&m) => {
-                stats.summary_cache_hits += 1;
+                cache_hits += 1;
                 m
             }
             None => ALL_SOURCES,
         }
     };
 
-    while let Some(bva) = work.pop_front() {
-        queued.remove(&bva);
-        stats.worklist_iterations += 1;
-        let Some(block) = cfg.blocks.get(&bva) else { continue };
-        let Some((mut vstate, mut t)) = in_states.get(&bva).cloned() else { continue };
-
+    let init = (State::entry(), TaintState::entry());
+    let (iterations, widenings) = vsa::solve(image, cfg, entry, init, |block, (vstate, t)| {
         for &(va, instr) in &block.instrs {
             // The taint an executing instruction is exposed to: every
             // register it reads (esp is a pointer, not data) plus any
@@ -694,13 +695,13 @@ fn taint_function(
                 Instr::Load { dst, mem, width } => {
                     let pt: u8 =
                         mem.regs_used().map(|r| t.regs[r.index()]).fold(0, |a, b| a | b);
-                    let lv = taint_load(image, &vstate, &t, &mem, width);
+                    let lv = taint_load(image, vstate, t, &mem, width);
                     used |= lv;
                     t.regs[dst.index()] = lv | pt;
                 }
                 Instr::Store { mem, src, width } => {
                     let v = t.regs[src.index()];
-                    taint_store(&vstate, &mut t, &mem, width, v);
+                    taint_store(vstate, t, &mem, width, v);
                 }
                 Instr::Lea { dst, mem } => {
                     t.regs[dst.index()] =
@@ -741,7 +742,7 @@ fn taint_function(
                 Instr::Call { rel } => {
                     let callee = block.end.wrapping_add(rel as u32);
                     let c = if cfg.blocks.contains_key(&callee) {
-                        callee_mask(callee, stats)
+                        callee_mask(callee)
                     } else {
                         ALL_SOURCES
                     };
@@ -756,12 +757,9 @@ fn taint_function(
                     if tt != 0 {
                         out.sinks.push((va, SinkKind::IndirectCall, tt));
                     }
-                    let c = match resolved.get(&va) {
-                        Some(ts) if ts.iter().all(|x| cfg.blocks.contains_key(x)) => ts
-                            .iter()
-                            .map(|x| callee_mask(*x, stats))
-                            .fold(0, |a, b| a | b),
-                        _ => ALL_SOURCES,
+                    let c = match cfg.resolved_in_image(va) {
+                        Some(ts) => ts.iter().map(|&x| callee_mask(x)).fold(0, |a, b| a | b),
+                        None => ALL_SOURCES,
                     };
                     t.mem |= c;
                     let u = t.unknown();
@@ -811,32 +809,12 @@ fn taint_function(
             if used != 0 {
                 *out.reach.entry(va).or_insert(0) |= used;
             }
-            vsa::step(image, &mut vstate, &instr);
+            vsa::step(image, vstate, &instr);
         }
-
-        for succ in vsa::intra_succs(cfg, image, bva, resolved) {
-            if !cfg.blocks.contains_key(&succ) {
-                continue;
-            }
-            let joins = join_counts.entry(succ).or_insert(0);
-            *joins += 1;
-            let widen = *joins > WIDEN_AFTER_JOINS;
-            let changed = match in_states.get_mut(&succ) {
-                Some((v, tt)) => {
-                    let vc = v.join_from(&vstate, widen, &mut stats.widenings);
-                    let tc = tt.join_from(&t);
-                    vc || tc
-                }
-                None => {
-                    in_states.insert(succ, (vstate.clone(), t.clone()));
-                    true
-                }
-            };
-            if changed && queued.insert(succ) {
-                work.push_back(succ);
-            }
-        }
-    }
+    });
+    stats.worklist_iterations += iterations;
+    stats.widenings += widenings;
+    stats.summary_cache_hits += cache_hits;
     out
 }
 
@@ -859,36 +837,18 @@ fn taint_phases(
     cfg: &ModuleCfg,
     vsas: &BTreeMap<u32, FunctionVsa>,
     callee_sets: &BTreeMap<u32, BTreeSet<u32>>,
-    resolved: &BTreeMap<u32, Vec<u32>>,
     stats: &mut DataflowStats,
 ) -> ImageFlowMap {
     // Phase A: which source bits each function (with its callees) can
-    // trigger — a fixpoint over the static call graph.
-    let mut introduces: BTreeMap<u32, u8> = vsas
-        .iter()
-        .map(|(&e, f)| (e, local_source_mask(cfg, f, resolved)))
-        .collect();
-    loop {
-        let mut changed = false;
-        for (&e, callees) in callee_sets {
-            let mut m = introduces[&e];
-            for c in callees {
-                m |= introduces.get(c).copied().unwrap_or(ALL_SOURCES);
-            }
-            if m != introduces[&e] {
-                introduces.insert(e, m);
-                changed = true;
-            }
-        }
-        if !changed {
-            break;
-        }
-    }
+    // trigger — the call-graph summary of the local source masks.
+    let local: BTreeMap<u32, u8> =
+        vsas.iter().map(|(&e, f)| (e, local_source_mask(cfg, f))).collect();
+    let introduces = summarize(&local, callee_sets, ALL_SOURCES, |a, b| a | b);
 
     // Phase B: per-function taint facts (AMBIENT still symbolic).
     let taints: BTreeMap<u32, FnTaint> = vsas
         .keys()
-        .map(|&e| (e, taint_function(image, cfg, e, resolved, &introduces, stats)))
+        .map(|&e| (e, taint_function(image, cfg, e, &introduces, stats)))
         .collect();
 
     // Phase C: resolve each function's ambient mask. The process entry

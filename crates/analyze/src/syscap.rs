@@ -16,8 +16,8 @@
 //!   target-handle provenance) are lifted into the capability lattice
 //!   ([`CapSet`], join = union) via [`caps_of_syscall`].
 //! * **Phase B** — per-function capability summaries compose over the
-//!   static call graph to a fixpoint ([`summarize`]): a function holds
-//!   every capability of its callees.
+//!   static call graph to a fixpoint ([`summarize`], the summary the taint
+//!   phases also use): a function holds every capability of its callees.
 //! * **Phase C** — witness extraction: for each image capability, the
 //!   shortest call path from an externally reachable root (entry or
 //!   export) to a function exercising it, plus the rendered abstract
@@ -198,21 +198,27 @@ fn relevant_args(cap: Capability) -> &'static [(usize, &'static str)] {
 // Phase B: summary composition
 // ---------------------------------------------------------------------
 
-/// Composes per-function local capability sets over the static call graph
-/// to a fixpoint: a function's summary is its local set joined with every
-/// callee's summary. Monotone in `local` (pinned by the property tests),
-/// and terminating because the lattice is finite.
-pub fn summarize(
-    local: &BTreeMap<u32, CapSet>,
+/// Composes per-function local values over the static call graph to a
+/// fixpoint: a function's summary is its local value joined with every
+/// callee's summary, and a callee with no summary of its own contributes
+/// `unknown`. `join` is the value lattice's least upper bound and
+/// `T::default()` its bottom. The capability analysis summarizes
+/// [`CapSet`]s (`unknown` = [`CapSet::EMPTY`]); the taint phases summarize
+/// source masks the same way. Monotone in `local` (pinned by the property
+/// tests), and terminating because both lattices are finite.
+pub fn summarize<T: Copy + Eq + Default>(
+    local: &BTreeMap<u32, T>,
     call_graph: &BTreeMap<u32, BTreeSet<u32>>,
-) -> BTreeMap<u32, CapSet> {
-    let mut summary: BTreeMap<u32, CapSet> = local.clone();
+    unknown: T,
+    join: impl Fn(T, T) -> T,
+) -> BTreeMap<u32, T> {
+    let mut summary: BTreeMap<u32, T> = local.clone();
     loop {
         let mut changed = false;
         for (&f, callees) in call_graph {
-            let mut s = summary.get(&f).copied().unwrap_or(CapSet::EMPTY);
+            let mut s = summary.get(&f).copied().unwrap_or_default();
             for c in callees {
-                s = s.union(summary.get(c).copied().unwrap_or(CapSet::EMPTY));
+                s = join(s, summary.get(c).copied().unwrap_or(unknown));
             }
             if Some(s) != summary.get(&f).copied() {
                 summary.insert(f, s);
@@ -421,12 +427,8 @@ impl FromJson for CapabilityReport {
 /// a reachable direct call to an address the CFG has no block for?
 fn calls_unknown_code(cfg: &ModuleCfg) -> bool {
     for site in &cfg.indirect_sites {
-        if !site.reachable {
-            continue;
-        }
-        match cfg.resolved_targets.get(&site.va) {
-            Some(ts) if ts.iter().all(|t| cfg.blocks.contains_key(t)) => {}
-            _ => return true,
+        if site.reachable && cfg.resolved_in_image(site.va).is_none() {
+            return true;
         }
     }
     for b in cfg.blocks.values() {
@@ -476,7 +478,7 @@ pub fn capability_report(df: &ImageDataflow) -> CapabilityReport {
 
     // Phase B: summaries over the call graph (kept for the check's image
     // capability set = the roots' summaries).
-    let summary = summarize(&local, &df.call_graph);
+    let summary = summarize(&local, &df.call_graph, CapSet::EMPTY, CapSet::union);
 
     // Phase C: breadth-first over the call graph from the externally
     // reachable roots, recording parent pointers for witness paths.

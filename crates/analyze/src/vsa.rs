@@ -13,9 +13,19 @@
 //! ([`crate::dataflow`]) only needs the value sets of registers at three
 //! kinds of program points: indirect call/jump sites (target resolution),
 //! syscall gates (`eax` carries the service number, `ebx ecx edx esi edi`
-//! the arguments), and nothing else. Soundness of the resolved target sets
-//! is checked *differentially* against replay-observed targets by the
-//! corpus property test, which is the arbiter the design trusts.
+//! the arguments), and, for the taint pass, the addresses of loads and
+//! stores. Soundness of the resolved target sets is checked
+//! *differentially* against replay-observed targets by the corpus
+//! property test, which is the arbiter the design trusts.
+//!
+//! The block worklist (`solve`) is the static layer's one
+//! intra-procedural fixpoint engine: generic over the per-block state, it
+//! owns the queue, the join counts and the widening rule.
+//! [`analyze_function`] runs it over [`State`]; the taint pass in
+//! [`crate::dataflow`] runs it over a `(State, taint state)` pair and
+//! supplies only its taint transfer, calling [`step`] to keep the value
+//! view in step. Resolved indirect-jump targets are read from the CFG
+//! ([`ModuleCfg::resolved_targets`]), the one place they are kept.
 //!
 //! Model assumptions, stated once and tested empirically:
 //!
@@ -32,6 +42,7 @@
 //!   jump-table case); every other load is `Top` unless it hits a tracked
 //!   stack slot.
 
+use crate::cfg::{BasicBlock, ModuleCfg};
 use faros_emu::isa::{AluOp, Instr, Mem, Operand, Reg, Width, NUM_REGS};
 use faros_kernel::module::FdlImage;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -276,10 +287,6 @@ impl State {
         State { regs, stack: BTreeMap::new() }
     }
 
-    fn bottom() -> State {
-        State { regs: [AVal::Bot; NUM_REGS], stack: BTreeMap::new() }
-    }
-
     /// Reads a register.
     pub fn reg(&self, r: Reg) -> AVal {
         self.regs[r.index()]
@@ -300,52 +307,6 @@ impl State {
             v = self.reg(base).add_val(&v);
         }
         v
-    }
-
-    /// Joins `other` into `self`; returns `true` if `self` changed. When
-    /// `widen` is set, any strided interval that would keep growing is
-    /// widened straight to `Top`; the number of widened values is added to
-    /// `widenings`.
-    pub fn join_from(&mut self, other: &State, widen: bool, widenings: &mut u64) -> bool {
-        let mut changed = false;
-        for i in 0..NUM_REGS {
-            let j = self.regs[i].join(&other.regs[i]);
-            if j != self.regs[i] {
-                self.regs[i] = if widen && matches!(j, AVal::Si(_)) {
-                    *widenings += 1;
-                    AVal::Top
-                } else {
-                    j
-                };
-                changed = true;
-            }
-        }
-        // A slot missing on either side is Top, so the join keeps only
-        // slots present (and equal-or-joined) in both.
-        let keys: Vec<i32> = self.stack.keys().copied().collect();
-        for k in keys {
-            match other.stack.get(&k) {
-                Some(ov) => {
-                    let j = self.stack[&k].join(ov);
-                    if j != self.stack[&k] {
-                        if j == AVal::Top {
-                            self.stack.remove(&k);
-                        } else if widen && matches!(j, AVal::Si(_)) {
-                            *widenings += 1;
-                            self.stack.remove(&k);
-                        } else {
-                            self.stack.insert(k, j);
-                        }
-                        changed = true;
-                    }
-                }
-                None => {
-                    self.stack.remove(&k);
-                    changed = true;
-                }
-            }
-        }
-        changed
     }
 
     fn havoc_stack(&mut self) {
@@ -432,10 +393,10 @@ fn store(state: &mut State, mem: &Mem, width: Width, val: AVal) {
     }
 }
 
-/// Applies one instruction to `state`. `resolved` maps already-resolved
-/// indirect sites to their target sets (used only for control flow, which
-/// the caller handles); data effects are computed here.
-fn transfer(image: &FdlImage, state: &mut State, instr: &Instr) {
+/// Applies one instruction's data effects to `state`; control flow is the
+/// block worklist's business (`solve`). [`crate::dataflow`]'s taint pass
+/// calls it too, to keep the value view its own transfer reads in step.
+pub fn step(image: &FdlImage, state: &mut State, instr: &Instr) {
     match *instr {
         Instr::MovRR { dst, src } => {
             let v = state.reg(src);
@@ -501,13 +462,6 @@ fn transfer(image: &FdlImage, state: &mut State, instr: &Instr) {
     }
 }
 
-/// Applies one instruction's data effects to `state` — the public face of
-/// the transfer function, so [`crate::dataflow`]'s taint pass can run the
-/// value analysis in lock-step with its own.
-pub fn step(image: &FdlImage, state: &mut State, instr: &Instr) {
-    transfer(image, state, instr);
-}
-
 /// The result of analyzing one function.
 #[derive(Debug, Clone, Default)]
 pub struct FunctionVsa {
@@ -522,22 +476,17 @@ pub struct FunctionVsa {
     pub widenings: u64,
 }
 
-/// Intra-procedural successors of the block starting at `start`:
-/// direct-call fall-through only (the callee is a different function),
-/// resolved indirect-jump targets inside the image.
-pub(crate) fn intra_succs(
-    cfg: &crate::cfg::ModuleCfg,
-    image: &FdlImage,
-    start: u32,
-    resolved: &BTreeMap<u32, Vec<u32>>,
-) -> Vec<u32> {
-    let Some(block) = cfg.blocks.get(&start) else { return Vec::new() };
+/// Intra-procedural successors of `block`: direct-call fall-through only
+/// (the callee is a different function), resolved indirect-jump targets
+/// inside the image.
+fn intra_succs(cfg: &ModuleCfg, image: &FdlImage, block: &BasicBlock) -> Vec<u32> {
     let Some(&(last_va, last)) = block.instrs.last() else { return Vec::new() };
     match last {
         // The callee is analyzed separately; state flows to the return
         // point with call havoc applied.
         Instr::Call { .. } | Instr::CallReg { .. } | Instr::Int { .. } => vec![block.end],
-        Instr::JmpReg { .. } => resolved
+        Instr::JmpReg { .. } => cfg
+            .resolved_targets
             .get(&last_va)
             .map(|ts| {
                 ts.iter()
@@ -550,42 +499,90 @@ pub(crate) fn intra_succs(
     }
 }
 
-/// Runs the VSA fixpoint over the function entered at `entry`.
-pub fn analyze_function(
-    image: &FdlImage,
-    cfg: &crate::cfg::ModuleCfg,
-    entry: u32,
-    resolved: &BTreeMap<u32, Vec<u32>>,
-) -> FunctionVsa {
-    let mut out = FunctionVsa::default();
-    if !cfg.blocks.contains_key(&entry) {
-        return out;
-    }
+/// A per-block abstract state [`solve`] can run to a fixpoint.
+pub(crate) trait BlockState: Clone {
+    /// Joins `other` into `self`; returns `true` if `self` changed. When
+    /// `widen` is set, values that would keep growing are widened, and
+    /// their number is added to `widenings`.
+    fn join_from(&mut self, other: &Self, widen: bool, widenings: &mut u64) -> bool;
+}
 
-    let mut in_states: BTreeMap<u32, State> = BTreeMap::new();
+impl BlockState for State {
+    /// Any strided interval that would keep growing under `widen` goes
+    /// straight to `Top`.
+    fn join_from(&mut self, other: &State, widen: bool, widenings: &mut u64) -> bool {
+        let mut changed = false;
+        for i in 0..NUM_REGS {
+            let j = self.regs[i].join(&other.regs[i]);
+            if j != self.regs[i] {
+                self.regs[i] = if widen && matches!(j, AVal::Si(_)) {
+                    *widenings += 1;
+                    AVal::Top
+                } else {
+                    j
+                };
+                changed = true;
+            }
+        }
+        // A slot missing on either side is Top, so the join keeps only
+        // slots present (and equal-or-joined) in both.
+        let keys: Vec<i32> = self.stack.keys().copied().collect();
+        for k in keys {
+            match other.stack.get(&k) {
+                Some(ov) => {
+                    let j = self.stack[&k].join(ov);
+                    if j != self.stack[&k] {
+                        if j == AVal::Top {
+                            self.stack.remove(&k);
+                        } else if widen && matches!(j, AVal::Si(_)) {
+                            *widenings += 1;
+                            self.stack.remove(&k);
+                        } else {
+                            self.stack.insert(k, j);
+                        }
+                        changed = true;
+                    }
+                }
+                None => {
+                    self.stack.remove(&k);
+                    changed = true;
+                }
+            }
+        }
+        changed
+    }
+}
+
+/// The intra-procedural block worklist every static pass runs: starting
+/// from `init` at `entry`, `visit` applies a block's instructions to a
+/// copy of the block's in-state, and the out-state is joined into each
+/// intra-procedural successor (widened after [`WIDEN_AFTER_JOINS`] joins)
+/// until no in-state changes. Returns `(iterations, widenings)`: blocks
+/// processed, revisits included, and values widened.
+pub(crate) fn solve<S: BlockState>(
+    image: &FdlImage,
+    cfg: &ModuleCfg,
+    entry: u32,
+    init: S,
+    mut visit: impl FnMut(&BasicBlock, &mut S),
+) -> (u64, u64) {
+    let (mut iterations, mut widenings) = (0, 0);
+    if !cfg.blocks.contains_key(&entry) {
+        return (iterations, widenings);
+    }
+    let mut in_states: BTreeMap<u32, S> = BTreeMap::from([(entry, init)]);
     let mut join_counts: BTreeMap<u32, u32> = BTreeMap::new();
-    in_states.insert(entry, State::entry());
-    let mut work: VecDeque<u32> = VecDeque::new();
-    work.push_back(entry);
-    let mut queued: BTreeSet<u32> = BTreeSet::new();
-    queued.insert(entry);
+    let mut work: VecDeque<u32> = VecDeque::from([entry]);
+    let mut queued: BTreeSet<u32> = BTreeSet::from([entry]);
 
     while let Some(bva) = work.pop_front() {
         queued.remove(&bva);
-        out.iterations += 1;
-        out.blocks.insert(bva);
-        let Some(block) = cfg.blocks.get(&bva) else { continue };
-        let mut state = in_states.get(&bva).cloned().unwrap_or_else(State::bottom);
-        for (va, instr) in &block.instrs {
-            if matches!(
-                instr,
-                Instr::CallReg { .. } | Instr::JmpReg { .. } | Instr::Int { .. }
-            ) {
-                out.site_regs.insert(*va, state.regs);
-            }
-            transfer(image, &mut state, instr);
-        }
-        for succ in intra_succs(cfg, image, bva, resolved) {
+        iterations += 1;
+        // Only blocks of the CFG are queued, each with an in-state.
+        let block = &cfg.blocks[&bva];
+        let mut state = in_states[&bva].clone();
+        visit(block, &mut state);
+        for succ in intra_succs(cfg, image, block) {
             if !cfg.blocks.contains_key(&succ) {
                 continue;
             }
@@ -593,7 +590,7 @@ pub fn analyze_function(
             *joins += 1;
             let widen = *joins > WIDEN_AFTER_JOINS;
             let changed = match in_states.get_mut(&succ) {
-                Some(existing) => existing.join_from(&state, widen, &mut out.widenings),
+                Some(existing) => existing.join_from(&state, widen, &mut widenings),
                 None => {
                     in_states.insert(succ, state.clone());
                     true
@@ -604,13 +601,29 @@ pub fn analyze_function(
             }
         }
     }
+    (iterations, widenings)
+}
+
+/// Runs the VSA fixpoint over the function entered at `entry`.
+pub fn analyze_function(image: &FdlImage, cfg: &ModuleCfg, entry: u32) -> FunctionVsa {
+    let mut out = FunctionVsa::default();
+    let (iterations, widenings) = solve(image, cfg, entry, State::entry(), |block, state| {
+        out.blocks.insert(block.start);
+        for (va, instr) in &block.instrs {
+            if matches!(instr, Instr::CallReg { .. } | Instr::JmpReg { .. } | Instr::Int { .. }) {
+                out.site_regs.insert(*va, state.regs);
+            }
+            step(image, state, instr);
+        }
+    });
+    out.iterations = iterations;
+    out.widenings = widenings;
     out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cfg::ModuleCfg;
     use faros_emu::asm::Asm;
     use faros_emu::mmu::Perms;
     use faros_kernel::module::Section;
@@ -632,7 +645,7 @@ mod tests {
 
     fn reg_at_site(image: &FdlImage, site_reg: Reg) -> AVal {
         let cfg = ModuleCfg::recover("t", image);
-        let vsa = analyze_function(image, &cfg, image.entry, &BTreeMap::new());
+        let vsa = analyze_function(image, &cfg, image.entry);
         let (_, regs) = vsa.site_regs.iter().next().expect("one site");
         regs[site_reg.index()]
     }
@@ -674,7 +687,7 @@ mod tests {
         asm.hlt();
         let image = image_of(asm);
         let cfg = ModuleCfg::recover("t", &image);
-        let vsa = analyze_function(&image, &cfg, image.entry, &BTreeMap::new());
+        let vsa = analyze_function(&image, &cfg, image.entry);
         let sites: Vec<_> = vsa.site_regs.iter().collect();
         assert_eq!(sites.len(), 3); // int + two call_regs
         assert_eq!(sites[1].1[Reg::Ebp.index()].as_const(), Some(0x0100_2000));
@@ -690,7 +703,7 @@ mod tests {
         asm.hlt();
         let image = image_of(asm);
         let cfg = ModuleCfg::recover("t", &image);
-        let vsa = analyze_function(&image, &cfg, image.entry, &BTreeMap::new());
+        let vsa = analyze_function(&image, &cfg, image.entry);
         let (_, regs) = vsa.site_regs.iter().next().unwrap();
         assert_eq!(regs[Reg::Eax.index()].as_const(), Some(0x46));
         assert_eq!(regs[Reg::Ecx.index()].as_const(), Some(0x2000));
@@ -742,7 +755,7 @@ mod tests {
         asm.hlt();
         let image = image_of(asm);
         let cfg = ModuleCfg::recover("t", &image);
-        let vsa = analyze_function(&image, &cfg, image.entry, &BTreeMap::new());
+        let vsa = analyze_function(&image, &cfg, image.entry);
         assert!(vsa.widenings > 0, "the loop must trigger widening");
         // The constant after the loop is still precise.
         let (_, regs) = vsa.site_regs.iter().next().unwrap();

@@ -12,8 +12,11 @@
 //!   join must be a sound upper bound and the widening rule must cut
 //!   every ascending chain after a bounded number of changes;
 //! * the interprocedural summaries — `summarize` must compute exactly
-//!   the reachable-local union (a least fixpoint) and be monotone:
-//!   growing a local capability set never shrinks any summary.
+//!   the reachable-local join (a least fixpoint), with every callee that
+//!   has no summary of its own contributing exactly the given unknown
+//!   value, and be monotone: growing a local value never shrinks any
+//!   summary. Both instantiations are checked, capability sets and the
+//!   taint phases' `u8` source masks.
 //!
 //! On top of the lattices, the abstract lifting `caps_of_syscall` must
 //! agree with the replay-side `concrete_capability` on singletons and be
@@ -252,67 +255,91 @@ fn lifting_is_monotone_in_its_arguments() {
     );
 }
 
-#[test]
-fn summaries_are_the_monotone_reachable_union() {
+/// Checks `summarize` over one value lattice: `lift` decodes a generated
+/// `u16` into a value, `join` is the lattice's least upper bound. Nodes
+/// `0..n` have local values and call-graph entries; callees `n..n + 3`
+/// have neither, so each must contribute exactly `unknown`.
+fn check_summaries<T: Copy + Eq + Default + std::fmt::Debug>(
+    label: &str,
+    lift: fn(u16) -> T,
+    join: fn(T, T) -> T,
+) {
     check(
-        "summary fixpoint + monotonicity",
+        label,
         Config::with_cases(128),
         |rng: &mut Rng| {
             let n = rng.range_usize(1, 8);
             let edges = rng.vec_of(0, 16, |r| {
-                (r.range_usize(0, n) as u8, r.range_usize(0, n) as u8)
+                (r.range_usize(0, n) as u8, r.range_usize(0, n + 3) as u8)
             });
             let locals = (0..n).map(|_| rng.next_u32() as u16).collect::<Vec<u16>>();
             let grow = (rng.range_usize(0, n) as u8, rng.next_u32() as u16);
-            (n as u8, edges, locals, grow)
+            (n as u8, edges, locals, grow, rng.next_u32() as u16)
         },
-        |(n, edges, locals, grow)| {
+        |(n, edges, locals, grow, unknown)| {
             let n = u32::from(*n);
+            let unknown = lift(*unknown);
+            let below = |a: T, b: T| join(a, b) == b;
             let mut graph: BTreeMap<u32, BTreeSet<u32>> = (0..n).map(|f| (f, BTreeSet::new())).collect();
             for &(a, b) in edges {
                 graph.get_mut(&u32::from(a)).unwrap().insert(u32::from(b));
             }
-            let local: BTreeMap<u32, CapSet> =
-                locals.iter().enumerate().map(|(f, &m)| (f as u32, capset(m))).collect();
-            let summary = summarize(&local, &graph);
+            let local: BTreeMap<u32, T> =
+                locals.iter().enumerate().map(|(f, &m)| (f as u32, lift(m))).collect();
+            let summary = summarize(&local, &graph, unknown, join);
+            prop_assert_eq!(summary.len(), n as usize, "only local functions get summaries");
 
             for f in 0..n {
-                // Fixpoint: a summary absorbs the local set and every
-                // callee's summary.
-                prop_assert!(summary[&f].contains_all(local[&f]));
+                // Fixpoint: a summary absorbs the local value and every
+                // callee's summary, or `unknown` for a callee without one.
+                prop_assert!(below(local[&f], summary[&f]));
                 for g in &graph[&f] {
-                    prop_assert!(summary[&f].contains_all(summary[g]));
+                    let callee = summary.get(g).copied().unwrap_or(unknown);
+                    prop_assert!(below(callee, summary[&f]));
                 }
-                // Leastness: the summary is exactly the union of the
-                // local sets of the functions reachable from `f`.
+                // Leastness: the summary is exactly the join of the local
+                // values of the functions reachable from `f`, plus
+                // `unknown` once any callee outside `local` is reachable.
                 let mut seen = BTreeSet::from([f]);
                 let mut work = vec![f];
-                let mut expect = CapSet::EMPTY;
+                let mut expect = T::default();
                 while let Some(g) = work.pop() {
-                    expect = expect.union(local[&g]);
+                    let Some(&value) = local.get(&g) else {
+                        expect = join(expect, unknown);
+                        continue;
+                    };
+                    expect = join(expect, value);
                     for &h in &graph[&g] {
                         if seen.insert(h) {
                             work.push(h);
                         }
                     }
                 }
-                prop_assert_eq!(summary[&f], expect, "summary is not the reachable union");
+                prop_assert_eq!(summary[&f], expect, "summary is not the reachable join");
             }
 
-            // Monotonicity: growing one local set never shrinks any
+            // Monotonicity: growing one local value never shrinks any
             // summary.
             let (gf, gm) = *grow;
             let mut grown = local.clone();
             let slot = grown.get_mut(&u32::from(gf)).unwrap();
-            *slot = slot.union(capset(gm));
-            let regrown = summarize(&grown, &graph);
+            *slot = join(*slot, lift(gm));
+            let regrown = summarize(&grown, &graph, unknown, join);
             for f in 0..n {
                 prop_assert!(
-                    regrown[&f].contains_all(summary[&f]),
-                    "growing a local set shrank the summary of {f}"
+                    below(summary[&f], regrown[&f]),
+                    "growing a local value shrank the summary of {f}"
                 );
             }
             Ok(())
         },
     );
+}
+
+#[test]
+fn summaries_are_the_monotone_reachable_union() {
+    // The capability summary: `CapSet` under union.
+    check_summaries("capability summary fixpoint + monotonicity", capset, CapSet::union);
+    // The taint phases' source-mask summary: `u8` bitmasks under `|`.
+    check_summaries("source-mask summary fixpoint + monotonicity", |m| m as u8, |a, b| a | b);
 }

@@ -133,7 +133,9 @@ pub struct Faros {
     current_cr3: u32,
     detections: Vec<Detection>,
     whitelisted: Vec<Detection>,
-    seen_insns: HashSet<u32>,
+    /// `(CR3, instruction VA)` pairs already flagged: one detection per
+    /// flagged instruction per process.
+    seen_insns: HashSet<(u32, u32)>,
     /// `(CR3, site VA)` pairs whose indirect-transfer target was read
     /// from netflow-tainted data — the taint-fusion input to the CFI
     /// cross-check, recorded independently of the Minos alert policy.
@@ -290,6 +292,34 @@ impl Faros {
         acc
     }
 
+    /// Records the detection `build` makes for the instruction at `vaddr`
+    /// of the current process, given that process's name, unless that
+    /// process already has one there: emits the `alert` trace instant
+    /// (`kind` is its label) and routes the detection to the whitelist or
+    /// the detections by the policy.
+    fn record_detection(
+        &mut self,
+        vaddr: u32,
+        kind: &str,
+        build: impl FnOnce(&Faros, String) -> Detection,
+    ) {
+        if !self.seen_insns.insert((self.current_cr3, vaddr)) {
+            return;
+        }
+        let detection = build(self, self.current_process_name());
+        self.emit(|now, pid, tid| {
+            TraceEvent::instant(now, pid, tid, TraceCategory::Taint, "alert")
+                .arg("kind", kind)
+                .arg("process", &detection.process)
+                .arg("insn_vaddr", format!("{:#010x}", detection.insn_vaddr))
+        });
+        if self.policy.is_whitelisted(&detection.process) {
+            self.whitelisted.push(detection);
+        } else {
+            self.detections.push(detection);
+        }
+    }
+
     fn current_process_name(&self) -> String {
         let tables = self.engine.tables();
         match tables.process_by_cr3(self.current_cr3).and_then(|t| tables.process(t)) {
@@ -425,34 +455,19 @@ impl CpuHooks for Faros {
             return;
         }
         self.engine.metrics_mut().inc(self.ctr.confluence_hits);
-        if !self.seen_insns.insert(ctx.vaddr) {
-            return;
-        }
-        let process = self.current_process_name();
-        let detection = Detection {
+        self.record_detection(ctx.vaddr, "export-table-read", |f, process| Detection {
             insn_vaddr: ctx.vaddr,
             insn: ctx.instr.to_string(),
             read_vaddr: _vaddr,
-            process: process.clone(),
-            cr3: self.current_cr3,
-            code_provenance: self.engine.display_list(code_prov),
-            target_provenance: self.engine.display_list(target_id),
-            tick: self.engine.metrics().get(self.ctr.instructions),
-            via_netflow: self.policy.trigger_netflow && has_netflow,
-            via_cross_process: self.policy.trigger_cross_process && cross_process,
+            process,
+            cr3: f.current_cr3,
+            code_provenance: f.engine.display_list(code_prov),
+            target_provenance: f.engine.display_list(target_id),
+            tick: f.engine.metrics().get(f.ctr.instructions),
+            via_netflow: f.policy.trigger_netflow && has_netflow,
+            via_cross_process: f.policy.trigger_cross_process && cross_process,
             kind: crate::report::DetectionKind::ExportTableRead,
-        };
-        self.emit(|now, pid, tid| {
-            TraceEvent::instant(now, pid, tid, TraceCategory::Taint, "alert")
-                .arg("kind", "export-table-read")
-                .arg("process", &detection.process)
-                .arg("insn_vaddr", format!("{:#010x}", detection.insn_vaddr))
         });
-        if self.policy.is_whitelisted(&process) {
-            self.whitelisted.push(detection);
-        } else {
-            self.detections.push(detection);
-        }
     }
 
     fn on_control(&mut self, ctx: &InsnCtx, target: u32, target_src: Option<ShadowLoc>) {
@@ -478,34 +493,19 @@ impl CpuHooks for Faros {
         if !self.policy.minos_tainted_pc {
             return;
         }
-        if !self.seen_insns.insert(ctx.vaddr) {
-            return;
-        }
-        let process = self.current_process_name();
-        let detection = Detection {
+        self.record_detection(ctx.vaddr, "tainted-control-transfer", |f, process| Detection {
             insn_vaddr: ctx.vaddr,
             insn: ctx.instr.to_string(),
             read_vaddr: target,
-            process: process.clone(),
-            cr3: self.current_cr3,
-            code_provenance: self.engine.display_list(prov),
+            process,
+            cr3: f.current_cr3,
+            code_provenance: f.engine.display_list(prov),
             target_provenance: format!("control transfer target {target:#010x}"),
-            tick: self.engine.metrics().get(self.ctr.instructions),
+            tick: f.engine.metrics().get(f.ctr.instructions),
             via_netflow: true,
             via_cross_process: false,
             kind: crate::report::DetectionKind::TaintedControlTransfer,
-        };
-        self.emit(|now, pid, tid| {
-            TraceEvent::instant(now, pid, tid, TraceCategory::Taint, "alert")
-                .arg("kind", "tainted-control-transfer")
-                .arg("process", &detection.process)
-                .arg("insn_vaddr", format!("{:#010x}", detection.insn_vaddr))
         });
-        if self.policy.is_whitelisted(&process) {
-            self.whitelisted.push(detection);
-        } else {
-            self.detections.push(detection);
-        }
     }
 }
 

@@ -208,6 +208,32 @@ fn confluence_fires_only_with_both_halves() {
 }
 
 #[test]
+fn two_processes_flagged_at_one_va_are_both_reported() {
+    // Every corpus program is linked at the same base, so two processes
+    // running injected code can trip the confluence at one VA. Each
+    // process gets its own detection; only a repeat within one process is
+    // deduplicated.
+    let mut faros = Faros::new(Policy::paper());
+    faros.process_created(&proc_info(1, 0x2000, "a.exe"));
+    faros.process_created(&proc_info(2, 0x3000, "b.exe"));
+    let (module, ranges) = fake_module(0x5000, &["VirtualAlloc"]);
+    faros.module_loaded(None, &module, &ranges);
+    let ptr_phys = 0x5000 + 4 + 28;
+    faros.net_rx(Pid(1), &FLOW, &[ByteRange { phys: 0x100, len: 16 }]);
+    faros.net_rx(Pid(2), &FLOW, &[ByteRange { phys: 0x900, len: 16 }]);
+
+    for (cr3, code_phys) in [(0x2000, 0x100), (0x3000, 0x900), (0x3000, 0x900)] {
+        let ctx = ctx_at(0x0100_0000, code_phys, 8, cr3, load_instr());
+        faros.on_insn(&ctx);
+        faros.on_load(&ctx, 0x8001_0020, &run4(ptr_phys), Width::B4, Reg::Eax);
+    }
+    let report = faros.report();
+    let flagged: Vec<(&str, u32, u32)> =
+        report.detections.iter().map(|d| (d.process.as_str(), d.cr3, d.insn_vaddr)).collect();
+    assert_eq!(flagged, [("a.exe", 0x2000, 0x0100_0000), ("b.exe", 0x3000, 0x0100_0000)]);
+}
+
+#[test]
 fn context_switch_isolates_register_shadows() {
     let mut faros = Faros::new(Policy::paper());
     faros.process_created(&proc_info(1, 0x2000, "a.exe"));

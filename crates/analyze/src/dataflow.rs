@@ -664,7 +664,8 @@ fn taint_function(
     }
     stats.functions_analyzed += 1;
 
-    // The contribution an in-image callee makes to the memory bucket.
+    // The contribution a callee makes to the memory bucket: its summary,
+    // or every source for code without one (outside the image).
     let mut cache_hits = 0;
     let mut callee_mask = |va: u32| -> u8 {
         match introduces.get(&va) {
@@ -740,13 +741,7 @@ fn taint_function(
                     t.regs[dst.index()] = v;
                 }
                 Instr::Call { rel } => {
-                    let callee = block.end.wrapping_add(rel as u32);
-                    let c = if cfg.blocks.contains_key(&callee) {
-                        callee_mask(callee)
-                    } else {
-                        ALL_SOURCES
-                    };
-                    t.mem |= c;
+                    t.mem |= callee_mask(block.end.wrapping_add(rel as u32));
                     let u = t.unknown();
                     t.regs = [u; NUM_REGS];
                     t.regs[Reg::Esp.index()] = 0;

@@ -269,20 +269,22 @@ fn check_summaries<T: Copy + Eq + Default + std::fmt::Debug>(
         Config::with_cases(128),
         |rng: &mut Rng| {
             let n = rng.range_usize(1, 8);
-            let edges = rng.vec_of(0, 16, |r| {
-                (r.range_usize(0, n) as u8, r.range_usize(0, n + 3) as u8)
-            });
+            let edges = rng.vec_of(0, 16, |r| (r.next_u8(), r.next_u8()));
             let locals = (0..n).map(|_| rng.next_u32() as u16).collect::<Vec<u16>>();
-            let grow = (rng.range_usize(0, n) as u8, rng.next_u32() as u16);
-            (n as u8, edges, locals, grow, rng.next_u32() as u16)
+            (edges, locals, (rng.next_u8(), rng.next_u32() as u16), rng.next_u32() as u16)
         },
-        |(n, edges, locals, grow, unknown)| {
-            let n = u32::from(*n);
+        |(edges, locals, grow, unknown)| {
+            // Node and edge codes are reduced into range here, so every
+            // shrunk input is still a well-formed graph.
+            let n = locals.len() as u32;
+            if n == 0 {
+                return Ok(());
+            }
             let unknown = lift(*unknown);
             let below = |a: T, b: T| join(a, b) == b;
             let mut graph: BTreeMap<u32, BTreeSet<u32>> = (0..n).map(|f| (f, BTreeSet::new())).collect();
             for &(a, b) in edges {
-                graph.get_mut(&u32::from(a)).unwrap().insert(u32::from(b));
+                graph.get_mut(&(u32::from(a) % n)).unwrap().insert(u32::from(b) % (n + 3));
             }
             let local: BTreeMap<u32, T> =
                 locals.iter().enumerate().map(|(f, &m)| (f as u32, lift(m))).collect();
@@ -322,7 +324,7 @@ fn check_summaries<T: Copy + Eq + Default + std::fmt::Debug>(
             // summary.
             let (gf, gm) = *grow;
             let mut grown = local.clone();
-            let slot = grown.get_mut(&u32::from(gf)).unwrap();
+            let slot = grown.get_mut(&(u32::from(gf) % n)).unwrap();
             *slot = join(*slot, lift(gm));
             let regrown = summarize(&grown, &graph, unknown, join);
             for f in 0..n {

@@ -204,8 +204,8 @@ fn relevant_args(cap: Capability) -> &'static [(usize, &'static str)] {
 /// `unknown`. `join` is the value lattice's least upper bound and
 /// `T::default()` its bottom. The capability analysis summarizes
 /// [`CapSet`]s (`unknown` = [`CapSet::EMPTY`]); the taint phases summarize
-/// source masks the same way. Monotone in `local` (pinned by the property
-/// tests), and terminating because both lattices are finite.
+/// source masks (`unknown` = every source). Monotone in `local` (pinned by
+/// the property tests), and terminating because both lattices are finite.
 pub fn summarize<T: Copy + Eq + Default>(
     local: &BTreeMap<u32, T>,
     call_graph: &BTreeMap<u32, BTreeSet<u32>>,

@@ -46,8 +46,11 @@ echo "==> golden fixture staleness check (regen must be a no-op)"
 # a diff here means a checked-in fixture is stale relative to the code and
 # the golden tests above were comparing against yesterday's format. The
 # fixtures include tests/fixtures/registry_report_digests.txt, the FNV-1a
-# digests of every registry sample's job report (profile off and on), so
-# this step also fails when any registry report changes by one byte.
+# digests of every registry sample's job report (profile off and on), and
+# tests/fixtures/static_report_digests.txt (regenerated by analyze_cli),
+# the FNV-1a digests of the static report of every corpus program and
+# payload image, so this step also fails when any registry report or any
+# image's static report changes by one byte.
 FAROS_REGEN_GOLDEN=1 cargo test -q --offline \
     --test golden_roundtrip --test analyze_cli --test service_protocol >/dev/null
 git diff --exit-code -- tests/fixtures \

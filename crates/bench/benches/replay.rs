@@ -7,17 +7,18 @@
 
 use faros::{Faros, Policy};
 use faros_bench::experiments::BUDGET;
-use faros_corpus::attacks;
+use faros_corpus::{attacks, evasion};
 use faros_obs::trace::RecorderHandle;
 use faros_replay::{record, replay, PluginManager, TraceRecorder};
 use faros_support::bench::{black_box, BenchGroup};
 use faros_support::bench_main;
 use std::time::Instant;
 
-/// Interleaved base/FAROS pairs behind the gate statistic.
+/// Interleaved base/FAROS pairs behind each gate statistic.
 const GATE_PAIRS: usize = 10;
 
-/// Replays per side of one pair (about 5 ms of plain replay).
+/// Replays per side of one pair (about 1 ms of plain `process_hollowing`
+/// replay, 20 ms of plain taint-bomb replay).
 const REPLAYS_PER_SIDE: u32 = 20;
 
 fn bench_replay() {
@@ -44,6 +45,23 @@ fn bench_replay() {
     // sides back to back, so load on a shared host slows both alike, and
     // alternating the leading side cancels any first-runner advantage.
     group.annotate("pair_ratio_median_x1000", median_pair_ratio_x1000(replay_base, replay_faros));
+    // The §VI-D taint bomb ping-pongs a tainted buffer between two
+    // processes with `NtWriteVirtualMemory`, 600 times: this pair measures
+    // the kernel copy path from the page walk through to the shadow, which
+    // `bench-gate` checks with a ceiling of its own.
+    let bomb = evasion::taint_bomb(600);
+    let (bomb_recording, _) = record(&bomb.scenario, BUDGET).expect("record");
+    let bomb_base = || {
+        let mut empty = PluginManager::new();
+        replay(&bomb.scenario, &bomb_recording, BUDGET, &mut empty).expect("replay").instructions
+    };
+    let bomb_faros = || {
+        let mut faros = Faros::new(Policy::paper());
+        replay(&bomb.scenario, &bomb_recording, BUDGET, &mut faros).expect("replay").instructions
+    };
+    group.bench_function("replay_bomb_base", |b| b.iter(bomb_base));
+    group.bench_function("replay_bomb_faros", |b| b.iter(bomb_faros));
+    group.annotate("pair_ratio_median_x1000", median_pair_ratio_x1000(bomb_base, bomb_faros));
     // Full observability stack: flight recorder + FAROS emitting into the
     // same ring, dispatch counting on — the realistic traced-replay cost.
     group.bench_function("replay_traced", |b| {

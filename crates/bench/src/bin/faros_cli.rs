@@ -21,6 +21,7 @@
 //!                                     traces also need a traceEvents array)
 //! faros-cli bench-gate FILE           read BENCH_replay.json and fail if the
 //!                                     FAROS replay regressed past 1.5x baseline
+//!                                     or the taint-bomb replay past 2.5x
 //! faros-cli serve --socket PATH       run the detonation service on a Unix
 //!                                     socket (--workers N, --queue N)
 //! faros-cli submit <sample> --socket PATH
@@ -277,6 +278,12 @@ fn print_report(faros: &Faros, report: &FarosReport, opts: &Opts) {
 /// regressions before they merge.
 const BENCH_GATE_MAX_RATIO: f64 = 1.5;
 
+/// Maximum allowed FAROS-over-plain ratio on the §VI-D taint bomb, whose
+/// replay is dominated by kernel copies (`NtWriteVirtualMemory`) of a
+/// tainted buffer. The run-granular copy path measured 1.9x on a 2-vCPU
+/// host; the per-byte shadow loop it replaced reads about 5x.
+const BENCH_GATE_MAX_BOMB_RATIO: f64 = 2.5;
+
 /// Reads the integer `field` of benchmark `name` from a `BENCH_*.json`
 /// document.
 fn bench_field(doc: &faros_support::json::JsonValue, name: &str, field: &str) -> u64 {
@@ -300,24 +307,32 @@ fn bench_gate(file: &str) {
         std::fs::read_to_string(file).unwrap_or_else(|e| fail(&format!("{file}: {e}")));
     let doc = faros_support::json::JsonValue::parse(&text)
         .unwrap_or_else(|e| fail(&format!("{file}: invalid JSON: {e}")));
-    let base = bench_field(&doc, "replay_base", "median_ns");
-    let faros = bench_field(&doc, "replay_faros", "median_ns");
-    if base == 0 {
-        fail("replay_base median is zero; cannot compute a ratio");
+    let gates = [
+        ("replay_base", "replay_faros", BENCH_GATE_MAX_RATIO),
+        ("replay_bomb_base", "replay_bomb_faros", BENCH_GATE_MAX_BOMB_RATIO),
+    ];
+    let mut failures = Vec::new();
+    for (base_name, faros_name, limit) in gates {
+        let base = bench_field(&doc, base_name, "median_ns");
+        let faros = bench_field(&doc, faros_name, "median_ns");
+        if base == 0 {
+            fail(&format!("{base_name} median is zero; cannot compute a ratio"));
+        }
+        println!(
+            "bench-gate: {faros_name} {faros} ns / {base_name} {base} ns = {:.2}x (ratio of medians)",
+            faros as f64 / base as f64
+        );
+        let ratio = bench_field(&doc, faros_name, "pair_ratio_median_x1000") as f64 / 1000.0;
+        println!(
+            "bench-gate: {faros_name} median per-pair ratio {ratio:.2}x over interleaved \
+             {base_name}/{faros_name} pairs (limit {limit:.1}x)"
+        );
+        if ratio > limit {
+            failures.push(format!("{faros_name} overhead {ratio:.2}x exceeds the {limit:.1}x gate"));
+        }
     }
-    println!(
-        "bench-gate: replay_faros {faros} ns / replay_base {base} ns = {:.2}x (ratio of medians)",
-        faros as f64 / base as f64
-    );
-    let ratio = bench_field(&doc, "replay_faros", "pair_ratio_median_x1000") as f64 / 1000.0;
-    println!(
-        "bench-gate: median per-pair ratio {ratio:.2}x over interleaved base/FAROS pairs \
-         (limit {BENCH_GATE_MAX_RATIO:.1}x)"
-    );
-    if ratio > BENCH_GATE_MAX_RATIO {
-        fail(&format!(
-            "FAROS replay overhead {ratio:.2}x exceeds the {BENCH_GATE_MAX_RATIO:.1}x gate"
-        ));
+    if !failures.is_empty() {
+        fail(&failures.join("; "));
     }
     println!("bench-gate: ok");
 }

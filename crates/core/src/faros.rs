@@ -615,22 +615,13 @@ impl KernelEvents for Faros {
     }
 
     fn guest_copy(&mut self, _src_pid: Pid, dst_pid: Pid, runs: &[CopyRun]) {
-        // Shadow follows the kernel's copy loop byte-for-byte; bytes landing
-        // in the destination address space collect its process tag
-        // (NetFlow -> injector -> victim chronology of Table II).
+        // Shadow follows the kernel's copy run by run; bytes landing in the
+        // destination address space collect its process tag (NetFlow ->
+        // injector -> victim chronology of Table II).
         let dst_tag = self.pid_tag(dst_pid);
         for run in runs {
             self.engine.metrics_mut().add(self.ctr.copied_bytes, run.len as u64);
-            for i in 0..run.len {
-                let dst = ShadowAddr::Mem(run.dst_phys + i);
-                let src = ShadowAddr::Mem(run.src_phys + i);
-                self.engine.copy(dst, src, 1);
-                if let Some(t) = dst_tag {
-                    if !self.engine.prov_id(dst).is_empty() {
-                        self.engine.append_tag(dst, t);
-                    }
-                }
-            }
+            self.engine.copy_mem_range(run.dst_phys, run.src_phys, run.len, dst_tag);
         }
     }
 

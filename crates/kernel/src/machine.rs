@@ -27,6 +27,7 @@ use faros_emu::mmu::{Access, AddressSpace, Asid, Fault, Perms, KERNEL_BASE};
 use faros_emu::tcache::{TcStats, TransCache};
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
+use std::sync::OnceLock;
 
 /// Machine construction parameters.
 #[derive(Debug, Clone)]
@@ -125,6 +126,14 @@ impl fmt::Display for MachineError {
 }
 
 impl std::error::Error for MachineError {}
+
+/// The kernel module's stub code, exports and export-table bytes, as boot
+/// installs them.
+struct KernelModuleImage {
+    code: Vec<u8>,
+    exports: Vec<Export>,
+    table: Vec<u8>,
+}
 
 /// The whole emulated system.
 #[derive(Debug)]
@@ -311,7 +320,7 @@ impl Machine {
         Self::kernel_api().into_iter().filter_map(|(_, s)| s).collect()
     }
 
-    fn build_kernel_module(&mut self) {
+    fn assemble_kernel_module() -> KernelModuleImage {
         let api = Self::kernel_api();
         let mut asm = Asm::new(KERNEL_STUBS_VA);
         for (name, sysno) in &api {
@@ -360,13 +369,20 @@ impl Machine {
             entry: 0,
             export_table_va: KERNEL_EXPORT_TABLE_VA,
             sections: Vec::new(),
-            exports: exports.clone(),
+            exports,
         };
         let table = image.export_table_bytes();
+        KernelModuleImage { code, exports: image.exports, table }
+    }
 
+    fn build_kernel_module(&mut self) {
+        // The module depends on nothing but constants, so it is assembled
+        // once per host process; each machine copies it into its own frames.
+        static MODULE: OnceLock<KernelModuleImage> = OnceLock::new();
+        let module = MODULE.get_or_init(Self::assemble_kernel_module);
         // Materialize stub code and export table into kernel physical pages.
-        self.install_kernel_bytes(KERNEL_STUBS_VA, &code, Perms::RX);
-        let table_ranges = self.install_kernel_bytes(KERNEL_EXPORT_TABLE_VA, &table, Perms::R);
+        self.install_kernel_bytes(KERNEL_STUBS_VA, &module.code, Perms::RX);
+        let table_ranges = self.install_kernel_bytes(KERNEL_EXPORT_TABLE_VA, &module.table, Perms::R);
         self.kernel_export_ranges = table_ranges;
 
         self.kernel_modules.push(ModuleInfo {
@@ -374,7 +390,7 @@ impl Machine {
             base: KERNEL_STUBS_VA,
             entry: 0,
             export_table_va: KERNEL_EXPORT_TABLE_VA,
-            exports,
+            exports: module.exports.clone(),
         });
     }
 
@@ -504,23 +520,28 @@ impl Machine {
     ) -> Result<(), MachineError> {
         let src_runs = self.phys_runs(src_pid, src_va, len, Access::Read)?;
         let dst_runs = self.phys_runs(dst_pid, dst_va, len, Access::Write)?;
-        // Flatten into per-byte pairs, re-coalescing into CopyRuns.
-        let mut pairs: Vec<CopyRun> = Vec::new();
-        let mut src_iter = src_runs.iter().flat_map(|r| (0..r.len).map(move |i| r.phys + i));
-        let mut dst_iter = dst_runs.iter().flat_map(|r| (0..r.len).map(move |i| r.phys + i));
-        while let (Some(s), Some(d)) = (src_iter.next(), dst_iter.next()) {
-            let byte = self.mem.read_u8(s).expect("translated");
-            self.mem.write_u8(d, byte).expect("translated");
-            match pairs.last_mut() {
-                Some(last)
-                    if last.src_phys + last.len == s && last.dst_phys + last.len == d =>
-                {
-                    last.len += 1;
-                }
-                _ => pairs.push(CopyRun { dst_phys: d, src_phys: s, len: 1 }),
+        let runs = pair_runs(&src_runs, &dst_runs);
+        let mut buf = Vec::new();
+        for run in &runs {
+            // A destination that starts inside its own source, past the
+            // source's start, reads bytes this copy already wrote: move it
+            // in pieces of `dst - src` bytes, so each piece reads only what
+            // earlier pieces wrote and the result is the byte loop's.
+            let piece = if run.src_phys < run.dst_phys && run.dst_phys - run.src_phys < run.len {
+                run.dst_phys - run.src_phys
+            } else {
+                run.len
+            };
+            let mut done = 0;
+            while done < run.len {
+                let n = piece.min(run.len - done);
+                buf.resize(n as usize, 0);
+                self.mem.read(run.src_phys + done, &mut buf).expect("translated");
+                self.mem.write(run.dst_phys + done, &buf).expect("translated");
+                done += n;
             }
         }
-        obs.guest_copy(src_pid, dst_pid, &pairs);
+        obs.guest_copy(src_pid, dst_pid, &runs);
         Ok(())
     }
 
@@ -1057,20 +1078,52 @@ fn module_name(path: &str) -> &str {
     path.rsplit('/').next().unwrap_or(path)
 }
 
-/// Translates the `len` bytes at `va` one by one through `translate` and
+/// Pairs two translations of one copy (`src` and `dst`, the same total
+/// length) into [`CopyRun`]s: a run ends wherever either side's physical
+/// run ends. `coalesce_runs` never leaves two adjacent runs contiguous, so
+/// these are exactly the runs a byte-by-byte pairing would coalesce.
+fn pair_runs(src: &[ByteRange], dst: &[ByteRange]) -> Vec<CopyRun> {
+    let mut runs = Vec::with_capacity(src.len().max(dst.len()));
+    let (mut si, mut di, mut s_off, mut d_off) = (0, 0, 0, 0);
+    while let (Some(s), Some(d)) = (src.get(si), dst.get(di)) {
+        let len = (s.len - s_off).min(d.len - d_off);
+        runs.push(CopyRun { dst_phys: d.phys + d_off, src_phys: s.phys + s_off, len });
+        s_off += len;
+        d_off += len;
+        if s_off == s.len {
+            (si, s_off) = (si + 1, 0);
+        }
+        if d_off == d.len {
+            (di, d_off) = (di + 1, 0);
+        }
+    }
+    runs
+}
+
+/// Translates the `len` bytes at `va` (wrapping past `0xffff_ffff`) and
 /// coalesces the physical addresses into contiguous runs.
+///
+/// `translate` is called once per page, on the first in-range byte of that
+/// page, and must treat the whole page alike: the byte's physical address
+/// plus its page offset locates every other byte of the page, and a fault
+/// on it is the fault of the page. So the error names the first in-range
+/// byte of the first bad page, exactly as a byte-by-byte walk would.
 fn coalesce_runs(
     va: u32,
     len: u32,
     mut translate: impl FnMut(u32) -> Result<u32, MachineError>,
 ) -> Result<Vec<ByteRange>, MachineError> {
     let mut runs: Vec<ByteRange> = Vec::new();
-    for i in 0..len {
-        let phys = translate(va.wrapping_add(i))?;
+    let mut done = 0u32;
+    while done < len {
+        let vaddr = va.wrapping_add(done);
+        let span = (PAGE_SIZE - (vaddr & (PAGE_SIZE - 1))).min(len - done);
+        let phys = translate(vaddr)?;
         match runs.last_mut() {
-            Some(last) if last.phys + last.len == phys => last.len += 1,
-            _ => runs.push(ByteRange { phys, len: 1 }),
+            Some(last) if last.phys + last.len == phys => last.len += span,
+            _ => runs.push(ByteRange { phys, len: span }),
         }
+        done += span;
     }
     Ok(runs)
 }

@@ -293,6 +293,76 @@ fn kernel_writes_into_cached_code_are_executed() {
     assert!(invalidations >= 2, "both kernel writes invalidate: {invalidations}");
 }
 
+#[test]
+fn overlapping_self_copies_run_forward_byte_by_byte() {
+    // NtWriteVirtualMemory(self) with the destination one byte past the
+    // source replicates the first byte across the buffer, as a forward
+    // byte loop does; one byte before the source it moves the buffer down.
+    let program = |dst_delta: i32| {
+        let mut asm = Asm::new(IMAGE_BASE);
+        asm.mov_label(Reg::Ecx, "buf");
+        asm.mov_label(Reg::Edx, "buf");
+        asm.add_ri(Reg::Ecx, dst_delta as u32);
+        syscall(&mut asm, Sysno::NtWriteVirtualMemory, &[(Reg::Ebx, 0xffff_ffff), (Reg::Esi, 7)]);
+        asm.mov_label(Reg::Ebx, "buf");
+        syscall(&mut asm, Sysno::NtDisplayString, &[(Reg::Ecx, 8)]);
+        asm.hlt();
+        asm.raw(b"_"); // what the move down overwrites
+        asm.label("buf");
+        asm.raw(b"ABCDEFGH");
+        image_from_asm(asm)
+    };
+    let run = |image: &FdlImage, exec: ExecMode| {
+        let mut machine = Machine::new(MachineConfig::default());
+        machine.set_exec_mode(exec);
+        machine.install_program("C:/test.exe", image).unwrap();
+        machine.spawn_process("C:/test.exe", false, None, &mut NullObserver).unwrap();
+        assert_eq!(machine.run(5_000_000, &mut NullObserver), RunExit::AllExited);
+        let lines: Vec<String> = machine.console().iter().map(|(_, s)| s.clone()).collect();
+        (lines, machine.ticks())
+    };
+    for (delta, want) in [(1, "AAAAAAAA"), (-1, "BCDEFGGH")] {
+        let image = program(delta);
+        let cached = run(&image, ExecMode::Cached);
+        assert_eq!(cached.0, [want], "dst = src {delta:+}");
+        assert_eq!(cached, run(&image, ExecMode::Interpret), "dst = src {delta:+}");
+    }
+}
+
+#[test]
+fn a_copy_across_scattered_frames_reports_one_run_per_contiguous_piece() {
+    // Source and destination both straddle a page boundary whose two
+    // pages sit on non-adjacent frames (another mapping took the frame in
+    // between), at different offsets: the 16-byte copy splits at the
+    // destination's boundary (after 4 bytes) and at the source's (after
+    // 8), and the observer sees exactly those three runs.
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.install_program("C:/test.exe", &image_from_asm(Asm::new(IMAGE_BASE))).unwrap();
+    let mut rec = EventRecorder::default();
+    let pid = machine.spawn_process("C:/test.exe", true, None, &mut rec).unwrap();
+    let (src, dst) = (0x0060_0000, 0x0080_0000);
+    for va in [src, 0x0070_0000, src + 0x1000, dst, 0x0090_0000, dst + 0x1000] {
+        let kind = faros_kernel::process::RegionKind::Private;
+        machine.map_fresh(pid, va, 0x1000, Perms::RW, kind, &mut rec).unwrap();
+    }
+    machine.write_guest(pid, src + 0xff8, b"0123456789abcdef").unwrap();
+    machine.guest_copy(pid, src + 0xff8, pid, dst + 0xffc, 16, &mut rec).unwrap();
+
+    let frame = |va: u32| machine.process(pid).unwrap().aspace.entry(va).unwrap().pfn * 0x1000;
+    assert_eq!(
+        [frame(src), frame(src + 0x1000), frame(dst), frame(dst + 0x1000)],
+        [0x9000, 0xb000, 0xc000, 0xe000],
+        "the pages' frames are pairwise non-adjacent"
+    );
+    let runs = vec![
+        CopyRun { dst_phys: 0xcffc, src_phys: 0x9ff8, len: 4 },
+        CopyRun { dst_phys: 0xe000, src_phys: 0x9ffc, len: 4 },
+        CopyRun { dst_phys: 0xe004, src_phys: 0xb000, len: 8 },
+    ];
+    assert_eq!(rec.copies, vec![(pid, pid, runs)]);
+    assert_eq!(machine.read_guest(pid, dst + 0xffc, 16).unwrap(), b"0123456789abcdef");
+}
+
 /// An attacker endpoint that serves a fixed payload after a "GET" request.
 struct PayloadServer {
     payload: Vec<u8>,
@@ -578,7 +648,7 @@ fn hollowing_primitives_suspend_set_context_resume() {
 #[derive(Default)]
 struct EventRecorder {
     net_rx: Vec<(Pid, FlowTuple, usize)>,
-    copies: Vec<(Pid, Pid, usize)>,
+    copies: Vec<(Pid, Pid, Vec<CopyRun>)>,
     syscalls: Vec<Sysno>,
     processes: Vec<String>,
 }
@@ -596,8 +666,7 @@ impl KernelEvents for EventRecorder {
         self.net_rx.push((pid, *flow, len as usize));
     }
     fn guest_copy(&mut self, src_pid: Pid, dst_pid: Pid, runs: &[CopyRun]) {
-        let len: u32 = runs.iter().map(|r| r.len).sum();
-        self.copies.push((src_pid, dst_pid, len as usize));
+        self.copies.push((src_pid, dst_pid, runs.to_vec()));
     }
 }
 

@@ -1,6 +1,6 @@
 //! Property tests for kernel substrates: the filesystem, handle tables,
-//! and a differential test of guest ALU execution against a host-side
-//! model.
+//! a differential test of guest ALU execution against a host-side model,
+//! and the machine's page walk against a per-byte translation oracle.
 //!
 //! Runs on the in-tree deterministic harness (`faros_support::prop`) with
 //! the pinned default seed; set `FAROS_PROP_SEED` to explore other streams.
@@ -8,12 +8,16 @@
 use faros_emu::asm::Asm;
 use faros_emu::cpu::{Cpu, NoHooks, StepEvent};
 use faros_emu::isa::{AluOp, Reg};
-use faros_emu::mem::PhysMem;
-use faros_emu::mmu::{AddressSpace, Asid, Perms};
+use faros_emu::mem::{PhysMem, PAGE_MASK, PAGE_SIZE};
+use faros_emu::mmu::{Access, AddressSpace, Asid, Fault, Perms};
+use faros_kernel::event::{ByteRange, NullObserver};
 use faros_kernel::fs::FileSystem;
 use faros_kernel::handle::{HandleObject, HandleTable, Pid};
+use faros_kernel::machine::{Machine, MachineConfig, MachineError, IMAGE_BASE};
+use faros_kernel::module::{FdlImage, Section};
+use faros_kernel::process::RegionKind;
 use faros_support::arb;
-use faros_support::prop::{check, Config};
+use faros_support::prop::{check, Config, Rng};
 use faros_support::{prop_assert, prop_assert_eq};
 
 #[test]
@@ -179,6 +183,114 @@ fn page_round_trip_through_translation() {
                     .unwrap();
                 prop_assert_eq!(pa, pb, "same frame, same offset");
                 prop_assert_eq!(mem.read_u8(pb).unwrap(), i as u8);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Pages the page-walk property maps and probes: a run of user pages, the
+/// first two pages and the last two pages of the address space (so ranges
+/// wrap past `0xffff_ffff` to page 0).
+fn walk_page(rng: &mut Rng) -> u32 {
+    match rng.range_u32(0, 8) {
+        0 => rng.range_u32(0, 2) * PAGE_SIZE,
+        1 => 0u32.wrapping_sub(rng.range_u32(1, 3) * PAGE_SIZE),
+        _ => 0x0050_0000 + rng.range_u32(0, 10) * PAGE_SIZE,
+    }
+}
+
+/// A region to map: base VA, page count, index into the protections.
+type Region = (u32, u32, u32);
+
+/// A random address space: regions of 1-3 pages with random protections
+/// (unmapped pages in between are holes; mapping order scatters frames),
+/// and the `(va, len)` ranges to walk, most of them crossing pages.
+fn walk_case(rng: &mut Rng) -> (Vec<Region>, Vec<(u32, u32)>) {
+    let regions = rng.vec_of(1, 10, |r| (walk_page(r), r.range_u32(1, 4), r.range_u32(0, 5)));
+    let ranges = rng.vec_of(1, 12, |r| {
+        let off = match r.range_u32(0, 3) {
+            0 => r.range_u32(0, PAGE_SIZE),
+            _ => PAGE_SIZE - r.range_u32(1, 16),
+        };
+        (walk_page(r).wrapping_add(off), r.range_u32(0, 3 * PAGE_SIZE))
+    });
+    (regions, ranges)
+}
+
+/// The reference walk: translate every byte and coalesce the physical
+/// addresses into runs.
+fn per_byte_runs(
+    va: u32,
+    len: u32,
+    translate: impl Fn(u32) -> Result<u32, MachineError>,
+) -> Result<Vec<ByteRange>, MachineError> {
+    let mut runs: Vec<ByteRange> = Vec::new();
+    for i in 0..len {
+        let phys = translate(va.wrapping_add(i))?;
+        match runs.last_mut() {
+            Some(last) if last.phys + last.len == phys => last.len += 1,
+            _ => runs.push(ByteRange { phys, len: 1 }),
+        }
+    }
+    Ok(runs)
+}
+
+/// `phys_runs` (under every access kind) and `write_guest_kernel` walk a
+/// range a page at a time; they must give the per-byte walk's runs and,
+/// on a hole or a forbidden page, the same error with the same fault VA.
+#[test]
+fn page_walk_matches_the_per_byte_oracle() {
+    let image = FdlImage {
+        entry: IMAGE_BASE,
+        export_table_va: 0,
+        sections: vec![Section { va: IMAGE_BASE, data: vec![0; 16], perms: Perms::RX }],
+        exports: vec![],
+    };
+    let perms = [Perms::NONE, Perms::R, Perms::RW, Perms::RX, Perms::RWX];
+    check(
+        "page_walk_matches_the_per_byte_oracle",
+        Config::with_cases(128),
+        walk_case,
+        |(regions, ranges)| {
+            let mut machine = Machine::new(MachineConfig::default());
+            machine.install_program("C:/walk.exe", &image).unwrap();
+            let pid = machine.spawn_process("C:/walk.exe", true, None, &mut NullObserver).unwrap();
+            for &(va, pages, p) in regions {
+                // Regions stop at the top of the address space.
+                let room = (u64::from(!va) + 1) / u64::from(PAGE_SIZE);
+                let pages = room.min(u64::from(pages)) as u32;
+                let (size, kind) = (pages * PAGE_SIZE, RegionKind::Private);
+                // A region that collides with an earlier one is skipped.
+                let _ = machine.map_fresh(pid, va, size, perms[p as usize], kind, &mut NullObserver);
+            }
+            let aspace = machine.process(pid).unwrap().aspace.clone();
+            for &(va, len) in ranges {
+                for access in [Access::Read, Access::Write, Access::Exec] {
+                    let want = per_byte_runs(va, len, |v| {
+                        aspace.translate(v, access).map_err(MachineError::BadAddress)
+                    });
+                    let got = machine.phys_runs(pid, va, len, access);
+                    prop_assert_eq!(got, want, "phys_runs({va:#x}, {len}, {access:?})");
+                }
+                let want = per_byte_runs(va, len, |vaddr| {
+                    let entry = aspace
+                        .entry(vaddr)
+                        .ok_or(MachineError::BadAddress(Fault::NotMapped { vaddr }))?;
+                    Ok(entry.pfn * PAGE_SIZE + (vaddr & PAGE_MASK))
+                });
+                let bytes: Vec<u8> = (0..len).map(|i| (i % 251) as u8).collect();
+                let got = machine.write_guest_kernel(pid, va, &bytes);
+                prop_assert_eq!(&got, &want, "write_guest_kernel({va:#x}, {len})");
+                if let Ok(runs) = got {
+                    let mut written = Vec::new();
+                    for r in runs {
+                        let mut buf = vec![0; r.len as usize];
+                        machine.mem.read(r.phys, &mut buf).unwrap();
+                        written.extend(buf);
+                    }
+                    prop_assert_eq!(written, bytes, "bytes land in the walked runs");
+                }
             }
             Ok(())
         },

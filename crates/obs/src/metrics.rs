@@ -215,6 +215,19 @@ impl FastPath {
         m.inc(self.misses);
     }
 
+    /// Counts `n` fast-path hits at once (a range operation that decided
+    /// `n` bytes).
+    #[inline]
+    pub fn hit_n(&self, m: &mut MetricsRegistry, n: u64) {
+        m.add(self.hits, n);
+    }
+
+    /// Counts `n` fast-path misses at once.
+    #[inline]
+    pub fn miss_n(&self, m: &mut MetricsRegistry, n: u64) {
+        m.add(self.misses, n);
+    }
+
     /// Reads `(hits, misses)`.
     pub fn read(&self, m: &MetricsRegistry) -> (u64, u64) {
         (m.get(self.hits), m.get(self.misses))

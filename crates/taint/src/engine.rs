@@ -420,6 +420,80 @@ impl TaintEngine {
         }
     }
 
+    /// Range `copy` between physical memory ranges, appending `append` to
+    /// every byte that lands tainted: the kernel copy path, where `append`
+    /// is the destination process's tag. Equivalent to, for each `i` in
+    /// `0..len` in order (addresses wrapping past `u32::MAX`),
+    ///
+    /// ```text
+    /// copy(Mem(dst + i), Mem(src + i), 1);
+    /// if let Some(tag) = append {
+    ///     if !prov_id(Mem(dst + i)).is_empty() { append_tag(Mem(dst + i), tag) }
+    /// }
+    /// ```
+    ///
+    /// with the same final shadow, the same list ids minted in the same
+    /// order and the same counters, one fast-path decision per byte
+    /// included. It works on runs instead: per run of source bytes sharing
+    /// one list, one control adjustment, one append and one shadow fill.
+    pub fn copy_mem_range(&mut self, dst: u32, src: u32, len: u32, append: Option<ProvTag>) {
+        const SPACE: u64 = 1 << 32;
+        self.metrics.add(self.ctr.copies, u64::from(len));
+        let mut done = 0u32;
+        while done < len {
+            let (s, d) = (src.wrapping_add(done), dst.wrapping_add(done));
+            // A piece ends where either range wraps past `u32::MAX`. When
+            // the destination starts inside the source past its start, it
+            // also ends after `d - s` bytes, so a piece reads only bytes
+            // that earlier pieces wrote, never its own.
+            let mut piece = u64::from(len - done)
+                .min(SPACE - u64::from(s))
+                .min(SPACE - u64::from(d));
+            if s < d {
+                piece = piece.min(u64::from(d - s));
+            }
+            for (run_src, run_len, id) in self.shadow.mem_runs(s, piece as usize) {
+                if self.propagation_is_noop() {
+                    // Nothing is tainted and no branch scope is open: every
+                    // byte left is a fast-path hit.
+                    self.ctr.fastpath.hit_n(&mut self.metrics, u64::from(len - done));
+                    return;
+                }
+                let at = d + (run_src - s);
+                let id = self.control_adjust(id);
+                let live = if id.is_empty() { self.bytes_until_clean(at, run_len) } else { run_len };
+                self.ctr.fastpath.miss_n(&mut self.metrics, live as u64);
+                let id = match append {
+                    Some(tag) if !id.is_empty() => {
+                        self.metrics.add(self.ctr.labels, live as u64);
+                        self.interner.append(id, tag)
+                    }
+                    _ => id,
+                };
+                self.shadow.fill_mem_range(at, live, id);
+                done += live as u32;
+            }
+        }
+    }
+
+    /// How many bytes of clearing `[at, at + len)` one by one take the slow
+    /// path: all of them, unless the range holds every tainted byte and
+    /// nothing else keeps the fast path off. Then the shadow goes clean
+    /// right after the range's last tainted byte, and the bytes after it
+    /// are fast-path hits.
+    fn bytes_until_clean(&self, at: u32, len: usize) -> usize {
+        let tainted = self.shadow.tainted_mem_bytes();
+        if tainted > len || self.shadow.tainted_reg_bytes() != 0 || !self.control_ctx.is_empty() {
+            return len;
+        }
+        let runs = self.shadow.mem_runs(at, len);
+        let in_range: usize = runs.iter().filter(|r| !r.2.is_empty()).map(|r| r.1).sum();
+        match runs.iter().rev().find(|r| !r.2.is_empty()) {
+            Some(&(start, run_len, _)) if in_range == tainted => (start - at) as usize + run_len,
+            _ => len,
+        }
+    }
+
     /// Batched load propagation: `prov(reg[i]) <- prov(phys[i])` for each
     /// translated physical byte of a memory read. The bytes need not be
     /// physically contiguous — a page-crossing access lands each byte on

@@ -554,3 +554,160 @@ fn page_lifecycle_matches_oracle() {
         },
     );
 }
+
+/// One kernel copy: `len` bytes from `src` to `dst`, appending `append` to
+/// every byte that lands tainted (the destination process's tag).
+#[derive(Debug, Clone)]
+struct RangeCopy {
+    dst: u32,
+    src: u32,
+    len: u32,
+    append: Option<ProvTag>,
+}
+
+/// A range-copy scenario: the propagation mode, the tag of the register
+/// that decides an open branch scope (if any), the shadow seeding, and the
+/// copies.
+#[derive(Debug, Clone)]
+struct CopyCase {
+    conservative: bool,
+    scope: Option<ProvTag>,
+    seed: Vec<Op>,
+    copies: Vec<RangeCopy>,
+}
+
+impl Shrink for CopyCase {
+    fn shrink(&self) -> Vec<CopyCase> {
+        let mut out = Vec::new();
+        for i in 0..self.copies.len() {
+            let mut c = self.clone();
+            c.copies.remove(i);
+            out.push(c);
+        }
+        for i in 0..self.seed.len() {
+            let mut c = self.clone();
+            c.seed.remove(i);
+            out.push(c);
+        }
+        out
+    }
+}
+
+/// The range copy's oracle: the per-byte `copy` + `prov_id` +
+/// `append_tag` loop over the same bytes.
+fn copy_per_byte(engine: &mut TaintEngine, c: &RangeCopy) {
+    for i in 0..c.len {
+        let dst = ShadowAddr::Mem(c.dst.wrapping_add(i));
+        engine.copy(dst, ShadowAddr::Mem(c.src.wrapping_add(i)), 1);
+        if let Some(tag) = c.append {
+            if !engine.prov_id(dst).is_empty() {
+                engine.append_tag(dst, tag);
+            }
+        }
+    }
+}
+
+fn range_copy(rng: &mut Rng) -> RangeCopy {
+    let len = match rng.range_u32(0, 8) {
+        0 => rng.range_u32(PAGE, 2 * PAGE + 16),
+        _ => rng.range_u32(0, 64),
+    };
+    let src = addr(rng);
+    let dst = match rng.range_u32(0, 6) {
+        // Overlapping, the destination ahead of the source (replicates).
+        0 => src.wrapping_add(rng.range_u32(1, len.max(2))),
+        // Overlapping, the destination behind the source (moves).
+        1 => src.wrapping_sub(rng.range_u32(1, len.max(2))),
+        _ => addr(rng),
+    };
+    let append = rng.next_bool().then(|| prov_tag(rng));
+    RangeCopy { dst, src, len, append }
+}
+
+/// A copy from clean memory over a range that holds every tainted byte:
+/// the shadow goes clean partway through the run, after the range's last
+/// tainted byte.
+fn clearing_case(rng: &mut Rng) -> CopyCase {
+    let dst = addr(rng) & !0xff;
+    let first = rng.range_u32(0, 32);
+    let tainted = rng.range_usize(1, 32);
+    let len = first + tainted as u32 + rng.range_u32(1, 64);
+    let seed = vec![Op::LabelRange { phys: dst.wrapping_add(first), len: tainted, tag: prov_tag(rng) }];
+    let copy = RangeCopy { dst, src: dst.wrapping_add(16 * PAGE), len, append: Some(prov_tag(rng)) };
+    let copies = std::iter::once(copy).chain(rng.vec_of(0, 2, range_copy)).collect();
+    CopyCase { conservative: false, scope: None, seed, copies }
+}
+
+fn copy_case(rng: &mut Rng) -> CopyCase {
+    if rng.range_u32(0, 4) == 0 {
+        return clearing_case(rng);
+    }
+    CopyCase {
+        conservative: rng.next_bool(),
+        scope: rng.next_bool().then(|| prov_tag(rng)),
+        seed: rng.vec_of(0, 12, op),
+        copies: rng.vec_of(1, 6, range_copy),
+    }
+}
+
+fn case_engine(case: &CopyCase) -> TaintEngine {
+    let mode = if case.conservative {
+        PropagationMode::conservative()
+    } else {
+        PropagationMode::direct_only()
+    };
+    let mut engine = TaintEngine::new(mode);
+    for op in &case.seed {
+        apply_to_engine(&mut engine, op);
+    }
+    if let Some(tag) = case.scope {
+        let flags = ShadowAddr::Reg { index: 0, off: 0 };
+        engine.label_fresh(flags, tag);
+        engine.note_flags(&[(flags, 4)]);
+        engine.enter_branch_scope();
+    }
+    engine
+}
+
+/// `copy_mem_range` is the per-byte kernel copy loop, run by run: the same
+/// final shadow (memory and registers), the same list ids minted in the
+/// same order (so the same interner size), and the same counters, down to
+/// one fast-path decision per byte.
+#[test]
+fn range_copy_matches_the_per_byte_loop() {
+    check(
+        "range_copy_matches_the_per_byte_loop",
+        Config::default(),
+        copy_case,
+        |case| {
+            let mut ranged = case_engine(case);
+            let mut bytewise = case_engine(case);
+            for c in &case.copies {
+                ranged.copy_mem_range(c.dst, c.src, c.len, c.append);
+                copy_per_byte(&mut bytewise, c);
+            }
+            let mem = |e: &TaintEngine| e.shadow().iter_mem().collect::<Vec<_>>();
+            prop_assert_eq!(mem(&ranged), mem(&bytewise), "memory shadow and list ids");
+            prop_assert_eq!(ranged.shadow().save_regs(), bytewise.shadow().save_regs());
+            prop_assert_eq!(ranged.interner().len(), bytewise.interner().len(), "interner");
+            prop_assert_eq!(ranged.metrics_snapshot(), bytewise.metrics_snapshot(), "metrics");
+            Ok(())
+        },
+    );
+}
+
+/// The clean-partway shape, pinned: clearing the last tainted byte at
+/// offset 6 of a 16-byte run leaves the nine bytes after it to the fast
+/// path, as the per-byte loop counts them.
+#[test]
+fn range_copy_counts_hits_after_the_shadow_goes_clean() {
+    use faros_taint::tag::TagKind;
+    let mut engine = TaintEngine::new(PropagationMode::direct_only());
+    engine.label_range_fresh(0x1004, 3, ProvTag::new(TagKind::Netflow, 1));
+    engine.copy_mem_range(0x1000, 0x9000, 16, Some(ProvTag::new(TagKind::Process, 2)));
+    let snap = engine.metrics_snapshot();
+    assert_eq!(engine.shadow().tainted_mem_bytes(), 0);
+    assert_eq!(snap.counter("taint.fastpath.misses"), Some(7));
+    assert_eq!(snap.counter("taint.fastpath.hits"), Some(9));
+    assert_eq!(snap.counter("taint.copies"), Some(16));
+}

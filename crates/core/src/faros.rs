@@ -10,6 +10,7 @@ use faros_kernel::module::{ModuleInfo, EXPORT_ENTRY_SIZE, EXPORT_PTR_OFFSET};
 use faros_kernel::net::FlowTuple;
 use faros_kernel::process::ProcessInfo;
 use faros_kernel::{Pid, Tid};
+use faros_obs::fasthash::{FastMap, FastSet};
 use faros_obs::metrics::{CounterId, MetricsSnapshot};
 use faros_obs::trace::{RecorderHandle, TraceCategory, TraceEvent};
 use faros_replay::Plugin;
@@ -17,8 +18,10 @@ use faros_support::json::{JsonValue, ToJson};
 use faros_taint::engine::{PropagationMode, TaintEngine};
 use faros_taint::provlist::ListId;
 use faros_taint::shadow::{ShadowAddr, SHADOW_REGS};
+use faros_taint::tables::{ExportNames, TagTables};
 use faros_taint::tag::{NetflowTag, ProvTag, TagKind};
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::BTreeSet;
+use std::sync::{Arc, OnceLock};
 
 /// The taint engine's address of byte 0 of `r`; a whole-register operand
 /// is this address with length 4.
@@ -46,6 +49,53 @@ fn netflow_of(flow: &FlowTuple) -> NetflowTag {
         src_port: flow.src_port,
         dst_ip: flow.dst_ip,
         dst_port: flow.dst_port,
+    }
+}
+
+/// Writes the export-tag name of `module`'s export `export` into `out`
+/// (`ntdll.fdl!VirtualAlloc`).
+fn export_tag_name(out: &mut String, module: &str, export: &str) {
+    out.clear();
+    out.push_str(module);
+    out.push('!');
+    out.push_str(export);
+}
+
+/// The kernel module's export tags, interned once per host process: every
+/// machine loads the same kernel stub module before anything else, so
+/// every replay's export tags start with the same names in the same order,
+/// and a fresh engine shares them instead of interning them again.
+struct KernelExports {
+    /// The module the names were interned from.
+    module: String,
+    exports: Vec<String>,
+    names: Arc<ExportNames>,
+}
+
+impl KernelExports {
+    /// The shared names, interned from the first kernel module seen.
+    fn get(module: &ModuleInfo) -> &'static KernelExports {
+        static SHARED: OnceLock<KernelExports> = OnceLock::new();
+        SHARED.get_or_init(|| {
+            let mut tables = TagTables::new();
+            let mut name = String::new();
+            for export in &module.exports {
+                export_tag_name(&mut name, &module.name, &export.name);
+                tables.intern_export(&name).expect("kernel module has few exports");
+            }
+            KernelExports {
+                module: module.name.clone(),
+                exports: module.exports.iter().map(|e| e.name.clone()).collect(),
+                names: Arc::clone(tables.export_names()),
+            }
+        })
+    }
+
+    /// Whether the names are `module`'s, one per export in order.
+    fn are_of(&self, module: &ModuleInfo) -> bool {
+        self.names.names().len() == module.exports.len()
+            && self.module == module.name
+            && self.exports.iter().eq(module.exports.iter().map(|e| &e.name))
     }
 }
 
@@ -126,16 +176,16 @@ pub struct Faros {
     policy: Policy,
     /// Pid -> CR3 (events carry pids; taint identity is the CR3, and the
     /// engine's process tag table maps each CR3 to its tag and name).
-    pid_cr3: HashMap<Pid, u32>,
+    pid_cr3: FastMap<Pid, u32>,
     /// Per-thread register shadow banks, swapped on context switch.
-    reg_banks: HashMap<(Pid, Tid), [[ListId; 4]; SHADOW_REGS]>,
+    reg_banks: FastMap<(Pid, Tid), [[ListId; 4]; SHADOW_REGS]>,
     current_thread: Option<(Pid, Tid)>,
     current_cr3: u32,
     detections: Vec<Detection>,
     whitelisted: Vec<Detection>,
     /// `(CR3, instruction VA)` pairs already flagged: one detection per
     /// flagged instruction per process.
-    seen_insns: HashSet<(u32, u32)>,
+    seen_insns: FastSet<(u32, u32)>,
     /// `(CR3, site VA)` pairs whose indirect-transfer target was read
     /// from netflow-tainted data — the taint-fusion input to the CFI
     /// cross-check, recorded independently of the Minos alert policy.
@@ -164,13 +214,13 @@ impl Faros {
         Faros {
             engine,
             policy,
-            pid_cr3: HashMap::new(),
-            reg_banks: HashMap::new(),
+            pid_cr3: FastMap::default(),
+            reg_banks: FastMap::default(),
             current_thread: None,
             current_cr3: 0,
             detections: Vec::new(),
             whitelisted: Vec::new(),
-            seen_insns: HashSet::new(),
+            seen_insns: FastSet::default(),
             tainted_transfers: BTreeSet::new(),
             ctr,
             recorder: None,
@@ -256,6 +306,15 @@ impl Faros {
             .expect("process tag table overflow")
     }
 
+    /// Starts a fresh engine's export names from the kernel module's,
+    /// interned once per process, when `module` is that module and no
+    /// export name has been interned yet. Returns whether it did: then
+    /// export `i` of `module` has the named tag with index `i + 1`.
+    fn share_kernel_exports(&mut self, module: &ModuleInfo) -> bool {
+        let shared = KernelExports::get(module);
+        shared.are_of(module) && self.engine.tables_mut().share_exports(&shared.names)
+    }
+
     fn pid_tag(&mut self, pid: Pid) -> Option<ProvTag> {
         let cr3 = *self.pid_cr3.get(&pid)?;
         Some(self.process_tag(cr3))
@@ -285,7 +344,8 @@ impl Faros {
         let mut acc = ListId::EMPTY;
         for &p in ctx.code_bytes() {
             let id = self.engine.prov_id(ShadowAddr::Mem(p));
-            if !id.is_empty() {
+            // Code bytes mostly share one list: union only a new one.
+            if !id.is_empty() && id != acc {
                 acc = self.engine.union_lists(acc, id);
             }
         }
@@ -518,7 +578,7 @@ impl KernelEvents for Faros {
             .expect("process tag table overflow");
     }
 
-    fn module_loaded(&mut self, _pid: Option<Pid>, module: &ModuleInfo, export_table: &[ByteRange]) {
+    fn module_loaded(&mut self, pid: Option<Pid>, module: &ModuleInfo, export_table: &[ByteRange]) {
         // Taint the function-pointer field of every export entry (§V-A:
         // "scans all loaded modules and taints the function pointers in the
         // export tables"). Tags are *named* per entry — the paper's stated
@@ -527,17 +587,16 @@ impl KernelEvents for Faros {
         // runs of the table directly and labeled with one bulk range fill;
         // bytes falling past the recorded runs are simply not labeled, as
         // before.
-        let mut name = String::with_capacity(module.name.len() + 32);
+        let shared = pid.is_none() && self.share_kernel_exports(module);
+        let mut name = String::new();
         for (i, export) in module.exports.iter().enumerate() {
-            name.clear();
-            name.push_str(&module.name);
-            name.push('!');
-            name.push_str(&export.name);
-            let tag = self
-                .engine
-                .tables_mut()
-                .intern_export(&name)
-                .unwrap_or(ProvTag::EXPORT_TABLE);
+            let tag = if shared {
+                // Export `i` is the shared table's name `i`.
+                ProvTag::new(TagKind::ExportTable, i as u16 + 1)
+            } else {
+                export_tag_name(&mut name, &module.name, &export.name);
+                self.engine.tables_mut().intern_export(&name).unwrap_or(ProvTag::EXPORT_TABLE)
+            };
             let mut off = (4 + i as u32 * EXPORT_ENTRY_SIZE + EXPORT_PTR_OFFSET) as u64;
             let mut remaining = 4usize;
             for r in export_table {

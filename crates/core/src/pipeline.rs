@@ -108,13 +108,13 @@ impl JobCost {
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut reg = MetricsRegistry::new();
         for (name, ns) in self.phases.entries() {
-            let h = reg.histogram(&format!("phase.{name}_ns"));
+            let h = reg.histogram(format!("phase.{name}_ns"));
             reg.observe(h, *ns);
         }
         for p in &self.plugins {
-            let d = reg.counter(&format!("plugin.{}.dispatches", p.name));
+            let d = reg.counter(format!("plugin.{}.dispatches", p.name));
             reg.add(d, p.dispatches);
-            let w = reg.counter(&format!("plugin.{}.wall_ns", p.name));
+            let w = reg.counter(format!("plugin.{}.wall_ns", p.name));
             reg.add(w, p.wall_ns);
         }
         reg.snapshot()

@@ -162,6 +162,28 @@ fn module_load_taints_only_pointer_fields() {
     assert_eq!(rendered, "Export Table (ntdll.fdl!VirtualAlloc)");
 }
 
+/// The kernel module's export names are interned once per process and
+/// shared by later engines; a first module with other names, or the same
+/// names in another order, must still get its own.
+#[test]
+fn every_engine_names_its_first_modules_exports() {
+    let modules: [&[&str]; 3] = [
+        &["VirtualAlloc", "WriteFile"],
+        &["WriteFile", "VirtualAlloc", "Sleep"],
+        &["VirtualAlloc", "WriteFile"],
+    ];
+    for exports in modules {
+        let mut faros = Faros::new(Policy::paper());
+        let (module, ranges) = fake_module(0x5000, exports);
+        faros.module_loaded(None, &module, &ranges);
+        for (i, name) in exports.iter().enumerate() {
+            let ptr = 0x5000 + 4 + i as u32 * EXPORT_ENTRY_SIZE + 28;
+            let id = faros.engine().prov_id(ShadowAddr::Mem(ptr));
+            assert_eq!(faros.engine().display_list(id), format!("Export Table (ntdll.fdl!{name})"));
+        }
+    }
+}
+
 #[test]
 fn confluence_fires_only_with_both_halves() {
     let mut faros = Faros::new(Policy::paper());

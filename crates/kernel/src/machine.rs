@@ -25,6 +25,7 @@ use faros_emu::isa::{Mem as MemOp, Reg};
 use faros_emu::mem::{PhysMem, PAGE_SIZE};
 use faros_emu::mmu::{Access, AddressSpace, Asid, Fault, Perms, KERNEL_BASE};
 use faros_emu::tcache::{TcStats, TransCache};
+use faros_support::copy::forward_pieces;
 use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 use std::sync::OnceLock;
@@ -523,22 +524,12 @@ impl Machine {
         let runs = pair_runs(&src_runs, &dst_runs);
         let mut buf = Vec::new();
         for run in &runs {
-            // A destination that starts inside its own source, past the
-            // source's start, reads bytes this copy already wrote: move it
-            // in pieces of `dst - src` bytes, so each piece reads only what
-            // earlier pieces wrote and the result is the byte loop's.
-            let piece = if run.src_phys < run.dst_phys && run.dst_phys - run.src_phys < run.len {
-                run.dst_phys - run.src_phys
-            } else {
-                run.len
-            };
-            let mut done = 0;
-            while done < run.len {
-                let n = piece.min(run.len - done);
+            // Pieces keep the byte loop's result when the destination
+            // starts inside its own source (a self-copy replicates).
+            for (off, n) in forward_pieces(run.src_phys, run.dst_phys, run.len) {
                 buf.resize(n as usize, 0);
-                self.mem.read(run.src_phys + done, &mut buf).expect("translated");
-                self.mem.write(run.dst_phys + done, &buf).expect("translated");
-                done += n;
+                self.mem.read(run.src_phys + off, &mut buf).expect("translated");
+                self.mem.write(run.dst_phys + off, &buf).expect("translated");
             }
         }
         obs.guest_copy(src_pid, dst_pid, &runs);

@@ -76,6 +76,9 @@ impl Hasher for FastHasher {
 pub type FastMap<K, V> =
     std::collections::HashMap<K, V, BuildHasherDefault<FastHasher>>;
 
+/// A `HashSet` keyed with [`FastHasher`].
+pub type FastSet<T> = std::collections::HashSet<T, BuildHasherDefault<FastHasher>>;
+
 #[cfg(test)]
 mod tests {
     use super::*;

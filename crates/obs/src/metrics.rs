@@ -12,6 +12,7 @@
 
 use crate::fasthash::FastMap;
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
+use std::borrow::Cow;
 
 /// Dense handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -61,14 +62,14 @@ impl Histogram {
 /// assert_eq!(m.get(copies), 4);
 /// assert_eq!(m.snapshot().counter("taint.copies"), Some(4));
 /// ```
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct MetricsRegistry {
     counter_vals: Vec<u64>,
-    /// Name -> dense id; the single owned copy of each counter name.
-    counter_index: FastMap<String, usize>,
+    /// Name -> dense id; the single copy of each counter name.
+    counter_index: FastMap<Cow<'static, str>, usize>,
     hists: Vec<Histogram>,
-    /// Name -> dense id; the single owned copy of each histogram name.
-    hist_index: FastMap<String, usize>,
+    /// Name -> dense id; the single copy of each histogram name.
+    hist_index: FastMap<Cow<'static, str>, usize>,
 }
 
 impl MetricsRegistry {
@@ -77,14 +78,26 @@ impl MetricsRegistry {
         MetricsRegistry::default()
     }
 
-    /// Registers (or looks up) a counter by name.
-    pub fn counter(&mut self, name: &str) -> CounterId {
-        if let Some(&i) = self.counter_index.get(name) {
+    /// Creates an empty registry with room for `counters` counters.
+    pub fn with_capacity(counters: usize) -> MetricsRegistry {
+        MetricsRegistry {
+            counter_vals: Vec::with_capacity(counters),
+            counter_index: FastMap::with_capacity_and_hasher(counters, Default::default()),
+            ..MetricsRegistry::default()
+        }
+    }
+
+    /// Registers (or looks up) a counter by name. A `&'static str` name is
+    /// kept by reference, so registering a component's fixed counters
+    /// copies no names.
+    pub fn counter(&mut self, name: impl Into<Cow<'static, str>>) -> CounterId {
+        let name = name.into();
+        if let Some(&i) = self.counter_index.get(name.as_ref()) {
             return CounterId(i);
         }
         let i = self.counter_vals.len();
         self.counter_vals.push(0);
-        self.counter_index.insert(name.to_string(), i);
+        self.counter_index.insert(name, i);
         CounterId(i)
     }
 
@@ -118,13 +131,14 @@ impl MetricsRegistry {
     }
 
     /// Registers (or looks up) a histogram by name.
-    pub fn histogram(&mut self, name: &str) -> HistogramId {
-        if let Some(&i) = self.hist_index.get(name) {
+    pub fn histogram(&mut self, name: impl Into<Cow<'static, str>>) -> HistogramId {
+        let name = name.into();
+        if let Some(&i) = self.hist_index.get(name.as_ref()) {
             return HistogramId(i);
         }
         let i = self.hists.len();
         self.hists.push(Histogram::new());
-        self.hist_index.insert(name.to_string(), i);
+        self.hist_index.insert(name, i);
         HistogramId(i)
     }
 
@@ -143,7 +157,7 @@ impl MetricsRegistry {
         let mut counters: Vec<(String, u64)> = self
             .counter_index
             .iter()
-            .map(|(name, &i)| (name.clone(), self.counter_vals[i]))
+            .map(|(name, &i)| (name.to_string(), self.counter_vals[i]))
             .collect();
         counters.sort_by(|a, b| a.0.cmp(&b.0));
         let mut histograms: Vec<HistogramSnapshot> = self
@@ -151,7 +165,7 @@ impl MetricsRegistry {
             .iter()
             .map(|(name, &i)| (name, &self.hists[i]))
             .map(|(name, h)| HistogramSnapshot {
-                name: name.clone(),
+                name: name.to_string(),
                 count: h.count,
                 sum: h.sum,
                 min: if h.count == 0 { 0 } else { h.min },
@@ -198,8 +212,8 @@ impl FastPath {
     /// Registers `<prefix>.hits` and `<prefix>.misses` in `m`.
     pub fn register(m: &mut MetricsRegistry, prefix: &str) -> FastPath {
         FastPath {
-            hits: m.counter(&format!("{prefix}.hits")),
-            misses: m.counter(&format!("{prefix}.misses")),
+            hits: m.counter(format!("{prefix}.hits")),
+            misses: m.counter(format!("{prefix}.misses")),
         }
     }
 
@@ -261,8 +275,8 @@ impl QueueGauges {
     /// Registers `<prefix>.depth` and `<prefix>.high_water` in `m`.
     pub fn register(m: &mut MetricsRegistry, prefix: &str) -> QueueGauges {
         QueueGauges {
-            depth: m.counter(&format!("{prefix}.depth")),
-            high_water: m.counter(&format!("{prefix}.high_water")),
+            depth: m.counter(format!("{prefix}.depth")),
+            high_water: m.counter(format!("{prefix}.high_water")),
         }
     }
 
@@ -309,8 +323,8 @@ impl Utilization {
     /// Registers `<prefix>.jobs` and `<prefix>.busy_ns` in `m`.
     pub fn register(m: &mut MetricsRegistry, prefix: &str) -> Utilization {
         Utilization {
-            jobs: m.counter(&format!("{prefix}.jobs")),
-            busy_ns: m.counter(&format!("{prefix}.busy_ns")),
+            jobs: m.counter(format!("{prefix}.jobs")),
+            busy_ns: m.counter(format!("{prefix}.busy_ns")),
         }
     }
 

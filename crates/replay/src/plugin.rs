@@ -146,7 +146,7 @@ impl PluginManager {
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut m = MetricsRegistry::new();
         for cost in &self.costs {
-            let id = m.counter(&format!("plugin.{}.dispatches", cost.name));
+            let id = m.counter(format!("plugin.{}.dispatches", cost.name));
             m.add(id, cost.dispatches);
         }
         m.snapshot()

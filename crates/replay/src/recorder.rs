@@ -94,7 +94,7 @@ impl TraceRecorder {
         let id = match self.per_sysno.get(&sysno) {
             Some(&id) => id,
             None => {
-                let id = self.metrics.counter(&format!("syscall.{}", sysno.name()));
+                let id = self.metrics.counter(format!("syscall.{}", sysno.name()));
                 self.per_sysno.insert(sysno, id);
                 id
             }

@@ -15,11 +15,14 @@
 //! * [`mod@bench`] — a wall-clock micro-bench harness (warmup, N samples,
 //!   median/p95, `BENCH_*.json` output) — the substitute for `criterion`;
 //! * [`arb`] — `Arbitrary`-style generators for the FE32 ISA and
-//!   guest-program domains, shared by the property suites.
+//!   guest-program domains, shared by the property suites;
+//! * [`copy`] — the piece rule of a forward copy between overlapping
+//!   ranges, shared by the guest-memory and shadow copy paths.
 
 #![warn(missing_docs)]
 
 pub mod arb;
 pub mod bench;
+pub mod copy;
 pub mod json;
 pub mod prop;

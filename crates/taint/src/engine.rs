@@ -23,7 +23,9 @@ use crate::shadow::{ShadowAddr, ShadowState};
 use crate::tables::TagTables;
 use crate::tag::{ProvTag, TagKind};
 use faros_obs::metrics::{CounterId, FastPath, MetricsRegistry, MetricsSnapshot};
+use faros_support::copy::forward_pieces;
 use faros_support::json::{JsonValue, ToJson};
+use std::sync::OnceLock;
 
 /// Which indirect flows the engine propagates. The FAROS configuration is
 /// `PropagationMode::default()` (neither).
@@ -100,6 +102,21 @@ struct TaintCounters {
 }
 
 impl TaintCounters {
+    /// A registry holding just the engine's counters, and their ids. Built
+    /// once per host process and cloned for each engine: registering by
+    /// name hashes every name, and an engine is built per replay.
+    fn fresh_registry() -> (MetricsRegistry, TaintCounters) {
+        static FRESH: OnceLock<(MetricsRegistry, TaintCounters)> = OnceLock::new();
+        FRESH
+            .get_or_init(|| {
+                // Room for an embedder's counters too (FAROS adds six).
+                let mut metrics = MetricsRegistry::with_capacity(16);
+                let ctr = TaintCounters::register(&mut metrics);
+                (metrics, ctr)
+            })
+            .clone()
+    }
+
     fn register(m: &mut MetricsRegistry) -> TaintCounters {
         TaintCounters {
             copies: m.counter("taint.copies"),
@@ -162,8 +179,7 @@ pub struct TaintEngine {
 impl TaintEngine {
     /// Creates an engine with the given propagation mode.
     pub fn new(mode: PropagationMode) -> TaintEngine {
-        let mut metrics = MetricsRegistry::new();
-        let ctr = TaintCounters::register(&mut metrics);
+        let (metrics, ctr) = TaintCounters::fresh_registry();
         TaintEngine {
             tables: TagTables::new(),
             interner: ProvInterner::new(),
@@ -338,12 +354,16 @@ impl TaintEngine {
         if id.is_empty() {
             return "<untainted>".to_string();
         }
-        self.interner
-            .tags(id)
-            .into_iter()
-            .map(|t| self.tables.display_tag(t))
-            .collect::<Vec<_>>()
-            .join(" ->")
+        let tags = self.interner.tags(id);
+        // Room for a typical rendered tag each, so the string grows once.
+        let mut out = String::with_capacity(48 * tags.len());
+        for (i, tag) in tags.into_iter().enumerate() {
+            if i > 0 {
+                out.push_str(" ->");
+            }
+            self.tables.write_tag(&mut out, tag);
+        }
+        out
     }
 
     // --- Table I propagation rules ---
@@ -422,8 +442,9 @@ impl TaintEngine {
 
     /// Range `copy` between physical memory ranges, appending `append` to
     /// every byte that lands tainted: the kernel copy path, where `append`
-    /// is the destination process's tag. Equivalent to, for each `i` in
-    /// `0..len` in order (addresses wrapping past `u32::MAX`),
+    /// is the destination process's tag. Both ranges are clamped at
+    /// `u32::MAX`, like [`TaintEngine::label_range_fresh`]'s. Equivalent
+    /// to, for each `i` in `0..len` in order,
     ///
     /// ```text
     /// copy(Mem(dst + i), Mem(src + i), 1);
@@ -435,31 +456,20 @@ impl TaintEngine {
     /// with the same final shadow, the same list ids minted in the same
     /// order and the same counters, one fast-path decision per byte
     /// included. It works on runs instead: per run of source bytes sharing
-    /// one list, one control adjustment, one append and one shadow fill.
+    /// one list, one control adjustment, one append and one shadow fill,
+    /// within the pieces of [`forward_pieces`], which read only bytes that
+    /// earlier pieces wrote.
     pub fn copy_mem_range(&mut self, dst: u32, src: u32, len: u32, append: Option<ProvTag>) {
-        const SPACE: u64 = 1 << 32;
+        let len = Self::clamp_range(src, len as usize).min(Self::clamp_range(dst, len as usize));
+        let len = len as u32;
         self.metrics.add(self.ctr.copies, u64::from(len));
         let mut done = 0u32;
-        while done < len {
-            let (s, d) = (src.wrapping_add(done), dst.wrapping_add(done));
-            // A piece ends where either range wraps past `u32::MAX`. When
-            // the destination starts inside the source past its start, it
-            // also ends after `d - s` bytes, so a piece reads only bytes
-            // that earlier pieces wrote, never its own.
-            let mut piece = u64::from(len - done)
-                .min(SPACE - u64::from(s))
-                .min(SPACE - u64::from(d));
-            if s < d {
-                piece = piece.min(u64::from(d - s));
-            }
-            for (run_src, run_len, id) in self.shadow.mem_runs(s, piece as usize) {
+        'copy: for (off, piece) in forward_pieces(src, dst, len) {
+            for (run_src, run_len, id) in self.shadow.mem_runs(src + off, piece as usize) {
                 if self.propagation_is_noop() {
-                    // Nothing is tainted and no branch scope is open: every
-                    // byte left is a fast-path hit.
-                    self.ctr.fastpath.hit_n(&mut self.metrics, u64::from(len - done));
-                    return;
+                    break 'copy;
                 }
-                let at = d + (run_src - s);
+                let at = dst + (run_src - src);
                 let id = self.control_adjust(id);
                 let live = if id.is_empty() { self.bytes_until_clean(at, run_len) } else { run_len };
                 self.ctr.fastpath.miss_n(&mut self.metrics, live as u64);
@@ -474,6 +484,9 @@ impl TaintEngine {
                 done += live as u32;
             }
         }
+        // Once nothing is tainted and no branch scope is open, every byte
+        // left is a fast-path hit.
+        self.ctr.fastpath.hit_n(&mut self.metrics, u64::from(len - done));
     }
 
     /// How many bytes of clearing `[at, at + len)` one by one take the slow
@@ -562,9 +575,9 @@ impl TaintEngine {
         if self.fast_path() {
             return;
         }
+        let id = self.control_adjust(ListId::EMPTY);
         for i in 0..len {
             let Some(dst_byte) = dst.checked_offset(i) else { break };
-            let id = self.control_adjust(ListId::EMPTY);
             self.shadow.set(dst_byte, id);
         }
     }
@@ -591,8 +604,8 @@ impl TaintEngine {
         if self.fast_path() {
             return;
         }
+        let id = self.control_adjust(ListId::EMPTY);
         for &p in phys {
-            let id = self.control_adjust(ListId::EMPTY);
             self.shadow.set(ShadowAddr::Mem(p), id);
         }
     }

@@ -12,6 +12,9 @@
 //! * lazily-allocated **shadow pages** of 4 Ki [`ListId`] cells, one per
 //!   guest byte, each carrying a resident tainted-byte count so a page
 //!   whose last tainted byte is cleared is freed again;
+//! * **uniform pages**: a page that one range fill labels whole (an image
+//!   page read from a file, a page-sized receive buffer) holds its single
+//!   list and no cell array until a write makes its bytes differ;
 //! * a **global tainted-byte counter**, kept exact by `set`, which is what
 //!   makes the engine's zero-taint fast path a two-field check.
 //!
@@ -31,21 +34,53 @@ const PAGE_SHIFT: u32 = 12;
 const OFFSET_MASK: u32 = SHADOW_PAGE_SIZE - 1;
 
 /// One resident shadow page: a [`ListId`] cell per guest byte of the frame
-/// plus the count of non-empty cells.
+/// plus the count of non-empty cells — or, while every byte of the frame
+/// holds one list, just that list.
 #[derive(Debug)]
 struct ShadowPage {
     /// Number of cells holding a non-empty list.
     occupied: u32,
-    /// Cell per byte; length is always [`SHADOW_PAGE_SIZE`].
+    /// Cell per byte, of length [`SHADOW_PAGE_SIZE`]; empty while the page
+    /// is uniform.
     cells: Box<[ListId]>,
+    /// The list of every byte of a uniform page ([`ListId::EMPTY`] for a
+    /// page with cells).
+    fill: ListId,
 }
 
 impl ShadowPage {
     fn new() -> ShadowPage {
+        ShadowPage::with_cells(ListId::EMPTY)
+    }
+
+    /// A page whose cells all hold `id`.
+    fn with_cells(id: ListId) -> ShadowPage {
         ShadowPage {
-            occupied: 0,
-            cells: vec![ListId::EMPTY; SHADOW_PAGE_SIZE as usize].into_boxed_slice(),
+            occupied: if id.is_empty() { 0 } else { SHADOW_PAGE_SIZE },
+            cells: vec![id; SHADOW_PAGE_SIZE as usize].into_boxed_slice(),
+            fill: ListId::EMPTY,
         }
+    }
+
+    /// A uniform page: every byte holds `id`, with no cell array.
+    fn uniform(id: ListId) -> ShadowPage {
+        ShadowPage { occupied: SHADOW_PAGE_SIZE, cells: Box::default(), fill: id }
+    }
+
+    #[inline]
+    fn get(&self, off: usize) -> ListId {
+        match self.cells.get(off) {
+            Some(&id) => id,
+            None => self.fill,
+        }
+    }
+
+    /// The page's cells, building the array of a uniform page first.
+    fn cells_mut(&mut self) -> &mut [ListId] {
+        if self.cells.is_empty() {
+            *self = ShadowPage::with_cells(self.fill);
+        }
+        &mut self.cells
     }
 }
 
@@ -71,15 +106,15 @@ const PAGE_POOL_MAX: usize = 64;
 /// ```
 #[derive(Debug, Default)]
 pub struct PagedShadow {
-    /// Page directory, indexed by physical frame number.
-    dir: Vec<Option<Box<ShadowPage>>>,
+    /// Page directory, indexed by physical frame number. Pages sit in the
+    /// directory itself, so a read is one load to the page's cells.
+    dir: Vec<Option<ShadowPage>>,
     /// Global count of tainted (non-empty) bytes across all pages.
     tainted: usize,
     /// Freed pages kept for reuse; every pooled page is all-[`ListId::EMPTY`]
-    /// (see [`PAGE_POOL_MAX`]). Pages stay boxed in the pool so reuse
-    /// moves a pointer, not the 4 Ki cell array.
-    #[allow(clippy::vec_box)]
-    pool: Vec<Box<ShadowPage>>,
+    /// (see [`PAGE_POOL_MAX`]). Reuse moves the page's cell pointer, not
+    /// the 4 Ki cell array.
+    pool: Vec<ShadowPage>,
 }
 
 impl PagedShadow {
@@ -92,8 +127,18 @@ impl PagedShadow {
     #[inline]
     pub fn get(&self, addr: u32) -> ListId {
         match self.dir.get((addr >> PAGE_SHIFT) as usize) {
-            Some(Some(page)) => page.cells[(addr & OFFSET_MASK) as usize],
+            Some(Some(page)) => page.get((addr & OFFSET_MASK) as usize),
             _ => ListId::EMPTY,
+        }
+    }
+
+    /// Frees the page in `slot`, whose every byte the caller has cleared,
+    /// into the reuse pool.
+    fn free_page(pool: &mut Vec<ShadowPage>, slot: &mut Option<ShadowPage>) {
+        let mut page = slot.take().expect("freeing a resident page");
+        page.fill = ListId::EMPTY;
+        if pool.len() < PAGE_POOL_MAX {
+            pool.push(page);
         }
     }
 
@@ -108,28 +153,37 @@ impl PagedShadow {
         if id.is_empty() {
             let Some(slot) = self.dir.get_mut(pfn) else { return };
             let Some(page) = slot else { return };
-            if page.cells[off].is_empty() {
+            if page.get(off).is_empty() {
                 return;
             }
-            page.cells[off] = ListId::EMPTY;
+            page.cells_mut()[off] = ListId::EMPTY;
             page.occupied -= 1;
             self.tainted -= 1;
             if page.occupied == 0 {
-                let page = slot.take().expect("matched Some");
-                if self.pool.len() < PAGE_POOL_MAX {
-                    self.pool.push(page);
-                }
+                Self::free_page(&mut self.pool, slot);
             }
         } else {
             self.ensure_resident(pfn);
             let page = self.dir[pfn].as_mut().expect("made resident above");
-            let cell = &mut page.cells[off];
-            if cell.is_empty() {
+            if page.get(off) == id {
+                return;
+            }
+            let cell = &mut page.cells_mut()[off];
+            let fresh = cell.is_empty();
+            *cell = id;
+            if fresh {
                 page.occupied += 1;
                 self.tainted += 1;
             }
-            *cell = id;
         }
+    }
+
+    /// The directory slot of `pfn`, growing the directory to cover it.
+    fn dir_slot(&mut self, pfn: usize) -> &mut Option<ShadowPage> {
+        if pfn >= self.dir.len() {
+            self.dir.resize_with(pfn + 1, || None);
+        }
+        &mut self.dir[pfn]
     }
 
     /// Grows the directory to cover `pfn` and, if the frame is
@@ -137,16 +191,15 @@ impl PagedShadow {
     /// available. Returns `true` when the frame is resident afterwards.
     #[inline]
     fn page_resident_or_pooled(&mut self, pfn: usize) -> bool {
-        if pfn >= self.dir.len() {
-            self.dir.resize_with(pfn + 1, || None);
-        }
-        if self.dir[pfn].is_some() {
+        if self.dir_slot(pfn).is_some() {
             return true;
         }
         match self.pool.pop() {
             Some(page) => {
                 debug_assert!(
-                    page.occupied == 0 && page.cells.iter().all(|c| c.is_empty()),
+                    page.occupied == 0
+                        && page.fill.is_empty()
+                        && page.cells.iter().all(|c| c.is_empty()),
                     "pooled pages must be fully cleared"
                 );
                 self.dir[pfn] = Some(page);
@@ -161,7 +214,7 @@ impl PagedShadow {
     #[inline]
     fn ensure_resident(&mut self, pfn: usize) {
         if !self.page_resident_or_pooled(pfn) {
-            self.dir[pfn] = Some(Box::new(ShadowPage::new()));
+            self.dir[pfn] = Some(ShadowPage::new());
         }
     }
 
@@ -184,20 +237,23 @@ impl PagedShadow {
             let pfn = (addr >> PAGE_SHIFT) as usize;
             let off = (addr & OFFSET_MASK as u64) as usize;
             let span = ((SHADOW_PAGE_SIZE as usize - off) as u64).min(end - addr) as usize;
+            let whole = span == SHADOW_PAGE_SIZE as usize;
             if id.is_empty() {
                 // Clearing a non-resident page is free.
                 if let Some(slot @ Some(_)) = self.dir.get_mut(pfn) {
                     let page = slot.as_mut().expect("matched Some");
-                    let cells = &mut page.cells[off..off + span];
-                    // A fully-occupied page needs no scan: every cell in the
-                    // span is non-empty. Otherwise count and clear in one
-                    // pass over the span.
-                    let cleared = if page.occupied == SHADOW_PAGE_SIZE {
-                        cells.fill(ListId::EMPTY);
+                    // A whole-page or fully-occupied span needs no scan:
+                    // every occupied cell, or every cell in the span, is
+                    // cleared. Otherwise count and clear in one pass.
+                    let cleared = if whole {
+                        page.cells.fill(ListId::EMPTY);
+                        page.occupied as usize
+                    } else if page.occupied == SHADOW_PAGE_SIZE {
+                        page.cells_mut()[off..off + span].fill(ListId::EMPTY);
                         span
                     } else {
                         let mut cleared = 0usize;
-                        for c in cells.iter_mut() {
+                        for c in page.cells[off..off + span].iter_mut() {
                             cleared += !c.is_empty() as usize;
                             *c = ListId::EMPTY;
                         }
@@ -206,22 +262,34 @@ impl PagedShadow {
                     page.occupied -= cleared as u32;
                     self.tainted -= cleared;
                     if page.occupied == 0 {
-                        let page = slot.take().expect("matched Some");
-                        if self.pool.len() < PAGE_POOL_MAX {
-                            self.pool.push(page);
-                        }
+                        Self::free_page(&mut self.pool, slot);
                     }
                 }
+            } else if whole {
+                // One list over the whole frame: a new page is uniform and
+                // costs no cell array.
+                let slot = self.dir_slot(pfn);
+                let before = slot.as_ref().map_or(0, |page| page.occupied as usize);
+                match slot {
+                    Some(page) if page.cells.is_empty() => page.fill = id,
+                    Some(page) => {
+                        page.cells.fill(id);
+                        page.occupied = SHADOW_PAGE_SIZE;
+                    }
+                    None => *slot = Some(ShadowPage::uniform(id)),
+                }
+                self.tainted += SHADOW_PAGE_SIZE as usize - before;
             } else if self.page_resident_or_pooled(pfn) {
                 let page = self.dir[pfn].as_mut().expect("resident above");
-                let cells = &mut page.cells[off..off + span];
                 // An empty page (a reused pooled page) or a fully-occupied
                 // one needs no per-cell scan; otherwise count and overwrite
                 // in one pass over the span.
-                let fresh = if page.occupied == 0 {
+                let occupied = page.occupied;
+                let cells = &mut page.cells_mut()[off..off + span];
+                let fresh = if occupied == 0 {
                     cells.fill(id);
                     span
-                } else if page.occupied == SHADOW_PAGE_SIZE {
+                } else if occupied == SHADOW_PAGE_SIZE {
                     cells.fill(id);
                     0
                 } else {
@@ -235,14 +303,11 @@ impl PagedShadow {
                 page.occupied += fresh as u32;
                 self.tainted += fresh;
             } else {
-                // Brand-new page for a fresh label (the common shape for
-                // file/netflow source buffers): build it pre-filled with
-                // `id` and clear only the complement, instead of a zeroed
-                // allocation whose span cells are immediately overwritten.
-                let mut cells = vec![id; SHADOW_PAGE_SIZE as usize].into_boxed_slice();
-                cells[..off].fill(ListId::EMPTY);
-                cells[off + span..].fill(ListId::EMPTY);
-                self.dir[pfn] = Some(Box::new(ShadowPage { occupied: span as u32, cells }));
+                // Brand-new page for part of a fresh label.
+                let mut page = ShadowPage::new();
+                page.cells[off..off + span].fill(id);
+                page.occupied = span as u32;
+                self.dir[pfn] = Some(page);
                 self.tainted += span;
             }
             addr += span as u64;
@@ -275,6 +340,7 @@ impl PagedShadow {
             let off = (addr & OFFSET_MASK as u64) as usize;
             let span = ((SHADOW_PAGE_SIZE as usize - off) as u64).min(end - addr) as usize;
             match self.dir.get(pfn) {
+                Some(Some(page)) if page.cells.is_empty() => push(addr as u32, span, page.fill),
                 Some(Some(page)) => {
                     let cells = &page.cells[off..off + span];
                     let mut i = 0;
@@ -329,11 +395,10 @@ impl PagedShadow {
             .filter_map(|(pfn, slot)| slot.as_ref().map(|page| (pfn, page)))
             .flat_map(|(pfn, page)| {
                 let base = (pfn as u32) << PAGE_SHIFT;
-                page.cells
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, cell)| !cell.is_empty())
-                    .map(move |(off, &cell)| (base | off as u32, cell))
+                (0..SHADOW_PAGE_SIZE as usize).filter_map(move |off| {
+                    let cell = page.get(off);
+                    (!cell.is_empty()).then_some((base | off as u32, cell))
+                })
             })
     }
 }
@@ -438,6 +503,56 @@ mod tests {
             assert_eq!(bulk.iter().collect::<Vec<_>>(), byte.iter().collect::<Vec<_>>());
             assert_eq!(bulk.resident_pages(), byte.resident_pages());
         }
+    }
+
+    /// Fills `[start, start + len)` in `bulk` with one `fill_range` and in
+    /// `bytes` one `set` at a time, then checks they read the same.
+    fn fill_both(
+        bulk: &mut PagedShadow,
+        bytes: &mut PagedShadow,
+        start: u32,
+        len: usize,
+        id: ListId,
+    ) {
+        bulk.fill_range(start, len, id);
+        for a in start..start + len as u32 {
+            bytes.set(a, id);
+        }
+        assert_eq!(bulk.tainted_bytes(), bytes.tainted_bytes());
+        assert_eq!(bulk.resident_pages(), bytes.resident_pages());
+        assert_eq!(bulk.iter().collect::<Vec<_>>(), bytes.iter().collect::<Vec<_>>());
+        assert_eq!(bulk.runs(0x1f00, 0x5200), bytes.runs(0x1f00, 0x5200));
+    }
+
+    #[test]
+    fn uniform_pages_read_and_change_like_cell_pages() {
+        // A whole-page fill keeps one list and no cells; every later write
+        // must leave the state a per-byte set loop leaves.
+        let (mut bulk, mut bytes) = (PagedShadow::new(), PagedShadow::new());
+        let uniform =
+            |s: &PagedShadow, pfn: usize| s.dir[pfn].as_ref().is_some_and(|p| p.cells.is_empty());
+        fill_both(&mut bulk, &mut bytes, 0x2000, 0x1000, lid(4));
+        assert!(uniform(&bulk, 2), "no cell array");
+        assert_eq!(bulk.get(0x2abc), lid(4));
+        // Refilled whole, with the same list or another: still uniform.
+        fill_both(&mut bulk, &mut bytes, 0x2000, 0x1000, lid(4));
+        fill_both(&mut bulk, &mut bytes, 0x2000, 0x1000, lid(5));
+        assert!(uniform(&bulk, 2));
+        // A partial clear and a partial overwrite build the cells.
+        fill_both(&mut bulk, &mut bytes, 0x2010, 4, ListId::EMPTY);
+        fill_both(&mut bulk, &mut bytes, 0x2ff0, 0x20, lid(6));
+        assert!(!uniform(&bulk, 2));
+        // Clearing whole pages frees them into the pool, clean.
+        fill_both(&mut bulk, &mut bytes, 0x2000, 0x1000, ListId::EMPTY);
+        fill_both(&mut bulk, &mut bytes, 0x3000, 0x10, ListId::EMPTY);
+        assert!(bulk.is_clean());
+        assert_eq!(bulk.pool.len(), 2);
+        // A freed uniform page comes back from the pool clean too.
+        fill_both(&mut bulk, &mut bytes, 0x5000, 0x1000, lid(7));
+        fill_both(&mut bulk, &mut bytes, 0x5000, 0x1000, ListId::EMPTY);
+        bulk.set(0x6001, lid(8));
+        assert_eq!(bulk.iter().collect::<Vec<_>>(), vec![(0x6001, lid(8))]);
+        assert_eq!(bulk.get(0x6000), ListId::EMPTY);
     }
 
     #[test]

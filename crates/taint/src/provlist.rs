@@ -30,6 +30,7 @@
 
 use crate::tag::{ProvTag, TagKind};
 use faros_obs::fasthash::FastMap;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::mem::size_of;
 
@@ -67,6 +68,8 @@ impl fmt::Display for ListId {
 const ROOT: u32 = 0;
 /// `Node::id` of a node no `append`/`union` has returned yet.
 const NO_ID: u32 = u32::MAX;
+/// Nodes (and list ids) a fresh interner has room for.
+const INITIAL_NODES: usize = 64;
 
 /// One list: `tag` appended to the list at node `parent`.
 #[derive(Debug, Clone, Copy)]
@@ -138,10 +141,16 @@ impl ProvInterner {
             tag: ProvTag::EXPORT_TABLE,
             kinds: 0,
         };
+        // Sized for a replay's boot labels (the kernel module's export
+        // tags alone are 28 lists), so a fresh interner does not regrow.
+        let mut nodes = Vec::with_capacity(INITIAL_NODES);
+        nodes.push(root);
+        let mut ids = Vec::with_capacity(INITIAL_NODES);
+        ids.push(ROOT);
         ProvInterner {
-            nodes: vec![root],
-            ids: vec![ROOT],
-            edges: FastMap::default(),
+            nodes,
+            ids,
+            edges: FastMap::with_capacity_and_hasher(INITIAL_NODES, Default::default()),
             union_memo: FastMap::default(),
         }
     }
@@ -203,9 +212,10 @@ impl ProvInterner {
 
     /// The node for `tag` appended to `parent`, created on first use.
     fn child(&mut self, parent: u32, tag: ProvTag) -> u32 {
-        if let Some(&node) = self.edges.get(&(parent, tag)) {
-            return node;
-        }
+        let edge = match self.edges.entry((parent, tag)) {
+            Entry::Occupied(edge) => return *edge.get(),
+            Entry::Vacant(edge) => edge,
+        };
         let p = self.nodes[parent as usize];
         let node = self.nodes.len() as u32;
         self.nodes.push(Node {
@@ -215,7 +225,7 @@ impl ProvInterner {
             tag,
             kinds: p.kinds | kind_bit(tag.kind()),
         });
-        self.edges.insert((parent, tag), node);
+        edge.insert(node);
         node
     }
 

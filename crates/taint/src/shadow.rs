@@ -85,7 +85,7 @@ impl ShadowState {
     }
 
     /// Reads the provenance list id of a shadow byte.
-    #[inline]
+    #[inline(always)]
     pub fn get(&self, addr: ShadowAddr) -> ListId {
         match addr {
             ShadowAddr::Mem(a) => self.mem.get(a),
@@ -96,7 +96,7 @@ impl ShadowState {
     /// Writes the provenance list id of a shadow byte. Writing
     /// [`ListId::EMPTY`] clears the cell; a fully-cleared memory page is
     /// freed (see [`PagedShadow::set`]).
-    #[inline]
+    #[inline(always)]
     pub fn set(&mut self, addr: ShadowAddr, id: ListId) {
         match addr {
             ShadowAddr::Mem(a) => self.mem.set(a, id),

@@ -8,6 +8,7 @@
 use crate::tag::{FileTag, NetflowTag, ProcessTag, ProvTag, TagKind};
 use faros_obs::fasthash::FastMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Error returned when a tag table overflows its 16-bit index space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,13 +51,34 @@ pub struct TagTables {
     processes: Vec<ProcessTag>,
     process_index: FastMap<u32, u16>, // keyed by CR3
     files: Vec<FileTag>,
-    file_index: FastMap<(String, u32), u16>,
+    /// File name -> version -> index, so a lookup by `&str` copies no name.
+    file_index: FastMap<String, FastMap<u32, u16>>,
     // The paper's stated future work: "we plan to augment this tag with
     // information about function name, which will require the addition of a
-    // corresponding hash map" (§V-A). Entry 0 is the anonymous tag
-    // (`ProvTag::EXPORT_TABLE`).
-    exports: Vec<String>,
-    export_index: FastMap<String, u16>,
+    // corresponding hash map" (§V-A). Shared copy-on-write, so tables can
+    // start from names interned once (see `share_exports`).
+    exports: Arc<ExportNames>,
+}
+
+/// The interned export-table entry names of a [`TagTables`]: the `i`-th
+/// name belongs to the named export tag with index `i + 1`, since index 0
+/// is the anonymous [`ProvTag::EXPORT_TABLE`].
+///
+/// Tables that intern the same names in the same order assign the same
+/// tags, so a snapshot taken after interning a module's exports can seed
+/// later tables ([`TagTables::share_exports`]) in place of re-interning
+/// every name.
+#[derive(Debug, Clone, Default)]
+pub struct ExportNames {
+    names: Vec<String>,
+    index: FastMap<String, u16>,
+}
+
+impl ExportNames {
+    /// The interned names in tag-index order.
+    pub fn names(&self) -> impl ExactSizeIterator<Item = &str> {
+        self.names.iter().map(String::as_str)
+    }
 }
 
 impl TagTables {
@@ -106,13 +128,15 @@ impl TagTables {
     ///
     /// Returns [`TagTableFull`] after 65536 distinct (file, version) pairs.
     pub fn intern_file(&mut self, name: &str, version: u32) -> Result<ProvTag, TagTableFull> {
-        let key = (name.to_string(), version);
-        if let Some(&i) = self.file_index.get(&key) {
+        if let Some(&i) = self.file_index.get(name).and_then(|vs| vs.get(&version)) {
             return Ok(ProvTag::new(TagKind::File, i));
         }
         let i = Self::next_index(self.files.len(), TagKind::File)?;
         self.files.push(FileTag { name: name.to_string(), version });
-        self.file_index.insert(key, i);
+        match self.file_index.get_mut(name) {
+            Some(versions) => versions.insert(version, i),
+            None => self.file_index.entry(name.to_string()).or_default().insert(version, i),
+        };
         Ok(ProvTag::new(TagKind::File, i))
     }
 
@@ -125,16 +149,30 @@ impl TagTables {
     ///
     /// Returns [`TagTableFull`] after 65535 distinct names.
     pub fn intern_export(&mut self, name: &str) -> Result<ProvTag, TagTableFull> {
-        if self.exports.is_empty() {
-            self.exports.push(String::new()); // slot 0: anonymous
-        }
-        if let Some(&i) = self.export_index.get(name) {
+        if let Some(&i) = self.exports.index.get(name) {
             return Ok(ProvTag::new(TagKind::ExportTable, i));
         }
-        let i = Self::next_index(self.exports.len(), TagKind::ExportTable)?;
-        self.exports.push(name.to_string());
-        self.export_index.insert(name.to_string(), i);
+        let i = Self::next_index(self.exports.names.len() + 1, TagKind::ExportTable)?;
+        let exports = Arc::make_mut(&mut self.exports);
+        exports.names.push(name.to_string());
+        exports.index.insert(name.to_string(), i);
         Ok(ProvTag::new(TagKind::ExportTable, i))
+    }
+
+    /// The export names interned so far, as a shareable snapshot.
+    pub fn export_names(&self) -> &Arc<ExportNames> {
+        &self.exports
+    }
+
+    /// Starts the export names from a shared snapshot — the same tags as
+    /// interning its names in order, without copying them — provided no
+    /// export name has been interned yet. Returns whether it did.
+    pub fn share_exports(&mut self, names: &Arc<ExportNames>) -> bool {
+        if !self.exports.names.is_empty() {
+            return false;
+        }
+        self.exports = Arc::clone(names);
+        true
     }
 
     /// Looks up the name of a named export-table tag. Returns `None` for
@@ -143,7 +181,7 @@ impl TagTables {
         if tag.kind() != TagKind::ExportTable || tag.index() == 0 {
             return None;
         }
-        self.exports.get(tag.index() as usize).map(String::as_str)
+        self.exports.names.get(tag.index() as usize - 1).map(String::as_str)
     }
 
     /// Looks up a netflow payload. Returns `None` if `tag` is not a netflow
@@ -176,24 +214,34 @@ impl TagTables {
     /// Renders a tag for analyst-facing output, in the paper's Table II
     /// style (`NetFlow: {...}`, `Process: notepad.exe`, ...).
     pub fn display_tag(&self, tag: ProvTag) -> String {
-        match tag.kind() {
+        let mut out = String::new();
+        self.write_tag(&mut out, tag);
+        out
+    }
+
+    /// Appends [`TagTables::display_tag`]'s rendering of `tag` to `out`.
+    pub fn write_tag(&self, out: &mut String, tag: ProvTag) {
+        use std::fmt::Write;
+        let i = tag.index();
+        // Writing into a `String` cannot fail.
+        let _ = match tag.kind() {
             TagKind::Netflow => match self.netflow(tag) {
-                Some(nf) => format!("NetFlow: {nf}"),
-                None => format!("NetFlow: <unknown #{}>", tag.index()),
+                Some(nf) => write!(out, "NetFlow: {nf}"),
+                None => write!(out, "NetFlow: <unknown #{i}>"),
             },
             TagKind::Process => match self.process(tag) {
-                Some(p) => format!("Process: {p}"),
-                None => format!("Process: <unknown #{}>", tag.index()),
+                Some(p) => write!(out, "Process: {p}"),
+                None => write!(out, "Process: <unknown #{i}>"),
             },
             TagKind::File => match self.file(tag) {
-                Some(f) => format!("File: {f}"),
-                None => format!("File: <unknown #{}>", tag.index()),
+                Some(f) => write!(out, "File: {f}"),
+                None => write!(out, "File: <unknown #{i}>"),
             },
             TagKind::ExportTable => match self.export_name(tag) {
-                Some(name) => format!("Export Table ({name})"),
-                None => "Export Table".to_string(),
+                Some(name) => write!(out, "Export Table ({name})"),
+                None => write!(out, "Export Table"),
             },
-        }
+        };
     }
 
     /// Number of interned tags of each kind `(netflow, process, file)`.
@@ -268,6 +316,24 @@ mod tests {
         assert_eq!(t.export_name(ProvTag::EXPORT_TABLE), None);
         assert_eq!(t.display_tag(va), "Export Table (ntdll.fdl!VirtualAlloc)");
         assert_eq!(t.display_tag(ProvTag::EXPORT_TABLE), "Export Table");
+    }
+
+    #[test]
+    fn shared_export_names_assign_the_interned_tags() {
+        let mut first = TagTables::new();
+        let va = first.intern_export("ntdll.fdl!VirtualAlloc").unwrap();
+        let snapshot = Arc::clone(first.export_names());
+
+        let mut seeded = TagTables::new();
+        assert!(seeded.share_exports(&snapshot));
+        assert_eq!(seeded.intern_export("ntdll.fdl!VirtualAlloc").unwrap(), va);
+        // A new name copies the shared names before adding to them.
+        let wf = seeded.intern_export("ntdll.fdl!WriteFile").unwrap();
+        assert_eq!(wf.index(), 2);
+        assert_eq!(snapshot.names().collect::<Vec<_>>(), ["ntdll.fdl!VirtualAlloc"]);
+        assert_eq!(seeded.export_name(wf), Some("ntdll.fdl!WriteFile"));
+        // Tables that already interned a name keep their own.
+        assert!(!seeded.share_exports(&snapshot));
     }
 
     #[test]

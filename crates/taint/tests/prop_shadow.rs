@@ -597,8 +597,8 @@ impl Shrink for CopyCase {
 /// `append_tag` loop over the same bytes.
 fn copy_per_byte(engine: &mut TaintEngine, c: &RangeCopy) {
     for i in 0..c.len {
-        let dst = ShadowAddr::Mem(c.dst.wrapping_add(i));
-        engine.copy(dst, ShadowAddr::Mem(c.src.wrapping_add(i)), 1);
+        let dst = ShadowAddr::Mem(c.dst + i);
+        engine.copy(dst, ShadowAddr::Mem(c.src + i), 1);
         if let Some(tag) = c.append {
             if !engine.prov_id(dst).is_empty() {
                 engine.append_tag(dst, tag);
@@ -620,6 +620,9 @@ fn range_copy(rng: &mut Rng) -> RangeCopy {
         1 => src.wrapping_sub(rng.range_u32(1, len.max(2))),
         _ => addr(rng),
     };
+    // Kernel copies are of physical runs, which end at the top of memory.
+    let room = |a: u32| (u32::MAX - a).saturating_add(1);
+    let len = len.min(room(src)).min(room(dst));
     let append = rng.next_bool().then(|| prov_tag(rng));
     RangeCopy { dst, src, len, append }
 }

@@ -51,15 +51,12 @@ use crate::model::ProcessTable;
 use crate::lint::{Finding, FindingKind, Severity};
 use crate::vsa::AVal;
 use faros_emu::isa::Instr;
-use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
+use faros_kernel::nt::Sysno;
 use faros_kernel::{Machine, Pid};
 use faros_obs::metrics::MetricsRegistry;
-use faros_replay::syscap::{CapSet, Capability, CapabilityUse};
+use faros_replay::syscap::{cap_rules, CapSet, Capability, CapabilityUse, Guard, PERM_X};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-/// The executable bit of a `perms_bits` argument (bit 0 = R, 1 = W, 2 = X).
-const PERM_X: u32 = 0b100;
 
 // ---------------------------------------------------------------------
 // Abstract lifting: VSA argument values → capabilities
@@ -98,57 +95,28 @@ fn may_ne(av: &AVal, v: u32) -> bool {
     }
 }
 
-/// Lifts one syscall invocation with abstract arguments (`args[0..4]` =
-/// `ebx ecx edx esi edi`) into the capability lattice. This is the
-/// abstract twin of `faros-replay`'s `concrete_capability`; on singleton
-/// abstract values the two agree (pinned by a test below).
-pub fn caps_of_syscall(sysno: u32, args: &[AVal; 5]) -> CapSet {
-    let mut caps = CapSet::EMPTY;
-    match Sysno::from_u32(sysno) {
-        Some(Sysno::NtAllocateVirtualMemory) if may_have_x(&args[2]) => {
-            if may_eq(&args[0], CURRENT_PROCESS) {
-                caps.insert(Capability::AllocExecSelf);
-            }
-            if may_ne(&args[0], CURRENT_PROCESS) {
-                caps.insert(Capability::AllocExecRemote);
-            }
-        }
-        Some(Sysno::NtProtectVirtualMemory) if may_have_x(&args[3]) => {
-            caps.insert(Capability::ProtectToExec);
-        }
-        Some(Sysno::NtMapViewOfSection) if may_have_x(&args[2]) => {
-            caps.insert(Capability::MapExec);
-        }
-        Some(Sysno::NtWriteVirtualMemory) if may_ne(&args[0], CURRENT_PROCESS) => {
-            caps.insert(Capability::WriteRemote);
-        }
-        Some(Sysno::NtReadVirtualMemory) if may_ne(&args[0], CURRENT_PROCESS) => {
-            caps.insert(Capability::ReadRemote);
-        }
-        Some(Sysno::NtCreateThreadEx) if may_ne(&args[0], CURRENT_PROCESS) => {
-            caps.insert(Capability::CreateRemoteThread);
-        }
-        Some(Sysno::NtSetContextThread) if may_ne(&args[0], CURRENT_THREAD) => {
-            caps.insert(Capability::SetContext);
-        }
-        Some(Sysno::NtCreateUserProcess) => {
-            caps.insert(Capability::SpawnProcess);
-        }
-        Some(Sysno::LdrLoadDll) => {
-            caps.insert(Capability::LoadLibrary);
-        }
-        Some(Sysno::NtSocketSend) => {
-            caps.insert(Capability::SendNet);
-        }
-        Some(Sysno::NtSocketRecv) => {
-            caps.insert(Capability::RecvNet);
-        }
-        Some(Sysno::NtReadFile) => {
-            caps.insert(Capability::ReadSensitive);
-        }
-        _ => {}
+/// May the guard hold on some concrete value of the abstract arguments?
+fn may_hold(guard: Guard, args: &[AVal; 5]) -> bool {
+    match guard {
+        Guard::PermX(i) => may_have_x(&args[i]),
+        Guard::Is(i, v) => may_eq(&args[i], v),
+        Guard::IsNot(i, v) => may_ne(&args[i], v),
     }
-    caps
+}
+
+/// Lifts one syscall invocation with abstract arguments (`args[0..4]` =
+/// `ebx ecx edx esi edi`) into the capability lattice: every
+/// [`CAP_RULES`](faros_replay::syscap::CAP_RULES) row whose guards may
+/// hold. This is the abstract twin of `faros-replay`'s
+/// `concrete_capability`; on singleton abstract values the two agree
+/// (pinned by a test below).
+pub fn caps_of_syscall(sysno: u32, args: &[AVal; 5]) -> CapSet {
+    let Some(sysno) = Sysno::from_u32(sysno) else { return CapSet::EMPTY };
+    cap_rules(sysno)
+        .iter()
+        .filter(|r| r.guards.iter().all(|&g| may_hold(g, args)))
+        .map(|r| r.cap)
+        .collect()
 }
 
 /// The capabilities reachable through the kernel module's API stubs. A
@@ -895,6 +863,7 @@ mod tests {
     use faros_emu::isa::{Mem as M, Reg};
     use faros_emu::mmu::Perms;
     use faros_kernel::module::{FdlImage, Section};
+    use faros_kernel::nt::{CURRENT_PROCESS, CURRENT_THREAD};
     use faros_kernel::Tid;
     use faros_replay::syscap::concrete_capability;
     use faros_replay::CapabilityMonitor;

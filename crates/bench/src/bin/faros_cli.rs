@@ -15,8 +15,6 @@
 //! faros-cli replay <sample> -i FILE   replay a saved recording under FAROS
 //! faros-cli compare <sample>          Cuckoo vs malfind vs FAROS
 //! faros-cli trace <sample>            record and print the event timeline
-//! faros-cli run-asm FILE [opts]       assemble FE32 text source and run it
-//!                                     as a guest process under FAROS
 //! faros-cli json-check FILE...        validate files parse as JSON (Chrome
 //!                                     traces also need a traceEvents array)
 //! faros-cli bench-gate FILE           read BENCH_replay.json and fail if the
@@ -73,7 +71,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: faros-cli <list | record <sample> -o FILE | analyze <sample> [opts] \
          | replay <sample> -i FILE [opts] | compare <sample> | trace <sample>\n\
-         | run-asm FILE [opts] | json-check FILE... | bench-gate FILE | differential\n\
+         | json-check FILE... | bench-gate FILE | differential\n\
          | serve --socket PATH [--workers N] [--queue N]\n\
          | submit <sample> --socket PATH [-i FILE] [--json]\n\
          | stop --socket PATH [--now] | soak [--jobs N] [--workers N]\n\
@@ -179,11 +177,6 @@ fn parse_opts(args: &[String]) -> Opts {
         }
     }
     opts
-}
-
-fn make_faros(opts: &Opts) -> Faros {
-    let config = analysis_config(opts);
-    Faros::with_mode(config.policy, config.mode)
 }
 
 /// The job-scoped pipeline configuration for the given CLI options.
@@ -1154,43 +1147,6 @@ fn main() {
                 Recording::load(&path).unwrap_or_else(|e| fail(&e.to_string()));
             let job = analyze_job(sample, &recording, &opts);
             print_report(&job.faros, &job.report, &opts);
-        }
-        "run-asm" => {
-            let file = args.get(1).unwrap_or_else(|| usage());
-            let opts = parse_opts(&args[2..]);
-            let source = std::fs::read_to_string(file)
-                .unwrap_or_else(|e| fail(&format!("{file}: {e}")));
-            let bytes =
-                faros_emu::text::assemble_text(&source, faros_kernel::machine::IMAGE_BASE)
-                    .unwrap_or_else(|e| fail(&e.to_string()));
-            let mut padded = bytes;
-            padded.resize(padded.len().next_multiple_of(0x1000) + 0x1000, 0);
-            let image = faros_kernel::FdlImage {
-                entry: faros_kernel::machine::IMAGE_BASE,
-                export_table_va: faros_kernel::machine::IMAGE_BASE + 0x10_0000,
-                sections: vec![faros_kernel::module::Section {
-                    va: faros_kernel::machine::IMAGE_BASE,
-                    data: padded,
-                    perms: faros_emu::Perms::RWX,
-                }],
-                exports: vec![],
-            };
-            let mut machine =
-                faros_kernel::Machine::new(faros_kernel::MachineConfig::default());
-            machine
-                .install_program("C:/user.exe", &image)
-                .unwrap_or_else(|e| fail(&e.to_string()));
-            let mut faros = make_faros(&opts);
-            machine
-                .spawn_process("C:/user.exe", false, None, &mut faros)
-                .unwrap_or_else(|e| fail(&e.to_string()));
-            let exit = machine.run(BUDGET, &mut faros);
-            println!("run: {exit:?}, {} virtual ticks", machine.ticks());
-            for (pid, line) in machine.console() {
-                println!("  {pid}: {line}");
-            }
-            let report = faros.report();
-            print_report(&faros, &report, &opts);
         }
         "trace" => {
             let name = args.get(1).unwrap_or_else(|| usage());

@@ -248,11 +248,6 @@ impl Asm {
         self.emit(Instr::Alu { op: AluOp::Xor, dst, src: Operand::Imm(imm) })
     }
 
-    /// `mul dst, src`
-    pub fn mul_rr(&mut self, dst: Reg, src: Reg) -> &mut Asm {
-        self.emit(Instr::Alu { op: AluOp::Mul, dst, src: Operand::Reg(src) })
-    }
-
     /// `mul dst, imm`
     pub fn mul_ri(&mut self, dst: Reg, imm: u32) -> &mut Asm {
         self.emit(Instr::Alu { op: AluOp::Mul, dst, src: Operand::Imm(imm) })
@@ -268,12 +263,7 @@ impl Asm {
         self.emit(Instr::Alu { op: AluOp::Shr, dst, src: Operand::Imm(imm) })
     }
 
-    /// `shl dst, src`
-    pub fn shl_rr(&mut self, dst: Reg, src: Reg) -> &mut Asm {
-        self.emit(Instr::Alu { op: AluOp::Shl, dst, src: Operand::Reg(src) })
-    }
-
-    // --- compare/test ---
+    // --- compare ---
 
     /// `cmp a, b`
     pub fn cmp_rr(&mut self, a: Reg, b: Reg) -> &mut Asm {
@@ -283,16 +273,6 @@ impl Asm {
     /// `cmp a, imm`
     pub fn cmp_ri(&mut self, a: Reg, imm: u32) -> &mut Asm {
         self.emit(Instr::Cmp { a, b: Operand::Imm(imm) })
-    }
-
-    /// `test a, b`
-    pub fn test_rr(&mut self, a: Reg, b: Reg) -> &mut Asm {
-        self.emit(Instr::Test { a, b: Operand::Reg(b) })
-    }
-
-    /// `test a, imm`
-    pub fn test_ri(&mut self, a: Reg, imm: u32) -> &mut Asm {
-        self.emit(Instr::Test { a, b: Operand::Imm(imm) })
     }
 
     // --- control flow ---

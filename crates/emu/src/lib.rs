@@ -13,7 +13,6 @@
 //! * [`isa`] — registers, addressing modes, the instruction set;
 //! * [`encode`] — binary encoding/decoding (instructions live as guest bytes);
 //! * [`asm`] — a two-pass assembler with labels, used by the workload corpus;
-//! * [`text`] — a text-syntax frontend for the assembler;
 //! * [`mem`] — flat physical memory, the frame allocator and code-write
 //!   detection;
 //! * [`mmu`] — page tables, permissions, translation faults;
@@ -61,7 +60,6 @@ pub mod isa;
 pub mod mem;
 pub mod mmu;
 pub mod tcache;
-pub mod text;
 
 pub use cpu::{Cpu, CpuContext, CpuHooks, InsnCtx, NoHooks, ShadowLoc, StepEvent};
 pub use tcache::{TcStats, TransCache};

@@ -109,6 +109,9 @@ pub enum MachineError {
     BadImage(String),
     /// The requested virtual range collides with an existing mapping.
     AddressConflict(u32),
+    /// A region to map at this base starts off a page boundary or runs
+    /// past the top of the address space.
+    BadRegion(u32),
 }
 
 impl fmt::Display for MachineError {
@@ -122,6 +125,7 @@ impl fmt::Display for MachineError {
             MachineError::AddressConflict(va) => {
                 write!(f, "address conflict at {va:#010x}")
             }
+            MachineError::BadRegion(va) => write!(f, "bad region at {va:#010x}"),
         }
     }
 }
@@ -538,7 +542,9 @@ impl Machine {
 
     /// Maps `size` bytes of fresh zeroed memory at `va` in `pid`'s address
     /// space and registers a VAD region. Fires `kernel_write` so stale
-    /// shadow on recycled frames is cleared.
+    /// shadow on recycled frames is cleared. On any error no page is
+    /// mapped: an unaligned `va` or a region past `0xffff_ffff` is
+    /// [`MachineError::BadRegion`].
     pub fn map_fresh<O: Observer + ?Sized>(
         &mut self,
         pid: Pid,
@@ -548,8 +554,13 @@ impl Machine {
         kind: crate::process::RegionKind,
         obs: &mut O,
     ) -> Result<(), MachineError> {
-        debug_assert_eq!(va % PAGE_SIZE, 0);
-        let pages = size.div_ceil(PAGE_SIZE).max(1);
+        // The region starts on a page and ends at or below 0xffff_ffff.
+        let len = size.max(1).checked_next_multiple_of(PAGE_SIZE);
+        let fits = |len: &u32| va.is_multiple_of(PAGE_SIZE) && va.checked_add(len - 1).is_some();
+        let Some(len) = len.filter(fits) else {
+            return Err(MachineError::BadRegion(va));
+        };
+        let pages = len / PAGE_SIZE;
         {
             let proc = self.procs.get(&pid).ok_or(MachineError::NoSuchProcess(pid))?;
             for page in 0..pages {
@@ -558,15 +569,18 @@ impl Machine {
                 }
             }
         }
+        if self.mem.free_frames() < pages {
+            return Err(MachineError::OutOfMemory);
+        }
         let mut ranges = Vec::with_capacity(pages as usize);
         for page in 0..pages {
-            let pfn = self.mem.alloc_frame().map_err(|_| MachineError::OutOfMemory)?;
+            let pfn = self.mem.alloc_frame().expect("counted above");
             let proc = self.procs.get_mut(&pid).expect("checked above");
             proc.aspace.map(va + page * PAGE_SIZE, pfn, perms);
             ranges.push(ByteRange { phys: pfn * PAGE_SIZE, len: PAGE_SIZE });
         }
         let proc = self.procs.get_mut(&pid).expect("checked above");
-        proc.add_region(VadRegion { base: va, size: pages * PAGE_SIZE, perms, kind });
+        proc.add_region(VadRegion { base: va, size: len, perms, kind });
         // New mappings change what a cached virtual address decodes to.
         self.tcache.invalidate_all(&mut self.mem);
         obs.kernel_write(pid, &ranges);

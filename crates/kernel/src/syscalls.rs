@@ -48,7 +48,7 @@
 
 use crate::event::Observer;
 use crate::handle::{Handle, HandleObject, Pid, Tid};
-use crate::machine::Machine;
+use crate::machine::{Machine, MachineError};
 use crate::net::RecvOutcome;
 use crate::nt::{NtStatus, Sysno, CURRENT_PROCESS, CURRENT_THREAD};
 use crate::process::{BlockReason, RegionKind, ThreadState};
@@ -420,11 +420,11 @@ impl Machine {
         let version = self.fs.version(&path).unwrap_or(1);
         let va = a[1];
         let perms = perms_from_bits(a[2]);
-        if self
-            .map_fresh(pid, va, data.len().max(1) as u32, perms, RegionKind::Mapped { path: path.clone() }, obs)
-            .is_err()
-        {
-            return NtStatus::ConflictingAddresses;
+        let kind = RegionKind::Mapped { path: path.clone() };
+        match self.map_fresh(pid, va, data.len().max(1) as u32, perms, kind, obs) {
+            Ok(()) => {}
+            Err(MachineError::BadRegion(_)) => return NtStatus::InvalidParameter,
+            Err(_) => return NtStatus::ConflictingAddresses,
         }
         // Mapped pages may be read-only; write in kernel mode.
         match self.write_guest_kernel(pid, va, &data) {
@@ -483,7 +483,7 @@ impl Machine {
                 }
                 NtStatus::Success
             }
-            Err(crate::machine::MachineError::NoSuchFile(_)) => NtStatus::ObjectNameNotFound,
+            Err(MachineError::NoSuchFile(_)) => NtStatus::ObjectNameNotFound,
             Err(_) => NtStatus::InvalidParameter,
         }
     }
@@ -621,19 +621,25 @@ impl Machine {
             Ok(t) => t,
             Err(s) => return s,
         };
-        let size = a[1].div_ceil(PAGE_SIZE).max(1) * PAGE_SIZE;
+        let Some(size) = a[1].max(1).checked_next_multiple_of(PAGE_SIZE) else {
+            return NtStatus::NoMemory;
+        };
         let perms = perms_from_bits(a[2]);
         let base = {
             let Some(proc) = self.procs.get_mut(&target) else {
                 return NtStatus::InvalidHandle;
             };
             let base = proc.next_alloc_va;
-            proc.next_alloc_va = base + size + PAGE_SIZE; // guard gap
+            // The region and its one-page guard gap must fit below the top.
+            let Some(next) = base.checked_add(size).and_then(|end| end.checked_add(PAGE_SIZE)) else {
+                return NtStatus::NoMemory;
+            };
+            proc.next_alloc_va = next;
             base
         };
         match self.map_fresh(target, base, size, perms, RegionKind::Private, obs) {
             Ok(()) => self.out_u32s(pid, a[3], &[base], obs),
-            Err(crate::machine::MachineError::OutOfMemory) => NtStatus::NoMemory,
+            Err(MachineError::OutOfMemory) => NtStatus::NoMemory,
             Err(_) => NtStatus::ConflictingAddresses,
         }
     }
@@ -927,8 +933,8 @@ impl Machine {
         };
         match self.load_image_into(pid, &path, obs) {
             Ok(module) => self.out_u32s(pid, a[2], &[module.base], obs),
-            Err(crate::machine::MachineError::NoSuchFile(_)) => NtStatus::ObjectNameNotFound,
-            Err(crate::machine::MachineError::AddressConflict(_)) => {
+            Err(MachineError::NoSuchFile(_)) => NtStatus::ObjectNameNotFound,
+            Err(MachineError::AddressConflict(_)) => {
                 NtStatus::ConflictingAddresses
             }
             Err(_) => NtStatus::InvalidParameter,

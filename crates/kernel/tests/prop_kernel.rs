@@ -257,12 +257,18 @@ fn page_walk_matches_the_per_byte_oracle() {
             machine.install_program("C:/walk.exe", &image).unwrap();
             let pid = machine.spawn_process("C:/walk.exe", true, None, &mut NullObserver).unwrap();
             for &(va, pages, p) in regions {
-                // Regions stop at the top of the address space.
-                let room = (u64::from(!va) + 1) / u64::from(PAGE_SIZE);
-                let pages = room.min(u64::from(pages)) as u32;
                 let (size, kind) = (pages * PAGE_SIZE, RegionKind::Private);
-                // A region that collides with an earlier one is skipped.
-                let _ = machine.map_fresh(pid, va, size, perms[p as usize], kind, &mut NullObserver);
+                let before: Vec<_> = machine.process(pid).unwrap().aspace.iter().collect();
+                let got = machine.map_fresh(pid, va, size, perms[p as usize], kind, &mut NullObserver);
+                // A region past the top of the address space is refused,
+                // and a refused region (or a collision) maps no page.
+                if u64::from(va) + u64::from(size) > 1 << 32 {
+                    prop_assert_eq!(&got, &Err(MachineError::BadRegion(va)));
+                }
+                if got.is_err() {
+                    let after: Vec<_> = machine.process(pid).unwrap().aspace.iter().collect();
+                    prop_assert_eq!(after, before, "map_fresh({va:#x}, {size:#x}) -> {got:?}");
+                }
             }
             let aspace = machine.process(pid).unwrap().aspace.clone();
             for &(va, len) in ranges {

@@ -8,7 +8,7 @@ use faros_emu::mmu::Perms;
 use faros_kernel::event::NullObserver;
 use faros_kernel::machine::{Machine, MachineConfig, RunExit, IMAGE_BASE};
 use faros_kernel::module::{FdlImage, Section};
-use faros_kernel::nt::Sysno;
+use faros_kernel::nt::{NtStatus, Sysno};
 
 const SCRATCH: u32 = IMAGE_BASE + 0x1000;
 
@@ -301,4 +301,47 @@ fn two_processes_interleave_under_round_robin() {
     // Interleaving: the output is not all-A-then-all-B.
     assert_ne!(line, "AAABBB");
     assert_ne!(line, "BBBAAA");
+}
+
+/// Opens `C:/blob`, maps it at `va` and stores the NTSTATUS at `SCRATCH + 8`.
+fn map_blob_at(va: u32, blob: Vec<u8>) -> Machine {
+    let mut asm = Asm::new(IMAGE_BASE);
+    asm.mov_label(Reg::Ebx, "path");
+    sys(&mut asm, Sysno::NtOpenFile, &[(Reg::Ecx, 7), (Reg::Edx, SCRATCH)]);
+    asm.ld4(Reg::Ebx, M::abs(SCRATCH));
+    sys(&mut asm, Sysno::NtCreateSection, &[(Reg::Ecx, SCRATCH + 4)]);
+    asm.ld4(Reg::Ebx, M::abs(SCRATCH + 4));
+    sys(&mut asm, Sysno::NtMapViewOfSection, &[(Reg::Ecx, va), (Reg::Edx, 0b011)]);
+    asm.st4(M::abs(SCRATCH + 8), Reg::Eax);
+    asm.hlt();
+    asm.label("path");
+    asm.raw(b"C:/blob");
+    run(asm, |m| m.fs.create("C:/blob", blob).unwrap())
+}
+
+fn view_status(machine: &Machine) -> u32 {
+    let pid = machine.process_by_name("t.exe").unwrap().pid;
+    let out = machine.read_guest(pid, SCRATCH + 8, 4).unwrap();
+    u32::from_le_bytes(out.try_into().unwrap())
+}
+
+#[test]
+fn unaligned_view_base_is_rejected_before_mapping() {
+    let machine = map_blob_at(0x0500_0123, b"MAPPED".to_vec());
+    assert_eq!(view_status(&machine), NtStatus::InvalidParameter as u32);
+    let proc = machine.process_by_name("t.exe").unwrap();
+    assert!(proc.region_containing(0x0500_0123).is_none());
+    assert!(proc.aspace.entry(0x0500_0000).is_none());
+}
+
+#[test]
+fn view_past_the_top_of_the_address_space_maps_nothing() {
+    // Three pages at 0xffff_e000 would need a page at 0x1_0000_0000.
+    let machine = map_blob_at(0xffff_e000, vec![0xcc; 3 * 0x1000]);
+    assert_eq!(view_status(&machine), NtStatus::InvalidParameter as u32);
+    let proc = machine.process_by_name("t.exe").unwrap();
+    for va in [0xffff_e000, 0xffff_f000, 0] {
+        assert!(proc.aspace.entry(va).is_none(), "page {va:#x} was mapped");
+    }
+    assert!(proc.region_containing(0xffff_e000).is_none());
 }

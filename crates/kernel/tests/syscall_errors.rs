@@ -318,3 +318,63 @@ fn instruction_budget_is_respected() {
     machine.spawn_process("C:/t.exe", false, None, &mut NullObserver).unwrap();
     assert_eq!(machine.run(10_000, &mut NullObserver), RunExit::Budget);
 }
+
+#[test]
+fn allocation_size_near_the_top_is_no_memory() {
+    // 0xffff_f001 bytes round up to 2^32: no page count fits in the space.
+    let mut asm = Asm::new(IMAGE_BASE);
+    sys(
+        &mut asm,
+        Sysno::NtAllocateVirtualMemory,
+        &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, 0xffff_f001), (Reg::Edx, 0b011), (Reg::Esi, SCRATCH)],
+    );
+    asm.hlt();
+    let (machine, trace) = run_and_trace(asm);
+    assert_eq!(status_of(&trace, Sysno::NtAllocateVirtualMemory), NtStatus::NoMemory);
+    let proc = machine.process_by_name("t.exe").unwrap();
+    assert!(proc.region_containing(proc.next_alloc_va).is_none());
+}
+
+#[test]
+fn allocations_that_run_past_the_top_fail_and_map_nothing() {
+    // The first 2 GiB request overlaps the stack but still advances the
+    // allocation cursor; the second would then end past 0xffff_ffff. A
+    // small request afterwards still succeeds.
+    let mut asm = Asm::new(IMAGE_BASE);
+    for size in [0x8000_0000, 0x8000_0000, 0x1000] {
+        sys(
+            &mut asm,
+            Sysno::NtAllocateVirtualMemory,
+            &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, size), (Reg::Edx, 0b011), (Reg::Esi, SCRATCH)],
+        );
+    }
+    asm.hlt();
+    let (machine, trace) = run_and_trace(asm);
+    let statuses: Vec<NtStatus> = trace
+        .iter()
+        .filter(|(s, _)| *s == Sysno::NtAllocateVirtualMemory)
+        .map(|&(_, status)| status)
+        .collect();
+    assert_eq!(statuses, [NtStatus::ConflictingAddresses, NtStatus::NoMemory, NtStatus::Success]);
+    let pid = machine.process_by_name("t.exe").unwrap().pid;
+    let base = u32::from_le_bytes(machine.read_guest(pid, SCRATCH, 4).unwrap().try_into().unwrap());
+    let proc = machine.process(pid).unwrap();
+    assert_eq!(proc.region_containing(base).map(|r| r.size), Some(0x1000));
+    assert!(proc.region_containing(0x0100_0000).is_none(), "the failed 2 GiB request left pages");
+}
+
+#[test]
+fn allocation_beyond_guest_memory_maps_nothing() {
+    // 32 MiB fits the address space but not the 16 MiB of guest memory.
+    let mut asm = Asm::new(IMAGE_BASE);
+    sys(
+        &mut asm,
+        Sysno::NtAllocateVirtualMemory,
+        &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, 0x0200_0000), (Reg::Edx, 0b011), (Reg::Esi, SCRATCH)],
+    );
+    asm.hlt();
+    let (machine, trace) = run_and_trace(asm);
+    assert_eq!(status_of(&trace, Sysno::NtAllocateVirtualMemory), NtStatus::NoMemory);
+    let proc = machine.process_by_name("t.exe").unwrap();
+    assert!(proc.aspace.entry(0x0100_0000).is_none(), "the failed request left pages");
+}

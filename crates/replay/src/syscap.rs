@@ -14,8 +14,8 @@
 //!
 //! The monitor deliberately implements only [`KernelEvents`] (its
 //! [`CpuHooks`] impl is entirely default no-ops), so it adds zero work to
-//! the per-instruction fast path: the cost is one match per syscall, and
-//! syscalls are rare next to retired instructions.
+//! the per-instruction fast path: the cost is one table lookup per
+//! syscall, and syscalls are rare next to retired instructions.
 
 use crate::plugin::Plugin;
 use faros_emu::cpu::CpuHooks;
@@ -28,7 +28,7 @@ use std::fmt;
 
 /// The executable-permission bit of a `perms_bits` syscall argument
 /// (bit 0 = R, bit 1 = W, bit 2 = X — see `faros-kernel`'s syscall ABI).
-const PERM_X: u32 = 0b100;
+pub const PERM_X: u32 = 0b100;
 
 /// One element of the syscall capability lattice: something an image is
 /// able to *do* through the syscall ABI that matters for in-memory
@@ -230,35 +230,111 @@ impl FromJson for CapSet {
     }
 }
 
-/// The capability a single *concrete* syscall invocation exercises, from
-/// the service number and raw argument registers (`a[0..4]` = `ebx ecx
-/// edx esi edi`). This is the dynamic twin of the abstract lifting in
-/// `faros-analyze`; the two agree by construction on singleton abstract
-/// values (pinned by a test on the analyze side).
-pub fn concrete_capability(sysno: Sysno, args: &[u32; 5]) -> Option<Capability> {
-    match sysno {
-        Sysno::NtAllocateVirtualMemory if args[2] & PERM_X != 0 => {
-            Some(if args[0] == CURRENT_PROCESS {
-                Capability::AllocExecSelf
-            } else {
-                Capability::AllocExecRemote
-            })
+/// A condition on one syscall argument register (`args[0..4]` = `ebx ecx
+/// edx esi edi`) in a [`CapRule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Guard {
+    /// The argument is a `perms_bits` value with the X bit set.
+    PermX(usize),
+    /// The argument is the given pseudo-handle.
+    Is(usize, u32),
+    /// The argument is not the given pseudo-handle.
+    IsNot(usize, u32),
+}
+
+impl Guard {
+    fn holds(self, args: &[u32; 5]) -> bool {
+        match self {
+            Guard::PermX(i) => args[i] & PERM_X != 0,
+            Guard::Is(i, v) => args[i] == v,
+            Guard::IsNot(i, v) => args[i] != v,
         }
-        Sysno::NtProtectVirtualMemory if args[3] & PERM_X != 0 => Some(Capability::ProtectToExec),
-        Sysno::NtMapViewOfSection if args[2] & PERM_X != 0 => Some(Capability::MapExec),
-        Sysno::NtWriteVirtualMemory if args[0] != CURRENT_PROCESS => Some(Capability::WriteRemote),
-        Sysno::NtReadVirtualMemory if args[0] != CURRENT_PROCESS => Some(Capability::ReadRemote),
-        Sysno::NtCreateThreadEx if args[0] != CURRENT_PROCESS => {
-            Some(Capability::CreateRemoteThread)
-        }
-        Sysno::NtSetContextThread if args[0] != CURRENT_THREAD => Some(Capability::SetContext),
-        Sysno::NtCreateUserProcess => Some(Capability::SpawnProcess),
-        Sysno::LdrLoadDll => Some(Capability::LoadLibrary),
-        Sysno::NtSocketSend => Some(Capability::SendNet),
-        Sysno::NtSocketRecv => Some(Capability::RecvNet),
-        Sysno::NtReadFile => Some(Capability::ReadSensitive),
-        _ => None,
     }
+}
+
+/// One row of the capability ABI: a syscall with service number `sysno`
+/// whose arguments pass every guard exercises `cap`.
+#[derive(Debug, Clone, Copy)]
+pub struct CapRule {
+    /// The service number.
+    pub sysno: Sysno,
+    /// Conditions on the arguments, all of which must hold (none: always).
+    pub guards: &'static [Guard],
+    /// The capability the invocation exercises.
+    pub cap: Capability,
+}
+
+const fn rule(sysno: Sysno, guards: &'static [Guard], cap: Capability) -> CapRule {
+    CapRule { sysno, guards, cap }
+}
+
+/// The syscall ABI → capability decision, the one table both halves of the
+/// cross-check read: [`concrete_capability`] takes the row whose guards
+/// hold, `faros-analyze` every row whose guards *may* hold on abstract
+/// arguments. Rows of one service are adjacent, and their guards exclude
+/// each other, so a concrete invocation matches at most one row.
+pub const CAP_RULES: [CapRule; 13] = [
+    rule(
+        Sysno::NtAllocateVirtualMemory,
+        &[Guard::PermX(2), Guard::Is(0, CURRENT_PROCESS)],
+        Capability::AllocExecSelf,
+    ),
+    rule(
+        Sysno::NtAllocateVirtualMemory,
+        &[Guard::PermX(2), Guard::IsNot(0, CURRENT_PROCESS)],
+        Capability::AllocExecRemote,
+    ),
+    rule(Sysno::NtProtectVirtualMemory, &[Guard::PermX(3)], Capability::ProtectToExec),
+    rule(Sysno::NtMapViewOfSection, &[Guard::PermX(2)], Capability::MapExec),
+    rule(Sysno::NtWriteVirtualMemory, &[Guard::IsNot(0, CURRENT_PROCESS)], Capability::WriteRemote),
+    rule(Sysno::NtReadVirtualMemory, &[Guard::IsNot(0, CURRENT_PROCESS)], Capability::ReadRemote),
+    rule(
+        Sysno::NtCreateThreadEx,
+        &[Guard::IsNot(0, CURRENT_PROCESS)],
+        Capability::CreateRemoteThread,
+    ),
+    rule(Sysno::NtSetContextThread, &[Guard::IsNot(0, CURRENT_THREAD)], Capability::SetContext),
+    rule(Sysno::NtCreateUserProcess, &[], Capability::SpawnProcess),
+    rule(Sysno::LdrLoadDll, &[], Capability::LoadLibrary),
+    rule(Sysno::NtSocketSend, &[], Capability::SendNet),
+    rule(Sysno::NtSocketRecv, &[], Capability::RecvNet),
+    rule(Sysno::NtReadFile, &[], Capability::ReadSensitive),
+];
+
+/// `RULE_SPANS[sysno]` is the `lo..hi` range of that service's rows in
+/// [`CAP_RULES`], built at compile time so a lookup is one index. Every
+/// service number fits in a byte.
+const RULE_SPANS: [(u8, u8); 0x100] = {
+    let mut spans = [(0u8, 0u8); 0x100];
+    let mut i = 0;
+    while i < CAP_RULES.len() {
+        let s = CAP_RULES[i].sysno as usize;
+        if spans[s].0 == spans[s].1 {
+            spans[s].0 = i as u8;
+        } else {
+            assert!(spans[s].1 as usize == i, "rows of one service must be adjacent");
+        }
+        spans[s].1 = i as u8 + 1;
+        i += 1;
+    }
+    spans
+};
+
+/// The [`CAP_RULES`] rows of one service (empty for a service that
+/// exercises no capability).
+pub fn cap_rules(sysno: Sysno) -> &'static [CapRule] {
+    let (lo, hi) = RULE_SPANS.get(sysno as usize).copied().unwrap_or_default();
+    &CAP_RULES[lo as usize..hi as usize]
+}
+
+/// The capability a single *concrete* syscall invocation exercises, from
+/// the service number and raw argument registers: the one [`CAP_RULES`]
+/// row whose guards hold.
+pub fn concrete_capability(sysno: Sysno, args: &[u32; 5]) -> Option<Capability> {
+    cap_rules(sysno)
+        .iter()
+        .find(|r| r.guards.iter().all(|g| g.holds(args)))
+        .map(|r| r.cap)
 }
 
 /// The capabilities one process concretely exercised.

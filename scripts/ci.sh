@@ -80,6 +80,12 @@ echo "==> validate emitted Chrome trace + metrics JSON"
 cargo run --release --offline -p faros-bench --bin faros-cli -- json-check \
     target/trace_replay.trace.json target/trace_replay.metrics.json
 
+echo "==> bench smoke (the bench targets no gate below runs)"
+# `cargo test` runs a harness = false bench binary once in smoke mode; the
+# replay and service benches run in full below.
+cargo test --offline -p faros-bench --bench overhead --bench detection \
+    --bench indirect_flows --bench taint_ops >/dev/null
+
 echo "==> bench suite (FAROS_BENCH_WRITE -> BENCH_replay.json)"
 FAROS_BENCH_WRITE="$PWD" cargo bench --offline -p faros-bench --bench replay >/dev/null
 cargo run --release --offline -p faros-bench --bin faros-cli -- json-check BENCH_replay.json

@@ -808,9 +808,10 @@ fn stop_cmd(opts: &Opts) {
 }
 
 /// In-process soak: push `--jobs` recordings through a `--workers` pool and
-/// check the accounting balances exactly — the queue drains to zero, every
-/// job lands terminal, the merged metrics equal the fold of the per-job
-/// snapshots, and the flight recorder dropped nothing.
+/// check the accounting balances exactly — every job is admitted once and
+/// executed once, the queue never exceeds its capacity and drains to zero,
+/// every job lands terminal, the merged metrics equal the fold of the
+/// per-job snapshots, and the flight recorder dropped nothing.
 fn soak_cmd(opts: &Opts) {
     use faros_service::{Detonator, JobSpec, JobStatus, ServiceConfig};
     let jobs = opts.jobs.unwrap_or(200);
@@ -829,10 +830,12 @@ fn soak_cmd(opts: &Opts) {
         .collect();
 
     // Trace capture is on so the flight-recorder check below has events
-    // to account for.
+    // to account for. The queue is smaller than the job count, so
+    // `submit_wait` blocks and admission runs under contention.
+    let capacity = 32;
     let svc = Detonator::start(ServiceConfig {
         workers,
-        queue_capacity: 32,
+        queue_capacity: capacity,
         analysis: AnalysisConfig { capture_trace: true, ..AnalysisConfig::default() },
         ..ServiceConfig::default()
     });
@@ -873,7 +876,19 @@ fn soak_cmd(opts: &Opts) {
             bad += 1;
         }
     };
+    check("all jobs admitted", stats.submitted == jobs as u64, format!("{}/{jobs}", stats.submitted));
+    check("none rejected", stats.rejected == 0, format!("{} rejected", stats.rejected));
+    check(
+        "each job executed once",
+        stats.jobs_executed == jobs as u64,
+        format!("{} executions for {jobs} jobs", stats.jobs_executed),
+    );
     check("all jobs completed", stats.completed == jobs as u64, format!("{}/{jobs}", stats.completed));
+    check(
+        "queue stayed within capacity",
+        stats.queue_high_water <= capacity as u64,
+        format!("high water {} > {capacity}", stats.queue_high_water),
+    );
     check("no failures", stats.failed == 0, format!("{} failed", stats.failed));
     check("queue drained", stats.queue_depth == 0, format!("depth {}", stats.queue_depth));
     check(

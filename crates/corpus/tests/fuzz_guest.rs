@@ -9,13 +9,14 @@
 
 use faros::{Faros, Policy};
 use faros_corpus::{Sample, SampleScenario};
+use faros_emu::asm::Asm;
 use faros_emu::encode::encode;
-use faros_emu::isa::{Instr, Reg};
+use faros_emu::isa::{Mem, Reg};
 use faros_emu::mem::PAGE_SIZE;
 use faros_emu::mmu::Perms;
 use faros_kernel::machine::IMAGE_BASE;
 use faros_kernel::module::{FdlImage, Section};
-use faros_kernel::nt::{CURRENT_PROCESS, CURRENT_THREAD};
+use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
 use faros_replay::record_and_replay;
 use faros_support::arb;
 use faros_support::prop::{check, Config, Rng};
@@ -31,6 +32,7 @@ fn wrap_bytes(code: Vec<u8>) -> Sample {
     };
     let scenario = SampleScenario::new("fuzz")
         .program("C:/fuzz.exe", image)
+        .seed_file(SEED_FILE, vec![0xcc; 16])
         .autostart("C:/fuzz.exe");
     Sample {
         scenario,
@@ -87,12 +89,36 @@ fn syscall_arg(r: &mut Rng) -> u32 {
     match r.range_u32(0, 8) {
         0 | 1 => *r.pick(&[CURRENT_PROCESS, CURRENT_THREAD]),
         2 => r.range_u32(0, 16),
-        3 => (r.next_u32() & !(PAGE_SIZE - 1)).wrapping_add(*r.pick(&[0, 1, u32::MAX])),
-        4 | 5 => 0u32.wrapping_sub(r.range_u32(0, 2 * PAGE_SIZE)),
+        3 => page_boundary(r),
+        4 | 5 => near_top(r),
         6 => IMAGE_BASE + r.range_u32(0x1000, 0x2000),
         _ => r.next_u32(),
     }
 }
+
+/// A page boundary, or one byte either side of it.
+fn page_boundary(r: &mut Rng) -> u32 {
+    (r.next_u32() & !(PAGE_SIZE - 1)).wrapping_add(*r.pick(&[0, 1, u32::MAX]))
+}
+
+/// A value within two pages of `0xffff_ffff` (or 0).
+fn near_top(r: &mut Rng) -> u32 {
+    0u32.wrapping_sub(r.range_u32(0, 2 * PAGE_SIZE))
+}
+
+/// A view base for `NtMapViewOfSection`: a page boundary (±1), or one of
+/// the top two pages, which a view of more than a page runs past.
+fn view_base(r: &mut Rng) -> u32 {
+    if r.next_bool() {
+        page_boundary(r)
+    } else {
+        near_top(r) & !(PAGE_SIZE - 1)
+    }
+}
+
+/// The file every fuzzed program opens a section on; a view of it is one
+/// page.
+const SEED_FILE: &str = "C:/seed";
 
 #[test]
 fn random_syscall_arguments_never_panic_the_kernel() {
@@ -101,31 +127,53 @@ fn random_syscall_arguments_never_panic_the_kernel() {
         Config::with_cases(24),
         |rng| {
             rng.vec_of(1, 24, |r| {
-                // Half the calls go to the memory services (0x28..=0x2e).
-                let sysno = if r.next_bool() { r.range_u32(0x28, 0x2f) } else { r.range_u32(0, 0x60) };
-                (syscall_arg(r), syscall_arg(r), syscall_arg(r), syscall_arg(r), syscall_arg(r), sysno)
+                // Half the calls go to the memory services (0x28..=0x2e),
+                // a quarter to the section services (0x0b..=0x0e).
+                let sysno = match r.range_u32(0, 4) {
+                    0 | 1 => r.range_u32(0x28, 0x2f),
+                    2 => r.range_u32(0x0b, 0x0f),
+                    _ => r.range_u32(0, 0x60),
+                };
+                // A view takes a handle the kernel hands out (multiples of
+                // four) and a base from the page-boundary and top pools.
+                let (b, c) = if sysno == Sysno::NtMapViewOfSection as u32 {
+                    (4 * r.range_u32(0, 4), view_base(r))
+                } else {
+                    (syscall_arg(r), syscall_arg(r))
+                };
+                (b, c, syscall_arg(r), syscall_arg(r), syscall_arg(r), sysno)
             })
         },
         |calls| {
-            // A program that makes syscalls with entirely attacker-chosen
-            // registers, then exits.
-            let mut code = Vec::new();
-            for (b, c, d, si, di, sysno) in calls {
-                for (reg, val) in [
-                    (Reg::Ebx, *b),
-                    (Reg::Ecx, *c),
-                    (Reg::Edx, *d),
-                    (Reg::Esi, *si),
-                    (Reg::Edi, *di),
-                    (Reg::Eax, *sysno),
-                ] {
-                    code.extend(encode(&Instr::MovRI { dst: reg, imm: val }));
-                }
-                code.extend(encode(&Instr::Int { vector: 0x2e }));
+            // A fixed prologue opens a section on the seed file, so small
+            // handle values name a real file and section. Then the program
+            // makes syscalls with entirely attacker-chosen registers, and
+            // exits.
+            let mut asm = Asm::new(IMAGE_BASE);
+            let out = IMAGE_BASE + 0x1ff0;
+            asm.mov_label(Reg::Ebx, "path");
+            let path_len = SEED_FILE.len() as u32;
+            syscall(&mut asm, Sysno::NtOpenFile as u32, &[(Reg::Ecx, path_len), (Reg::Edx, out)]);
+            asm.ld4(Reg::Ebx, Mem::abs(out));
+            syscall(&mut asm, Sysno::NtCreateSection as u32, &[(Reg::Ecx, out + 4)]);
+            for &(b, c, d, si, di, sysno) in calls {
+                let args =
+                    [(Reg::Ebx, b), (Reg::Ecx, c), (Reg::Edx, d), (Reg::Esi, si), (Reg::Edi, di)];
+                syscall(&mut asm, sysno, &args);
             }
-            code.extend(encode(&Instr::Hlt));
-            run_under_faros(&wrap_bytes(code));
+            asm.hlt();
+            asm.label("path");
+            asm.raw(SEED_FILE.as_bytes());
+            run_under_faros(&wrap_bytes(asm.assemble().expect("fuzz program assembles")));
             Ok(())
         },
     );
+}
+
+fn syscall(asm: &mut Asm, sysno: u32, args: &[(Reg, u32)]) {
+    for &(reg, val) in args {
+        asm.mov_ri(reg, val);
+    }
+    asm.mov_ri(Reg::Eax, sysno);
+    asm.int_syscall();
 }

@@ -625,20 +625,19 @@ impl Machine {
             return NtStatus::NoMemory;
         };
         let perms = perms_from_bits(a[2]);
-        let base = {
-            let Some(proc) = self.procs.get_mut(&target) else {
-                return NtStatus::InvalidHandle;
-            };
-            let base = proc.next_alloc_va;
-            // The region and its one-page guard gap must fit below the top.
-            let Some(next) = base.checked_add(size).and_then(|end| end.checked_add(PAGE_SIZE)) else {
-                return NtStatus::NoMemory;
-            };
-            proc.next_alloc_va = next;
-            base
+        let Some(base) = self.procs.get(&target).map(|p| p.next_alloc_va) else {
+            return NtStatus::InvalidHandle;
+        };
+        // The region and its one-page guard gap must fit below the top.
+        let Some(next) = base.checked_add(size).and_then(|end| end.checked_add(PAGE_SIZE)) else {
+            return NtStatus::NoMemory;
         };
         match self.map_fresh(target, base, size, perms, RegionKind::Private, obs) {
-            Ok(()) => self.out_u32s(pid, a[3], &[base], obs),
+            Ok(()) => {
+                // Only a granted request consumes its address range.
+                self.procs.get_mut(&target).expect("mapped above").next_alloc_va = next;
+                self.out_u32s(pid, a[3], &[base], obs)
+            }
             Err(MachineError::OutOfMemory) => NtStatus::NoMemory,
             Err(_) => NtStatus::ConflictingAddresses,
         }
@@ -655,25 +654,20 @@ impl Machine {
         let Some(proc) = self.procs.get_mut(&target) else {
             return NtStatus::InvalidHandle;
         };
-        let mut ok = true;
+        // Every page must be mapped and below the top before any changes,
+        // so a refused call changes nothing.
+        let page_va = |page: u32| va.checked_add(page * PAGE_SIZE);
+        if !(0..pages).all(|page| page_va(page).is_some_and(|v| proc.aspace.entry(v).is_some())) {
+            return NtStatus::InvalidParameter;
+        }
         for page in 0..pages {
-            if proc.aspace.protect(va + page * PAGE_SIZE, perms).is_none() {
-                ok = false;
-                break;
-            }
+            proc.aspace.protect(va + page * PAGE_SIZE, perms);
         }
-        if ok {
-            proc.set_region_perms(va, perms);
-        }
+        proc.set_region_perms(va, perms);
         // Protection changes can grant or revoke execute on pages that back
-        // cached blocks (VirtualProtect before a jump into fresh shellcode);
-        // drop the cache even on partial failure — earlier pages changed.
+        // cached blocks (VirtualProtect before a jump into fresh shellcode).
         self.tcache.invalidate_all(&mut self.mem);
-        if ok {
-            NtStatus::Success
-        } else {
-            NtStatus::InvalidParameter
-        }
+        NtStatus::Success
     }
 
     fn sys_free_vm(&mut self, pid: Pid, a: [u32; 5]) -> NtStatus {

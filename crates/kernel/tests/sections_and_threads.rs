@@ -305,6 +305,11 @@ fn two_processes_interleave_under_round_robin() {
 
 /// Opens `C:/blob`, maps it at `va` and stores the NTSTATUS at `SCRATCH + 8`.
 fn map_blob_at(va: u32, blob: Vec<u8>) -> Machine {
+    map_blob_then(va, blob, |_| {})
+}
+
+/// [`map_blob_at`], then runs the code `then` emits before halting.
+fn map_blob_then(va: u32, blob: Vec<u8>, then: impl FnOnce(&mut Asm)) -> Machine {
     let mut asm = Asm::new(IMAGE_BASE);
     asm.mov_label(Reg::Ebx, "path");
     sys(&mut asm, Sysno::NtOpenFile, &[(Reg::Ecx, 7), (Reg::Edx, SCRATCH)]);
@@ -313,6 +318,7 @@ fn map_blob_at(va: u32, blob: Vec<u8>) -> Machine {
     asm.ld4(Reg::Ebx, M::abs(SCRATCH + 4));
     sys(&mut asm, Sysno::NtMapViewOfSection, &[(Reg::Ecx, va), (Reg::Edx, 0b011)]);
     asm.st4(M::abs(SCRATCH + 8), Reg::Eax);
+    then(&mut asm);
     asm.hlt();
     asm.label("path");
     asm.raw(b"C:/blob");
@@ -344,4 +350,29 @@ fn view_past_the_top_of_the_address_space_maps_nothing() {
         assert!(proc.aspace.entry(va).is_none(), "page {va:#x} was mapped");
     }
     assert!(proc.region_containing(0xffff_e000).is_none());
+}
+
+#[test]
+fn protect_past_the_top_of_the_address_space_changes_nothing() {
+    // The one-page view at 0xffff_f000 is the last page; a two-page
+    // protect from there would need a page at 0x1_0000_0000.
+    let machine = map_blob_then(0xffff_f000, vec![0xcc; 0x1000], |asm| {
+        sys(
+            asm,
+            Sysno::NtProtectVirtualMemory,
+            &[
+                (Reg::Ebx, 0xffff_ffff),
+                (Reg::Ecx, 0xffff_f000),
+                (Reg::Edx, 0x2000),
+                (Reg::Esi, 0b001),
+            ],
+        );
+        asm.st4(M::abs(SCRATCH + 12), Reg::Eax);
+    });
+    assert_eq!(view_status(&machine), NtStatus::Success as u32);
+    let pid = machine.process_by_name("t.exe").unwrap().pid;
+    let status = machine.read_guest(pid, SCRATCH + 12, 4).unwrap();
+    assert_eq!(u32::from_le_bytes(status.try_into().unwrap()), NtStatus::InvalidParameter as u32);
+    let perms = machine.process(pid).unwrap().aspace.entry(0xffff_f000).unwrap().perms;
+    assert_eq!(perms, Perms::R.union(Perms::W), "a refused protect changed the page");
 }

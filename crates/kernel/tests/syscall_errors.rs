@@ -337,11 +337,12 @@ fn allocation_size_near_the_top_is_no_memory() {
 
 #[test]
 fn allocations_that_run_past_the_top_fail_and_map_nothing() {
-    // The first 2 GiB request overlaps the stack but still advances the
-    // allocation cursor; the second would then end past 0xffff_ffff. A
-    // small request afterwards still succeeds.
+    // A 2 GiB request from the cursor overlaps the stack; a request whose
+    // own size runs past 0xffff_ffff cannot fit at all. Neither moves the
+    // allocation cursor, so a small request afterwards still lands at the
+    // first allocation address.
     let mut asm = Asm::new(IMAGE_BASE);
-    for size in [0x8000_0000, 0x8000_0000, 0x1000] {
+    for size in [0x8000_0000, 0xff00_0000, 0x1000] {
         sys(
             &mut asm,
             Sysno::NtAllocateVirtualMemory,
@@ -358,9 +359,10 @@ fn allocations_that_run_past_the_top_fail_and_map_nothing() {
     assert_eq!(statuses, [NtStatus::ConflictingAddresses, NtStatus::NoMemory, NtStatus::Success]);
     let pid = machine.process_by_name("t.exe").unwrap().pid;
     let base = u32::from_le_bytes(machine.read_guest(pid, SCRATCH, 4).unwrap().try_into().unwrap());
+    assert_eq!(base, 0x0100_0000, "a refused request moved the allocation cursor");
     let proc = machine.process(pid).unwrap();
     assert_eq!(proc.region_containing(base).map(|r| r.size), Some(0x1000));
-    assert!(proc.region_containing(0x0100_0000).is_none(), "the failed 2 GiB request left pages");
+    assert!(proc.aspace.entry(0x0100_1000).is_none(), "a refused request left pages");
 }
 
 #[test]

@@ -248,99 +248,6 @@ impl FastPath {
     }
 }
 
-/// Registered depth gauges for a bounded queue: `<prefix>.depth` is the
-/// current depth (gauge semantics — overwritten on every observation) and
-/// `<prefix>.high_water` the deepest the queue has ever been.
-///
-/// # Examples
-///
-/// ```
-/// use faros_obs::metrics::{MetricsRegistry, QueueGauges};
-///
-/// let mut m = MetricsRegistry::new();
-/// let q = QueueGauges::register(&mut m, "service.queue");
-/// q.observe_depth(&mut m, 5);
-/// q.observe_depth(&mut m, 2);
-/// let snap = m.snapshot();
-/// assert_eq!(snap.counter("service.queue.depth"), Some(2));
-/// assert_eq!(snap.counter("service.queue.high_water"), Some(5));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct QueueGauges {
-    depth: CounterId,
-    high_water: CounterId,
-}
-
-impl QueueGauges {
-    /// Registers `<prefix>.depth` and `<prefix>.high_water` in `m`.
-    pub fn register(m: &mut MetricsRegistry, prefix: &str) -> QueueGauges {
-        QueueGauges {
-            depth: m.counter(format!("{prefix}.depth")),
-            high_water: m.counter(format!("{prefix}.high_water")),
-        }
-    }
-
-    /// Records the queue's current depth, advancing the high-water mark.
-    pub fn observe_depth(&self, m: &mut MetricsRegistry, depth: u64) {
-        m.set(self.depth, depth);
-        if depth > m.get(self.high_water) {
-            m.set(self.high_water, depth);
-        }
-    }
-
-    /// Reads `(depth, high_water)`.
-    pub fn read(&self, m: &MetricsRegistry) -> (u64, u64) {
-        (m.get(self.depth), m.get(self.high_water))
-    }
-}
-
-/// Registered utilization counters for a worker pool: `<prefix>.jobs`
-/// counts completed work items and `<prefix>.busy_ns` accumulates the
-/// wall-clock the pool spent executing them. Busy nanoseconds are
-/// wall-clock and therefore human-facing only — keep them out of golden
-/// fixtures and replay-identity checks, like `PhaseProfile`.
-///
-/// # Examples
-///
-/// ```
-/// use faros_obs::metrics::{MetricsRegistry, Utilization};
-/// use std::time::Duration;
-///
-/// let mut m = MetricsRegistry::new();
-/// let u = Utilization::register(&mut m, "service.workers");
-/// u.record_job(&mut m, Duration::from_micros(250));
-/// let snap = m.snapshot();
-/// assert_eq!(snap.counter("service.workers.jobs"), Some(1));
-/// assert_eq!(snap.counter("service.workers.busy_ns"), Some(250_000));
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct Utilization {
-    jobs: CounterId,
-    busy_ns: CounterId,
-}
-
-impl Utilization {
-    /// Registers `<prefix>.jobs` and `<prefix>.busy_ns` in `m`.
-    pub fn register(m: &mut MetricsRegistry, prefix: &str) -> Utilization {
-        Utilization {
-            jobs: m.counter(format!("{prefix}.jobs")),
-            busy_ns: m.counter(format!("{prefix}.busy_ns")),
-        }
-    }
-
-    /// Accounts one completed work item and the wall-clock it occupied a
-    /// worker for.
-    pub fn record_job(&self, m: &mut MetricsRegistry, busy: std::time::Duration) {
-        m.inc(self.jobs);
-        m.add(self.busy_ns, busy.as_nanos() as u64);
-    }
-
-    /// Reads `(jobs, busy_ns)`.
-    pub fn read(&self, m: &MetricsRegistry) -> (u64, u64) {
-        (m.get(self.jobs), m.get(self.busy_ns))
-    }
-}
-
 /// Serializable state of one histogram.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct HistogramSnapshot {

@@ -11,16 +11,14 @@
 //!
 //! The layers, bottom up:
 //!
-//! * [`queue`] — a bounded MPMC queue; its capacity is the backpressure
-//!   boundary (full queue → structured `queue-full` rejection) and its
-//!   close-then-drain semantics are the shutdown contract;
 //! * [`job`] — the wire types: job specs, statuses, structured failures,
 //!   results;
 //! * [`fault`] — fault injection (panic mid-replay, corrupt report,
 //!   stall), used by the crash-test suite to prove containment;
-//! * [`service`] — the [`Detonator`]: worker pool, claim-token result
-//!   publishing, deadline supervisor, worker replacement, graceful
-//!   shutdown, merged stats;
+//! * [`service`] — the [`Detonator`]: bounded queue (its capacity is the
+//!   backpressure boundary, its close-then-drain the shutdown contract),
+//!   worker pool, claim-token result publishing, deadline supervisor,
+//!   worker replacement, graceful shutdown, merged stats;
 //! * [`health`] — SLO rules turning a stats snapshot into a structured
 //!   [`HealthReport`] (queue saturation, trace drops, worker
 //!   replacements, deadline kills);
@@ -41,7 +39,6 @@ pub mod fault;
 pub mod health;
 pub mod job;
 pub mod protocol;
-pub mod queue;
 pub mod server;
 pub mod service;
 
@@ -49,6 +46,5 @@ pub use fault::{Fault, FaultPlan};
 pub use health::{HealthCheck, HealthReport, HealthStatus};
 pub use job::{FailureKind, JobFailure, JobResult, JobSpec, JobStatus, JobView};
 pub use protocol::{read_frame, write_frame, FrameError, Request, Response};
-pub use queue::{BoundedQueue, PushError};
 pub use server::{serve, Client, ServerHandle};
 pub use service::{Detonator, ServiceConfig, ServiceStats, SubmitError};

@@ -1,12 +1,18 @@
 //! The detonation service core: a bounded job queue feeding a pool of
 //! replay+analyze workers.
 //!
-//! [`Detonator::start`] spawns N workers that pop job ids off a
-//! [`BoundedQueue`], resolve each job's scenario, replay and analyze it
+//! [`Detonator::start`] spawns N workers that take job ids off the
+//! bounded queue, resolve each job's scenario, replay and analyze it
 //! through the *same* pipeline the CLI uses
 //! ([`faros::analyze_recording`]) — which is what makes parallel
 //! reports byte-identical to sequential runs — and publish a structured
 //! [`JobStatus`].
+//!
+//! All mutable service state — the queue, the job table and running
+//! claims, the counters, the merged snapshots, the flight recorder and the
+//! worker handles — sits behind one lock. Workers wait on one condvar for
+//! work; waiters and blocked submitters wait on the other for progress.
+//! Jobs execute outside the lock.
 //!
 //! Fault containment is claim-token based. Every execution attempt takes a
 //! fresh claim token; results are only accepted when the publishing
@@ -26,16 +32,14 @@
 use crate::fault::{self, Fault, FaultPlan, PanicAt};
 use crate::health::{self, HealthReport};
 use crate::job::{FailureKind, JobFailure, JobResult, JobSpec, JobStatus, JobView};
-use crate::queue::{BoundedQueue, PushError};
 use faros::AnalysisConfig;
-use faros_obs::metrics::{MetricsRegistry, MetricsSnapshot, QueueGauges, Utilization};
+use faros_obs::metrics::MetricsSnapshot;
 use faros_obs::trace::{FlightRecorder, TraceCategory, TraceEvent};
 use faros_replay::{record, replay, Recording};
 use faros_support::json::{self, FromJson, JsonError, JsonValue, ToJson};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
@@ -190,55 +194,103 @@ struct JobEntry {
     spec: JobSpec,
     label: String,
     status: JobStatus,
-    /// The claim token of the attempt allowed to publish; `None` when no
-    /// attempt may (queued or terminal).
-    claim: Option<u64>,
     /// When the job was admitted; a claiming worker turns the elapsed time
     /// into the job's `queue_wait` phase.
     submitted: Instant,
 }
 
-#[derive(Debug, Default)]
-struct JobsTable {
-    entries: Vec<JobEntry>,
-    running: HashMap<u64, RunningJob>,
+impl JobEntry {
+    fn view(&self, id: u64) -> JobView {
+        JobView { id, label: self.label.clone(), status: self.status.clone() }
+    }
 }
 
-/// Service-level metrics: queue gauges + worker utilization in one
-/// registry (see `faros_obs::metrics`).
-struct ServiceMetrics {
-    registry: MetricsRegistry,
-    queue: QueueGauges,
-    workers: Utilization,
+/// Everything about the service that changes, behind the one lock.
+struct State {
+    /// Admitted job ids not yet claimed, oldest first. A job is `Queued`
+    /// exactly while its id is here.
+    queue: VecDeque<u64>,
+    /// Set by shutdown: admission is refused, and workers exit once
+    /// `queue` is empty.
+    closed: bool,
+    /// Every admitted job, indexed by id.
+    jobs: Vec<JobEntry>,
+    /// The claim of each running job; a result is accepted only from the
+    /// attempt whose token is still here.
+    running: HashMap<u64, RunningJob>,
+    /// The service's counters and merged snapshots; `queue_depth` is read
+    /// from `queue` when stats are taken.
+    stats: ServiceStats,
+    recorder: FlightRecorder,
+    workers: HashMap<u64, JoinHandle<()>>,
+    /// Workers counted out of the pool (panicked or past the deadline).
+    retired: Vec<u64>,
+    next_worker: u64,
+    next_token: u64,
+}
+
+impl State {
+    /// The service-level counters behind [`Detonator::service_metrics`],
+    /// in name order. Wall-clock fields are human-facing only.
+    fn service_metrics(&self) -> MetricsSnapshot {
+        let counters = [
+            ("service.queue.depth", self.queue.len() as u64),
+            ("service.queue.high_water", self.stats.queue_high_water),
+            ("service.workers.busy_ns", self.stats.busy_ns),
+            ("service.workers.jobs", self.stats.jobs_executed),
+        ];
+        MetricsSnapshot {
+            counters: counters.iter().map(|&(name, v)| (name.to_string(), v)).collect(),
+            histograms: Vec::new(),
+        }
+    }
+
+    /// Claims queued job `id` for `worker`: a fresh token, and how long the
+    /// job sat queued (its `queue_wait` phase).
+    fn claim(&mut self, id: u64, worker: u64) -> (u64, JobSpec, Duration) {
+        let token = self.next_token;
+        self.next_token += 1;
+        let entry = &mut self.jobs[id as usize];
+        entry.status = JobStatus::Running;
+        let claim = (token, entry.spec.clone(), entry.submitted.elapsed());
+        self.running.insert(id, RunningJob { token, worker, started: Instant::now() });
+        claim
+    }
+
+    /// Publishes a terminal status for the attempt holding `token`.
+    /// Returns `false` (dropping the result) when the claim is stale —
+    /// the supervisor already failed the job and moved on.
+    fn publish(&mut self, id: u64, token: u64, status: JobStatus) -> bool {
+        if self.running.get(&id).is_none_or(|run| run.token != token) {
+            return false;
+        }
+        self.running.remove(&id);
+        match &status {
+            JobStatus::Done(result) => {
+                self.stats.completed += 1;
+                self.stats.trace_events += result.trace_events;
+                self.stats.trace_dropped += result.trace_dropped;
+                self.stats.merged.merge(&result.metrics);
+                self.stats.cost.merge(&result.cost);
+            }
+            JobStatus::Failed(_) => self.stats.failed += 1,
+            JobStatus::Queued | JobStatus::Running => unreachable!("publish is terminal-only"),
+        }
+        self.jobs[id as usize].status = status;
+        true
+    }
 }
 
 struct Inner {
     config: ServiceConfig,
     faults: Arc<FaultPlan>,
-    queue: BoundedQueue<u64>,
-    jobs: Mutex<JobsTable>,
-    jobs_cv: Condvar,
-    metrics: Mutex<ServiceMetrics>,
-    merged: Mutex<MetricsSnapshot>,
-    cost: Mutex<MetricsSnapshot>,
-    recorder: Mutex<FlightRecorder>,
     epoch: Instant,
-    workers: Mutex<HashMap<u64, JoinHandle<()>>>,
-    retired: Mutex<Vec<u64>>,
-    stop_supervisor: AtomicBool,
-    next_worker: AtomicU64,
-    next_token: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    cancelled: AtomicU64,
-    live_workers: AtomicU64,
-    workers_spawned: AtomicU64,
-    workers_replaced: AtomicU64,
-    trace_events: AtomicU64,
-    trace_dropped: AtomicU64,
-    deadline_kills: AtomicU64,
+    state: Mutex<State>,
+    /// Workers wait here for a queued job or for close.
+    work: Condvar,
+    /// Waiters, `drain`, and submitters blocked on a full queue wait here
+    /// for a job to settle, queue space, or close.
+    progress: Condvar,
 }
 
 /// The detonation service: bounded queue + worker pool + supervisor.
@@ -281,43 +333,30 @@ impl Detonator {
     /// entry point; production callers pass an empty plan via
     /// [`Detonator::start`]).
     pub fn start_with_faults(config: ServiceConfig, faults: Arc<FaultPlan>) -> Detonator {
-        let mut registry = MetricsRegistry::new();
-        let queue_gauges = QueueGauges::register(&mut registry, "service.queue");
-        let utilization = Utilization::register(&mut registry, "service.workers");
         let inner = Arc::new(Inner {
-            queue: BoundedQueue::new(config.queue_capacity),
             config,
             faults,
-            jobs: Mutex::new(JobsTable::default()),
-            jobs_cv: Condvar::new(),
-            metrics: Mutex::new(ServiceMetrics {
-                registry,
-                queue: queue_gauges,
-                workers: utilization,
-            }),
-            merged: Mutex::new(MetricsSnapshot::default()),
-            cost: Mutex::new(MetricsSnapshot::default()),
-            recorder: Mutex::new(FlightRecorder::new(1 << 12)),
             epoch: Instant::now(),
-            workers: Mutex::new(HashMap::new()),
-            retired: Mutex::new(Vec::new()),
-            stop_supervisor: AtomicBool::new(false),
-            next_worker: AtomicU64::new(0),
-            next_token: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            completed: AtomicU64::new(0),
-            failed: AtomicU64::new(0),
-            cancelled: AtomicU64::new(0),
-            live_workers: AtomicU64::new(0),
-            workers_spawned: AtomicU64::new(0),
-            workers_replaced: AtomicU64::new(0),
-            trace_events: AtomicU64::new(0),
-            trace_dropped: AtomicU64::new(0),
-            deadline_kills: AtomicU64::new(0),
+            state: Mutex::new(State {
+                queue: VecDeque::new(),
+                closed: false,
+                jobs: Vec::new(),
+                running: HashMap::new(),
+                stats: ServiceStats::default(),
+                recorder: FlightRecorder::new(1 << 12),
+                workers: HashMap::new(),
+                retired: Vec::new(),
+                next_worker: 0,
+                next_token: 0,
+            }),
+            work: Condvar::new(),
+            progress: Condvar::new(),
         });
-        for _ in 0..inner.config.workers.max(1) {
-            Inner::spawn_worker(&inner);
+        {
+            let mut st = inner.lock();
+            for _ in 0..inner.config.workers.max(1) {
+                Inner::spawn_worker(&inner, &mut st);
+            }
         }
         let supervisor = inner.config.deadline.map(|deadline| {
             let inner = Arc::clone(&inner);
@@ -342,8 +381,7 @@ impl Detonator {
 
     /// The current view of job `id`, or `None` for an unknown id.
     pub fn status(&self, id: u64) -> Option<JobView> {
-        let table = self.inner.jobs.lock().expect("jobs poisoned");
-        table.entries.get(id as usize).map(|e| JobEntry::view(e, id))
+        self.inner.lock().jobs.get(id as usize).map(|e| e.view(id))
     }
 
     /// Blocks until job `id` reaches a terminal state and returns it.
@@ -352,50 +390,54 @@ impl Detonator {
     ///
     /// Panics on an unknown job id.
     pub fn wait(&self, id: u64) -> JobView {
-        let mut table = self.inner.jobs.lock().expect("jobs poisoned");
+        let mut st = self.inner.lock();
         loop {
-            let entry = table.entries.get(id as usize).expect("unknown job id");
+            let entry = st.jobs.get(id as usize).expect("unknown job id");
             if entry.status.is_terminal() {
-                return JobEntry::view(entry, id);
+                return entry.view(id);
             }
-            table = self.inner.jobs_cv.wait(table).expect("jobs poisoned");
+            st = self.inner.wait_progress(st);
         }
     }
 
     /// Blocks until every submitted job is terminal (the queue is empty
     /// and no job is running).
     pub fn drain(&self) {
-        let mut table = self.inner.jobs.lock().expect("jobs poisoned");
-        while !table.entries.iter().all(|e| e.status.is_terminal()) {
-            table = self.inner.jobs_cv.wait(table).expect("jobs poisoned");
+        let mut st = self.inner.lock();
+        // Every admitted job ends completed or failed (cancelled included).
+        while st.stats.completed + st.stats.failed < st.stats.submitted {
+            st = self.inner.wait_progress(st);
         }
     }
 
     /// A point-in-time stats snapshot.
     pub fn stats(&self) -> ServiceStats {
-        self.inner.stats()
+        let st = self.inner.lock();
+        ServiceStats { queue_depth: st.queue.len() as u64, ..st.stats.clone() }
     }
 
     /// The configured queue capacity (the backpressure boundary).
     pub fn queue_capacity(&self) -> usize {
-        self.inner.queue.capacity()
+        self.inner.capacity()
     }
 
-    /// The service-level metrics registry snapshot (queue gauges, worker
-    /// utilization). Wall-clock fields are human-facing only.
+    /// The service-level counters: `service.queue.depth` and
+    /// `service.queue.high_water`, `service.workers.jobs` and
+    /// `service.workers.busy_ns`. Wall-clock fields are human-facing only.
     pub fn service_metrics(&self) -> MetricsSnapshot {
-        self.inner.metrics.lock().expect("metrics poisoned").registry.snapshot()
+        self.inner.lock().service_metrics()
     }
 
     /// The live telemetry snapshot behind `Request::Metrics`: the
     /// deterministic merged report metrics, the wall-clock cost channel
-    /// (phase latencies, plugin dispatches), and the service registry
-    /// (queue gauges, worker utilization), folded into one snapshot. The
-    /// three namespaces are disjoint, so the fold is lossless.
+    /// (phase latencies, plugin dispatches), and the service counters,
+    /// folded into one snapshot. The three namespaces are disjoint, so the
+    /// fold is lossless.
     pub fn telemetry_metrics(&self) -> MetricsSnapshot {
-        let mut snapshot = self.inner.merged.lock().expect("merged poisoned").clone();
-        snapshot.merge(&self.inner.cost.lock().expect("cost poisoned"));
-        snapshot.merge(&self.service_metrics());
+        let st = self.inner.lock();
+        let mut snapshot = st.stats.merged.clone();
+        snapshot.merge(&st.stats.cost);
+        snapshot.merge(&st.service_metrics());
         snapshot
     }
 
@@ -408,8 +450,8 @@ impl Detonator {
     /// The newest `n` service flight-recorder events (oldest first) plus
     /// how many the ring has evicted in total.
     pub fn trace_tail(&self, n: usize) -> (Vec<TraceEvent>, u64) {
-        let rec = self.inner.recorder.lock().expect("recorder poisoned");
-        (rec.tail(n), rec.dropped())
+        let st = self.inner.lock();
+        (st.recorder.tail(n), st.recorder.dropped())
     }
 
     /// Graceful shutdown: refuse new jobs, let the workers drain the
@@ -427,201 +469,92 @@ impl Detonator {
     }
 
     fn shutdown_inner(&self, cancel_queued: bool) -> ServiceStats {
-        if cancel_queued {
-            // Mark still-queued jobs cancelled *before* closing: workers
-            // popping them observe the terminal state and skip. This keeps
-            // the cancel set exact (no race with the drain).
-            let mut table = self.inner.jobs.lock().expect("jobs poisoned");
-            for entry in table.entries.iter_mut() {
-                if matches!(entry.status, JobStatus::Queued) {
-                    entry.status = JobStatus::Failed(JobFailure::new(
+        let handles = {
+            let mut st = self.inner.lock();
+            if cancel_queued {
+                for id in std::mem::take(&mut st.queue) {
+                    st.jobs[id as usize].status = JobStatus::Failed(JobFailure::new(
                         FailureKind::Cancelled,
                         "service shut down before the job ran",
                     ));
-                    self.inner.cancelled.fetch_add(1, Ordering::Relaxed);
-                    self.inner.failed.fetch_add(1, Ordering::Relaxed);
+                    st.stats.cancelled += 1;
+                    st.stats.failed += 1;
                 }
             }
-            self.inner.jobs_cv.notify_all();
+            st.closed = true;
+            // No worker is spawned after close, so this is the whole pool.
+            std::mem::take(&mut st.workers)
+        };
+        self.inner.work.notify_all();
+        self.inner.progress.notify_all();
+        for (_, handle) in handles {
+            let _ = handle.join();
         }
-        self.inner.queue.close();
-        // Join workers until the table stays empty (panic replacements may
-        // appear while joining; after close they exit immediately).
-        loop {
-            let handles: Vec<JoinHandle<()>> = {
-                let mut workers = self.inner.workers.lock().expect("workers poisoned");
-                workers.drain().map(|(_, h)| h).collect()
-            };
-            if handles.is_empty() {
-                break;
-            }
-            for handle in handles {
-                let _ = handle.join();
-            }
-        }
-        self.inner.stop_supervisor.store(true, Ordering::SeqCst);
         let supervisor = self.supervisor.lock().expect("supervisor poisoned").take();
         if let Some(handle) = supervisor {
             let _ = handle.join();
         }
-        self.inner.stats()
-    }
-}
-
-impl JobEntry {
-    fn view(entry: &JobEntry, id: u64) -> JobView {
-        JobView { id, label: entry.label.clone(), status: entry.status.clone() }
+        self.stats()
     }
 }
 
 impl Inner {
+    fn lock(&self) -> MutexGuard<'_, State> {
+        self.state.lock().expect("service state poisoned")
+    }
+
+    fn wait_progress<'a>(&self, st: MutexGuard<'a, State>) -> MutexGuard<'a, State> {
+        self.progress.wait(st).expect("service state poisoned")
+    }
+
+    fn capacity(&self) -> usize {
+        self.config.queue_capacity.max(1)
+    }
+
     fn admit(&self, spec: JobSpec, block: bool) -> Result<u64, SubmitError> {
+        let label = spec.label();
+        let mut st = self.lock();
         loop {
-            {
-                // Id reservation and push happen under the jobs lock so the
-                // entry exists before any worker can claim the popped id.
-                // Only the *non-blocking* push runs under the lock — a
-                // blocking push here would deadlock against workers that
-                // need the lock to drain the queue.
-                let mut table = self.jobs.lock().expect("jobs poisoned");
-                let id = table.entries.len() as u64;
-                match self.queue.try_push(id) {
-                    Ok(()) => {
-                        table.entries.push(JobEntry {
-                            label: spec.label(),
-                            spec,
-                            status: JobStatus::Queued,
-                            claim: None,
-                            submitted: Instant::now(),
-                        });
-                        drop(table);
-                        self.submitted.fetch_add(1, Ordering::Relaxed);
-                        self.observe_queue_depth();
-                        return Ok(id);
-                    }
-                    Err(PushError::Closed) => return Err(SubmitError::ShuttingDown),
-                    Err(PushError::Full) if !block => {
-                        drop(table);
-                        self.rejected.fetch_add(1, Ordering::Relaxed);
-                        self.trace_instant("submit-rejected");
-                        return Err(SubmitError::QueueFull);
-                    }
-                    Err(PushError::Full) => {}
-                }
-            }
-            if !self.queue.wait_space() {
+            if st.closed {
                 return Err(SubmitError::ShuttingDown);
             }
+            if st.queue.len() < self.capacity() {
+                break;
+            }
+            if !block {
+                st.stats.rejected += 1;
+                self.trace_instant(&mut st, "submit-rejected");
+                return Err(SubmitError::QueueFull);
+            }
+            st = self.wait_progress(st);
         }
+        let id = st.jobs.len() as u64;
+        let submitted = Instant::now();
+        st.jobs.push(JobEntry { spec, label, status: JobStatus::Queued, submitted });
+        st.queue.push_back(id);
+        st.stats.submitted += 1;
+        st.stats.queue_high_water = st.stats.queue_high_water.max(st.queue.len() as u64);
+        drop(st);
+        self.work.notify_one();
+        Ok(id)
     }
 
-    fn observe_queue_depth(&self) {
-        let depth = self.queue.len() as u64;
-        let mut m = self.metrics.lock().expect("metrics poisoned");
-        let gauges = m.queue;
-        gauges.observe_depth(&mut m.registry, depth);
+    fn timestamp(&self) -> u64 {
+        self.epoch.elapsed().as_micros() as u64
     }
 
-    fn record_utilization(&self, busy: Duration) {
-        let mut m = self.metrics.lock().expect("metrics poisoned");
-        let workers = m.workers;
-        workers.record_job(&mut m.registry, busy);
+    fn trace_instant(&self, st: &mut State, label: &str) {
+        let ts = self.timestamp();
+        st.recorder.record(TraceEvent::instant(ts, 1, 0, TraceCategory::Service, label));
     }
 
-    fn is_retired(&self, worker: u64) -> bool {
-        self.retired.lock().expect("retired poisoned").contains(&worker)
-    }
-
-    fn spawn_worker(inner: &Arc<Inner>) -> u64 {
-        let worker_id = inner.next_worker.fetch_add(1, Ordering::SeqCst);
-        inner.live_workers.fetch_add(1, Ordering::SeqCst);
-        inner.workers_spawned.fetch_add(1, Ordering::Relaxed);
+    fn spawn_worker(inner: &Arc<Inner>, st: &mut State) {
+        let worker = st.next_worker;
+        st.next_worker += 1;
+        st.stats.live_workers += 1;
+        st.stats.workers_spawned += 1;
         let for_thread = Arc::clone(inner);
-        let handle = thread::spawn(move || worker_loop(&for_thread, worker_id));
-        inner.workers.lock().expect("workers poisoned").insert(worker_id, handle);
-        worker_id
-    }
-
-    /// Claims the next execution attempt on `id`. Returns `None` when the
-    /// job is already terminal (e.g. cancelled while queued). The third
-    /// element is how long the job sat queued — its `queue_wait` phase.
-    fn claim(&self, id: u64, worker: u64) -> Option<(u64, JobSpec, Duration)> {
-        let mut table = self.jobs.lock().expect("jobs poisoned");
-        let entry = table.entries.get_mut(id as usize)?;
-        if entry.status.is_terminal() {
-            return None;
-        }
-        let token = self.next_token.fetch_add(1, Ordering::SeqCst);
-        entry.status = JobStatus::Running;
-        entry.claim = Some(token);
-        let spec = entry.spec.clone();
-        let queue_wait = entry.submitted.elapsed();
-        table.running.insert(id, RunningJob { token, worker, started: Instant::now() });
-        Some((token, spec, queue_wait))
-    }
-
-    /// Publishes a terminal status for the attempt holding `token`.
-    /// Returns `false` (dropping the result) when the claim is stale —
-    /// the supervisor already failed the job and moved on.
-    fn publish(&self, id: u64, token: u64, status: JobStatus) -> bool {
-        let mut table = self.jobs.lock().expect("jobs poisoned");
-        match table.running.get(&id) {
-            Some(run) if run.token == token => {}
-            _ => return false,
-        }
-        table.running.remove(&id);
-        let entry = &mut table.entries[id as usize];
-        entry.claim = None;
-        match &status {
-            JobStatus::Done(_) => {
-                self.completed.fetch_add(1, Ordering::Relaxed);
-            }
-            JobStatus::Failed(_) => {
-                self.failed.fetch_add(1, Ordering::Relaxed);
-            }
-            JobStatus::Queued | JobStatus::Running => unreachable!("publish is terminal-only"),
-        }
-        entry.status = status;
-        self.jobs_cv.notify_all();
-        true
-    }
-
-    /// Validates and publishes a successful result; a result whose report
-    /// fails validation is converted into a `corrupt-report` failure (this
-    /// is the server-side check [`Fault::CorruptReport`] exercises).
-    fn publish_result(&self, id: u64, token: u64, result: JobResult) -> bool {
-        if let Err(err) = JsonValue::parse(&result.report_json) {
-            return self.publish(
-                id,
-                token,
-                JobStatus::Failed(JobFailure::new(
-                    FailureKind::CorruptReport,
-                    format!("report failed validation: {err}"),
-                )),
-            );
-        }
-        self.trace_events.fetch_add(result.trace_events, Ordering::Relaxed);
-        self.trace_dropped.fetch_add(result.trace_dropped, Ordering::Relaxed);
-        self.merged.lock().expect("merged poisoned").merge(&result.metrics);
-        self.cost.lock().expect("cost poisoned").merge(&result.cost);
-        self.publish(id, token, JobStatus::Done(result))
-    }
-
-    fn trace_span(&self, worker: u64, label: &str, begin: bool) {
-        let ts = self.epoch.elapsed().as_micros() as u64;
-        let mut rec = self.recorder.lock().expect("recorder poisoned");
-        let ev = if begin {
-            TraceEvent::begin(ts, 1, worker as u32, TraceCategory::Service, label)
-        } else {
-            TraceEvent::end(ts, 1, worker as u32, TraceCategory::Service, label)
-        };
-        rec.record(ev);
-    }
-
-    fn trace_instant(&self, label: &str) {
-        let ts = self.epoch.elapsed().as_micros() as u64;
-        let mut rec = self.recorder.lock().expect("recorder poisoned");
-        rec.record(TraceEvent::instant(ts, 1, 0, TraceCategory::Service, label));
+        st.workers.insert(worker, thread::spawn(move || worker_loop(&for_thread, worker)));
     }
 
     /// Retires a worker (stalled past the deadline, or exiting after a
@@ -629,96 +562,88 @@ impl Inner {
     /// the supervisor and the worker's own panic path can race here, and
     /// exactly one of them wins — so the live count drops exactly once and
     /// exactly one replacement joins the pool.
-    fn retire_and_replace(inner: &Arc<Inner>, worker: u64) {
-        {
-            let mut retired = inner.retired.lock().expect("retired poisoned");
-            if retired.contains(&worker) {
-                return;
-            }
-            retired.push(worker);
+    fn retire_and_replace(inner: &Arc<Inner>, st: &mut State, worker: u64) {
+        if st.retired.contains(&worker) {
+            return;
         }
+        st.retired.push(worker);
         // Detach the handle: a stalled thread is not joinable on any
         // useful timescale (its claim token is already dead), and a
         // panicking one is about to exit anyway.
-        inner.workers.lock().expect("workers poisoned").remove(&worker);
-        inner.live_workers.fetch_sub(1, Ordering::SeqCst);
-        inner.workers_replaced.fetch_add(1, Ordering::Relaxed);
-        if !inner.queue.is_closed() {
-            Inner::spawn_worker(inner);
-        }
-    }
-
-    fn stats(&self) -> ServiceStats {
-        let (depth, high_water, jobs_executed, busy_ns) = {
-            let m = self.metrics.lock().expect("metrics poisoned");
-            let (depth, high) = m.queue.read(&m.registry);
-            let (jobs, busy) = m.workers.read(&m.registry);
-            (depth, high, jobs, busy)
-        };
-        // The gauge lags the queue between observe points; report the live
-        // depth and keep the gauge's high-water.
-        let _ = depth;
-        ServiceStats {
-            submitted: self.submitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            completed: self.completed.load(Ordering::Relaxed),
-            failed: self.failed.load(Ordering::Relaxed),
-            cancelled: self.cancelled.load(Ordering::Relaxed),
-            queue_depth: self.queue.len() as u64,
-            queue_high_water: high_water.max(self.queue.high_water() as u64),
-            live_workers: self.live_workers.load(Ordering::SeqCst),
-            workers_spawned: self.workers_spawned.load(Ordering::Relaxed),
-            workers_replaced: self.workers_replaced.load(Ordering::Relaxed),
-            jobs_executed,
-            busy_ns,
-            trace_events: self.trace_events.load(Ordering::Relaxed),
-            trace_dropped: self.trace_dropped.load(Ordering::Relaxed),
-            deadline_kills: self.deadline_kills.load(Ordering::Relaxed),
-            merged: self.merged.lock().expect("merged poisoned").clone(),
-            cost: self.cost.lock().expect("cost poisoned").clone(),
+        st.workers.remove(&worker);
+        st.stats.live_workers -= 1;
+        st.stats.workers_replaced += 1;
+        if !st.closed {
+            Inner::spawn_worker(inner, st);
         }
     }
 }
 
-fn worker_loop(inner: &Arc<Inner>, worker_id: u64) {
+fn worker_loop(inner: &Arc<Inner>, worker: u64) {
+    let mut st = inner.lock();
     loop {
-        if inner.is_retired(worker_id) {
-            break;
+        if st.retired.contains(&worker) {
+            // Counted out of the pool when it was retired.
+            return;
         }
-        let Some(job_id) = inner.queue.pop() else { break };
-        inner.observe_queue_depth();
-        let Some((token, spec, queue_wait)) = inner.claim(job_id, worker_id) else { continue };
-        let label = format!("job-{job_id}");
-        inner.trace_span(worker_id, &label, true);
-        let started = Instant::now();
-        let outcome = panic::catch_unwind(AssertUnwindSafe(|| {
-            execute_job(inner, job_id, &spec, queue_wait)
-        }));
-        let busy = started.elapsed();
-        inner.record_utilization(busy);
-        inner.trace_span(worker_id, &label, false);
-        match outcome {
-            Ok(Ok(result)) => {
-                inner.publish_result(job_id, token, result);
-            }
-            Ok(Err(failure)) => {
-                inner.publish(job_id, token, JobStatus::Failed(failure));
-            }
-            Err(payload) => {
-                let msg = fault::payload_message(payload.as_ref());
-                inner.publish(
-                    job_id,
-                    token,
-                    JobStatus::Failed(JobFailure::new(FailureKind::WorkerPanic, msg)),
-                );
-                Inner::retire_and_replace(inner, worker_id);
+        let Some(id) = st.queue.pop_front() else {
+            if st.closed {
+                st.stats.live_workers -= 1;
                 return;
             }
+            st = inner.work.wait(st).expect("service state poisoned");
+            continue;
+        };
+        if st.queue.len() + 1 == inner.capacity() {
+            // The queue was full: a blocked submitter may proceed.
+            inner.progress.notify_all();
+        }
+        let (token, spec, queue_wait) = st.claim(id, worker);
+        let label = format!("job-{id}");
+        let ts = inner.timestamp();
+        st.recorder.record(TraceEvent::begin(ts, 1, worker as u32, TraceCategory::Service, &label));
+        drop(st);
+
+        // The job runs outside the lock, so a panic in it cannot poison it.
+        let started = Instant::now();
+        let outcome =
+            panic::catch_unwind(AssertUnwindSafe(|| execute_job(inner, id, &spec, queue_wait)));
+        let busy = started.elapsed();
+        let panicked = outcome.is_err();
+        let status = match outcome {
+            Ok(Ok(result)) => validate(result),
+            Ok(Err(failure)) => JobStatus::Failed(failure),
+            Err(payload) => JobStatus::Failed(JobFailure::new(
+                FailureKind::WorkerPanic,
+                fault::payload_message(payload.as_ref()),
+            )),
+        };
+
+        st = inner.lock();
+        st.stats.jobs_executed += 1;
+        st.stats.busy_ns += busy.as_nanos() as u64;
+        let ts = inner.timestamp();
+        st.recorder.record(TraceEvent::end(ts, 1, worker as u32, TraceCategory::Service, &label));
+        if st.publish(id, token, status) {
+            inner.progress.notify_all();
+        }
+        if panicked {
+            Inner::retire_and_replace(inner, &mut st, worker);
+            return;
         }
     }
-    if !inner.is_retired(worker_id) {
-        // Retired workers were already counted out by the supervisor.
-        inner.live_workers.fetch_sub(1, Ordering::SeqCst);
+}
+
+/// A successful result whose report fails validation becomes a
+/// `corrupt-report` failure (the server-side check
+/// [`Fault::CorruptReport`] exercises).
+fn validate(result: JobResult) -> JobStatus {
+    match JsonValue::parse(&result.report_json) {
+        Ok(_) => JobStatus::Done(result),
+        Err(err) => JobStatus::Failed(JobFailure::new(
+            FailureKind::CorruptReport,
+            format!("report failed validation: {err}"),
+        )),
     }
 }
 
@@ -803,39 +728,36 @@ fn resolve(
 
 fn supervisor_loop(inner: &Arc<Inner>, deadline: Duration) {
     let tick = (deadline / 4).min(Duration::from_millis(20)).max(Duration::from_millis(1));
-    while !inner.stop_supervisor.load(Ordering::SeqCst) {
+    loop {
         thread::sleep(tick);
-        let expired: Vec<(u64, u64)> = {
-            let table = inner.jobs.lock().expect("jobs poisoned");
-            table
-                .running
-                .iter()
-                .filter(|(_, run)| run.started.elapsed() > deadline)
-                .map(|(&job, run)| (job, run.worker))
-                .collect()
-        };
-        for (job_id, worker) in expired {
-            let failed = inner.publish(
-                job_id,
-                inner_token_of(inner, job_id).unwrap_or(u64::MAX),
+        let mut st = inner.lock();
+        if st.closed && st.stats.live_workers == 0 {
+            // Shut down, and no job is left that could overrun.
+            return;
+        }
+        let expired: Vec<(u64, u64, u64)> = st
+            .running
+            .iter()
+            .filter(|(_, run)| run.started.elapsed() > deadline)
+            .map(|(&job, run)| (job, run.token, run.worker))
+            .collect();
+        for &(job, token, worker) in &expired {
+            st.publish(
+                job,
+                token,
                 JobStatus::Failed(JobFailure::new(
                     FailureKind::DeadlineExceeded,
                     format!("exceeded the per-job deadline of {deadline:?}"),
                 )),
             );
-            if failed {
-                inner.deadline_kills.fetch_add(1, Ordering::Relaxed);
-                inner.trace_instant("deadline-exceeded");
-                Inner::retire_and_replace(inner, worker);
-            }
+            st.stats.deadline_kills += 1;
+            inner.trace_instant(&mut st, "deadline-exceeded");
+            Inner::retire_and_replace(inner, &mut st, worker);
+        }
+        if !expired.is_empty() {
+            inner.progress.notify_all();
         }
     }
-}
-
-/// The claim token currently attached to `job_id`, if it is running.
-fn inner_token_of(inner: &Inner, job_id: u64) -> Option<u64> {
-    let table = inner.jobs.lock().expect("jobs poisoned");
-    table.running.get(&job_id).map(|run| run.token)
 }
 
 #[cfg(test)]

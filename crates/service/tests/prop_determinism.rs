@@ -90,6 +90,8 @@ fn parallel_reports_are_byte_identical_to_sequential() {
         let stats = svc.shutdown();
         assert_eq!(stats.completed, recordings.len() as u64);
         assert_eq!(stats.failed, 0);
+        // Every admitted job ran exactly once.
+        assert_eq!(stats.jobs_executed, stats.submitted);
         // The merged metrics fold is order-independent, so every worker
         // count and submission order lands on the same snapshot — and that
         // snapshot must equal the sequential fold of the per-report

@@ -1,13 +1,19 @@
 //! End-to-end service tests over the Unix socket: submit/wait/stats
-//! round-trips, hostile framing, and shutdown semantics.
+//! round-trips, hostile framing, and shutdown semantics; plus the
+//! in-process queue contract (drain on shutdown, blocking admission).
 
 use faros_service::protocol::{read_frame, write_frame, FrameError, Request, Response, MAX_FRAME};
 use faros_service::server::{serve, Client};
-use faros_service::{JobSpec, JobStatus, ServiceConfig};
+use faros_service::{
+    Detonator, Fault, FaultPlan, JobSpec, JobStatus, ServiceConfig, SubmitError,
+};
 use faros_support::json::ToJson;
 use std::io::Write;
 use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
+use std::sync::Arc;
+use std::thread;
+use std::time::Duration;
 
 fn socket_path(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join("faros-service-tests");
@@ -194,7 +200,7 @@ fn telemetry_verbs_work_over_the_socket() {
 #[test]
 fn tiny_trace_rings_report_drops_at_every_layer() {
     use faros::AnalysisConfig;
-    use faros_service::{Detonator, HealthStatus};
+    use faros_service::HealthStatus;
 
     // A per-job trace ring far smaller than the event stream a detonation
     // produces: the ring overwrites, every casualty is counted, and the
@@ -258,4 +264,68 @@ fn submissions_after_shutdown_are_refused() {
         }
     }
     server.join();
+}
+
+/// Starts a one-worker service whose job 0 stalls for `stall`, submits job
+/// 0 and returns once the worker is running it, so the queue is empty.
+fn stalled_service(queue_capacity: usize, stall: Duration) -> Arc<Detonator> {
+    let faults = Arc::new(FaultPlan::new());
+    faults.set(0, Fault::Stall(stall));
+    let svc = Arc::new(Detonator::start_with_faults(
+        ServiceConfig { workers: 1, queue_capacity, ..ServiceConfig::default() },
+        faults,
+    ));
+    svc.submit(hollowing()).expect("admit job 0");
+    while !matches!(svc.status(0).unwrap().status, JobStatus::Running) {
+        thread::sleep(Duration::from_millis(2));
+    }
+    svc
+}
+
+fn hollowing() -> JobSpec {
+    JobSpec::Scenario { name: "process_hollowing".into() }
+}
+
+#[test]
+fn shutdown_runs_the_backlog_then_refuses_new_jobs() {
+    let svc = stalled_service(4, Duration::from_millis(100));
+    for _ in 0..3 {
+        svc.submit(hollowing()).expect("admit");
+    }
+    let stats = svc.shutdown();
+    for id in 0..4 {
+        assert!(matches!(svc.status(id).unwrap().status, JobStatus::Done(_)), "job {id}");
+    }
+    assert_eq!((stats.submitted, stats.completed, stats.queue_depth), (4, 4, 0));
+    assert_eq!(svc.submit(hollowing()), Err(SubmitError::ShuttingDown));
+}
+
+#[test]
+fn submit_wait_blocks_until_space_and_fails_on_shutdown() {
+    // Job 0 holds the worker and job 1 fills the one queue slot, so a
+    // third submission blocks until the worker takes job 1.
+    let svc = stalled_service(1, Duration::from_millis(200));
+    svc.submit(hollowing()).expect("admit job 1");
+    let blocked = {
+        let svc = Arc::clone(&svc);
+        thread::spawn(move || svc.submit_wait(hollowing()))
+    };
+    thread::sleep(Duration::from_millis(20));
+    assert!(!blocked.is_finished(), "submit_wait returned while the queue was full");
+    assert_eq!(svc.stats().submitted, 2);
+    assert_eq!(blocked.join().unwrap(), Ok(2));
+    assert!(!matches!(svc.status(1).unwrap().status, JobStatus::Queued));
+    svc.shutdown();
+
+    let svc = stalled_service(1, Duration::from_millis(200));
+    svc.submit(hollowing()).expect("admit job 1");
+    let blocked = {
+        let svc = Arc::clone(&svc);
+        thread::spawn(move || svc.submit_wait(hollowing()))
+    };
+    thread::sleep(Duration::from_millis(20));
+    assert!(!blocked.is_finished(), "submit_wait returned while the queue was full");
+    let stats = svc.shutdown_now();
+    assert_eq!(blocked.join().unwrap(), Err(SubmitError::ShuttingDown));
+    assert_eq!((stats.submitted, stats.cancelled), (2, 1));
 }

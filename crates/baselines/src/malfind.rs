@@ -1,8 +1,9 @@
 //! A Volatility/malfind-style memory snapshot scanner (paper §VI-B).
 //!
 //! malfind inspects a memory dump taken at one point in time: it walks each
-//! process's VAD tree looking for *private, executable* regions containing
-//! plausible code — the signature injected payloads leave behind. Its two
+//! process's VAD tree looking for *private* regions with an *executable*
+//! page (perms come from the page table) containing plausible code — the
+//! signature injected payloads leave behind. Its two
 //! structural weaknesses, both demonstrated by the comparison harness:
 //!
 //! * **transience** — "once the malicious payload is injected and executed,
@@ -13,6 +14,7 @@
 
 use faros_emu::encode::decode;
 use faros_emu::mem::{PAGE_SIZE, PAGE_MASK};
+use faros_emu::mmu::Perms;
 use faros_kernel::machine::Machine;
 use faros_kernel::process::RegionKind;
 use faros_kernel::Pid;
@@ -21,7 +23,8 @@ use faros_kernel::Pid;
 /// "why was this flagged" provenance a bare hit list lacks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MatchCriterion {
-    /// The VAD maps the region executable (the `X` protection flag).
+    /// A page of the region is executable (the `X` protection flag in
+    /// its page-table entry).
     Executable,
     /// The region is a private (anonymous) allocation, not image- or
     /// file-backed.
@@ -65,7 +68,7 @@ pub struct MalfindHit {
     pub base: u32,
     /// Region size.
     pub size: u32,
-    /// Rendered permissions (e.g. `rwx`).
+    /// The union of the region's page permissions, rendered (e.g. `rwx`).
     pub perms: String,
     /// Count of instructions that decoded cleanly from the region head.
     pub decoded_instructions: u32,
@@ -141,15 +144,21 @@ const WINDOW: usize = 96;
 /// Scans a machine's final state the way malfind scans a memory dump.
 ///
 /// Every process (alive or exited — their page tables are still in the
-/// dump) is walked; private executable regions whose head decodes as FE32
-/// code are reported.
+/// dump) is walked; private regions with an executable page whose head
+/// decodes as FE32 code are reported.
 pub fn scan(machine: &Machine) -> MalfindReport {
     let mut report = MalfindReport::default();
     for proc in machine.processes() {
         for region in &proc.regions {
-            let executable = region.perms.contains(faros_emu::mmu::Perms::X);
-            let private = matches!(region.kind, RegionKind::Private);
-            if !executable || !private {
+            if !matches!(region.kind, RegionKind::Private) {
+                continue;
+            }
+            // The region is executable if any of its pages is.
+            let perms = proc
+                .aspace
+                .pages_in(region.base, region.base + (region.size - 1))
+                .fold(Perms::NONE, |p, (_, e)| p.union(e.perms));
+            if !perms.contains(Perms::X) {
                 continue;
             }
             // Read the region head through the page tables.
@@ -203,7 +212,7 @@ pub fn scan(machine: &Machine) -> MalfindReport {
                 process: proc.name.clone(),
                 base: region.base,
                 size: region.size,
-                perms: region.perms.to_string(),
+                perms: perms.to_string(),
                 decoded_instructions: decoded,
                 preview,
                 disassembly,

@@ -62,6 +62,26 @@ impl Perms {
     /// Read + write + execute — what malfind-style scanners hunt for.
     pub const RWX: Perms = Perms(1 | 2 | 4);
 
+    /// The permissions in the low three bits of `bits` (R = 1, W = 2,
+    /// X = 4, the encoding of the syscall ABI and the FDL section header);
+    /// higher bits are ignored.
+    ///
+    /// ```
+    /// use faros_emu::mmu::Perms;
+    /// assert_eq!(Perms::from_bits(0x45), Perms::RX);
+    /// assert_eq!(Perms::RWX.bits(), 7);
+    /// ```
+    #[inline]
+    pub fn from_bits(bits: u32) -> Perms {
+        Perms((bits & 7) as u8)
+    }
+
+    /// The encoding [`Perms::from_bits`] reads.
+    #[inline]
+    pub const fn bits(self) -> u32 {
+        self.0 as u32
+    }
+
     /// Returns `true` if every permission in `other` is present in `self`.
     #[inline]
     pub fn contains(self, other: Perms) -> bool {
@@ -235,6 +255,12 @@ impl AddressSpace {
     /// Iterates over `(virtual_page_number, entry)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, PageEntry)> + '_ {
         self.table.iter().map(|(&vpn, &e)| (vpn, e))
+    }
+
+    /// Like [`AddressSpace::iter`], over the mapped pages that hold a byte
+    /// of `[first, last]`.
+    pub fn pages_in(&self, first: u32, last: u32) -> impl Iterator<Item = (u32, PageEntry)> + '_ {
+        self.table.range(page_number(first)..=page_number(last)).map(|(&vpn, &e)| (vpn, e))
     }
 }
 

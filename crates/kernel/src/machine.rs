@@ -580,7 +580,7 @@ impl Machine {
             ranges.push(ByteRange { phys: pfn * PAGE_SIZE, len: PAGE_SIZE });
         }
         let proc = self.procs.get_mut(&pid).expect("checked above");
-        proc.add_region(VadRegion { base: va, size: len, perms, kind });
+        proc.add_region(VadRegion { base: va, size: len, kind });
         // New mappings change what a cached virtual address decodes to.
         self.tcache.invalidate_all(&mut self.mem);
         obs.kernel_write(pid, &ranges);

@@ -152,10 +152,7 @@ impl FdlImage {
             out.extend_from_slice(&s.va.to_le_bytes());
             out.extend_from_slice(&offset.to_le_bytes());
             out.extend_from_slice(&(s.data.len() as u32).to_le_bytes());
-            let p: u32 = (s.perms.contains(Perms::R) as u32)
-                | ((s.perms.contains(Perms::W) as u32) << 1)
-                | ((s.perms.contains(Perms::X) as u32) << 2);
-            out.extend_from_slice(&p.to_le_bytes());
+            out.extend_from_slice(&s.perms.bits().to_le_bytes());
             offset += s.data.len() as u32;
         }
         for e in &self.exports {
@@ -200,17 +197,7 @@ impl FdlImage {
             let va = u32_at(bytes, cursor)?;
             let off = u32_at(bytes, cursor + 4)? as usize;
             let size = u32_at(bytes, cursor + 8)? as usize;
-            let p = u32_at(bytes, cursor + 12)?;
-            let mut perms = Perms::NONE;
-            if p & 1 != 0 {
-                perms = perms.union(Perms::R);
-            }
-            if p & 2 != 0 {
-                perms = perms.union(Perms::W);
-            }
-            if p & 4 != 0 {
-                perms = perms.union(Perms::X);
-            }
+            let perms = Perms::from_bits(u32_at(bytes, cursor + 12)?);
             raw_sections.push((va, off, size, perms));
             cursor += 16;
         }

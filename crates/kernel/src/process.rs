@@ -4,7 +4,7 @@ use crate::handle::{HandleTable, Pid, Tid};
 use crate::module::ModuleInfo;
 use crate::nt::Sysno;
 use faros_emu::cpu::CpuContext;
-use faros_emu::mmu::{AddressSpace, Asid, Perms};
+use faros_emu::mmu::{AddressSpace, Asid};
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -78,8 +78,10 @@ impl Thread {
     }
 }
 
-/// What a memory region is backed by — the VAD information
+/// What a memory region is backed by — the VAD kind
 /// `NtQueryVirtualMemory` reports and malfind-style scanners inspect.
+/// Page permissions are not VAD information: they live only in the page
+/// table ([`Process::aspace`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RegionKind {
     /// Part of a loaded module image.
@@ -98,15 +100,15 @@ pub enum RegionKind {
     },
 }
 
-/// One VAD-style virtual memory region.
+/// One VAD-style virtual memory region: its extent and its kind. Every
+/// page of the extent is mapped, and each page's current permissions are
+/// its page-table entry's.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct VadRegion {
     /// Base virtual address (page aligned).
     pub base: u32,
     /// Size in bytes (page multiple).
     pub size: u32,
-    /// Current page permissions.
-    pub perms: Perms,
     /// Backing kind.
     pub kind: RegionKind,
 }
@@ -210,16 +212,6 @@ impl Process {
         self.regions.iter().find(|r| r.contains(va))
     }
 
-    /// Updates the recorded permissions of the region containing `va`.
-    pub fn set_region_perms(&mut self, va: u32, perms: Perms) -> bool {
-        if let Some(r) = self.regions.iter_mut().find(|r| r.contains(va)) {
-            r.perms = perms;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Returns `true` if any thread is not exited.
     pub fn has_live_threads(&self) -> bool {
         self.threads.values().any(|t| t.state != ThreadState::Exited)
@@ -252,8 +244,8 @@ mod tests {
     #[test]
     fn regions_sorted_and_searchable() {
         let mut p = proc();
-        p.add_region(VadRegion { base: 0x3000, size: 0x1000, perms: Perms::RW, kind: RegionKind::Private });
-        p.add_region(VadRegion { base: 0x1000, size: 0x2000, perms: Perms::RX, kind: RegionKind::Image { module: "a".into() } });
+        p.add_region(VadRegion { base: 0x3000, size: 0x1000, kind: RegionKind::Private });
+        p.add_region(VadRegion { base: 0x1000, size: 0x2000, kind: RegionKind::Image { module: "a".into() } });
         assert_eq!(p.regions[0].base, 0x1000);
         assert_eq!(p.regions[1].base, 0x3000);
         assert!(p.region_containing(0x2fff).is_some());
@@ -264,19 +256,10 @@ mod tests {
     #[test]
     fn remove_region_by_base() {
         let mut p = proc();
-        p.add_region(VadRegion { base: 0x1000, size: 0x1000, perms: Perms::RW, kind: RegionKind::Private });
+        p.add_region(VadRegion { base: 0x1000, size: 0x1000, kind: RegionKind::Private });
         assert!(p.remove_region(0x2000).is_none());
         assert!(p.remove_region(0x1000).is_some());
         assert!(p.regions.is_empty());
-    }
-
-    #[test]
-    fn set_region_perms_reflects_protect() {
-        let mut p = proc();
-        p.add_region(VadRegion { base: 0x1000, size: 0x1000, perms: Perms::RW, kind: RegionKind::Private });
-        assert!(p.set_region_perms(0x1800, Perms::RWX));
-        assert_eq!(p.region_containing(0x1800).unwrap().perms, Perms::RWX);
-        assert!(!p.set_region_perms(0x9000, Perms::R));
     }
 
     #[test]
@@ -295,7 +278,7 @@ mod tests {
 
     #[test]
     fn region_contains_bounds() {
-        let r = VadRegion { base: 0x1000, size: 0x1000, perms: Perms::R, kind: RegionKind::Stack };
+        let r = VadRegion { base: 0x1000, size: 0x1000, kind: RegionKind::Stack };
         assert!(!r.contains(0xfff));
         assert!(r.contains(0x1000));
         assert!(r.contains(0x1fff));

@@ -29,11 +29,11 @@
 //! | `NtCreateThreadEx` | `proc_h, start_va, arg, flags(bit0=suspended), out_handle_ptr` |
 //! | `NtGetContextThread`/`NtSetContextThread` | `thread_h, ctx_ptr` (10 × u32: regs, eip, eflags) |
 //! | `NtAllocateVirtualMemory` | `proc_h, size, perms_bits, out_base_ptr` |
-//! | `NtProtectVirtualMemory` | `proc_h, va, size, perms_bits` |
+//! | `NtProtectVirtualMemory` | `proc_h, va, size, perms_bits` (every page holding a byte of `[va, va+size)`, one for size 0; all must lie in the target's VAD regions, else nothing changes) |
 //! | `NtFreeVirtualMemory` | `proc_h, va` |
 //! | `NtWriteVirtualMemory` | `proc_h, dst_va, src_ptr, len` |
 //! | `NtReadVirtualMemory` | `proc_h, src_va, dst_ptr, len` |
-//! | `NtQueryVirtualMemory` | `proc_h, va, out_ptr` (writes `base,size,perms,kind`) |
+//! | `NtQueryVirtualMemory` | `proc_h, va, out_ptr` (writes the page holding `va`, the byte length of the run of pages from it that stays in its region and shares its perms, those perms, and the region kind) |
 //! | `NtQueryInformationProcess` | `proc_h, out_ptr` (writes `pid,parent,alive`) |
 //! | `NtSocketCreate` | `out_handle_ptr` |
 //! | `NtSocketConnect` | `h, ip_be, port` |
@@ -43,8 +43,8 @@
 //! | `NtQuerySystemTime` | `out_ptr` |
 //! | `NtDisplayString` | `ptr, len` |
 //!
-//! `perms_bits`: bit0 = R, bit1 = W, bit2 = X (matching the FDL section
-//! encoding).
+//! `perms_bits`: bit0 = R, bit1 = W, bit2 = X ([`Perms::from_bits`], the
+//! FDL section encoding too).
 
 use crate::event::Observer;
 use crate::handle::{Handle, HandleObject, Pid, Tid};
@@ -56,26 +56,6 @@ use faros_emu::cpu::CpuContext;
 use faros_emu::isa::Reg;
 use faros_emu::mem::PAGE_SIZE;
 use faros_emu::mmu::{Access, Perms};
-
-fn perms_from_bits(bits: u32) -> Perms {
-    let mut p = Perms::NONE;
-    if bits & 1 != 0 {
-        p = p.union(Perms::R);
-    }
-    if bits & 2 != 0 {
-        p = p.union(Perms::W);
-    }
-    if bits & 4 != 0 {
-        p = p.union(Perms::X);
-    }
-    p
-}
-
-fn perms_to_bits(p: Perms) -> u32 {
-    (p.contains(Perms::R) as u32)
-        | ((p.contains(Perms::W) as u32) << 1)
-        | ((p.contains(Perms::X) as u32) << 2)
-}
 
 impl Machine {
     /// Services one syscall for `(pid, tid)`.
@@ -419,7 +399,7 @@ impl Machine {
         };
         let version = self.fs.version(&path).unwrap_or(1);
         let va = a[1];
-        let perms = perms_from_bits(a[2]);
+        let perms = Perms::from_bits(a[2]);
         let kind = RegionKind::Mapped { path: path.clone() };
         match self.map_fresh(pid, va, data.len().max(1) as u32, perms, kind, obs) {
             Ok(()) => {}
@@ -624,7 +604,7 @@ impl Machine {
         let Some(size) = a[1].max(1).checked_next_multiple_of(PAGE_SIZE) else {
             return NtStatus::NoMemory;
         };
-        let perms = perms_from_bits(a[2]);
+        let perms = Perms::from_bits(a[2]);
         let Some(base) = self.procs.get(&target).map(|p| p.next_alloc_va) else {
             return NtStatus::InvalidHandle;
         };
@@ -648,22 +628,25 @@ impl Machine {
             Ok(t) => t,
             Err(s) => return s,
         };
-        let va = a[1] & !(PAGE_SIZE - 1);
-        let pages = a[2].div_ceil(PAGE_SIZE).max(1);
-        let perms = perms_from_bits(a[3]);
+        // Every page holding a byte of [va, va + size) (one page for a
+        // size of 0), all below the top and inside the target's VAD, so
+        // the shared kernel pages stay out of reach. The check comes
+        // before any change, so a refused call changes nothing.
+        let first = a[1] & !(PAGE_SIZE - 1);
+        let Some(last) = a[1].checked_add(a[2].max(1) - 1) else {
+            return NtStatus::InvalidParameter;
+        };
+        let perms = Perms::from_bits(a[3]);
         let Some(proc) = self.procs.get_mut(&target) else {
             return NtStatus::InvalidHandle;
         };
-        // Every page must be mapped and below the top before any changes,
-        // so a refused call changes nothing.
-        let page_va = |page: u32| va.checked_add(page * PAGE_SIZE);
-        if !(0..pages).all(|page| page_va(page).is_some_and(|v| proc.aspace.entry(v).is_some())) {
+        let pages = (first..=last).step_by(PAGE_SIZE as usize);
+        if !pages.clone().all(|page| proc.region_containing(page).is_some()) {
             return NtStatus::InvalidParameter;
         }
-        for page in 0..pages {
-            proc.aspace.protect(va + page * PAGE_SIZE, perms);
+        for page in pages {
+            proc.aspace.protect(page, perms);
         }
-        proc.set_region_perms(va, perms);
         // Protection changes can grant or revoke execute on pages that back
         // cached blocks (VirtualProtect before a jump into fresh shellcode).
         self.tcache.invalidate_all(&mut self.mem);
@@ -720,7 +703,13 @@ impl Machine {
             RegionKind::Stack => 2,
             RegionKind::Mapped { .. } => 3,
         };
-        let words = [region.base, region.size, perms_to_bits(region.perms), kind];
+        // The run of pages from the one holding `va` that stays in the
+        // region and shares that page's perms, as `VirtualQuery` reports.
+        let page = a[1] & !(PAGE_SIZE - 1);
+        let mut pages = proc.aspace.pages_in(page, region.base + (region.size - 1));
+        let perms = pages.next().expect("a region's pages are mapped").1.perms;
+        let run = 1 + pages.take_while(|(_, e)| e.perms == perms).count() as u32;
+        let words = [page, run * PAGE_SIZE, perms.bits(), kind];
         self.out_u32s(pid, a[2], &words, obs)
     }
 

@@ -7,7 +7,7 @@ use faros_emu::asm::Asm;
 use faros_emu::isa::{Mem as M, Reg};
 use faros_emu::mmu::Perms;
 use faros_kernel::event::{KernelEvents, NullObserver};
-use faros_kernel::machine::{Machine, MachineConfig, RunExit, IMAGE_BASE};
+use faros_kernel::machine::{Machine, MachineConfig, RunExit, IMAGE_BASE, KERNEL_EXPORT_TABLE_VA};
 use faros_kernel::module::{FdlImage, Section};
 use faros_kernel::nt::{NtStatus, Sysno};
 use faros_kernel::{Pid, Tid};
@@ -379,4 +379,65 @@ fn allocation_beyond_guest_memory_maps_nothing() {
     assert_eq!(status_of(&trace, Sysno::NtAllocateVirtualMemory), NtStatus::NoMemory);
     let proc = machine.process_by_name("t.exe").unwrap();
     assert!(proc.aspace.entry(0x0100_0000).is_none(), "the failed request left pages");
+}
+
+#[test]
+fn an_unaligned_protect_covers_every_page_it_touches() {
+    // 0x20 bytes from 0x0100_0ff0 straddle the two pages of a fresh RW
+    // allocation: both become RX. A range that runs past 0xffff_ffff is
+    // refused and changes nothing.
+    let mut asm = Asm::new(IMAGE_BASE);
+    sys(
+        &mut asm,
+        Sysno::NtAllocateVirtualMemory,
+        &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, 0x2000), (Reg::Edx, 0b011), (Reg::Esi, SCRATCH)],
+    );
+    for (va, size) in [(0x0100_0ff0, 0x20), (0x0100_0ff0, 0xffff_f010)] {
+        sys(
+            &mut asm,
+            Sysno::NtProtectVirtualMemory,
+            &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, va), (Reg::Edx, size), (Reg::Esi, 0b101)],
+        );
+    }
+    asm.hlt();
+    let (machine, trace) = run_and_trace(asm);
+    let statuses: Vec<NtStatus> = trace
+        .iter()
+        .filter(|(s, _)| *s == Sysno::NtProtectVirtualMemory)
+        .map(|&(_, status)| status)
+        .collect();
+    assert_eq!(statuses, [NtStatus::Success, NtStatus::InvalidParameter]);
+    let proc = machine.process_by_name("t.exe").unwrap();
+    for page in [0x0100_0000, 0x0100_1000] {
+        assert_eq!(proc.aspace.entry(page).unwrap().perms, Perms::RX, "page {page:#x}");
+    }
+}
+
+#[test]
+fn a_process_cannot_make_the_shared_export_table_writable() {
+    // Every address space maps the same export-table frames. A protect of
+    // them is refused, so the store that follows faults and a process
+    // spawned afterwards still reads the original bytes.
+    let target = KERNEL_EXPORT_TABLE_VA + 0x40;
+    let mut asm = Asm::new(IMAGE_BASE);
+    sys(
+        &mut asm,
+        Sysno::NtProtectVirtualMemory,
+        &[(Reg::Ebx, 0xffff_ffff), (Reg::Ecx, KERNEL_EXPORT_TABLE_VA), (Reg::Edx, 0x1000), (Reg::Esi, 0b011)],
+    );
+    asm.mov_ri(Reg::Ebx, target);
+    asm.mov_ri(Reg::Ecx, 0x4141_4141);
+    asm.st4(M::reg(Reg::Ebx), Reg::Ecx);
+    asm.hlt();
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.install_program("C:/t.exe", &image(asm)).unwrap();
+    machine.install_program("C:/later.exe", &image(Asm::new(IMAGE_BASE))).unwrap();
+    let mut trace = StatusTrace::default();
+    let pid = machine.spawn_process("C:/t.exe", false, None, &mut trace).unwrap();
+    let original = machine.read_guest(pid, target, 4).unwrap();
+    assert_eq!(machine.run(5_000_000, &mut trace), RunExit::AllExited);
+    assert_eq!(status_of(&trace.0, Sysno::NtProtectVirtualMemory), NtStatus::InvalidParameter);
+    assert_eq!(machine.process(pid).unwrap().exit_code, Some(0xC000_0005), "the store faults");
+    let later = machine.spawn_process("C:/later.exe", true, None, &mut NullObserver).unwrap();
+    assert_eq!(machine.read_guest(later, target, 4).unwrap(), original);
 }

@@ -19,6 +19,7 @@
 
 use crate::plugin::Plugin;
 use faros_emu::cpu::CpuHooks;
+use faros_emu::mmu::Perms;
 use faros_kernel::event::KernelEvents;
 use faros_kernel::nt::{Sysno, CURRENT_PROCESS, CURRENT_THREAD};
 use faros_kernel::{Pid, Tid};
@@ -27,8 +28,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 /// The executable-permission bit of a `perms_bits` syscall argument
-/// (bit 0 = R, bit 1 = W, bit 2 = X — see `faros-kernel`'s syscall ABI).
-pub const PERM_X: u32 = 0b100;
+/// (the [`Perms::bits`] encoding of `faros-kernel`'s syscall ABI).
+pub const PERM_X: u32 = Perms::X.bits();
 
 /// One element of the syscall capability lattice: something an image is
 /// able to *do* through the syscall ABI that matters for in-memory

@@ -110,6 +110,25 @@ fn capability_check_json_is_byte_stable_and_lossless() {
 }
 
 #[test]
+fn comparison_vi_b_is_byte_stable() {
+    use faros_repro::baselines::{comparison, malfind};
+    use faros_repro::kernel::event::NullObserver;
+
+    // The §VI-B table, then the malfind render of each sample's final
+    // replayed machine: what the snapshot scanner saw, hit by hit, and
+    // that the transient sample leaves it nothing.
+    let samples = attacks::all_injecting_samples();
+    let rows: Vec<_> = samples.iter().map(|s| comparison::compare(s, BUDGET).unwrap()).collect();
+    let mut actual = comparison::render_table(&rows);
+    for sample in &samples {
+        let (_, outcome) = record_and_replay(&sample.scenario, BUDGET, &mut NullObserver).unwrap();
+        actual += &format!("\n== {} ==\n", sample.name());
+        actual += &malfind::scan(&outcome.machine).render();
+    }
+    check_golden("comparison_vi_b.txt", &actual);
+}
+
+#[test]
 fn recording_json_is_byte_stable_and_lossless() {
     let sample = attacks::reverse_tcp_dns();
     let (recording, _) = record(&sample.scenario, BUDGET).unwrap();

@@ -208,7 +208,7 @@ pub fn lint_with_cfg(name: &str, image: &FdlImage, cfg: &ModuleCfg) -> Vec<Findi
             name,
             FindingKind::UnreachableBlock,
             b.start,
-            format!("{}-instruction block unreachable from entry/exports", b.instrs.len()),
+            format!("{}-instruction block unreachable from entry/exports", b.instr_count()),
         ));
     }
 

@@ -480,12 +480,14 @@ pub struct FunctionVsa {
 /// (the callee is a different function), resolved indirect-jump targets
 /// inside the image.
 fn intra_succs(cfg: &ModuleCfg, image: &FdlImage, block: &BasicBlock) -> Vec<u32> {
-    let Some(&(last_va, last)) = block.instrs.last() else { return Vec::new() };
-    match last {
+    // A block of `nop` runs alone lists no instruction; it falls through.
+    match block.instrs.last() {
         // The callee is analyzed separately; state flows to the return
         // point with call havoc applied.
-        Instr::Call { .. } | Instr::CallReg { .. } | Instr::Int { .. } => vec![block.end],
-        Instr::JmpReg { .. } => cfg
+        Some((_, Instr::Call { .. } | Instr::CallReg { .. } | Instr::Int { .. })) => {
+            vec![block.end]
+        }
+        Some(&(last_va, Instr::JmpReg { .. })) => cfg
             .resolved_targets
             .get(&last_va)
             .map(|ts| {

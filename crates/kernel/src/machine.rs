@@ -587,14 +587,21 @@ impl Machine {
         Ok(())
     }
 
-    /// Unmaps the region based at `va` in `pid` (frames are *not* recycled
+    /// Unmaps the region based at `va` in `pid` if `kind_ok` accepts its
+    /// kind; any other region stays mapped (frames are *not* recycled
     /// immediately — their stale contents stay visible to forensic
     /// snapshots, as on real hardware).
-    pub fn unmap_region(&mut self, pid: Pid, va: u32) -> Result<VadRegion, MachineError> {
+    pub fn unmap_region(
+        &mut self,
+        pid: Pid,
+        va: u32,
+        kind_ok: fn(&crate::process::RegionKind) -> bool,
+    ) -> Result<VadRegion, MachineError> {
         let proc = self.procs.get_mut(&pid).ok_or(MachineError::NoSuchProcess(pid))?;
-        let region = proc
-            .remove_region(va)
-            .ok_or(MachineError::AddressConflict(va))?;
+        if !proc.regions.iter().any(|r| r.base == va && kind_ok(&r.kind)) {
+            return Err(MachineError::AddressConflict(va));
+        }
+        let region = proc.remove_region(va).expect("the region was found above");
         let pages = region.size / PAGE_SIZE;
         for page in 0..pages {
             proc.aspace.unmap(region.base + page * PAGE_SIZE);

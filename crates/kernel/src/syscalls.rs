@@ -55,7 +55,7 @@ use crate::process::{BlockReason, RegionKind, ThreadState};
 use faros_emu::cpu::CpuContext;
 use faros_emu::isa::Reg;
 use faros_emu::mem::PAGE_SIZE;
-use faros_emu::mmu::{Access, Perms};
+use faros_emu::mmu::{Access, Perms, KERNEL_BASE};
 
 impl Machine {
     /// Services one syscall for `(pid, tid)`.
@@ -399,9 +399,15 @@ impl Machine {
         };
         let version = self.fs.version(&path).unwrap_or(1);
         let va = a[1];
+        let len = data.len().max(1) as u32;
+        // A view stays in the user half: the kernel half is shared by
+        // every address space.
+        if u64::from(va) + u64::from(len) > u64::from(KERNEL_BASE) {
+            return NtStatus::InvalidParameter;
+        }
         let perms = Perms::from_bits(a[2]);
         let kind = RegionKind::Mapped { path: path.clone() };
-        match self.map_fresh(pid, va, data.len().max(1) as u32, perms, kind, obs) {
+        match self.map_fresh(pid, va, len, perms, kind, obs) {
             Ok(()) => {}
             Err(MachineError::BadRegion(_)) => return NtStatus::InvalidParameter,
             Err(_) => return NtStatus::ConflictingAddresses,
@@ -421,7 +427,9 @@ impl Machine {
             Ok(t) => t,
             Err(s) => return s,
         };
-        match self.unmap_region(target, a[1]) {
+        let view =
+            |k: &RegionKind| matches!(k, RegionKind::Mapped { .. } | RegionKind::Image { .. });
+        match self.unmap_region(target, a[1], view) {
             Ok(_) => NtStatus::Success,
             Err(_) => NtStatus::InvalidParameter,
         }
@@ -658,7 +666,8 @@ impl Machine {
             Ok(t) => t,
             Err(s) => return s,
         };
-        match self.unmap_region(target, a[1]) {
+        let private = |k: &RegionKind| matches!(k, RegionKind::Private | RegionKind::Stack);
+        match self.unmap_region(target, a[1], private) {
             Ok(_) => NtStatus::Success,
             Err(_) => NtStatus::InvalidParameter,
         }

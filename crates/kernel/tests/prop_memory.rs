@@ -15,7 +15,7 @@ use faros_emu::asm::Asm;
 use faros_emu::cpu::CpuHooks;
 use faros_emu::isa::{Mem as M, Reg};
 use faros_emu::mem::PAGE_SIZE;
-use faros_emu::mmu::Perms;
+use faros_emu::mmu::{Perms, KERNEL_BASE};
 use faros_kernel::event::KernelEvents;
 use faros_kernel::machine::{
     Machine, MachineConfig, RunExit, IMAGE_BASE, KERNEL_EXPORT_TABLE_VA, KERNEL_STUBS_VA,
@@ -72,14 +72,16 @@ impl Shrink for Op {}
 
 /// An address from the pools the services branch on: the allocation
 /// arena's pages (where allocation bases fall) and one byte either side,
-/// the kernel pages every process shares, and the top two pages.
+/// the kernel pages every process shares, the top two pages of the user
+/// half, and the top two pages.
 fn address(r: &mut Rng) -> u32 {
-    match r.range_u32(0, 8) {
+    match r.range_u32(0, 9) {
         0..=4 => {
             let page = ARENA + r.range_u32(0, 12) * PAGE_SIZE;
             page.wrapping_add(*r.pick(&[0, 0, 1, u32::MAX, 0xff0]))
         }
         5 => *r.pick(&[KERNEL_STUBS_VA, KERNEL_EXPORT_TABLE_VA, KERNEL_EXPORT_TABLE_VA + 0x40]),
+        6 => *r.pick(&[KERNEL_BASE - 2 * PAGE_SIZE, KERNEL_BASE - PAGE_SIZE]),
         _ => *r.pick(&[0xffff_e000, 0xffff_f000, 0xffff_f001, 0xffff_fff0]),
     }
 }
@@ -161,8 +163,9 @@ impl Model {
         Ok(())
     }
 
-    fn unmap(&mut self, va: u32) -> NtStatus {
-        let Some(at) = self.regions.iter().position(|r| r.0 == va) else {
+    /// Unmaps the region based at `va` if `kind_ok` accepts its kind.
+    fn unmap(&mut self, va: u32, kind_ok: fn(&RegionKind) -> bool) -> NtStatus {
+        let Some(at) = self.regions.iter().position(|r| r.0 == va && kind_ok(&r.2)) else {
             return NtStatus::InvalidParameter;
         };
         let (base, size, _) = self.regions.remove(at);
@@ -220,10 +223,19 @@ impl Model {
                     None => NtStatus::InvalidParameter,
                 }
             }
-            Op::Free { va } | Op::UnmapView { va } => self.unmap(va),
+            // Free releases private memory and stacks, UnmapView views
+            // and images.
+            Op::Free { va } => {
+                self.unmap(va, |k| matches!(k, RegionKind::Private | RegionKind::Stack))
+            }
+            Op::UnmapView { va } => {
+                self.unmap(va, |k| matches!(k, RegionKind::Mapped { .. } | RegionKind::Image { .. }))
+            }
             Op::MapView { va, perms } => {
                 let len = SEED_LEN.next_multiple_of(PAGE_SIZE);
-                if !va.is_multiple_of(PAGE_SIZE) || va.checked_add(len - 1).is_none() {
+                // A view must be page-aligned and stay below the kernel half.
+                let past_user_half = u64::from(va) + u64::from(len) > u64::from(KERNEL_BASE);
+                if !va.is_multiple_of(PAGE_SIZE) || past_user_half {
                     NtStatus::InvalidParameter
                 } else {
                     let kind = RegionKind::Mapped { path: SEED_FILE.to_string() };

@@ -342,7 +342,8 @@ fn unaligned_view_base_is_rejected_before_mapping() {
 
 #[test]
 fn view_past_the_top_of_the_address_space_maps_nothing() {
-    // Three pages at 0xffff_e000 would need a page at 0x1_0000_0000.
+    // Three pages at 0xffff_e000 would need a page at 0x1_0000_0000, and
+    // a view must stay below the kernel half anyway.
     let machine = map_blob_at(0xffff_e000, vec![0xcc; 3 * 0x1000]);
     assert_eq!(view_status(&machine), NtStatus::InvalidParameter as u32);
     let proc = machine.process_by_name("t.exe").unwrap();
@@ -353,16 +354,16 @@ fn view_past_the_top_of_the_address_space_maps_nothing() {
 }
 
 #[test]
-fn protect_past_the_top_of_the_address_space_changes_nothing() {
-    // The one-page view at 0xffff_f000 is the last page; a two-page
-    // protect from there would need a page at 0x1_0000_0000.
-    let machine = map_blob_then(0xffff_f000, vec![0xcc; 0x1000], |asm| {
+fn protect_running_into_the_kernel_half_changes_nothing() {
+    // The one-page view at 0x7fff_f000 is the last user page; a two-page
+    // protect from there would reach the kernel page at 0x8000_0000.
+    let machine = map_blob_then(0x7fff_f000, vec![0xcc; 0x1000], |asm| {
         sys(
             asm,
             Sysno::NtProtectVirtualMemory,
             &[
                 (Reg::Ebx, 0xffff_ffff),
-                (Reg::Ecx, 0xffff_f000),
+                (Reg::Ecx, 0x7fff_f000),
                 (Reg::Edx, 0x2000),
                 (Reg::Esi, 0b001),
             ],
@@ -373,6 +374,6 @@ fn protect_past_the_top_of_the_address_space_changes_nothing() {
     let pid = machine.process_by_name("t.exe").unwrap().pid;
     let status = machine.read_guest(pid, SCRATCH + 12, 4).unwrap();
     assert_eq!(u32::from_le_bytes(status.try_into().unwrap()), NtStatus::InvalidParameter as u32);
-    let perms = machine.process(pid).unwrap().aspace.entry(0xffff_f000).unwrap().perms;
+    let perms = machine.process(pid).unwrap().aspace.entry(0x7fff_f000).unwrap().perms;
     assert_eq!(perms, Perms::R.union(Perms::W), "a refused protect changed the page");
 }

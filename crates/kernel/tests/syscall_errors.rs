@@ -441,3 +441,94 @@ fn a_process_cannot_make_the_shared_export_table_writable() {
     let later = machine.spawn_process("C:/later.exe", true, None, &mut NullObserver).unwrap();
     assert_eq!(machine.read_guest(later, target, 4).unwrap(), original);
 }
+
+/// Runs `asm` with `C:/blob` (two pages) in the file system; `asm` may
+/// open it through the label `path`.
+fn run_with_blob(mut asm: Asm) -> (Machine, Vec<(Sysno, NtStatus)>) {
+    asm.hlt();
+    asm.label("path");
+    asm.raw(b"C:/blob");
+    let mut machine = Machine::new(MachineConfig::default());
+    machine.install_program("C:/t.exe", &image(asm)).unwrap();
+    machine.fs.create("C:/blob", vec![0xcc; 0x2000]).unwrap();
+    let mut trace = StatusTrace::default();
+    machine.spawn_process("C:/t.exe", false, None, &mut trace).unwrap();
+    assert_eq!(machine.run(5_000_000, &mut trace), RunExit::AllExited);
+    (machine, trace.0)
+}
+
+/// Opens `C:/blob` as a section; its handle is left at `SCRATCH + 4`.
+fn open_blob_section(asm: &mut Asm) {
+    asm.mov_label(Reg::Ebx, "path");
+    sys(asm, Sysno::NtOpenFile, &[(Reg::Ecx, 7), (Reg::Edx, SCRATCH)]);
+    asm.ld4(Reg::Ebx, M::abs(SCRATCH));
+    sys(asm, Sysno::NtCreateSection, &[(Reg::Ecx, SCRATCH + 4)]);
+}
+
+fn statuses_of(trace: &[(Sysno, NtStatus)], sysno: Sysno) -> Vec<NtStatus> {
+    trace.iter().filter(|(s, _)| *s == sysno).map(|&(_, status)| status).collect()
+}
+
+#[test]
+fn a_view_reaching_the_kernel_half_is_refused_and_maps_nothing() {
+    // 0xffff_f000 is a free page of the shared kernel half; a two-page
+    // view at 0x7fff_f000 would run into it. The view at 0x7fff_e000
+    // ends exactly at the kernel half and is mapped.
+    let mut asm = Asm::new(IMAGE_BASE);
+    open_blob_section(&mut asm);
+    for va in [0xffff_f000, 0x7fff_f000, 0x7fff_e000] {
+        asm.ld4(Reg::Ebx, M::abs(SCRATCH + 4));
+        sys(&mut asm, Sysno::NtMapViewOfSection, &[(Reg::Ecx, va), (Reg::Edx, 0b011)]);
+    }
+    let (machine, trace) = run_with_blob(asm);
+    assert_eq!(
+        statuses_of(&trace, Sysno::NtMapViewOfSection),
+        [NtStatus::InvalidParameter, NtStatus::InvalidParameter, NtStatus::Success]
+    );
+    let proc = machine.process_by_name("t.exe").unwrap();
+    assert!(proc.region_containing(0xffff_f000).is_none());
+    assert!(proc.aspace.entry(0xffff_f000).is_none(), "the refused view left a page");
+    assert_eq!(proc.region_containing(0x7fff_e000).map(|r| (r.base, r.size)), Some((0x7fff_e000, 0x2000)));
+}
+
+#[test]
+fn free_and_unmap_view_release_only_their_own_kind_of_region() {
+    // A private allocation (the first lands at 0x0100_0000) and a view.
+    // Each call on the other's region is refused and unmaps nothing; each
+    // on its own kind succeeds.
+    let private = 0x0100_0000;
+    let view = 0x0500_0000;
+    let this = 0xffff_ffff;
+    let mut asm = Asm::new(IMAGE_BASE);
+    sys(
+        &mut asm,
+        Sysno::NtAllocateVirtualMemory,
+        &[(Reg::Ebx, this), (Reg::Ecx, 0x1000), (Reg::Edx, 0b011), (Reg::Esi, SCRATCH + 8)],
+    );
+    open_blob_section(&mut asm);
+    asm.ld4(Reg::Ebx, M::abs(SCRATCH + 4));
+    sys(&mut asm, Sysno::NtMapViewOfSection, &[(Reg::Ecx, view), (Reg::Edx, 0b011)]);
+    sys(&mut asm, Sysno::NtFreeVirtualMemory, &[(Reg::Ebx, this), (Reg::Ecx, view)]);
+    sys(&mut asm, Sysno::NtUnmapViewOfSection, &[(Reg::Ebx, this), (Reg::Ecx, private)]);
+    asm.mov_ri(Reg::Ebp, 0); // both regions are still mapped here
+    asm.ld4(Reg::Ecx, M::abs(private));
+    asm.ld4(Reg::Ecx, M::abs(view));
+    sys(&mut asm, Sysno::NtFreeVirtualMemory, &[(Reg::Ebx, this), (Reg::Ecx, private)]);
+    sys(&mut asm, Sysno::NtUnmapViewOfSection, &[(Reg::Ebx, this), (Reg::Ecx, view)]);
+    let (machine, trace) = run_with_blob(asm);
+    assert_eq!(status_of(&trace, Sysno::NtAllocateVirtualMemory), NtStatus::Success);
+    assert_eq!(status_of(&trace, Sysno::NtMapViewOfSection), NtStatus::Success);
+    assert_eq!(
+        statuses_of(&trace, Sysno::NtFreeVirtualMemory),
+        [NtStatus::InvalidParameter, NtStatus::Success]
+    );
+    assert_eq!(
+        statuses_of(&trace, Sysno::NtUnmapViewOfSection),
+        [NtStatus::InvalidParameter, NtStatus::Success]
+    );
+    let proc = machine.process_by_name("t.exe").unwrap();
+    assert_eq!(proc.exit_code, Some(0), "the loads between the calls read mapped memory");
+    for va in [private, view] {
+        assert!(proc.region_containing(va).is_none() && proc.aspace.entry(va).is_none());
+    }
+}

@@ -36,16 +36,19 @@ echo "==> cargo test -q --offline --workspace"
 # net-assembled chain.
 cargo test -q --offline --workspace
 
-echo "==> memory-service property tests under seeds 1-8 (debug: overflow checks on)"
+echo "==> memory-service and CFG-oracle property tests under seeds 1-8 (debug: overflow checks on)"
 # The pinned default seed alone has missed kernel overflows that other
-# seeds found; run the syscall fuzz and the memory-model test under eight
-# more streams.
+# seeds found; run the syscall fuzz, the memory-model test and the CFG
+# recovery's per-byte oracle test under eight more streams.
 for seed in 1 2 3 4 5 6 7 8; do
     FAROS_PROP_SEED="$seed" cargo test -q --offline -p faros-corpus -p faros-kernel \
         --test fuzz_guest --test prop_memory -- --exact \
         random_syscall_arguments_never_panic_the_kernel \
         memory_services_match_the_reference_model >/dev/null \
         || { echo "error: memory property tests failed with FAROS_PROP_SEED=$seed" >&2; exit 1; }
+    FAROS_PROP_SEED="$seed" cargo test -q --offline -p faros-analyze --lib -- --exact \
+        cfg::tests::recovery_matches_the_per_byte_oracle >/dev/null \
+        || { echo "error: CFG oracle property test failed with FAROS_PROP_SEED=$seed" >&2; exit 1; }
 done
 
 echo "==> benchmark package tests (jobbench: every workload timed and traced, BENCHMARK.json parity)"

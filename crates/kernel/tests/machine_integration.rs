@@ -958,3 +958,236 @@ fn accept_without_bind_is_rejected() {
         faros_kernel::nt::NtStatus::InvalidDeviceState as u32
     );
 }
+
+// ----------------------------------------------------------------------
+// The virtual clock across idle time. Each case pins how a run ends, the
+// final `ticks()` and the console order; the values are those of the
+// scheduler that spun one 64-tick idle round at a time, and must not move.
+// ----------------------------------------------------------------------
+
+/// Emits `NtDisplayString` of the string at `label`.
+fn print(asm: &mut Asm, label: &str, len: u32) {
+    asm.mov_label(Reg::Ebx, label);
+    syscall(asm, Sysno::NtDisplayString, &[(Reg::Ecx, len)]);
+}
+
+/// Prints `before`, sleeps `ticks`, prints `after`, halts.
+fn sleeper_asm(ticks: u32, before: &str, after: &str) -> Asm {
+    let mut asm = Asm::new(IMAGE_BASE);
+    print(&mut asm, "before", before.len() as u32);
+    syscall(&mut asm, Sysno::NtDelayExecution, &[(Reg::Ebx, ticks)]);
+    print(&mut asm, "after", after.len() as u32);
+    asm.hlt();
+    asm.label("before");
+    asm.raw(before.as_bytes());
+    asm.label("after");
+    asm.raw(after.as_bytes());
+    asm
+}
+
+/// Connects to the attacker's port 4444, prints `tag`, then blocks in a
+/// receive and prints what it got.
+fn receiver_asm(tag: &str) -> Asm {
+    let scratch = IMAGE_BASE + 0x2000;
+    let mut asm = Asm::new(IMAGE_BASE);
+    syscall(&mut asm, Sysno::NtSocketCreate, &[(Reg::Ebx, scratch)]);
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    syscall(
+        &mut asm,
+        Sysno::NtSocketConnect,
+        &[(Reg::Ecx, u32::from_be_bytes(ATTACKER_IP)), (Reg::Edx, 4444)],
+    );
+    print(&mut asm, "tag", tag.len() as u32);
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    syscall(
+        &mut asm,
+        Sysno::NtSocketRecv,
+        &[(Reg::Ecx, scratch + 16), (Reg::Edx, 64), (Reg::Esi, scratch + 8)],
+    );
+    asm.ld4(Reg::Ecx, M::abs(scratch + 8));
+    syscall(&mut asm, Sysno::NtDisplayString, &[(Reg::Ebx, scratch + 16)]);
+    asm.hlt();
+    asm.label("tag");
+    asm.raw(tag.as_bytes());
+    asm
+}
+
+/// How a run ended: its exit, final `ticks()` and console lines in order.
+type ClockEnd = (RunExit, u64, Vec<String>);
+
+/// Installs and spawns `programs` in order on a machine around `fabric`
+/// and runs it out.
+fn run_clock(fabric: NetworkFabric, programs: &[(&str, &Asm)]) -> (ClockEnd, Machine) {
+    let mut machine = Machine::with_fabric(MachineConfig::default(), fabric);
+    for (path, asm) in programs {
+        machine.install_program(path, &image_from_asm((*asm).clone())).unwrap();
+    }
+    for (path, _) in programs {
+        machine.spawn_process(path, false, None, &mut NullObserver).unwrap();
+    }
+    let exit = machine.run(5_000_000, &mut NullObserver);
+    let console = machine.console().iter().map(|(_, s)| s.clone()).collect();
+    ((exit, machine.ticks(), console), machine)
+}
+
+/// Runs `programs` live with `setup` adding the remote side, then replays
+/// the recorded net log with no endpoint attached; the replay must end
+/// exactly as the recording did. Returns the recording's end.
+fn record_and_replay_clock(
+    setup: impl FnOnce(&mut NetworkFabric),
+    programs: &[(&str, &Asm)],
+) -> ClockEnd {
+    let mut live = NetworkFabric::new_live(MachineConfig::default().guest_ip);
+    setup(&mut live);
+    let (recorded, machine) = run_clock(live, programs);
+    let log = machine.net.recorded().clone();
+    let fabric = NetworkFabric::new_replay(MachineConfig::default().guest_ip, log);
+    let (replayed, machine) = run_clock(fabric, programs);
+    assert!(machine.net.divergence().is_none());
+    assert_eq!(replayed, recorded, "the replay ends where the recording did");
+    recorded
+}
+
+fn lines(texts: &[&str]) -> Vec<String> {
+    texts.iter().map(|s| s.to_string()).collect()
+}
+
+#[test]
+fn sleeps_around_one_idle_round_end_on_their_pinned_ticks() {
+    // One idle round is 64 ticks: sleeps of 1, 63 and 64 ticks all end
+    // after the first round, 65 after the second.
+    for (ticks, want) in [(1, 76), (63, 76), (64, 76), (65, 140), (150, 204)] {
+        let asm = sleeper_asm(ticks, "go", "up");
+        let fabric = NetworkFabric::new_live(MachineConfig::default().guest_ip);
+        let (end, _) = run_clock(fabric, &[("C:/sleep.exe", &asm)]);
+        assert_eq!(end, (RunExit::AllExited, want, lines(&["go", "up"])), "sleep {ticks}");
+    }
+}
+
+#[test]
+fn two_sleepers_with_interleaved_deadlines_wake_in_deadline_order() {
+    let first = {
+        let mut asm = Asm::new(IMAGE_BASE);
+        syscall(&mut asm, Sysno::NtDelayExecution, &[(Reg::Ebx, 100)]);
+        print(&mut asm, "a1", 2);
+        syscall(&mut asm, Sysno::NtDelayExecution, &[(Reg::Ebx, 700)]);
+        print(&mut asm, "a2", 2);
+        asm.hlt();
+        asm.label("a1");
+        asm.raw(b"a1");
+        asm.label("a2");
+        asm.raw(b"a2");
+        asm
+    };
+    let second = {
+        let mut asm = Asm::new(IMAGE_BASE);
+        syscall(&mut asm, Sysno::NtDelayExecution, &[(Reg::Ebx, 300)]);
+        print(&mut asm, "b1", 2);
+        syscall(&mut asm, Sysno::NtDelayExecution, &[(Reg::Ebx, 200)]);
+        print(&mut asm, "b2", 2);
+        asm.hlt();
+        asm.label("b1");
+        asm.raw(b"b1");
+        asm.label("b2");
+        asm.raw(b"b2");
+        asm
+    };
+    let fabric = NetworkFabric::new_live(MachineConfig::default().guest_ip);
+    let (end, _) = run_clock(fabric, &[("C:/a.exe", &first), ("C:/b.exe", &second)]);
+    assert_eq!(end, (RunExit::AllExited, 862, lines(&["a1", "b1", "b2", "a2"])));
+}
+
+/// Accepts every connection and never answers.
+struct Silent;
+
+impl RemoteEndpoint for Silent {
+    fn on_data(&mut self, _: &[u8]) -> Vec<Vec<u8>> {
+        Vec::new()
+    }
+}
+
+#[test]
+fn a_sleeper_beside_a_dead_receive_wakes_then_the_machine_deadlocks() {
+    let receiver = receiver_asm("waiting");
+    let sleeper = sleeper_asm(5000, "zz", "awake");
+    let end = record_and_replay_clock(
+        |net| net.add_endpoint(ATTACKER_IP, 4444, Box::new(Silent)),
+        &[("C:/recv.exe", &receiver), ("C:/sleep.exe", &sleeper)],
+    );
+    assert_eq!(end, (RunExit::Deadlocked, 6_405_150, lines(&["waiting", "zz", "awake"])));
+}
+
+#[test]
+fn a_sleep_past_the_idle_horizon_still_deadlocks_at_the_horizon() {
+    let asm = sleeper_asm(u32::MAX, "zz", "never");
+    let fabric = NetworkFabric::new_live(MachineConfig::default().guest_ip);
+    let (end, _) = run_clock(fabric, &[("C:/sleep.exe", &asm)]);
+    assert_eq!(end, (RunExit::Deadlocked, 6_400_071, lines(&["zz"])));
+}
+
+#[test]
+fn a_replayed_inbound_accept_lands_on_its_recorded_tick() {
+    let scratch = IMAGE_BASE + 0x1000;
+    let mut asm = Asm::new(IMAGE_BASE);
+    syscall(&mut asm, Sysno::NtSocketCreate, &[(Reg::Ebx, scratch)]);
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    syscall(&mut asm, Sysno::NtSocketBind, &[(Reg::Ecx, 7777)]);
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    syscall(&mut asm, Sysno::NtSocketListen, &[]);
+    asm.ld4(Reg::Ebx, M::abs(scratch));
+    syscall(&mut asm, Sysno::NtSocketAccept, &[(Reg::Ecx, scratch + 4)]);
+    asm.ld4(Reg::Ebx, M::abs(scratch + 4));
+    syscall(
+        &mut asm,
+        Sysno::NtSocketRecv,
+        &[(Reg::Ecx, scratch + 16), (Reg::Edx, 32), (Reg::Esi, scratch + 8)],
+    );
+    asm.ld4(Reg::Ecx, M::abs(scratch + 8));
+    syscall(&mut asm, Sysno::NtDisplayString, &[(Reg::Ebx, scratch + 16)]);
+    asm.hlt();
+
+    struct Dialer;
+    impl RemoteEndpoint for Dialer {
+        fn on_connect(&mut self) -> Vec<Vec<u8>> {
+            vec![b"knock".to_vec()]
+        }
+        fn on_data(&mut self, _: &[u8]) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+    }
+
+    let end = record_and_replay_clock(
+        |net| net.schedule_inbound((ATTACKER_IP, 31337), 7777, 4000, Box::new(Dialer)),
+        &[("C:/srv.exe", &asm)],
+    );
+    assert_eq!(end, (RunExit::AllExited, 4057, lines(&["knock"])));
+}
+
+#[test]
+fn a_tick_gated_replayed_receive_lands_on_its_recorded_tick() {
+    /// Pushes one chunk once the clock reaches tick 3000.
+    struct Late {
+        sent: bool,
+    }
+    impl RemoteEndpoint for Late {
+        fn on_data(&mut self, _: &[u8]) -> Vec<Vec<u8>> {
+            Vec::new()
+        }
+        fn poll(&mut self, tick: u64) -> Vec<Vec<u8>> {
+            if !self.sent && tick >= 3000 {
+                self.sent = true;
+                vec![b"late".to_vec()]
+            } else {
+                Vec::new()
+            }
+        }
+    }
+
+    let receiver = receiver_asm("waiting");
+    let sleeper = sleeper_asm(1000, "zz", "awake");
+    let end = record_and_replay_clock(
+        |net| net.add_endpoint(ATTACKER_IP, 4444, Box::new(Late { sent: false })),
+        &[("C:/recv.exe", &receiver), ("C:/sleep.exe", &sleeper)],
+    );
+    assert_eq!(end, (RunExit::AllExited, 3043, lines(&["waiting", "zz", "awake", "late"])));
+}

@@ -7,9 +7,12 @@
 
 use faros::{Faros, Policy};
 use faros_bench::experiments::BUDGET;
+use faros_corpus::families::{benign_rows, build_family_sample};
 use faros_corpus::{attacks, evasion};
 use faros_obs::trace::RecorderHandle;
-use faros_replay::{record, replay, PluginManager, TraceRecorder};
+use faros_replay::{
+    record, replay, BlockCoverage, CapabilityMonitor, CfiMonitor, PluginManager, TraceRecorder,
+};
 use faros_support::bench::{black_box, BenchGroup};
 use faros_support::bench_main;
 use std::time::Instant;
@@ -18,7 +21,8 @@ use std::time::Instant;
 const GATE_PAIRS: usize = 10;
 
 /// Replays per side of one pair (about 1 ms of plain `process_hollowing`
-/// replay, 20 ms of plain taint-bomb replay).
+/// replay, 20 ms of plain taint-bomb replay, 50 ms of the idle-ending
+/// TeamViewer replay under the job's plugin set).
 const REPLAYS_PER_SIDE: u32 = 20;
 
 fn bench_replay() {
@@ -62,6 +66,24 @@ fn bench_replay() {
     group.bench_function("replay_bomb_base", |b| b.iter(bomb_base));
     group.bench_function("replay_bomb_faros", |b| b.iter(bomb_faros));
     group.annotate("pair_ratio_median_x1000", median_pair_ratio_x1000(bomb_base, bomb_faros));
+    // A long replay that ends idle: TeamViewer at 220 rounds (a
+    // `long_replay` job's size) blocks for good in a receive and idles to
+    // the scheduler's deadlock horizon, replayed under the job's plugin
+    // set. `bench-gate` checks its per-pair ratio to `replay_base`, which
+    // grows about fourfold if idle time is spun through round by round.
+    let teamviewer = benign_rows().into_iter().find(|f| f.name == "TeamViewer").expect("row");
+    let idle = build_family_sample(&teamviewer, 300, 220);
+    let (idle_recording, _) = record(&idle.scenario, BUDGET).expect("record");
+    let replay_idle = || {
+        let mut plugins = PluginManager::new();
+        plugins.register(Box::new(Faros::new(Policy::paper())));
+        plugins.register(Box::new(BlockCoverage::new()));
+        plugins.register(Box::new(CfiMonitor::new()));
+        plugins.register(Box::new(CapabilityMonitor::new()));
+        replay(&idle.scenario, &idle_recording, BUDGET, &mut plugins).expect("replay").instructions
+    };
+    group.bench_function("replay_idle", |b| b.iter(replay_idle));
+    group.annotate("pair_ratio_median_x1000", median_pair_ratio_x1000(replay_base, replay_idle));
     // Full observability stack: flight recorder + FAROS emitting into the
     // same ring, dispatch counting on — the realistic traced-replay cost.
     group.bench_function("replay_traced", |b| {

@@ -18,8 +18,9 @@
 //! faros-cli json-check FILE...        validate files parse as JSON (Chrome
 //!                                     traces also need a traceEvents array)
 //! faros-cli bench-gate FILE           read BENCH_replay.json and fail if the
-//!                                     FAROS replay regressed past 1.5x baseline
-//!                                     or the taint-bomb replay past 2.5x
+//!                                     FAROS replay regressed past 1.5x baseline,
+//!                                     the taint-bomb replay past 2.5x or the
+//!                                     idle-ending job replay past 100x
 //! faros-cli serve --socket PATH       run the detonation service on a Unix
 //!                                     socket (--workers N, --queue N)
 //! faros-cli submit <sample> --socket PATH
@@ -277,6 +278,13 @@ const BENCH_GATE_MAX_RATIO: f64 = 1.5;
 /// host; the per-byte shadow loop it replaced reads about 5x.
 const BENCH_GATE_MAX_BOMB_RATIO: f64 = 2.5;
 
+/// Maximum allowed ratio of `replay_idle` (TeamViewer at 220 rounds under
+/// the job's plugin set, a replay that idles to the deadlock horizon) to
+/// the plain `process_hollowing` replay. It measured 52-63x on a shared
+/// 2-vCPU host once the scheduler skipped idle time, and 200-248x while it
+/// spun through the 100,000 idle rounds one at a time.
+const BENCH_GATE_MAX_IDLE_RATIO: f64 = 100.0;
+
 /// Reads the integer `field` of benchmark `name` from a `BENCH_*.json`
 /// document.
 fn bench_field(doc: &faros_support::json::JsonValue, name: &str, field: &str) -> u64 {
@@ -303,6 +311,7 @@ fn bench_gate(file: &str) {
     let gates = [
         ("replay_base", "replay_faros", BENCH_GATE_MAX_RATIO),
         ("replay_bomb_base", "replay_bomb_faros", BENCH_GATE_MAX_BOMB_RATIO),
+        ("replay_base", "replay_idle", BENCH_GATE_MAX_IDLE_RATIO),
     ];
     let mut failures = Vec::new();
     for (base_name, faros_name, limit) in gates {

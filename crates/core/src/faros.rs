@@ -2,9 +2,9 @@
 //! tag-confluence attack detector (paper §V).
 
 use crate::policy::Policy;
-use crate::report::{Detection, FarosReport};
+use crate::report::{Detection, DetectionKind, FarosReport};
 use faros_emu::cpu::{CpuHooks, InsnCtx, ShadowLoc};
-use faros_emu::isa::{Reg, Width};
+use faros_emu::isa::{Instr, Reg, Width};
 use faros_kernel::event::{ByteRange, CopyRun, KernelEvents};
 use faros_kernel::module::{ModuleInfo, EXPORT_ENTRY_SIZE, EXPORT_PTR_OFFSET};
 use faros_kernel::net::FlowTuple;
@@ -181,8 +181,8 @@ pub struct Faros {
     reg_banks: FastMap<(Pid, Tid), [[ListId; 4]; SHADOW_REGS]>,
     current_thread: Option<(Pid, Tid)>,
     current_cr3: u32,
-    detections: Vec<Detection>,
-    whitelisted: Vec<Detection>,
+    detections: Vec<Flagged>,
+    whitelisted: Vec<Flagged>,
     /// `(CR3, instruction VA)` pairs already flagged: one detection per
     /// flagged instruction per process.
     seen_insns: FastSet<(u32, u32)>,
@@ -197,6 +197,27 @@ pub struct Faros {
     /// Virtual clock (instructions retired + idle boosts), kept current
     /// from `InsnCtx::retired` and `tick`.
     now: u64,
+}
+
+/// A detection as the replay records it. The strings of a [`Detection`]
+/// are rendered only by [`Faros::report`], from the instruction and the
+/// provenance lists: an interned list and the tag tables only ever grow,
+/// so they render the same then as at the flagged instruction.
+#[derive(Debug, Clone)]
+struct Flagged {
+    insn_vaddr: u32,
+    insn: Instr,
+    read_vaddr: u32,
+    process: String,
+    cr3: u32,
+    code_provenance: ListId,
+    /// The read's provenance list; a [`DetectionKind::TaintedControlTransfer`]
+    /// names its target address (`read_vaddr`) instead.
+    target_provenance: ListId,
+    tick: u64,
+    via_netflow: bool,
+    via_cross_process: bool,
+    kind: DetectionKind,
 }
 
 impl Faros {
@@ -288,9 +309,32 @@ impl Faros {
     pub fn report(&self) -> FarosReport {
         // The job pipeline fills the remaining sections in.
         FarosReport {
-            detections: self.detections.clone(),
-            whitelisted: self.whitelisted.clone(),
+            detections: self.detections.iter().map(|f| self.render(f)).collect(),
+            whitelisted: self.whitelisted.iter().map(|f| self.render(f)).collect(),
             ..FarosReport::default()
+        }
+    }
+
+    /// Renders a recorded detection for the report.
+    fn render(&self, f: &Flagged) -> Detection {
+        let target_provenance = match f.kind {
+            DetectionKind::ExportTableRead => self.engine.display_list(f.target_provenance),
+            DetectionKind::TaintedControlTransfer => {
+                format!("control transfer target {:#010x}", f.read_vaddr)
+            }
+        };
+        Detection {
+            insn_vaddr: f.insn_vaddr,
+            insn: f.insn.to_string(),
+            read_vaddr: f.read_vaddr,
+            process: f.process.clone(),
+            cr3: f.cr3,
+            code_provenance: self.engine.display_list(f.code_provenance),
+            target_provenance,
+            tick: f.tick,
+            via_netflow: f.via_netflow,
+            via_cross_process: f.via_cross_process,
+            kind: f.kind,
         }
     }
 
@@ -357,11 +401,14 @@ impl Faros {
     /// process already has one there: emits the `alert` trace instant
     /// (`kind` is its label) and routes the detection to the whitelist or
     /// the detections by the policy.
+    // Out of line: detections are rare, and building one inside
+    // `on_load` measurably slowed the taint bomb's FAROS replay.
+    #[cold]
     fn record_detection(
         &mut self,
         vaddr: u32,
         kind: &str,
-        build: impl FnOnce(&Faros, String) -> Detection,
+        build: impl FnOnce(&Faros, String) -> Flagged,
     ) {
         if !self.seen_insns.insert((self.current_cr3, vaddr)) {
             return;
@@ -515,18 +562,18 @@ impl CpuHooks for Faros {
             return;
         }
         self.engine.metrics_mut().inc(self.ctr.confluence_hits);
-        self.record_detection(ctx.vaddr, "export-table-read", |f, process| Detection {
+        self.record_detection(ctx.vaddr, "export-table-read", |f, process| Flagged {
             insn_vaddr: ctx.vaddr,
-            insn: ctx.instr.to_string(),
+            insn: ctx.instr,
             read_vaddr: _vaddr,
             process,
             cr3: f.current_cr3,
-            code_provenance: f.engine.display_list(code_prov),
-            target_provenance: f.engine.display_list(target_id),
+            code_provenance: code_prov,
+            target_provenance: target_id,
             tick: f.engine.metrics().get(f.ctr.instructions),
             via_netflow: f.policy.trigger_netflow && has_netflow,
             via_cross_process: f.policy.trigger_cross_process && cross_process,
-            kind: crate::report::DetectionKind::ExportTableRead,
+            kind: DetectionKind::ExportTableRead,
         });
     }
 
@@ -553,18 +600,18 @@ impl CpuHooks for Faros {
         if !self.policy.minos_tainted_pc {
             return;
         }
-        self.record_detection(ctx.vaddr, "tainted-control-transfer", |f, process| Detection {
+        self.record_detection(ctx.vaddr, "tainted-control-transfer", |f, process| Flagged {
             insn_vaddr: ctx.vaddr,
-            insn: ctx.instr.to_string(),
+            insn: ctx.instr,
             read_vaddr: target,
             process,
             cr3: f.current_cr3,
-            code_provenance: f.engine.display_list(prov),
-            target_provenance: format!("control transfer target {target:#010x}"),
+            code_provenance: prov,
+            target_provenance: ListId::EMPTY,
             tick: f.engine.metrics().get(f.ctr.instructions),
             via_netflow: true,
             via_cross_process: false,
-            kind: crate::report::DetectionKind::TaintedControlTransfer,
+            kind: DetectionKind::TaintedControlTransfer,
         });
     }
 }

@@ -73,7 +73,8 @@ pub enum RunExit {
     AllExited,
     /// The instruction budget was exhausted.
     Budget,
-    /// No thread can ever run again (all blocked with no wake source).
+    /// No thread can run again, or none ran for more than
+    /// [`IDLE_HORIZON_ROUNDS`] idle rounds in a row.
     Deadlocked,
 }
 
@@ -93,6 +94,13 @@ pub const STACK_TOP: u32 = 0x7ffc_4000;
 
 /// Stack size in bytes.
 pub const STACK_SIZE: u32 = 4 * PAGE_SIZE;
+
+/// Virtual ticks one idle scheduler round adds (see [`Machine::run`]).
+pub const IDLE_ROUND_TICKS: u64 = 64;
+
+/// Idle rounds in a row after which [`Machine::run`] ends
+/// [`RunExit::Deadlocked`]: a run ends at the round after this many.
+pub const IDLE_HORIZON_ROUNDS: u64 = 100_000;
 
 /// Error from machine-level operations (spawning, memory services).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -851,27 +859,49 @@ impl Machine {
     // Scheduler
     // ------------------------------------------------------------------
 
+    /// The tick from which `reason` no longer holds its thread, or `None`
+    /// if only a guest action can end it. This is the one wake rule:
+    /// [`Machine::pump_and_wake`] wakes a thread once the clock has reached
+    /// its tick, and [`Machine::idle`] skips ahead to the earliest.
+    fn ready_at(&self, reason: BlockReason) -> Option<u64> {
+        match reason {
+            BlockReason::Sleep { until } => Some(until),
+            BlockReason::NetRecv { conn } => self.net.recv_ready_at(conn),
+            BlockReason::NetAccept { port } => self.net.accept_ready_at(port),
+        }
+    }
+
+    /// Every blocked thread with why it is blocked.
+    fn blocked(&self) -> impl Iterator<Item = (Pid, Tid, BlockReason)> + '_ {
+        self.procs.values().flat_map(|p| {
+            p.threads.values().filter_map(move |t| match t.state {
+                ThreadState::Blocked(reason) => Some((p.pid, t.tid, reason)),
+                _ => None,
+            })
+        })
+    }
+
     fn pump_and_wake(&mut self) {
         let tick = self.ticks();
         self.net.pump(tick);
-        let mut to_wake: Vec<(Pid, Tid)> = Vec::new();
-        for proc in self.procs.values() {
-            for t in proc.threads.values() {
-                if let ThreadState::Blocked(reason) = t.state {
-                    let ready = match reason {
-                        BlockReason::NetRecv { conn } => self.net.readable(conn),
-                        BlockReason::Sleep { until } => tick >= until,
-                        BlockReason::NetAccept { port } => self.net.inbound_ready(port, tick),
-                    };
-                    if ready {
-                        to_wake.push((proc.pid, t.tid));
-                    }
-                }
-            }
-        }
+        let to_wake: Vec<(Pid, Tid)> = self
+            .blocked()
+            .filter(|&(_, _, reason)| self.ready_at(reason).is_some_and(|at| at <= tick))
+            .map(|(pid, tid, _)| (pid, tid))
+            .collect();
         for (pid, tid) in to_wake {
             self.wake_thread(pid, tid);
         }
+    }
+
+    /// The earliest tick at which an idle machine can change: the first
+    /// blocked thread's ready tick or the fabric's next pump event, `None`
+    /// if neither will ever come.
+    fn next_wake(&self) -> Option<u64> {
+        self.blocked()
+            .filter_map(|(_, _, reason)| self.ready_at(reason))
+            .chain(self.net.next_pump_event())
+            .min()
     }
 
     fn pick_next(&mut self) -> Option<(Pid, Tid)> {
@@ -907,12 +937,43 @@ impl Machine {
         self.procs.values().all(|p| !p.is_alive() || !p.has_live_threads())
     }
 
+    /// Takes the idle rounds up to the first whose clock reaches the next
+    /// wake (at least one, at most the one past the horizon) and reports
+    /// the new tick. Returns whether the run is still within the horizon.
+    fn idle<O: Observer + ?Sized>(&mut self, idle_rounds: &mut u64, obs: &mut O) -> bool {
+        let left = IDLE_HORIZON_ROUNDS + 1 - *idle_rounds;
+        let rounds = match self.next_wake() {
+            Some(at) => {
+                at.saturating_sub(self.ticks()).div_ceil(IDLE_ROUND_TICKS).clamp(1, left)
+            }
+            None => left,
+        };
+        *idle_rounds += rounds;
+        self.idle_boost += rounds * IDLE_ROUND_TICKS;
+        obs.tick(self.ticks());
+        *idle_rounds <= IDLE_HORIZON_ROUNDS
+    }
+
     /// Runs the machine for at most `budget` instructions, reporting events
     /// to `obs`.
+    ///
+    /// When no thread is ready the machine idles: the virtual clock moves
+    /// in rounds of [`IDLE_ROUND_TICKS`] with no instruction retired, and
+    /// after more than [`IDLE_HORIZON_ROUNDS`] rounds in a row the run
+    /// ends [`RunExit::Deadlocked`]. Nothing can change between the idle
+    /// round that starts the wait and the first round whose clock reaches
+    /// the next possible wake (a sleep's deadline, a staged delivery, a
+    /// scheduled dial), so the machine takes all those rounds at once and
+    /// reports one `tick`; with nothing left to wake it takes them up to
+    /// the horizon. The end tick and exit are those of one round at a
+    /// time. In live mode, while a connection with a scripted endpoint is
+    /// open, rounds are taken one by one, since that endpoint's
+    /// [`RemoteEndpoint::poll`](crate::net::RemoteEndpoint::poll) sees
+    /// every round's tick.
     pub fn run<O: Observer + ?Sized>(&mut self, budget: u64, obs: &mut O) -> RunExit {
         self.emit_boot(obs);
         let start_retired = self.cpu.retired();
-        let mut idle_rounds = 0u32;
+        let mut idle_rounds = 0u64;
         loop {
             if self.cpu.retired() - start_retired >= budget {
                 return RunExit::Budget;
@@ -922,13 +983,7 @@ impl Machine {
                 if self.all_exited() {
                     return RunExit::AllExited;
                 }
-                if !self.any_wakeable() {
-                    return RunExit::Deadlocked;
-                }
-                idle_rounds += 1;
-                self.idle_boost += 64;
-                obs.tick(self.ticks());
-                if idle_rounds > 100_000 {
+                if !self.any_wakeable() || !self.idle(&mut idle_rounds, obs) {
                     return RunExit::Deadlocked;
                 }
                 continue;

@@ -551,13 +551,45 @@ impl NetworkFabric {
         });
     }
 
-    /// Returns `true` if an `accept` on `guest_port` would complete now.
-    pub fn inbound_ready(&self, guest_port: u16, tick: u64) -> bool {
+    /// The earliest tick at which an `accept` on `guest_port` completes
+    /// without the guest acting: 0 when a connection is already waiting,
+    /// else the tick of the earliest unconsumed recorded accept (replay)
+    /// or of the earliest scheduled dial (live); `None` when none is left.
+    pub fn accept_ready_at(&self, guest_port: u16) -> Option<u64> {
         match &self.mode {
-            Mode::Live => self.pending_accepts.iter().any(|(p, _)| *p == guest_port),
+            Mode::Live => {
+                if self.pending_accepts.iter().any(|(p, _)| *p == guest_port) {
+                    return Some(0);
+                }
+                self.inbound
+                    .iter()
+                    .filter(|s| !s.delivered && s.guest_port == guest_port)
+                    .map(|s| s.at_tick)
+                    .min()
+            }
             Mode::Replay { accepts, .. } => accepts
                 .iter()
-                .any(|(f, at, consumed)| !consumed && f.dst_port == guest_port && *at <= tick),
+                .filter(|(f, _, consumed)| !consumed && f.dst_port == guest_port)
+                .map(|(_, at, _)| *at)
+                .min(),
+        }
+    }
+
+    /// The earliest tick at which [`NetworkFabric::pump`] changes the
+    /// fabric in a way no blocked receive or accept accounts for, so an
+    /// idle clock must not skip past it. In live mode that is 0 while any
+    /// open connection has a scripted endpoint (its opaque
+    /// [`RemoteEndpoint::poll`] runs on every pump), else the earliest
+    /// scheduled dial (ripe dials queue in the order they ripen). In
+    /// replay mode it is `None`: staged deliveries are tick-gated, so one
+    /// pump at a later tick delivers exactly what a pump per round would.
+    pub fn next_pump_event(&self) -> Option<u64> {
+        match &self.mode {
+            Mode::Live if self.conns.iter().any(|c| !c.closed && c.endpoint.is_some()) => {
+                Some(0)
+            }
+            Mode::Live => self.inbound.iter().filter(|s| !s.delivered).map(|s| s.at_tick).min(),
+            Mode::Replay { .. } => None,
         }
     }
 
@@ -621,11 +653,17 @@ impl NetworkFabric {
         }
     }
 
-    /// Returns `true` if a receive on `conn` would deliver bytes now.
-    pub fn readable(&self, conn: u32) -> bool {
-        self.conns
-            .get(conn as usize)
-            .is_some_and(|c| !c.rx.is_empty() || c.closed)
+    /// The earliest tick at which a receive on `conn` returns without the
+    /// guest acting: 0 when it has bytes or is closed, else the tick of
+    /// its next staged chunk (replay); `None` when nothing is staged.
+    /// Live endpoint pushes are not foreseen here; see
+    /// [`NetworkFabric::next_pump_event`].
+    pub fn recv_ready_at(&self, conn: u32) -> Option<u64> {
+        let c = self.conns.get(conn as usize)?;
+        if !c.rx.is_empty() || c.closed {
+            return Some(0);
+        }
+        c.pending_replay.front().map(|(at, _)| *at)
     }
 
     /// Guest receives up to `max_len` bytes.
@@ -794,6 +832,47 @@ mod tests {
         );
         rep.pump(150);
         assert!(matches!(rep.recv(conn2, 64, 150), RecvOutcome::Data { .. }));
+    }
+
+    #[test]
+    fn ready_ticks_name_the_next_delivery_in_each_mode() {
+        struct Quiet;
+        impl RemoteEndpoint for Quiet {
+            fn on_data(&mut self, _d: &[u8]) -> Vec<Vec<u8>> {
+                Vec::new()
+            }
+        }
+        let mut live = NetworkFabric::new_live(GUEST);
+        live.add_endpoint(ATTACKER, 4444, Box::new(DelayedPush { sent: false }));
+        live.schedule_inbound((ATTACKER, 31337), 7777, 400, Box::new(Quiet));
+        assert_eq!(live.next_pump_event(), Some(400), "the dial is the next live event");
+        assert_eq!(live.accept_ready_at(7777), Some(400));
+        let conn = live.connect(ATTACKER, 4444, 0).unwrap();
+        // An open scripted connection may push on any pump: no skipping.
+        assert_eq!(live.next_pump_event(), Some(0));
+        assert_eq!(live.recv_ready_at(conn), None);
+        live.pump(150);
+        assert_eq!(live.recv_ready_at(conn), Some(0));
+        let RecvOutcome::Data { .. } = live.recv(conn, 64, 150) else { panic!() };
+        live.pump(400);
+        assert_eq!(live.accept_ready_at(7777), Some(0), "the ripe dial waits");
+        let accepted = live.accept(7777, 420).unwrap();
+        live.close(conn, 430);
+        live.close(accepted, 430);
+        assert_eq!(live.next_pump_event(), None);
+        assert_eq!(live.recv_ready_at(conn), Some(0), "a closed connection reads at once");
+
+        let mut rep = NetworkFabric::new_replay(GUEST, live.recorded().clone());
+        assert_eq!(rep.next_pump_event(), None, "replay deliveries are tick-gated");
+        assert_eq!(rep.accept_ready_at(7777), Some(420));
+        assert_eq!(rep.accept_ready_at(7778), None);
+        let conn = rep.connect(ATTACKER, 4444, 0).unwrap();
+        assert_eq!(rep.recv_ready_at(conn), Some(150));
+        rep.pump(149);
+        assert_eq!(rep.recv_ready_at(conn), Some(150));
+        rep.pump(150);
+        assert_eq!(rep.recv_ready_at(conn), Some(0));
+        assert_eq!(rep.recv_ready_at(99), None, "no such connection");
     }
 
     #[test]

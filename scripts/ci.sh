@@ -106,7 +106,7 @@ FAROS_BENCH_WRITE="$PWD" cargo bench --offline -p faros-bench --bench replay >/d
 cargo run --release --offline -p faros-bench --bin faros-cli -- json-check BENCH_replay.json
 test -s BENCH_replay.json
 
-echo "==> bench regression gates (median per-pair replay_faros/replay_base <= 1.5x, replay_bomb_faros/replay_bomb_base <= 2.5x)"
+echo "==> bench regression gates (median per-pair replay_faros/replay_base <= 1.5x, replay_bomb_faros/replay_bomb_base <= 2.5x, replay_idle/replay_base <= 100x)"
 cargo run --release --offline -p faros-bench --bin faros-cli -- bench-gate BENCH_replay.json
 
 echo "==> detonation service bench (FAROS_BENCH_WRITE -> BENCH_service.json)"

@@ -17,6 +17,13 @@
 //! the way to its horizon. The digests are FNV-1a over the recording's net
 //! log JSON and over the job report JSON.
 //!
+//! A second test guards the cost of idle time by counts, not by wall
+//! time: an idle stretch reaches the observers as one `tick`. Every
+//! dispatch of a thread delivers one tick and one context switch, and
+//! every idle stretch ends in a dispatch or in the end of the run, so a
+//! replay whose waits all end on their wake tick delivers at most twice
+//! as many ticks as context switches, plus one.
+//!
 //! Regenerate after an intentional clock change with:
 //!
 //! ```sh
@@ -25,7 +32,11 @@
 
 use faros_repro::corpus::families::{benign_rows, build_family_sample, malware_rows};
 use faros_repro::corpus::{sample_registry, Sample};
-use faros_repro::faros::AnalysisConfig;
+use faros_repro::emu::cpu::CpuHooks;
+use faros_repro::faros::{analyze_recording, AnalysisConfig};
+use faros_repro::kernel::event::KernelEvents;
+use faros_repro::kernel::machine::{ExecMode, RunExit};
+use faros_repro::kernel::{Pid, Tid};
 use faros_repro::replay::{record, replay, PluginManager};
 use faros_repro::support::json::ToJson;
 use std::path::Path;
@@ -47,8 +58,7 @@ fn clock_line(name: &str, sample: &Sample) -> String {
     let (recording, live) = record(&sample.scenario, cfg.budget).expect("record");
     let replayed = replay(&sample.scenario, &recording, cfg.budget, &mut PluginManager::new())
         .expect("replay");
-    let job = faros_repro::faros::analyze_recording(&sample.scenario, &recording, &cfg)
-        .expect("job");
+    let job = analyze_recording(&sample.scenario, &recording, &cfg).expect("job");
     assert_eq!(job.instructions, replayed.instructions, "{name}: the job replays the same clock");
     let net = fnv1a64(recording.net_log.to_json_value().to_compact().as_bytes());
     let report = fnv1a64(job.report.to_json().expect("report json").as_bytes());
@@ -58,15 +68,23 @@ fn clock_line(name: &str, sample: &Sample) -> String {
     )
 }
 
+/// Table V app `app`, variant 300, at `rounds` rounds.
+fn table_v_app(app: &str, rounds: u32) -> Sample {
+    let row = malware_rows()
+        .into_iter()
+        .chain(benign_rows())
+        .find(|f| f.name == app)
+        .expect("Table V app row");
+    build_family_sample(&row, 300, rounds)
+}
+
 /// The Table V inputs: each app at 3, 9 and 11 times its rounds.
 fn table_v_inputs() -> Vec<(String, Sample)> {
-    let rows: Vec<_> = malware_rows().into_iter().chain(benign_rows()).collect();
     let mut out = Vec::new();
     for (app, rounds) in TABLE_V_APPS {
-        let row = rows.iter().find(|f| f.name == app).expect("Table V app row");
         for scale in [3, 9, 11] {
             let name = format!("{}_x{scale}", app.replace(' ', "_").to_lowercase());
-            out.push((name, build_family_sample(row, 300, rounds * scale)));
+            out.push((name, table_v_app(app, rounds * scale)));
         }
     }
     out
@@ -97,4 +115,48 @@ fn every_run_ends_on_its_pinned_exit_and_tick() {
         .collect();
     assert!(moved.is_empty(), "{} input(s) moved:{}", moved.len(), moved.concat());
     assert_eq!(actual, expected, "replay_clock.txt: input list or line format changed");
+}
+
+/// Counts the `tick` and `context_switch` events it receives.
+#[derive(Default)]
+struct TickCount {
+    ticks: u64,
+    switches: u64,
+}
+
+impl CpuHooks for TickCount {}
+
+impl KernelEvents for TickCount {
+    fn tick(&mut self, _: u64) {
+        self.ticks += 1;
+    }
+    fn context_switch(&mut self, _: Option<(Pid, Tid)>, _: (Pid, Tid)) {
+        self.switches += 1;
+    }
+}
+
+#[test]
+fn idle_time_reaches_the_observers_as_one_tick_per_stretch() {
+    // TeamViewer at 220 rounds blocks for good in a receive and idles out
+    // to the deadlock horizon: 100,000 rounds, once one tick each (100,409
+    // ticks against 396 context switches).
+    let sample = table_v_app("TeamViewer", 220);
+    let cfg = AnalysisConfig::default();
+    let (recording, _) = record(&sample.scenario, cfg.budget).expect("record");
+    let mut count = TickCount::default();
+    let outcome = replay(&sample.scenario, &recording, cfg.budget, &mut count).expect("replay");
+    assert_eq!(outcome.exit, RunExit::Deadlocked);
+    assert!(
+        count.ticks <= 2 * count.switches + 1,
+        "{} tick deliveries against {} context switches",
+        count.ticks,
+        count.switches
+    );
+    // The plugins of a job see the same events under either executor.
+    let dispatches = |exec| {
+        let cfg = AnalysisConfig { exec, ..AnalysisConfig::default() };
+        let job = analyze_recording(&sample.scenario, &recording, &cfg).expect("job");
+        job.cost.plugins.iter().map(|p| (p.name.clone(), p.dispatches)).collect::<Vec<_>>()
+    };
+    assert_eq!(dispatches(ExecMode::Cached), dispatches(ExecMode::Interpret));
 }
